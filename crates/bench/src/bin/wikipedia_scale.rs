@@ -35,7 +35,7 @@ use oca_bench::{peak_rss_bytes, results_dir, run_meta_json, Args, Table};
 use oca_gen::{wiki_like_edges, WikiLikeParams};
 use oca_graph::{
     build_ocg_from_emitter, open_ocg_path, read_cover_path, verify_ocg_path, write_cover_path,
-    BuildOptions, Cover,
+    BuildOptions, Cover, Fnv1a,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -506,13 +506,8 @@ fn phase_detect(p: &Params, mapped: bool) -> String {
 /// An order-sensitive FNV-1a digest of a cover's exact community list —
 /// two covers fingerprint equally iff they are bit-identical.
 fn cover_fingerprint(cover: &Cover) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u32| {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut fnv = Fnv1a::default();
+    let mut mix = |word: u32| fnv.update(&word.to_le_bytes());
     mix(cover.node_count() as u32);
     mix(cover.len() as u32);
     for community in cover.communities() {
@@ -521,7 +516,7 @@ fn cover_fingerprint(cover: &Cover) -> String {
             mix(member.raw());
         }
     }
-    format!("{hash:016x}")
+    format!("{:016x}", fnv.finish())
 }
 
 // Minimal extractors for the flat JSON fragments the phases emit (no JSON

@@ -15,11 +15,11 @@ use oca_gen::{
 use oca_graph::io::write_edge_list_path;
 use oca_graph::{
     build_ocg_from_path, read_cover_path, read_ocg_info, verify_ocg_path, write_cover_path,
-    BuildOptions, Cover, CsrGraph, GraphStats,
+    BuildOptions, Cover, CsrGraph, GraphStats, IntegrityClass,
 };
 use oca_hierarchy::Summary;
 use oca_metrics::{average_f1, extended_modularity, overlapping_nmi, theta};
-use oca_serve::{load_cover_path, save_cover_path, PersistError, RecomputeFn, ServeConfig, Server};
+use oca_serve::{load_cover_path, save_cover_path, RecomputeFn, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -58,13 +58,21 @@ pub const EXIT_TRUNCATED: i32 = 4;
 /// Exit code when a file's format version is not one this build reads.
 pub const EXIT_VERSION_MISMATCH: i32 = 5;
 
-/// Maps an integrity class to its dedicated exit code.
-fn integrity_exit(class: oca_graph::IntegrityClass) -> i32 {
-    use oca_graph::IntegrityClass::*;
-    match class {
-        ChecksumMismatch => EXIT_CHECKSUM_MISMATCH,
-        Truncated => EXIT_TRUNCATED,
-        VersionMismatch => EXIT_VERSION_MISMATCH,
+/// The one mapping from an integrity class to its exit code: integrity
+/// failures exit 3/4/5 and name their class in the message; anything else
+/// exits 1.
+fn integrity_error(message: String, class: Option<IntegrityClass>) -> CmdError {
+    let Some(class) = class else {
+        return CmdError::from(message);
+    };
+    let code = match class {
+        IntegrityClass::ChecksumMismatch => EXIT_CHECKSUM_MISMATCH,
+        IntegrityClass::Truncated => EXIT_TRUNCATED,
+        IntegrityClass::VersionMismatch => EXIT_VERSION_MISMATCH,
+    };
+    CmdError {
+        message: format!("{message} [{}]", class.label()),
+        code,
     }
 }
 
@@ -540,8 +548,9 @@ const SERVE_OPTIONS: [&str; 16] = [
 ];
 
 /// Builds the initial cover for `serve`: a warm start from a binary cover
-/// file when `--cover` is given, otherwise a full detection run with the
-/// chosen algorithm's tuned preset. A warm-start file that fails its
+/// file when `--cover` is given (with the file's stored `c`), otherwise a
+/// full detection run with the chosen algorithm's tuned preset (and no
+/// `c`). A warm-start file that fails its
 /// integrity checks (truncated by a crash mid-save, bit rot) is not fatal
 /// — the reason is logged and detection runs cold instead; files that are
 /// *valid but wrong* (different graph, unknown version) still abort,
@@ -551,15 +560,18 @@ fn initial_cover(
     loaded: &LoadedGraph,
     algorithm: &str,
     seed: u64,
-) -> Result<Cover, String> {
+) -> Result<(Cover, Option<f64>), String> {
     let graph = &loaded.graph;
     if let Some(path) = cli.get_str("cover") {
         match load_cover_path(path, Some(graph.node_count())) {
-            Ok((cover, _)) => {
-                println!("warm start: {} communities from {path}", cover.len());
+            Ok((cover, c)) => {
+                println!(
+                    "warm start: {} communities from {path} (c = {c})",
+                    cover.len()
+                );
                 // Saved covers are in input ids; the server detects and
                 // indexes in the graph's compact space.
-                return Ok(loaded.cover_to_compact(&cover));
+                return Ok((loaded.cover_to_compact(&cover), Some(c)));
             }
             Err(e) if e.is_corruption() => {
                 println!("warm start skipped: {path} is damaged ({e}); detecting from cold");
@@ -581,7 +593,7 @@ fn initial_cover(
         detection.cover.len(),
         detection.elapsed.as_secs_f64()
     );
-    Ok(detection.cover)
+    Ok((detection.cover, None))
 }
 
 fn serve(cli: &Cli) -> Result<(), String> {
@@ -607,14 +619,20 @@ fn serve(cli: &Cli) -> Result<(), String> {
         },
         ..Default::default()
     };
-    if let Some(c) = cli.get_str("fixed-c") {
-        let c: f64 = c
-            .parse()
-            .map_err(|_| format!("invalid value for --fixed-c: {c:?}"))?;
+    let fixed_c: Option<f64> = cli
+        .get_str("fixed-c")
+        .map(|c| {
+            c.parse()
+                .map_err(|_| format!("invalid value for --fixed-c: {c:?}"))
+        })
+        .transpose()?;
+
+    let (initial, stored_c) = initial_cover(cli, &loaded, &algorithm, seed)?;
+    // `--fixed-c` wins; otherwise a warm start serves with the `c` its
+    // cover was saved with instead of re-running the spectral solver.
+    if let Some(c) = fixed_c.or(stored_c) {
         local.c = CStrategy::Fixed(c);
     }
-
-    let initial = initial_cover(cli, &loaded, &algorithm, seed)?;
     let relabeling = loaded.relabeling.clone();
     let graph = Arc::new(loaded.graph);
     let config = ServeConfig {
@@ -729,21 +747,8 @@ fn cover_load(cli: &Cli) -> Result<(), CmdError> {
         .map_err(CmdError::from)?;
     let graph = load_graph(cli).map_err(CmdError::from)?.graph;
     let binary = cli.require("binary").map_err(CmdError::from)?;
-    let (cover, c) = load_cover_path(binary, Some(graph.node_count())).map_err(|e| {
-        let class = match &e {
-            PersistError::ChecksumMismatch => Some(oca_graph::IntegrityClass::ChecksumMismatch),
-            PersistError::Truncated => Some(oca_graph::IntegrityClass::Truncated),
-            PersistError::UnsupportedVersion(_) => Some(oca_graph::IntegrityClass::VersionMismatch),
-            _ => None,
-        };
-        match class {
-            Some(class) => CmdError {
-                message: format!("loading {binary}: {e} [{}]", class.label()),
-                code: integrity_exit(class),
-            },
-            None => CmdError::from(format!("loading {binary}: {e}")),
-        }
-    })?;
+    let (cover, c) = load_cover_path(binary, Some(graph.node_count()))
+        .map_err(|e| integrity_error(format!("loading {binary}: {e}"), e.integrity_class()))?;
     println!(
         "{binary}: {} communities, coverage {:.3}, {} overlap nodes, c = {c:.6}",
         cover.len(),
@@ -825,13 +830,8 @@ fn graph_info(cli: &Cli) -> Result<(), String> {
 fn graph_verify(cli: &Cli) -> Result<(), CmdError> {
     cli.ensure_known(&["graph"], &[]).map_err(CmdError::from)?;
     let path = cli.require("graph").map_err(CmdError::from)?;
-    let info = verify_ocg_path(path).map_err(|e| match e.integrity_class() {
-        Some(class) => CmdError {
-            message: format!("{e} [{}]", class.label()),
-            code: integrity_exit(class),
-        },
-        None => CmdError::from(e.to_string()),
-    })?;
+    let info =
+        verify_ocg_path(path).map_err(|e| integrity_error(e.to_string(), e.integrity_class()))?;
     println!("{path}: checksum and structure verified");
     print_ocg_info(path, &info);
     Ok(())
@@ -1034,7 +1034,10 @@ mod tests {
             bin.display()
         )))
         .unwrap_err();
-        assert!(err.message.contains("150-node"), "{err}");
+        assert!(
+            err.message.contains("node count mismatch") && err.message.contains("records 150"),
+            "{err}"
+        );
         // Bad actions are named.
         let err = run(&cli("cover frobnicate")).unwrap_err();
         assert!(err.message.contains("frobnicate"), "{err}");
@@ -1301,6 +1304,73 @@ mod tests {
         let err = load(&ver).unwrap_err();
         assert_eq!(err.code, EXIT_VERSION_MISMATCH, "{err}");
         assert!(err.message.contains("version-mismatch"), "{err}");
+    }
+
+    #[test]
+    fn cover_load_exits_truncated_at_every_cut() {
+        let dir = tmpdir();
+        let g = dir.join("g_cut.edges");
+        let text = dir.join("c_cut.cover");
+        let bin = dir.join("c_cut.bin");
+        run(&cli(&format!(
+            "generate --family lfr --nodes 60 --mu 0.2 --output {} --truth {}",
+            g.display(),
+            text.display()
+        )))
+        .unwrap();
+        run(&cli(&format!(
+            "cover save --input {} --cover {} --output {} --fixed-c 0.7",
+            g.display(),
+            text.display(),
+            bin.display()
+        )))
+        .unwrap();
+        let pristine = std::fs::read(&bin).unwrap();
+        let cut = dir.join("c_cut_short.bin");
+        // From a bare magic up to one byte short, the frame's length field
+        // (or the missing header) says the file was cut, not rotted.
+        for len in 8..pristine.len() {
+            std::fs::write(&cut, &pristine[..len]).unwrap();
+            let err = run(&cli(&format!(
+                "cover load --input {} --binary {}",
+                g.display(),
+                cut.display()
+            )))
+            .unwrap_err();
+            assert_eq!(err.code, EXIT_TRUNCATED, "cut to {len}: {err}");
+        }
+    }
+
+    #[test]
+    fn serve_warm_start_keeps_the_stored_c() {
+        let dir = tmpdir();
+        let g = dir.join("g_c.edges");
+        let text = dir.join("c_c.cover");
+        let bin = dir.join("c_c.bin");
+        let out = dir.join("c_c_out.bin");
+        run(&cli(&format!(
+            "generate --family lfr --nodes 150 --mu 0.2 --output {} --truth {}",
+            g.display(),
+            text.display()
+        )))
+        .unwrap();
+        run(&cli(&format!(
+            "cover save --input {} --cover {} --output {} --fixed-c 0.7",
+            g.display(),
+            text.display(),
+            bin.display()
+        )))
+        .unwrap();
+        run(&cli(&format!(
+            "serve --input {} --addr 127.0.0.1:0 --workers 1 --max-seconds 0.1 \
+             --cover {} --save-cover {}",
+            g.display(),
+            bin.display(),
+            out.display()
+        )))
+        .unwrap();
+        let (_, c) = load_cover_path(&out, Some(150)).unwrap();
+        assert_eq!(c, 0.7, "the warm start must serve with the stored c");
     }
 
     #[test]

@@ -11,15 +11,23 @@
 //! bitmap, and the halting counters together determine every subsequent
 //! ticket bit-for-bit, at any thread count.
 //!
-//! This module serializes exactly that cut into the `.ockpt` container
-//! ([`oca_graph::ckpt`]) and reconstructs it on resume. Two binding
-//! checksums refuse foreign files: one over the schedule-affecting
+//! This module serializes exactly that cut into an `.ockpt` file — a
+//! sealed [`oca_graph::container`] frame — and reconstructs it on resume.
+//! Two binding checksums refuse foreign files: one over the schedule-affecting
 //! configuration (everything except `threads`, which never affects the
 //! output, and `rng_seed`, which is *carried in the payload* and adopted
 //! on resume so a driver restarted under a different nominal seed — e.g.
 //! serve's per-round recompute seeds — still continues the original
 //! schedule), and one over the graph's shape (node count, edge count,
 //! degree sequence).
+//!
+//! ## Body layout (all integers little-endian)
+//!
+//! ```text
+//! config checksum  u64
+//! graph checksum   u64
+//! payload          DriverCheckpoint::encode (field order of the struct)
+//! ```
 //!
 //! Mid-round state is deliberately *not* checkpointable: tickets past the
 //! round's cutoff may already be reduced out of order on other workers,
@@ -30,8 +38,9 @@
 
 use crate::config::OcaConfig;
 use crate::halting::AscentStopStats;
-use oca_graph::ckpt::{read_ckpt_path, write_ckpt_path, CkptEnvelope, CkptError};
-use oca_graph::{atomic_write_path, Community, CsrGraph, NodeId};
+use oca_graph::{
+    atomic_write_path, fnv1a, Community, ContainerError, CsrGraph, Frame, NodeId, Reader,
+};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -281,17 +290,12 @@ pub struct DriverCheckpoint {
     pub bitmap_words: Vec<u64>,
 }
 
-/// FNV-1a over `bytes` (the same function sealing `.ocg` and `.ockpt`
-/// files, re-derived here because the graph crate keeps its hasher
-/// private).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The `.ockpt` frame. Version 1 files (the pre-container envelope) are
+/// refused as a version mismatch.
+const FRAME: Frame = Frame {
+    magic: *b"OCACKPT\0",
+    version: 2,
+};
 
 /// The config binding checksum: a hash of every schedule-affecting field.
 ///
@@ -325,7 +329,13 @@ pub fn graph_checksum(graph: &CsrGraph) -> u64 {
 impl DriverCheckpoint {
     /// Serializes the state into the `.ockpt` payload layout.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(
             13 * 8
                 + self.accepted.iter().map(|c| 4 + 4 * c.len()).sum::<usize>()
                 + 16 * self.fingerprints.len()
@@ -362,41 +372,47 @@ impl DriverCheckpoint {
         for &w in &self.bitmap_words {
             out.extend_from_slice(&w.to_le_bytes());
         }
-        out
     }
 
-    /// Decodes and structurally validates a payload. The container layer
-    /// has already checksummed the bytes; failures here mean the payload
-    /// is internally inconsistent, and are [`CkptError::Malformed`] —
-    /// resume refuses rather than loading garbage.
-    pub fn decode(payload: &[u8]) -> Result<DriverCheckpoint, CkptError> {
-        let mut r = Reader {
-            bytes: payload,
-            at: 0,
-        };
+    /// Decodes and structurally validates a payload. The frame has already
+    /// checksummed the bytes; failures here mean the payload is internally
+    /// inconsistent, and are [`ContainerError::Malformed`] — resume refuses
+    /// rather than loading garbage.
+    pub fn decode(payload: &[u8]) -> Result<DriverCheckpoint, ContainerError> {
+        let mut r = Reader::new(payload);
+        let ckpt = DriverCheckpoint::decode_from(&mut r)?;
+        r.finish()?;
+        Ok(ckpt)
+    }
+
+    fn decode_from(r: &mut Reader<'_>) -> Result<DriverCheckpoint, ContainerError> {
         let rng_seed = r.u64()?;
-        let c = f64::from_bits(r.u64()?);
-        let lambda_min = f64::from_bits(r.u64()?);
+        let c = r.f64()?;
+        let lambda_min = r.f64()?;
         let seeds_tried = r.u64()?;
         let covered = r.u64()?;
         let stagnant = r.u64()?;
         let rejected_streak = r.u64()?;
         let stops = AscentStopStats {
-            converged: r.usize()?,
-            move_cap: r.usize()?,
-            move_budget: r.usize()?,
-            plateau: r.usize()?,
+            converged: r.u64()? as usize,
+            move_cap: r.u64()? as usize,
+            move_budget: r.u64()? as usize,
+            plateau: r.u64()? as usize,
         };
         let node_count = r.u64()?;
+        // Every count is checked against the bytes left before anything
+        // is allocated: a forged count must not abort the process. Each
+        // community costs at least its length word and its fingerprint.
         let n_communities = r.u64()?;
+        r.fits(n_communities, 4 + 16)?;
         let mut accepted = Vec::new();
         for _ in 0..n_communities {
-            let len = r.u32()? as usize;
-            let mut members = Vec::with_capacity(len);
+            let len = r.u32()?;
+            let mut members = Vec::with_capacity(r.fits(len.into(), 4)?);
             for _ in 0..len {
                 let v = r.u32()?;
                 if u64::from(v) >= node_count {
-                    return Err(CkptError::Malformed(format!(
+                    return Err(ContainerError::Malformed(format!(
                         "community member {v} out of bounds for {node_count} nodes"
                     )));
                 }
@@ -410,30 +426,24 @@ impl DriverCheckpoint {
         }
         let n_uncovered = r.u64()?;
         if n_uncovered > node_count {
-            return Err(CkptError::Malformed(format!(
+            return Err(ContainerError::Malformed(format!(
                 "{n_uncovered} uncovered nodes on a {node_count}-node graph"
             )));
         }
-        let mut uncovered = Vec::with_capacity(n_uncovered as usize);
+        let mut uncovered = Vec::with_capacity(r.fits(n_uncovered, 4)?);
         for _ in 0..n_uncovered {
             let v = r.u32()?;
             if u64::from(v) >= node_count {
-                return Err(CkptError::Malformed(format!(
+                return Err(ContainerError::Malformed(format!(
                     "uncovered node {v} out of bounds for {node_count} nodes"
                 )));
             }
             uncovered.push(v);
         }
         let n_words = r.u64()?;
-        let mut bitmap_words = Vec::with_capacity(n_words as usize);
+        let mut bitmap_words = Vec::with_capacity(r.fits(n_words, 8)?);
         for _ in 0..n_words {
             bitmap_words.push(r.u64()?);
-        }
-        if r.at != payload.len() {
-            return Err(CkptError::Malformed(format!(
-                "{} trailing payload bytes",
-                payload.len() - r.at
-            )));
         }
         let ckpt = DriverCheckpoint {
             rng_seed,
@@ -458,9 +468,9 @@ impl DriverCheckpoint {
     /// bitmap must be the exact complement of the uncovered list, its
     /// popcount must equal the covered counter, and the uncovered list
     /// must be duplicate-free.
-    fn validate(&self) -> Result<(), CkptError> {
+    fn validate(&self) -> Result<(), ContainerError> {
         if !self.c.is_finite() {
-            return Err(CkptError::Malformed(format!(
+            return Err(ContainerError::Malformed(format!(
                 "non-finite interaction strength {}",
                 self.c
             )));
@@ -468,7 +478,7 @@ impl DriverCheckpoint {
         let n = self.node_count as usize;
         let expected_words = n.div_ceil(64);
         if self.bitmap_words.len() != expected_words {
-            return Err(CkptError::Malformed(format!(
+            return Err(ContainerError::Malformed(format!(
                 "{} bitmap words for {n} nodes (expected {expected_words})",
                 self.bitmap_words.len()
             )));
@@ -479,13 +489,13 @@ impl DriverCheckpoint {
             .map(|w| w.count_ones() as u64)
             .sum();
         if popcount != self.covered {
-            return Err(CkptError::Malformed(format!(
+            return Err(ContainerError::Malformed(format!(
                 "bitmap popcount {popcount} disagrees with covered counter {}",
                 self.covered
             )));
         }
         if self.covered + self.uncovered.len() as u64 != self.node_count {
-            return Err(CkptError::Malformed(format!(
+            return Err(ContainerError::Malformed(format!(
                 "{} covered + {} uncovered != {} nodes",
                 self.covered,
                 self.uncovered.len(),
@@ -499,7 +509,7 @@ impl DriverCheckpoint {
         for &v in &self.uncovered {
             let (word, bit) = (v as usize / 64, v as usize % 64);
             if words[word] >> bit & 1 == 1 {
-                return Err(CkptError::Malformed(format!(
+                return Err(ContainerError::Malformed(format!(
                     "node {v} is both covered and uncovered"
                 )));
             }
@@ -508,19 +518,19 @@ impl DriverCheckpoint {
         // All n bits are now set iff bitmap == complement(uncovered).
         let full: u64 = words.iter().map(|w| w.count_ones() as u64).sum();
         if full != self.node_count {
-            return Err(CkptError::Malformed(
+            return Err(ContainerError::Malformed(
                 "bitmap is not the complement of the uncovered list".to_string(),
             ));
         }
         if self.fingerprints.len() != self.accepted.len() {
-            return Err(CkptError::Malformed(format!(
+            return Err(ContainerError::Malformed(format!(
                 "{} fingerprints for {} communities",
                 self.fingerprints.len(),
                 self.accepted.len()
             )));
         }
         if self.seeds_tried < self.accepted.len() as u64 {
-            return Err(CkptError::Malformed(format!(
+            return Err(ContainerError::Malformed(format!(
                 "{} accepted communities from only {} tickets",
                 self.accepted.len(),
                 self.seeds_tried
@@ -539,15 +549,15 @@ impl DriverCheckpoint {
         graph_checksum: u64,
         faults: &CheckpointFaults,
     ) -> std::io::Result<u64> {
-        let envelope = CkptEnvelope {
-            config_checksum,
-            graph_checksum,
-            payload: self.encode(),
+        let body = |out: &mut Vec<u8>| {
+            out.extend_from_slice(&config_checksum.to_le_bytes());
+            out.extend_from_slice(&graph_checksum.to_le_bytes());
+            self.encode_into(out);
         };
         if faults.check_torn_write() {
             // Write half the file, then fail: the atomic path must delete
             // the temp file and leave any previous checkpoint untouched.
-            let bytes = oca_graph::encode_ckpt(&envelope);
+            let bytes = FRAME.seal_with(body);
             let half = &bytes[..bytes.len() / 2];
             let result = atomic_write_path(path, |w| {
                 std::io::Write::write_all(w, half)?;
@@ -555,7 +565,7 @@ impl DriverCheckpoint {
             });
             return Err(result.expect_err("torn write cannot succeed"));
         }
-        write_ckpt_path(path, &envelope)
+        FRAME.write_path(path, body)
     }
 
     /// Reads, verifies and decodes the checkpoint at `path`, refusing
@@ -564,23 +574,23 @@ impl DriverCheckpoint {
         path: &Path,
         config_checksum: u64,
         graph_checksum: u64,
-    ) -> Result<DriverCheckpoint, CkptError> {
-        let envelope = read_ckpt_path(path)?;
-        if envelope.config_checksum != config_checksum {
-            return Err(CkptError::Mismatch {
-                what: "config",
-                expected: envelope.config_checksum,
-                found: config_checksum,
-            });
-        }
-        if envelope.graph_checksum != graph_checksum {
-            return Err(CkptError::Mismatch {
-                what: "graph",
-                expected: envelope.graph_checksum,
-                found: graph_checksum,
-            });
-        }
-        DriverCheckpoint::decode(&envelope.payload)
+    ) -> Result<DriverCheckpoint, ContainerError> {
+        FRAME.read_path(path, |r| {
+            for (what, current) in [
+                ("config checksum", config_checksum),
+                ("graph checksum", graph_checksum),
+            ] {
+                let recorded = r.u64()?;
+                if recorded != current {
+                    return Err(ContainerError::Mismatch {
+                        what,
+                        recorded,
+                        current,
+                    });
+                }
+            }
+            DriverCheckpoint::decode_from(r)
+        })
     }
 }
 
@@ -607,56 +617,22 @@ pub struct CheckpointSummary {
 
 /// Reads and summarizes the checkpoint at `path` (full verification, no
 /// binding check).
-pub fn checkpoint_summary(path: &Path) -> Result<CheckpointSummary, CkptError> {
-    let envelope = read_ckpt_path(path)?;
-    let ckpt = DriverCheckpoint::decode(&envelope.payload)?;
-    Ok(CheckpointSummary {
-        seeds_tried: ckpt.seeds_tried,
-        covered: ckpt.covered,
-        node_count: ckpt.node_count,
-        communities: ckpt.accepted.len() as u64,
-        config_checksum: envelope.config_checksum,
-        graph_checksum: envelope.graph_checksum,
-        payload_bytes: envelope.payload.len() as u64,
+pub fn checkpoint_summary(path: &Path) -> Result<CheckpointSummary, ContainerError> {
+    FRAME.read_path(path, |r| {
+        let config_checksum = r.u64()?;
+        let graph_checksum = r.u64()?;
+        let payload_bytes = r.remaining() as u64;
+        let ckpt = DriverCheckpoint::decode_from(r)?;
+        Ok(CheckpointSummary {
+            seeds_tried: ckpt.seeds_tried,
+            covered: ckpt.covered,
+            node_count: ckpt.node_count,
+            communities: ckpt.accepted.len() as u64,
+            config_checksum,
+            graph_checksum,
+            payload_bytes,
+        })
     })
-}
-
-/// Little-endian payload reader; short reads are [`CkptError::Malformed`]
-/// (the container checksum has already passed, so a short payload is a
-/// writer bug, not disk damage).
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CkptError> {
-        if self.bytes.len() - self.at < n {
-            return Err(CkptError::Malformed(format!(
-                "payload ends {} bytes short",
-                n - (self.bytes.len() - self.at)
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128, CkptError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    fn usize(&mut self) -> Result<usize, CkptError> {
-        Ok(self.u64()? as usize)
-    }
 }
 
 #[cfg(test)]
@@ -721,12 +697,24 @@ mod tests {
         // Binding mismatches are typed and name the side.
         let err = DriverCheckpoint::load(&path, 999, 222).unwrap_err();
         assert!(
-            matches!(err, CkptError::Mismatch { what: "config", .. }),
+            matches!(
+                err,
+                ContainerError::Mismatch {
+                    what: "config checksum",
+                    ..
+                }
+            ),
             "{err:?}"
         );
         let err = DriverCheckpoint::load(&path, 111, 999).unwrap_err();
         assert!(
-            matches!(err, CkptError::Mismatch { what: "graph", .. }),
+            matches!(
+                err,
+                ContainerError::Mismatch {
+                    what: "graph checksum",
+                    ..
+                }
+            ),
             "{err:?}"
         );
         assert!(!err.is_corruption());
@@ -745,7 +733,7 @@ mod tests {
         bad.covered = 3;
         assert!(matches!(
             DriverCheckpoint::decode(&bad.encode()).unwrap_err(),
-            CkptError::Malformed(_)
+            ContainerError::Malformed(_)
         ));
         // A node both covered and uncovered.
         let mut bad = sample(70);
@@ -783,7 +771,50 @@ mod tests {
         payload.push(0);
         assert!(matches!(
             DriverCheckpoint::decode(&payload).unwrap_err(),
-            CkptError::Malformed(_)
+            ContainerError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn forged_counts_are_malformed_not_allocated() {
+        // Offsets into the payload: 13 fixed u64 fields, then the
+        // communities, fingerprints, uncovered list and bitmap.
+        let ckpt = sample(70);
+        let payload = ckpt.encode();
+        let communities_at = 12 * 8;
+        let first_len_at = 13 * 8;
+        let uncovered_at = 13 * 8 + (4 + 2 * 4) * 2 + 16 * 2;
+        let words_at = uncovered_at + 8 + 4 * ckpt.uncovered.len();
+        for (at, forged) in [
+            (communities_at, u64::MAX),
+            (communities_at, 1 << 62),
+            (uncovered_at, u64::MAX),
+            (words_at, u64::MAX),
+            (words_at, 1 << 40),
+        ] {
+            let mut bad = payload.clone();
+            bad[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            let err = DriverCheckpoint::decode(&bad).unwrap_err();
+            assert!(
+                matches!(err, ContainerError::Malformed(_)),
+                "count {forged} at {at}: {err:?}"
+            );
+        }
+        // A forged node count lets a forged uncovered count past the
+        // bounds check; the bytes-left check still refuses it.
+        let mut bad = payload.clone();
+        bad[11 * 8..12 * 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[uncovered_at..uncovered_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(
+            DriverCheckpoint::decode(&bad).unwrap_err(),
+            ContainerError::Malformed(_)
+        ));
+        // A member-count word of u32::MAX on the first community.
+        let mut bad = payload.clone();
+        bad[first_len_at..first_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            DriverCheckpoint::decode(&bad).unwrap_err(),
+            ContainerError::Malformed(_)
         ));
     }
 

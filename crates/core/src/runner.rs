@@ -24,9 +24,9 @@ use crate::postprocess::{assign_orphans, merge_similar};
 use crate::search::{ascend, AscentStop};
 use crate::seed::{initial_set, ticket_seed};
 use crate::state::CommunityState;
-use oca_graph::ckpt::CkptError;
 use oca_graph::{
-    Community, Cover, CsrGraph, DetectContext, DetectError, Detection, NodeId, Relabeling,
+    Community, ContainerError, Cover, CsrGraph, DetectContext, DetectError, Detection, NodeId,
+    Relabeling,
 };
 use oca_spectral::interaction_strength;
 use rand::rngs::StdRng;
@@ -551,10 +551,11 @@ impl Oca {
                         // The graph binding should have refused this
                         // already; belt and braces against checksum
                         // collisions on the degree sequence.
-                        let source = CkptError::Malformed(format!(
-                            "checkpoint is for a {}-node graph, this one has {n} nodes",
-                            d.node_count
-                        ));
+                        let source = ContainerError::Mismatch {
+                            what: "node count",
+                            recorded: d.node_count,
+                            current: n as u64,
+                        };
                         if ck.resume == ResumePolicy::Strict {
                             return Err(DetectError::Checkpoint {
                                 path: ck.path.clone(),
@@ -564,7 +565,7 @@ impl Oca {
                         let _ = std::fs::remove_file(&ck.path);
                     }
                     // No file yet: the first run of a chain starts fresh.
-                    Err(CkptError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(ContainerError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
                     Err(source) => {
                         if ck.resume == ResumePolicy::Strict {
                             return Err(DetectError::Checkpoint {
@@ -856,12 +857,12 @@ fn run_round_parallel(
     // Small leases keep workers balanced near the end of a round while
     // amortizing the cursor traffic.
     let lease = (round.len / (states.len() * 4)).clamp(1, 32);
-    let buffers: Vec<Vec<(usize, TicketOutcome)>> = crossbeam::scope(|scope| {
+    let buffers: Vec<Vec<(usize, TicketOutcome)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = states
             .iter_mut()
             .map(|state| {
                 let cursor = &cursor;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut out: Vec<(usize, TicketOutcome)> = Vec::new();
                     'lease: loop {
                         let lo = cursor.fetch_add(lease, Ordering::Relaxed);
@@ -883,8 +884,7 @@ fn run_round_parallel(
             .into_iter()
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
-    })
-    .expect("worker thread panicked");
+    });
 
     let mut slots: Vec<Option<TicketOutcome>> = Vec::new();
     slots.resize_with(round.len, || None);

@@ -350,7 +350,7 @@ pub enum DetectError {
         /// The checkpoint file.
         path: std::path::PathBuf,
         /// Why it was refused.
-        source: crate::ckpt::CkptError,
+        source: crate::container::ContainerError,
     },
 }
 

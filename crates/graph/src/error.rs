@@ -1,5 +1,6 @@
 //! Error types for graph construction and I/O.
 
+use crate::container::{ContainerError, IntegrityClass};
 use std::fmt;
 
 /// Errors produced by graph construction, validation and I/O.
@@ -39,6 +40,10 @@ pub enum GraphError {
         /// Description of the problem.
         message: String,
     },
+    /// A binary graph file (`.ocg`) failed an integrity check shared with
+    /// the sealed container: bad magic, unsupported version, truncation
+    /// or checksum mismatch.
+    Container(ContainerError),
     /// An error annotated with the file path it came from.
     WithPath {
         /// The offending file.
@@ -46,33 +51,6 @@ pub enum GraphError {
         /// The underlying error.
         source: Box<GraphError>,
     },
-}
-
-/// The integrity-failure classes a binary file reader distinguishes.
-///
-/// Ops scripts branch on these (via distinct CLI exit codes): a checksum
-/// mismatch or truncation means the file is damaged and should be rebuilt
-/// or restored from backup, while a version mismatch means the file is
-/// fine but this binary is the wrong vintage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntegrityClass {
-    /// The stored checksum does not match the file contents.
-    ChecksumMismatch,
-    /// The file is shorter than its own header or length fields imply.
-    Truncated,
-    /// The file records a format version this build does not read.
-    VersionMismatch,
-}
-
-impl IntegrityClass {
-    /// A short stable label for logs and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            IntegrityClass::ChecksumMismatch => "checksum-mismatch",
-            IntegrityClass::Truncated => "truncation",
-            IntegrityClass::VersionMismatch => "version-mismatch",
-        }
-    }
 }
 
 impl GraphError {
@@ -90,27 +68,10 @@ impl GraphError {
     }
 
     /// Classifies an `.ocg` integrity failure, if `self` is one.
-    ///
-    /// The `.ocg` reader reports every integrity problem as
-    /// [`GraphError::InvalidFormat`] with a descriptive message; this
-    /// recovers the machine-readable class from the message shape (the
-    /// messages are pinned by tests here and in `ocg`). Non-integrity
-    /// errors return `None`.
     pub fn integrity_class(&self) -> Option<IntegrityClass> {
         match self {
             GraphError::WithPath { source, .. } => source.integrity_class(),
-            GraphError::InvalidFormat { message } => {
-                if message.starts_with("checksum mismatch") {
-                    Some(IntegrityClass::ChecksumMismatch)
-                } else if message.contains("unsupported version") {
-                    Some(IntegrityClass::VersionMismatch)
-                } else if message.contains("shorter than") || message.contains("the header implies")
-                {
-                    Some(IntegrityClass::Truncated)
-                } else {
-                    None
-                }
-            }
+            GraphError::Container(e) => e.integrity_class(),
             _ => None,
         }
     }
@@ -140,6 +101,7 @@ impl fmt::Display for GraphError {
             GraphError::InvalidFormat { message } => {
                 write!(f, "invalid graph file: {message}")
             }
+            GraphError::Container(e) => write!(f, "invalid graph file: {e}"),
             GraphError::WithPath { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
@@ -151,6 +113,7 @@ impl std::error::Error for GraphError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GraphError::Io(e) => Some(e),
+            GraphError::Container(e) => Some(e),
             GraphError::WithPath { source, .. } => Some(source),
             _ => None,
         }
@@ -198,41 +161,49 @@ mod tests {
 
     #[test]
     fn integrity_classes_recover_from_pinned_messages() {
-        // These message shapes are what `ocg.rs` actually emits; the ocg
-        // tests pin them from the writer side, this pins the classifier.
-        let checksum = GraphError::InvalidFormat {
-            message: "checksum mismatch: header records 0x01, payload hashes to 0x02".into(),
-        };
+        // The class comes from the typed variant; the messages ops logs
+        // show are pinned here and, from the reader side, in `ocg`.
+        let checksum = GraphError::Container(ContainerError::ChecksumMismatch);
         assert_eq!(
             checksum.integrity_class(),
             Some(IntegrityClass::ChecksumMismatch)
         );
-        let version = GraphError::InvalidFormat {
-            message: "unsupported version 9 (this build reads version 1)".into(),
-        };
+        assert!(checksum.to_string().contains("checksum mismatch"));
+        let version = GraphError::Container(ContainerError::UnsupportedVersion {
+            found: 9,
+            supported: 1,
+        });
         assert_eq!(
             version.integrity_class(),
             Some(IntegrityClass::VersionMismatch)
         );
-        let short = GraphError::InvalidFormat {
-            message: "file is 10 bytes, shorter than the 64-byte header".into(),
-        };
-        assert_eq!(short.integrity_class(), Some(IntegrityClass::Truncated));
-        let implied = GraphError::InvalidFormat {
-            message: "file is 100 bytes but the header implies 200".into(),
-        };
+        assert!(version.to_string().contains("unsupported version 9"));
+        let implied = GraphError::Container(ContainerError::Truncated {
+            len: 100,
+            expected: 200,
+        });
         assert_eq!(implied.integrity_class(), Some(IntegrityClass::Truncated));
+        assert!(implied
+            .to_string()
+            .contains("file is 100 bytes but the header implies 200"));
         // Classification sees through the path wrapper.
         assert_eq!(
             checksum.with_path("g.ocg").integrity_class(),
             Some(IntegrityClass::ChecksumMismatch)
         );
-        // Non-integrity errors do not classify.
+        // Non-integrity errors do not classify, whatever their text says.
         assert_eq!(GraphError::EmptyGraph.integrity_class(), None);
         let other = GraphError::InvalidFormat {
-            message: "structural validation failed: neighbor list not sorted".into(),
+            message: "checksum mismatch in a message is just text".into(),
         };
         assert_eq!(other.integrity_class(), None);
+        assert_eq!(
+            GraphError::Container(ContainerError::BadMagic {
+                expected: *b"OCAGRAPH"
+            })
+            .integrity_class(),
+            None
+        );
         // Labels are the stable strings ops scripts grep for.
         assert_eq!(IntegrityClass::Truncated.label(), "truncation");
         assert_eq!(

@@ -33,9 +33,9 @@
 
 pub mod atomic;
 pub mod builder;
-pub mod ckpt;
 pub mod community;
 pub mod components;
+pub mod container;
 pub mod cover_io;
 pub mod csr;
 pub mod detect;
@@ -57,18 +57,15 @@ pub mod union_find;
 
 pub use atomic::atomic_write_path;
 pub use builder::{from_edges, BuildReport, GraphBuilder};
-pub use ckpt::{
-    decode_ckpt, encode_ckpt, read_ckpt_path, write_ckpt_path, CkptEnvelope, CkptError,
-    OCKPT_MAGIC, OCKPT_VERSION,
-};
 pub use community::{Community, Cover};
 pub use components::{is_connected, Components};
+pub use container::{fnv1a, ContainerError, Fnv1a, Frame, IntegrityClass, Reader};
 pub use cover_io::{read_cover, read_cover_path, write_cover, write_cover_path};
 pub use csr::CsrGraph;
 pub use detect::{CancelToken, CommunityDetector, DetectContext, DetectError, Detection, Progress};
 pub use distances::{bfs_distances, double_sweep_diameter, eccentricity};
 pub use epoch::EpochCounters;
-pub use error::{GraphError, IntegrityClass, Result};
+pub use error::{GraphError, Result};
 pub use io::{
     read_edge_list, read_edge_list_path, read_edge_list_report, read_edge_list_report_path,
     write_edge_list, write_edge_list_path, IngestReport,

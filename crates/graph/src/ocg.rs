@@ -35,6 +35,7 @@
 //! O(n + m) audit: it re-hashes the payload and re-runs every CSR
 //! invariant, for use after copying files between machines.
 
+use crate::container::{check_preamble, ContainerError, Fnv1a};
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
 use crate::node::NodeId;
@@ -54,32 +55,6 @@ pub const OCG_HEADER_LEN: usize = 64;
 pub const OCG_FLAG_VALIDATED: u32 = 1;
 /// Flag: nodes are degree-ordered and a `new_to_old` section is present.
 pub const OCG_FLAG_RELABELED: u32 = 2;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Streaming FNV-1a hasher over the payload bytes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv1a(u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Parsed `.ocg` header, exposed for `graph info`/`graph verify`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +109,6 @@ fn invalid(message: impl Into<String>) -> GraphError {
 }
 
 struct RawHeader {
-    version: u32,
     flags: u32,
     node_count: u64,
     directed_len: u64,
@@ -152,23 +126,8 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 }
 
 fn parse_header(bytes: &[u8]) -> Result<RawHeader> {
-    if bytes.len() < OCG_HEADER_LEN {
-        return Err(invalid(format!(
-            "file is {} bytes, shorter than the {OCG_HEADER_LEN}-byte header",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != OCG_MAGIC {
-        return Err(invalid("bad magic (not an .ocg file)"));
-    }
-    let version = read_u32(bytes, 8);
-    if version != OCG_VERSION {
-        return Err(invalid(format!(
-            "unsupported version {version} (this build reads version {OCG_VERSION})"
-        )));
-    }
+    check_preamble(bytes, OCG_MAGIC, OCG_VERSION, OCG_HEADER_LEN).map_err(GraphError::Container)?;
     Ok(RawHeader {
-        version,
         flags: read_u32(bytes, 12),
         node_count: read_u64(bytes, 16),
         directed_len: read_u64(bytes, 24),
@@ -233,12 +192,16 @@ fn open_mapped(path: &Path) -> Result<(Arc<MappedFile>, RawHeader, Sections)> {
     let file = Arc::new(MappedFile::open(path)?);
     let header = parse_header(file.bytes())?;
     let geo = sections(&header)?;
-    if file.byte_len() as u64 != geo.expected_len {
-        return Err(invalid(format!(
-            "file is {} bytes but the header implies {}",
-            file.byte_len(),
-            geo.expected_len
-        )));
+    let len = file.byte_len() as u64;
+    if len < geo.expected_len {
+        return Err(GraphError::Container(ContainerError::Truncated {
+            len,
+            expected: geo.expected_len,
+        }));
+    }
+    if len > geo.expected_len {
+        // Bytes past the last section change the payload checksum.
+        return Err(GraphError::Container(ContainerError::ChecksumMismatch));
     }
     Ok((file, header, geo))
 }
@@ -293,7 +256,7 @@ fn graph_from_mapped(file: Arc<MappedFile>, header: RawHeader, geo: Sections) ->
         len: geo.n,
     });
     let info = OcgInfo {
-        version: header.version,
+        version: OCG_VERSION,
         node_count: geo.n,
         edge_count: geo.directed / 2,
         self_loops: header.self_loops,
@@ -320,14 +283,10 @@ pub fn verify_ocg_path<P: AsRef<Path>>(path: P) -> Result<OcgInfo> {
 
 fn verify_ocg_inner(path: &Path) -> Result<OcgInfo> {
     let (file, header, geo) = open_mapped(path)?;
-    let mut fnv = Fnv1a::new();
+    let mut fnv = Fnv1a::default();
     fnv.update(&file.bytes()[OCG_HEADER_LEN..]);
     if fnv.finish() != header.checksum {
-        return Err(invalid(format!(
-            "checksum mismatch: header records {:#018x}, payload hashes to {:#018x}",
-            header.checksum,
-            fnv.finish()
-        )));
+        return Err(GraphError::Container(ContainerError::ChecksumMismatch));
     }
     let (relabeled, relabel_start, n) = (geo.relabeled, geo.relabel_start, geo.n);
     let opened = graph_from_mapped(Arc::clone(&file), header, geo)?;
@@ -406,7 +365,7 @@ pub(crate) fn encode_header(
 /// anything. Lets benchmarks compare an in-RAM build against an on-disk
 /// file without serializing the former.
 pub fn payload_checksum(graph: &CsrGraph, relabeling: Option<&Relabeling>) -> u64 {
-    let mut fnv = Fnv1a::new();
+    let mut fnv = Fnv1a::default();
     let mut buf = [0u8; 4096];
     let mut used = 0usize;
     {
@@ -489,7 +448,7 @@ fn write_ocg_inner(
     // once its payload is complete and fsynced.
     crate::atomic::atomic_write_path(path, |w| {
         w.write_all(&header)?;
-        let mut fnv = Fnv1a::new();
+        let mut fnv = Fnv1a::default();
         write_words(w, &mut fnv, graph.offsets_slice().iter().copied())?;
         write_words(w, &mut fnv, graph.neighbors_slice().iter().map(|v| v.raw()))?;
         if let Some(r) = relabeling {

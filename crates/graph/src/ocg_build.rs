@@ -32,9 +32,10 @@
 //! directions emitted), and by default the writer still re-audits the
 //! finished file with [`crate::ocg::verify_ocg_path`] before returning.
 
+use crate::container::Fnv1a;
 use crate::error::{GraphError, Result};
 use crate::io::{for_each_edge, open_edge_list_reader};
-use crate::ocg::{encode_header, write_words, Fnv1a, OCG_FLAG_RELABELED, OCG_FLAG_VALIDATED};
+use crate::ocg::{encode_header, write_words, OCG_FLAG_RELABELED, OCG_FLAG_VALIDATED};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -481,7 +482,7 @@ where
     let mut final_guard = RemoveOnDrop(Some(final_tmp.clone()));
     let mut w = BufWriter::with_capacity(SPILL_BUF, File::create(&final_tmp)?);
     w.write_all(&[0u8; crate::ocg::OCG_HEADER_LEN])?;
-    let mut fnv = Fnv1a::new();
+    let mut fnv = Fnv1a::default();
     write_words(&mut w, &mut fnv, offsets.iter().copied())?;
     drop(offsets);
     {

@@ -69,7 +69,7 @@ pub mod snapshot;
 
 pub use faults::{FaultCounts, FaultPlan, FaultSpec};
 pub use index::CoverIndex;
-pub use persist::{load_cover, load_cover_path, save_cover, save_cover_path, PersistError};
+pub use persist::{load_cover_path, save_cover_path};
 pub use protocol::{ProtocolError, Request};
 pub use server::{Client, OpLatency, RecomputeFn, ServeConfig, ServeReport, Server};
 pub use snapshot::{CoverSnapshot, SnapshotStore};

@@ -1,276 +1,112 @@
 //! Binary cover persistence: save a detected cover once, warm-start the
 //! server from it after a restart instead of re-running detection.
 //!
-//! The format is deliberately dumb and versioned (hand-rolled — the
-//! workspace has no serialization dependency):
+//! A cover file is one sealed [`oca_graph::container`] frame (magic
+//! `b"OCACOVER"`, version 2; version 1 files are refused as a version
+//! mismatch) around this body, all integers little-endian:
 //!
 //! ```text
-//! magic      8  b"OCACOVER"
-//! version    4  u32 LE (currently 1)
-//! node_count 8  u64 LE
-//! count      8  u64 LE    number of communities
-//! c          8  f64 LE    interaction strength the cover was detected with
+//! node_count 8  u64
+//! count      8  u64    number of communities
+//! c          8  f64    interaction strength the cover was detected with
 //! per community:
-//!   len      4  u32 LE
-//!   members  4·len u32 LE (sorted node ids)
-//! checksum   8  u64 LE    FNV-1a over every preceding byte
+//!   len      4  u32
+//!   members  4·len u32 (sorted node ids)
 //! ```
 //!
-//! Loading validates the magic, version, checksum, and every node id
-//! against the expected graph size, surfacing each failure as a distinct
-//! [`PersistError`] — a cover saved against one graph cannot be silently
-//! served against another.
+//! Loading validates the frame, every node id against the file's node
+//! count, the node count against the expected graph size, and `c` against
+//! `(0, MAX_C]` — a cover saved against one graph cannot be silently
+//! served against another, and a stored `c` is safe to serve with.
 
-use oca_graph::{Community, Cover};
-use std::fmt;
-use std::fs::File;
-use std::io::{Read, Write};
+use oca_graph::{Community, ContainerError, Cover, Frame, Reader};
+use oca_spectral::MAX_C;
 use std::path::Path;
 
-/// File magic of the binary cover format.
-pub const MAGIC: [u8; 8] = *b"OCACOVER";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// The cover file's frame.
+const FRAME: Frame = Frame {
+    magic: *b"OCACOVER",
+    version: 2,
+};
 
-/// Errors of the binary cover format.
-#[derive(Debug)]
-pub enum PersistError {
-    /// An underlying I/O operation failed.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file's version is newer than this build understands.
-    UnsupportedVersion(u32),
-    /// The file ends before its declared contents do.
-    Truncated,
-    /// The trailing checksum does not match the contents.
-    ChecksumMismatch,
-    /// The cover was saved for a graph of a different size.
-    NodeCountMismatch {
-        /// Node count of the graph being served.
-        expected: usize,
-        /// Node count recorded in the file.
-        found: usize,
-    },
-    /// A member id exceeds the file's own declared node count.
-    NodeOutOfBounds {
-        /// The offending node id.
-        node: u32,
-        /// The file's declared node count.
-        node_count: usize,
-    },
-}
-
-impl PersistError {
-    /// True for errors that mean *this file's bytes are damaged* — a torn
-    /// write or bit rot — rather than a usage error (wrong path, wrong
-    /// graph, future version). The serving recovery path falls back to a
-    /// cold start on corruption, because the damage says nothing about the
-    /// operator's intent; mismatch errors still abort, because serving a
-    /// different graph than the cover was built for would be silent
-    /// nonsense.
-    pub fn is_corruption(&self) -> bool {
-        matches!(
-            self,
-            PersistError::Truncated | PersistError::ChecksumMismatch
-        )
-    }
-}
-
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::Io(e) => write!(f, "cover file I/O error: {e}"),
-            PersistError::BadMagic => write!(f, "not a cover file (bad magic)"),
-            PersistError::UnsupportedVersion(v) => {
-                write!(f, "cover file version {v} not supported (max {VERSION})")
-            }
-            PersistError::Truncated => write!(f, "cover file is truncated"),
-            PersistError::ChecksumMismatch => write!(f, "cover file checksum mismatch"),
-            PersistError::NodeCountMismatch { expected, found } => write!(
-                f,
-                "cover file is for a {found}-node graph, the loaded graph has {expected} nodes"
-            ),
-            PersistError::NodeOutOfBounds { node, node_count } => write!(
-                f,
-                "cover file names node {node} but declares only {node_count} nodes"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PersistError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
-
-/// FNV-1a over `bytes` — fast, dependency-free, and plenty for detecting
-/// truncation and bit rot (this is an integrity check, not authentication).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Serializes `cover` (detected with interaction strength `c`) to `writer`.
-pub fn save_cover<W: Write>(writer: &mut W, cover: &Cover, c: f64) -> Result<(), PersistError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(64);
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(cover.node_count() as u64).to_le_bytes());
-    buf.extend_from_slice(&(cover.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&c.to_le_bytes());
+fn encode_body(out: &mut Vec<u8>, cover: &Cover, c: f64) {
+    out.extend_from_slice(&(cover.node_count() as u64).to_le_bytes());
+    out.extend_from_slice(&(cover.len() as u64).to_le_bytes());
+    out.extend_from_slice(&c.to_le_bytes());
     for community in cover.communities() {
-        buf.extend_from_slice(&(community.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(community.len() as u32).to_le_bytes());
         for &v in community.members() {
-            buf.extend_from_slice(&v.raw().to_le_bytes());
+            out.extend_from_slice(&v.raw().to_le_bytes());
         }
     }
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    writer.write_all(&buf)?;
-    Ok(())
 }
 
-/// Saves `cover` to a file at `path`, atomically: the bytes go to a temp
-/// file that is fsynced and renamed over `path`, so a crash mid-save (even
-/// `SIGKILL`) leaves either the previous complete cover or the new one —
-/// never a truncated file that would fail its own checksum on warm start.
-pub fn save_cover_path<P: AsRef<Path>>(path: P, cover: &Cover, c: f64) -> Result<(), PersistError> {
-    oca_graph::atomic_write_path(path.as_ref(), |w| {
-        save_cover(w, cover, c).map_err(|e| match e {
-            PersistError::Io(io) => io,
-            other => std::io::Error::other(other.to_string()),
-        })
-    })?;
-    Ok(())
-}
-
-/// A little-endian cursor over the loaded file body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.at.checked_add(n).ok_or(PersistError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(PersistError::Truncated);
-        }
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-/// Deserializes a cover from `reader`, validating magic, version, checksum
-/// and node-id bounds. When `expected_node_count` is given (the serving
-/// path — the graph is already loaded), a file saved for a different graph
-/// size is rejected with [`PersistError::NodeCountMismatch`].
-pub fn load_cover<R: Read>(
-    reader: &mut R,
+fn decode_body(
+    r: &mut Reader<'_>,
     expected_node_count: Option<usize>,
-) -> Result<(Cover, f64), PersistError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    if bytes.len() < MAGIC.len() + 4 + 8 + 8 + 8 + 8 {
-        // Distinguish "not our format" from "our format, cut short" by
-        // however much of the magic survives.
-        let have = bytes.len().min(MAGIC.len());
-        return Err(if bytes[..have] == MAGIC[..have] {
-            PersistError::Truncated
-        } else {
-            PersistError::BadMagic
-        });
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let mut cur = Cursor { bytes: body, at: 0 };
-    if cur.take(MAGIC.len())? != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = cur.u32()?;
-    if version != VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(PersistError::ChecksumMismatch);
-    }
-    let node_count = cur.u64()? as usize;
-    let community_count = cur.u64()? as usize;
-    let c = cur.f64()?;
+) -> Result<(Cover, f64), ContainerError> {
+    let node_count = r.u64()?;
+    let count = r.u64()?;
+    let c = r.f64()?;
     if let Some(expected) = expected_node_count {
-        if expected != node_count {
-            return Err(PersistError::NodeCountMismatch {
-                expected,
-                found: node_count,
+        if expected as u64 != node_count {
+            return Err(ContainerError::Mismatch {
+                what: "node count",
+                recorded: node_count,
+                current: expected as u64,
             });
         }
     }
-    let mut communities = Vec::with_capacity(community_count.min(1 << 20));
-    for _ in 0..community_count {
-        let len = cur.u32()? as usize;
-        let raw = cur.take(len * 4)?;
-        let mut ids = Vec::with_capacity(len);
-        for chunk in raw.chunks_exact(4) {
-            let id = u32::from_le_bytes(chunk.try_into().unwrap());
-            if id as usize >= node_count {
-                return Err(PersistError::NodeOutOfBounds {
-                    node: id,
-                    node_count,
-                });
+    if !(c > 0.0 && c <= MAX_C) {
+        return Err(ContainerError::Malformed(format!(
+            "stored interaction strength {c} is outside (0, {MAX_C}]"
+        )));
+    }
+    let mut communities = Vec::with_capacity(r.fits(count, 4)?);
+    for _ in 0..count {
+        let len = r.u32()?;
+        let mut ids = Vec::with_capacity(r.fits(len.into(), 4)?);
+        for _ in 0..len {
+            let id = r.u32()?;
+            if u64::from(id) >= node_count {
+                return Err(ContainerError::Malformed(format!(
+                    "node {id} out of bounds for {node_count} nodes"
+                )));
             }
             ids.push(id);
         }
         communities.push(Community::from_raw(ids));
     }
-    if cur.at != body.len() {
-        // Trailing garbage would have broken the checksum already, but be
-        // explicit: the declared community count must consume the body.
-        return Err(PersistError::Truncated);
-    }
-    Ok((Cover::new(node_count, communities), c))
+    Ok((Cover::new(node_count as usize, communities), c))
 }
 
-/// Loads a cover from a file at `path`.
+/// Saves `cover` (detected with interaction strength `c`) to a file at
+/// `path`, atomically: the bytes go to a temp file that is fsynced and
+/// renamed over `path`, so a crash mid-save (even `SIGKILL`) leaves either
+/// the previous complete cover or the new one — never a truncated file
+/// that would fail its own checksum on warm start.
+pub fn save_cover_path<P: AsRef<Path>>(path: P, cover: &Cover, c: f64) -> std::io::Result<()> {
+    FRAME
+        .write_path(path.as_ref(), |out| encode_body(out, cover, c))
+        .map(drop)
+}
+
+/// Loads the cover file at `path`, returning the cover and its stored `c`.
+/// When `expected_node_count` is given (the serving path — the graph is
+/// already loaded), a file saved for a different graph size is rejected
+/// with [`ContainerError::Mismatch`].
 pub fn load_cover_path<P: AsRef<Path>>(
     path: P,
     expected_node_count: Option<usize>,
-) -> Result<(Cover, f64), PersistError> {
-    let mut file = File::open(path)?;
-    load_cover(&mut file, expected_node_count)
+) -> Result<(Cover, f64), ContainerError> {
+    FRAME.read_path(path.as_ref(), |r| decode_body(r, expected_node_count))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oca_graph::NodeId;
+    use oca_graph::{fnv1a, NodeId};
+    use std::path::PathBuf;
 
     fn sample_cover() -> Cover {
         Cover::new(
@@ -284,16 +120,35 @@ mod tests {
     }
 
     fn save_to_vec(cover: &Cover, c: f64) -> Vec<u8> {
-        let mut buf = Vec::new();
-        save_cover(&mut buf, cover, c).unwrap();
-        buf
+        FRAME.seal_with(|out| encode_body(out, cover, c))
+    }
+
+    fn load(bytes: &[u8], expected: Option<usize>) -> Result<(Cover, f64), ContainerError> {
+        let mut r = Reader::new(FRAME.unseal(bytes)?);
+        let loaded = decode_body(&mut r, expected)?;
+        r.finish()?;
+        Ok(loaded)
+    }
+
+    /// Recomputes the trailing checksum after a deliberate edit, so only
+    /// the body checks can fire.
+    fn reseal(bytes: &mut [u8]) {
+        let at = bytes.len() - 8;
+        let checksum = fnv1a(&bytes[..at]);
+        bytes[at..].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("oca-serve-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn round_trip_preserves_everything() {
         let cover = sample_cover();
         let bytes = save_to_vec(&cover, 0.375);
-        let (loaded, c) = load_cover(&mut bytes.as_slice(), Some(10)).unwrap();
+        let (loaded, c) = load(&bytes, Some(10)).unwrap();
         assert_eq!(loaded, cover);
         assert_eq!(c, 0.375);
         assert!(loaded.communities()[0].contains(NodeId(2)));
@@ -303,7 +158,7 @@ mod tests {
     fn empty_cover_round_trips() {
         let cover = Cover::empty(5);
         let bytes = save_to_vec(&cover, 0.5);
-        let (loaded, _) = load_cover(&mut bytes.as_slice(), None).unwrap();
+        let (loaded, _) = load(&bytes, None).unwrap();
         assert_eq!(loaded, cover);
     }
 
@@ -312,8 +167,8 @@ mod tests {
         let mut bytes = save_to_vec(&sample_cover(), 0.5);
         bytes[0] = b'X';
         assert!(matches!(
-            load_cover(&mut bytes.as_slice(), None),
-            Err(PersistError::BadMagic)
+            load(&bytes, None),
+            Err(ContainerError::BadMagic { .. })
         ));
     }
 
@@ -322,8 +177,14 @@ mod tests {
         let mut bytes = save_to_vec(&sample_cover(), 0.5);
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
-            load_cover(&mut bytes.as_slice(), None),
-            Err(PersistError::UnsupportedVersion(99))
+            load(&bytes, None),
+            Err(ContainerError::UnsupportedVersion { found: 99, .. })
+        ));
+        // So is a file from before the shared container (version 1).
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            load(&bytes, None),
+            Err(ContainerError::UnsupportedVersion { found: 1, .. })
         ));
     }
 
@@ -333,21 +194,18 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         assert!(matches!(
-            load_cover(&mut bytes.as_slice(), None),
-            Err(PersistError::ChecksumMismatch)
+            load(&bytes, None),
+            Err(ContainerError::ChecksumMismatch)
         ));
     }
 
     #[test]
     fn truncation_is_detected() {
         let bytes = save_to_vec(&sample_cover(), 0.5);
-        for cut in [bytes.len() - 1, bytes.len() - 9, 20, 1] {
-            let err = load_cover(&mut &bytes[..cut], None).unwrap_err();
+        for cut in [bytes.len() - 1, bytes.len() - 9, 20, 8, 1] {
+            let err = load(&bytes[..cut], None).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    PersistError::Truncated | PersistError::ChecksumMismatch
-                ),
+                matches!(err, ContainerError::Truncated { .. }),
                 "cut at {cut}: {err}"
             );
         }
@@ -356,36 +214,63 @@ mod tests {
     #[test]
     fn mismatched_graph_size_is_a_typed_error() {
         let bytes = save_to_vec(&sample_cover(), 0.5);
-        match load_cover(&mut bytes.as_slice(), Some(11)).unwrap_err() {
-            PersistError::NodeCountMismatch { expected, found } => {
-                assert_eq!((expected, found), (11, 10));
+        match load(&bytes, Some(11)).unwrap_err() {
+            ContainerError::Mismatch {
+                what,
+                recorded,
+                current,
+            } => {
+                assert_eq!((what, recorded, current), ("node count", 10, 11));
             }
-            other => panic!("expected NodeCountMismatch, got {other}"),
+            other => panic!("expected Mismatch, got {other}"),
         }
     }
 
     #[test]
     fn out_of_bounds_member_is_rejected_even_with_valid_checksum() {
-        // Forge a file whose declared node count is too small for its own
-        // members: rebuild the checksum so only the bounds check can fire.
-        let cover = sample_cover();
-        let mut bytes = save_to_vec(&cover, 0.5);
-        bytes.truncate(bytes.len() - 8);
-        bytes[12..20].copy_from_slice(&4u64.to_le_bytes());
-        let checksum = super::fnv1a(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
-        match load_cover(&mut bytes.as_slice(), None).unwrap_err() {
-            PersistError::NodeOutOfBounds { node, node_count } => {
-                assert!(node as usize >= node_count);
+        // Forge a file whose declared node count (the first body field,
+        // after the 20-byte frame header) is too small for its own
+        // members: re-seal so only the bounds check can fire.
+        let mut bytes = save_to_vec(&sample_cover(), 0.5);
+        bytes[20..28].copy_from_slice(&4u64.to_le_bytes());
+        reseal(&mut bytes);
+        match load(&bytes, None).unwrap_err() {
+            ContainerError::Malformed(message) => {
+                assert!(message.contains("out of bounds"), "{message}");
             }
-            other => panic!("expected NodeOutOfBounds, got {other}"),
+            other => panic!("expected Malformed, got {other}"),
+        }
+    }
+
+    #[test]
+    fn stored_c_outside_the_admissible_range_is_malformed() {
+        for bad_c in [0.0, -0.5, 1.0, 2.0, f64::NAN, f64::INFINITY] {
+            let bytes = save_to_vec(&sample_cover(), bad_c);
+            assert!(
+                matches!(load(&bytes, None), Err(ContainerError::Malformed(_))),
+                "c = {bad_c} was accepted"
+            );
+        }
+        assert!(load(&save_to_vec(&sample_cover(), MAX_C), None).is_ok());
+    }
+
+    #[test]
+    fn forged_counts_are_malformed_not_allocated() {
+        // The community count sits at body offset 8, i.e. file offset 28.
+        for forged in [u64::MAX, 1 << 62, u64::from(u32::MAX)] {
+            let mut bytes = save_to_vec(&sample_cover(), 0.5);
+            bytes[28..36].copy_from_slice(&forged.to_le_bytes());
+            reseal(&mut bytes);
+            assert!(
+                matches!(load(&bytes, None), Err(ContainerError::Malformed(_))),
+                "count {forged} was accepted"
+            );
         }
     }
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("oca-serve-persist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("persist");
         let path = dir.join("cover.bin");
         let cover = sample_cover();
         save_cover_path(&path, &cover, 0.25).unwrap();
@@ -397,22 +282,27 @@ mod tests {
 
     #[test]
     fn corruption_classification_separates_damage_from_mismatch() {
-        assert!(PersistError::Truncated.is_corruption());
-        assert!(PersistError::ChecksumMismatch.is_corruption());
-        assert!(!PersistError::BadMagic.is_corruption());
-        assert!(!PersistError::UnsupportedVersion(9).is_corruption());
-        assert!(!PersistError::NodeCountMismatch {
-            expected: 1,
-            found: 2
-        }
-        .is_corruption());
-        assert!(!PersistError::Io(std::io::Error::other("disk")).is_corruption());
+        let bytes = save_to_vec(&sample_cover(), 0.5);
+        let truncated = load(&bytes[..bytes.len() - 1], Some(10)).unwrap_err();
+        assert!(truncated.is_corruption());
+        let mut rotted = bytes.clone();
+        rotted[30] ^= 1;
+        assert!(load(&rotted, Some(10)).unwrap_err().is_corruption());
+        let mut foreign = bytes.clone();
+        foreign[0] = b'X';
+        assert!(!load(&foreign, Some(10)).unwrap_err().is_corruption());
+        let mut future = bytes.clone();
+        future[8] = 9;
+        assert!(!load(&future, Some(10)).unwrap_err().is_corruption());
+        assert!(!load(&bytes, Some(11)).unwrap_err().is_corruption());
+        let missing = load_cover_path("/nonexistent/cover.bin", None).unwrap_err();
+        assert!(matches!(missing, ContainerError::Io(_)));
+        assert!(!missing.is_corruption());
     }
 
     #[test]
     fn save_leaves_no_temp_debris_and_replaces_atomically() {
-        let dir = std::env::temp_dir().join(format!("oca-serve-atomic-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("atomic");
         let path = dir.join("cover.bin");
         save_cover_path(&path, &sample_cover(), 0.5).unwrap();
         save_cover_path(&path, &Cover::empty(10), 0.5).unwrap();
@@ -429,11 +319,15 @@ mod tests {
 
     #[test]
     fn errors_display_the_problem() {
-        let e = PersistError::NodeCountMismatch {
-            expected: 5,
-            found: 7,
-        };
-        assert!(e.to_string().contains('5') && e.to_string().contains('7'));
-        assert!(PersistError::BadMagic.to_string().contains("magic"));
+        let bytes = save_to_vec(&sample_cover(), 0.5);
+        let e = load(&bytes, Some(7)).unwrap_err().to_string();
+        assert!(
+            e.contains("node count") && e.contains("10") && e.contains('7'),
+            "{e}"
+        );
+        let mut foreign = bytes.clone();
+        foreign[0] = b'X';
+        let e = load(&foreign, None).unwrap_err().to_string();
+        assert!(e.contains("magic") && e.contains("OCACOVER"), "{e}");
     }
 }

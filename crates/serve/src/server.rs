@@ -54,7 +54,7 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a worker blocks on an idle connection before re-checking the
@@ -212,7 +212,7 @@ struct ServeStats {
     recompute_failures: AtomicU64,
     consecutive_recompute_failures: AtomicU64,
     last_recovery_ms: AtomicU64,
-    last_recompute_error: parking_lot::Mutex<String>,
+    last_recompute_error: Mutex<String>,
     query: OpStats,
     local: OpStats,
     topk: OpStats,
@@ -617,7 +617,11 @@ impl Server {
             // Hold the lock only while waiting for the next connection;
             // a disconnected channel (acceptor exited) ends the worker
             // after the queue is drained.
-            let stream = match conn_rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
+            let stream = match conn_rx
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .recv()
+            {
                 Ok(stream) => stream,
                 Err(_) => break,
             };
@@ -1017,7 +1021,14 @@ impl Server {
                 s.hist.quantile_us(0.99)
             )
         };
-        let last_error = self.stats.last_recompute_error.lock().clone();
+        // Poison is recovered, not propagated: requests run under
+        // `catch_unwind`, and the guarded write is a single `String` store.
+        let last_error = self
+            .stats
+            .last_recompute_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         format!(
             "{{\"ok\":true,\"op\":\"stats\",\"epoch\":{},\"uptime_ms\":{},\
              \"connections\":{},\"requests\":{},\"errors\":{},\"recomputes\":{},\
@@ -1133,7 +1144,11 @@ impl Server {
                 self.stats
                     .consecutive_recompute_failures
                     .store(u64::from(consecutive), Ordering::Relaxed);
-                *self.stats.last_recompute_error.lock() = message;
+                *self
+                    .stats
+                    .last_recompute_error
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner) = message;
             }
         }
     }

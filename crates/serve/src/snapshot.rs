@@ -15,9 +15,8 @@
 
 use crate::index::CoverIndex;
 use oca_graph::Cover;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 /// One immutable, versioned view of a cover: the cover, its inverted
@@ -92,7 +91,9 @@ impl SnapshotStore {
     /// stays valid (and immutable) however many epochs are published
     /// after it.
     pub fn load(&self) -> Arc<CoverSnapshot> {
-        Arc::clone(&self.current.read())
+        // Poison is recovered, not propagated: requests run under
+        // `catch_unwind`, and the guarded write is a pointer swap.
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publishes `cover` as the next epoch and returns it. The index is
@@ -100,7 +101,7 @@ impl SnapshotStore {
     /// for the pointer swap itself.
     pub fn publish(&self, cover: Cover, c: f64) -> u64 {
         let mut snapshot = CoverSnapshot::new(cover, c);
-        let mut current = self.current.write();
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let epoch = current.epoch + 1;
         snapshot.epoch = epoch;
         *current = Arc::new(snapshot);
@@ -164,5 +165,22 @@ mod tests {
         assert_eq!(snap.node_count(), 5);
         assert_eq!(snap.index.communities_of(NodeId(2)), &[0, 1]);
         assert_eq!(snap.c, 0.7);
+    }
+
+    #[test]
+    fn store_survives_a_panicked_lock_holder() {
+        let store = SnapshotStore::new(cover(4, &[&[0, 1]]), 0.5);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = store.current.write().unwrap();
+                panic!("poison the store");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(store.current.is_poisoned());
+        // Readers and the publisher carry on with the last complete epoch.
+        assert_eq!(store.load().epoch, 1);
+        assert_eq!(store.publish(cover(4, &[&[2, 3]]), 0.5), 2);
+        assert_eq!(store.load().cover.len(), 1);
     }
 }

@@ -34,11 +34,7 @@ pub fn run_cases<F: FnMut(&mut StdRng)>(test_name: &str, mut f: F) {
         .and_then(|v| v.parse().ok())
         .unwrap_or(DEFAULT_CASES);
     // FNV-1a over the test name gives each property its own stream.
-    let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in test_name.bytes() {
-        seed ^= b as u64;
-        seed = seed.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let seed = oca_graph::fnv1a(test_name.as_bytes());
     for case in 0..cases as u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         f(&mut rng);

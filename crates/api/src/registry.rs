@@ -8,7 +8,7 @@
 
 use crate::options::DetectorOptions;
 use oca::{
-    CheckpointConfig, HaltingConfig, LocalConfig, LocalDetector, MoveRule, OcaConfig, OcaDetector,
+    CheckpointConfig, HaltingConfig, LocalConfig, LocalDetector, OcaConfig, OcaDetector,
     ResumePolicy, SearchConfig, SeedStrategy,
 };
 use oca_baselines::{
@@ -239,25 +239,10 @@ pub fn registry() -> DetectorRegistry {
                  locality); covers are still reported in original ids",
             ),
             (
-                "move-rule",
-                "'greedy' (the paper's strictly-improving rule) or \
-                 'penalized' (tabu + repeat-add penalties keep exploring \
-                 past plateaus and return the best set seen)",
-            ),
-            (
                 "ascent-budget",
                 "per-ascent move budget as a multiple of the initial set \
                  size; stops hub ascents from crawling whole cores; 0 \
                  disables (the library default)",
-            ),
-            (
-                "plateau-moves",
-                "penalized rule: moves without a new best fitness before \
-                 the ascent returns its best-so-far set",
-            ),
-            (
-                "tabu-tenure",
-                "penalized rule: moves a just-removed node stays un-addable",
             ),
             (
                 "hub-prune-degree",
@@ -342,11 +327,6 @@ pub fn registry() -> DetectorRegistry {
                 "per-ascent move budget as a multiple of the initial set \
                  size; 0 disables",
             ),
-            (
-                "move-rule",
-                "'greedy' (strictly improving) or 'penalized' (tabu rule \
-                 returning the best set seen)",
-            ),
         ],
         build_oca_local,
         tuned_oca_local,
@@ -428,21 +408,7 @@ fn build_oca(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
         relabel: opts.get_or("relabel", defaults.relabel)?,
         search: SearchConfig {
             budget_factor: opts.get_or("ascent-budget", defaults.search.budget_factor)?,
-            plateau_moves: opts.get_or("plateau-moves", defaults.search.plateau_moves)?,
-            tabu_tenure: opts.get_or("tabu-tenure", defaults.search.tabu_tenure)?,
             prune_hub_degree: opts.get_or("hub-prune-degree", defaults.search.prune_hub_degree)?,
-            move_rule: match opts.get("move-rule") {
-                None => defaults.search.move_rule,
-                Some("greedy") => MoveRule::Greedy,
-                Some("penalized") => MoveRule::Penalized,
-                Some(other) => {
-                    return Err(DetectError::InvalidOption {
-                        key: "move-rule".to_string(),
-                        value: other.to_string(),
-                        message: "expected 'greedy' or 'penalized'".to_string(),
-                    })
-                }
-            },
             ..defaults.search
         },
         ..defaults
@@ -485,9 +451,7 @@ fn build_oca(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
 /// Like the tuned preset it runs with the scaled ascent budget and
 /// covered-hub pruning — on the fig2 protocol neither binds (LFR ascents
 /// converge well under the budget and no LFR node reaches the hub
-/// threshold), while hub graphs drop from hours to seconds. The greedy
-/// move rule stays the default: benchmarked against `penalized` it gives
-/// the same θ/ω at lower cost, so the penalized rule remains opt-in.
+/// threshold), while hub graphs drop from hours to seconds.
 fn experiment_oca(graph: &CsrGraph) -> BoxedDetector {
     let config = OcaConfig {
         halting: HaltingConfig {
@@ -527,18 +491,6 @@ fn build_oca_local(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError>
         },
         search: SearchConfig {
             budget_factor: opts.get_or("ascent-budget", defaults.search.budget_factor)?,
-            move_rule: match opts.get("move-rule") {
-                None => defaults.search.move_rule,
-                Some("greedy") => MoveRule::Greedy,
-                Some("penalized") => MoveRule::Penalized,
-                Some(other) => {
-                    return Err(DetectError::InvalidOption {
-                        key: "move-rule".to_string(),
-                        value: other.to_string(),
-                        message: "expected 'greedy' or 'penalized'".to_string(),
-                    })
-                }
-            },
             ..defaults.search
         },
         ..defaults
@@ -683,18 +635,11 @@ mod tests {
         let d = det.detect(&g, &mut DetectContext::new(11)).unwrap();
         assert_eq!(d.cover.len(), 1);
         assert!(d.cover.communities()[0].contains(oca_graph::NodeId(7)));
-        // Bad strategy and move-rule values are typed option errors.
+        // A bad strategy value is a typed option error.
         assert!(matches!(
             reg.build(
                 "oca-local",
                 &DetectorOptions::new().with("seed-strategy", "global")
-            ),
-            Err(DetectError::InvalidOption { .. })
-        ));
-        assert!(matches!(
-            reg.build(
-                "oca-local",
-                &DetectorOptions::new().with("move-rule", "anneal")
             ),
             Err(DetectError::InvalidOption { .. })
         ));
@@ -779,6 +724,35 @@ mod tests {
         }
     }
 
+    /// The ascent has one move rule, so its old selector and tuning knobs
+    /// are no longer options: each is rejected as an unknown key, and the
+    /// accepted-key list no longer names any of them.
+    #[test]
+    fn removed_ascent_options_are_unknown() {
+        let reg = registry();
+        let cases = [
+            ("oca", "move-rule", "greedy", 17),
+            ("oca", "plateau-moves", "8", 17),
+            ("oca", "tabu-tenure", "4", 17),
+            ("oca-local", "move-rule", "greedy", 4),
+        ];
+        for (algorithm, removed, value, count) in cases {
+            match reg
+                .build(algorithm, &DetectorOptions::new().with(removed, value))
+                .unwrap_err()
+            {
+                DetectError::UnknownOption { key, accepted, .. } => {
+                    assert_eq!(key, removed);
+                    assert_eq!(accepted.len(), count, "{algorithm}: {accepted:?}");
+                    for gone in ["move-rule", "plateau-moves", "tabu-tenure"] {
+                        assert!(!accepted.contains(&gone), "{algorithm} still lists {gone}");
+                    }
+                }
+                other => panic!("{algorithm} {removed}: expected UnknownOption, got {other}"),
+            }
+        }
+    }
+
     #[test]
     fn options_flow_into_the_config() {
         let g = toy();
@@ -838,15 +812,12 @@ mod tests {
     #[test]
     fn hub_search_options_flow_into_the_config_and_are_validated() {
         let reg = registry();
-        // All five options build and detect.
+        // Both hub options build and detect.
         let det = reg
             .build(
                 "oca",
                 &DetectorOptions::new()
-                    .with("move-rule", "penalized")
                     .with("ascent-budget", "8")
-                    .with("plateau-moves", "16")
-                    .with("tabu-tenure", "4")
                     .with("hub-prune-degree", "32")
                     .with("max-seeds", "50"),
             )
@@ -857,17 +828,6 @@ mod tests {
             .unwrap()
             .cover
             .is_empty());
-        // A bad move rule is a typed option error naming the choices.
-        match reg
-            .build("oca", &DetectorOptions::new().with("move-rule", "anneal"))
-            .unwrap_err()
-        {
-            DetectError::InvalidOption { key, message, .. } => {
-                assert_eq!(key, "move-rule");
-                assert!(message.contains("penalized"));
-            }
-            other => panic!("expected InvalidOption, got {other}"),
-        }
         // A malformed budget is typed; a negative one is a config error.
         assert!(matches!(
             reg.build("oca", &DetectorOptions::new().with("ascent-budget", "lots")),

@@ -4,8 +4,8 @@
 //! DESIGN.md §4 for the index), built on a shared harness that drives
 //! every algorithm through the `oca-api` registry as a
 //! `Box<dyn CommunityDetector>` — identical graphs, identical
-//! postprocessing, no per-algorithm dispatch — plus criterion
-//! micro-benches for the hot kernels.
+//! postprocessing, no per-algorithm dispatch. The hot ascent kernel is
+//! timed by the `hot_path` binary.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

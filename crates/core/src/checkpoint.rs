@@ -290,11 +290,12 @@ pub struct DriverCheckpoint {
     pub bitmap_words: Vec<u64>,
 }
 
-/// The `.ockpt` frame. Version 1 files (the pre-container envelope) are
+/// The `.ockpt` frame. Version 1 files (the pre-container envelope) and
+/// version 2 files (whose payload still carried a fourth stop tally) are
 /// refused as a version mismatch.
 const FRAME: Frame = Frame {
     magic: *b"OCACKPT\0",
-    version: 2,
+    version: 3,
 };
 
 /// The config binding checksum: a hash of every schedule-affecting field.
@@ -336,7 +337,7 @@ impl DriverCheckpoint {
 
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(
-            13 * 8
+            12 * 8
                 + self.accepted.iter().map(|c| 4 + 4 * c.len()).sum::<usize>()
                 + 16 * self.fingerprints.len()
                 + 4 * self.uncovered.len()
@@ -352,7 +353,6 @@ impl DriverCheckpoint {
         out.extend_from_slice(&(self.stops.converged as u64).to_le_bytes());
         out.extend_from_slice(&(self.stops.move_cap as u64).to_le_bytes());
         out.extend_from_slice(&(self.stops.move_budget as u64).to_le_bytes());
-        out.extend_from_slice(&(self.stops.plateau as u64).to_le_bytes());
         out.extend_from_slice(&self.node_count.to_le_bytes());
         out.extend_from_slice(&(self.accepted.len() as u64).to_le_bytes());
         for community in &self.accepted {
@@ -397,7 +397,6 @@ impl DriverCheckpoint {
             converged: r.u64()? as usize,
             move_cap: r.u64()? as usize,
             move_budget: r.u64()? as usize,
-            plateau: r.u64()? as usize,
         };
         let node_count = r.u64()?;
         // Every count is checked against the bytes left before anything
@@ -660,7 +659,6 @@ mod tests {
                 converged: 100,
                 move_cap: 10,
                 move_budget: 15,
-                plateau: 3,
             },
             node_count: n,
             accepted: vec![
@@ -753,7 +751,7 @@ mod tests {
         bad.seeds_tried = 1; // fewer accepts than tickets stays plausible
         let mut payload = bad.encode();
         // Claim 2 communities but provide 1: truncated payload.
-        payload[12 * 8..13 * 8].copy_from_slice(&2u64.to_le_bytes());
+        payload[11 * 8..12 * 8].copy_from_slice(&2u64.to_le_bytes());
         assert!(DriverCheckpoint::decode(&payload).is_err());
         // More accepts than tickets is impossible.
         let mut bad = sample(70);
@@ -777,13 +775,13 @@ mod tests {
 
     #[test]
     fn forged_counts_are_malformed_not_allocated() {
-        // Offsets into the payload: 13 fixed u64 fields, then the
+        // Offsets into the payload: 12 fixed u64 fields, then the
         // communities, fingerprints, uncovered list and bitmap.
         let ckpt = sample(70);
         let payload = ckpt.encode();
-        let communities_at = 12 * 8;
-        let first_len_at = 13 * 8;
-        let uncovered_at = 13 * 8 + (4 + 2 * 4) * 2 + 16 * 2;
+        let communities_at = 11 * 8;
+        let first_len_at = 12 * 8;
+        let uncovered_at = 12 * 8 + (4 + 2 * 4) * 2 + 16 * 2;
         let words_at = uncovered_at + 8 + 4 * ckpt.uncovered.len();
         for (at, forged) in [
             (communities_at, u64::MAX),
@@ -803,7 +801,7 @@ mod tests {
         // A forged node count lets a forged uncovered count past the
         // bounds check; the bytes-left check still refuses it.
         let mut bad = payload.clone();
-        bad[11 * 8..12 * 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[10 * 8..11 * 8].copy_from_slice(&u64::MAX.to_le_bytes());
         bad[uncovered_at..uncovered_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         assert!(matches!(
             DriverCheckpoint::decode(&bad).unwrap_err(),

@@ -77,10 +77,6 @@ impl CommunityDetector for OcaDetector {
                 "ascents_budget_stopped",
                 result.ascent_stops.move_budget.to_string(),
             ),
-            (
-                "ascents_plateau_stopped",
-                result.ascent_stops.plateau.to_string(),
-            ),
         ];
         // The `ckpt_*` namespace only appears on checkpointed runs, so
         // plain detections keep their usual stat set.
@@ -186,7 +182,6 @@ mod tests {
         assert_eq!(stat("ascents_converged"), d.iterations);
         assert_eq!(stat("ascents_move_capped"), 0);
         assert_eq!(stat("ascents_budget_stopped"), 0);
-        assert_eq!(stat("ascents_plateau_stopped"), 0);
         // A one-move cap shows up in the tally.
         let detector = OcaDetector::new(OcaConfig {
             search: crate::search::SearchConfig {

@@ -105,9 +105,6 @@ pub struct AscentStopStats {
     pub move_cap: usize,
     /// Ascents stopped by the scaled per-ascent budget.
     pub move_budget: usize,
-    /// Penalized-rule ascents that returned best-so-far after the plateau
-    /// patience ran out.
-    pub plateau: usize,
 }
 
 impl AscentStopStats {
@@ -117,13 +114,12 @@ impl AscentStopStats {
             crate::AscentStop::Converged => self.converged += 1,
             crate::AscentStop::MoveCap => self.move_cap += 1,
             crate::AscentStop::MoveBudget => self.move_budget += 1,
-            crate::AscentStop::Plateau => self.plateau += 1,
         }
     }
 
     /// Ascents cut short by any cap or budget (everything non-converged).
     pub fn limited(&self) -> usize {
-        self.move_cap + self.move_budget + self.plateau
+        self.move_cap + self.move_budget
     }
 }
 
@@ -381,15 +377,13 @@ mod tests {
             AscentStop::MoveCap,
             AscentStop::MoveBudget,
             AscentStop::MoveBudget,
-            AscentStop::Plateau,
         ] {
             stats.record(stop);
         }
         assert_eq!(stats.converged, 2);
         assert_eq!(stats.move_cap, 1);
         assert_eq!(stats.move_budget, 2);
-        assert_eq!(stats.plateau, 1);
-        assert_eq!(stats.limited(), 4);
+        assert_eq!(stats.limited(), 3);
     }
 
     #[test]

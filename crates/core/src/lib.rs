@@ -55,8 +55,8 @@ pub use local::{LocalConfig, LocalDetection, LocalDetector};
 pub use postprocess::{assign_orphans, merge_similar};
 pub use runner::{run_default, CoverageBitmap, Oca, OcaResult, PhaseNanos};
 pub use search::{
-    ascend, ascend_cancellable, local_search, AscentOutcome, AscentStop, MoveRule, SearchConfig,
-    SearchOutcome, MIN_MOVE_BUDGET,
+    ascend, ascend_cancellable, local_search, AscentOutcome, AscentStop, SearchConfig,
+    SearchOutcome, MIN_GAIN, MIN_MOVE_BUDGET,
 };
 pub use seed::{initial_set, ticket_seed, SeedStrategy};
 pub use state::CommunityState;

@@ -181,8 +181,8 @@ impl LocalDetector {
         let (outcome, interrupted) =
             ascend_cancellable(state, &seeds, &self.config.search, Some(&token));
         if interrupted {
-            // The state holds the partial set (best-seen under the
-            // penalized rule); surface it as the typed partial result.
+            // The state holds the partial set; surface it as the typed
+            // partial result.
             let partial = self.to_detection(
                 graph,
                 state.to_community(),

@@ -70,7 +70,7 @@ pub struct OcaResult {
     /// Which halting criterion ended the run (`None` only for empty
     /// graphs, which never start).
     pub halt_reason: Option<HaltReason>,
-    /// Why the recorded ascents stopped (converged vs. cap/budget/plateau),
+    /// Why the recorded ascents stopped (converged vs. cap/budget),
     /// tallied in ticket order up to the halting cutoff — deterministic
     /// for a fixed seed like the cover itself.
     pub ascent_stops: AscentStopStats,
@@ -1042,8 +1042,7 @@ mod tests {
     }
 
     /// The determinism contract extends to every hub-search feature: with
-    /// scaled budgets, covered-hub pruning and the penalized move rule all
-    /// enabled, the cover, cutoff, halt reason *and* the stop-reason tally
+    /// scaled budgets and covered-hub pruning both enabled, the cover, cutoff, halt reason *and* the stop-reason tally
     /// are bit-identical at any thread count.
     #[test]
     fn hub_search_features_preserve_thread_determinism() {
@@ -1052,9 +1051,6 @@ mod tests {
             search: crate::search::SearchConfig {
                 budget_factor: 2.0,
                 prune_hub_degree: 4,
-                move_rule: crate::search::MoveRule::Penalized,
-                plateau_moves: 6,
-                tabu_tenure: 3,
                 ..Default::default()
             },
             ..quick_config()

@@ -1,15 +1,11 @@
 //! Local maximization of the directed-Laplacian fitness (Section IV).
 //!
 //! From an initial set, repeatedly apply the single add-or-remove move with
-//! the greatest fitness increment. Under the paper's greedy rule
-//! ([`MoveRule::Greedy`]) only strictly improving moves are applied, so
-//! fitness increases every move and termination is guaranteed. The
-//! penalized rule ([`MoveRule::Penalized`]) may also accept the best
-//! non-improving move to escape a plateau, bounded by a patience window
-//! and protected from cycling by a recency tabu plus repeat-add penalties;
-//! it returns the best set seen, never the last one.
+//! the greatest fitness increment, as long as it strictly improves fitness
+//! (by more than [`MIN_GAIN`]). Fitness increases every move, so
+//! termination is guaranteed.
 //!
-//! Either rule can additionally run under a per-ascent move budget scaled
+//! The ascent can additionally run under a per-ascent move budget scaled
 //! to the seed neighborhood ([`SearchConfig::budget_factor`]), which is
 //! what keeps a single hub ascent from dominating a whole run on
 //! scale-free graphs (DESIGN.md §2a).
@@ -21,37 +17,21 @@ use oca_graph::{CancelToken, Community, NodeId};
 /// spend this many moves, so tiny seeds can still grow a real community.
 pub const MIN_MOVE_BUDGET: usize = 32;
 
-/// Which move-selection rule the ascent uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MoveRule {
-    /// The paper's rule: apply the best move only while it strictly
-    /// improves fitness; stop at the first local maximum.
-    #[default]
-    Greedy,
-    /// Tabu-style rule: apply the best move even when it does not improve,
-    /// with a recency tabu on just-removed nodes and a per-node repeat-add
-    /// penalty folded into the candidate bucket key (both diversify the
-    /// search away from re-adding the same hub nodes). The ascent tracks
-    /// the best fitness seen and returns *that* set once the plateau
-    /// patience ([`SearchConfig::plateau_moves`]) runs out.
-    Penalized,
-}
+/// Minimum gain for a move to count as an improvement. A small positive
+/// epsilon avoids chasing floating-point noise at the optimum.
+pub const MIN_GAIN: f64 = 1e-9;
 
 /// Why an ascent stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AscentStop {
-    /// No applicable move improves fitness (greedy), or no move is
-    /// applicable at all (penalized): a true local maximum.
+    /// No applicable move improves fitness: a true local maximum.
     Converged,
     /// The hard [`SearchConfig::max_moves`] cap was hit while an
-    /// applicable move remained.
+    /// improving move remained.
     MoveCap,
     /// The scaled per-ascent budget ([`SearchConfig::budget_factor`]) was
-    /// spent while an applicable move remained.
+    /// spent while an improving move remained.
     MoveBudget,
-    /// The penalized rule went [`SearchConfig::plateau_moves`] moves
-    /// without a new best fitness and returned the best-so-far set.
-    Plateau,
 }
 
 impl AscentStop {
@@ -61,7 +41,6 @@ impl AscentStop {
             AscentStop::Converged => "converged",
             AscentStop::MoveCap => "move-cap",
             AscentStop::MoveBudget => "move-budget",
-            AscentStop::Plateau => "plateau",
         }
     }
 }
@@ -71,9 +50,6 @@ impl AscentStop {
 pub struct SearchConfig {
     /// Hard cap on moves (safety net; ascent normally stops on its own).
     pub max_moves: usize,
-    /// Minimum gain for a move to count as an improvement. A small positive
-    /// epsilon avoids chasing floating-point noise at the optimum.
-    pub min_gain: f64,
     /// Per-ascent move budget as a multiple of the initial set's size
     /// (which is ~half the seed's closed neighborhood under the default
     /// [`crate::SeedStrategy`]): the ascent may spend
@@ -84,15 +60,6 @@ pub struct SearchConfig {
     /// neighborhood means peripheral seeds stop crawling hub cores while
     /// dense seeds keep room to grow.
     pub budget_factor: f64,
-    /// Penalized rule only: how many consecutive moves without a new best
-    /// fitness the ascent tolerates before returning the best-so-far set.
-    /// The greedy rule stops at the first non-improving move regardless.
-    pub plateau_moves: usize,
-    /// Penalized rule only: for how many subsequent moves a just-removed
-    /// node may not be re-added (values < 1 behave as 1).
-    pub tabu_tenure: usize,
-    /// Move-selection rule.
-    pub move_rule: MoveRule,
     /// Skip already-covered nodes of at least this degree when enumerating
     /// add candidates (`0` disables). The driver feeds the round-start
     /// coverage snapshot to [`CommunityState::set_prune_snapshot`], so hub
@@ -107,11 +74,7 @@ impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
             max_moves: 100_000,
-            min_gain: 1e-9,
             budget_factor: 0.0,
-            plateau_moves: 64,
-            tabu_tenure: 8,
-            move_rule: MoveRule::Greedy,
             prune_hub_degree: 0,
         }
     }
@@ -136,12 +99,11 @@ impl SearchConfig {
 /// Outcome of a local search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
-    /// The community at the (best seen) local maximum.
+    /// The community at the local maximum.
     pub community: Community,
     /// Its fitness `L`.
     pub fitness: f64,
-    /// Number of applied moves (not counting the unwind back to the best
-    /// set under the penalized rule).
+    /// Number of applied moves.
     pub moves: usize,
     /// Whether the ascent reached a true local maximum (vs. a budget).
     pub converged: bool,
@@ -154,9 +116,7 @@ pub struct SearchOutcome {
 /// Exploits the monotonicity of the gain in the internal degree (see
 /// [`CommunityState::best_addition`]): only two fitness evaluations are
 /// needed per move, one for the densest boundary node and one for the
-/// loosest member. Under the penalized rule the addition candidate is the
-/// best by *penalized* bucket key, but its gain — and the comparison
-/// against the removal — uses the true fitness increment.
+/// loosest member.
 fn best_move(state: &mut CommunityState<'_>) -> Option<(f64, NodeId, bool)> {
     let mut best: Option<(f64, NodeId, bool)> = None;
     if let Some(v) = state.best_addition() {
@@ -175,10 +135,9 @@ fn best_move(state: &mut CommunityState<'_>) -> Option<(f64, NodeId, bool)> {
 /// except the materialized community, which stays in the state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AscentOutcome {
-    /// Fitness `L` at the (best seen) local maximum.
+    /// Fitness `L` at the local maximum.
     pub fitness: f64,
-    /// Number of applied moves (not counting the unwind back to the best
-    /// set under the penalized rule).
+    /// Number of applied moves.
     pub moves: usize,
     /// Whether the ascent reached a true local maximum (vs. a budget).
     pub converged: bool,
@@ -211,19 +170,22 @@ const CANCEL_POLL_MASK: usize = 31;
 /// when it fires. Returns the outcome plus whether the ascent was
 /// interrupted: an interrupted ascent reports `converged: false` and the
 /// cap-style stop of its configuration (the ascent was externally bounded
-/// while applicable moves may have remained), and the state holds the
-/// partial set — under the penalized rule, the best set seen so far (the
-/// unwind still runs), so the partial result is always the most useful one.
+/// while improving moves may have remained), and the state holds the
+/// partial set.
 ///
 /// With `cancel: None` this is exactly [`ascend`]: the poll never fires
 /// and the move sequence is bit-identical.
+///
+/// Convergence is reported from the actual stopping condition — no
+/// improving move exists — so an ascent that naturally converges on
+/// exactly its last allowed move counts as converged, and a cap stop
+/// always means an improving move was forgone.
 pub fn ascend_cancellable(
     state: &mut CommunityState<'_>,
     initial: &[NodeId],
     config: &SearchConfig,
     cancel: Option<&CancelToken>,
 ) -> (AscentOutcome, bool) {
-    state.set_penalized(config.move_rule == MoveRule::Penalized);
     state.reset();
     for &v in initial {
         if !state.contains(v) {
@@ -236,41 +198,15 @@ pub fn ascend_cancellable(
     } else {
         AscentStop::MoveCap
     };
-    match config.move_rule {
-        MoveRule::Greedy => ascend_greedy(state, config, cap, over_cap, cancel),
-        MoveRule::Penalized => ascend_penalized(state, config, cap, over_cap, cancel),
-    }
-}
-
-/// True when the ascent should stop for cancellation at move `moves`.
-#[inline]
-fn cancel_fires(cancel: Option<&CancelToken>, moves: usize) -> bool {
-    match cancel {
-        Some(token) => moves & CANCEL_POLL_MASK == 0 && token.is_cancelled(),
-        None => false,
-    }
-}
-
-/// The paper's strictly-improving ascent. Convergence is reported from the
-/// actual stopping condition — no improving move exists — so an ascent
-/// that naturally converges on exactly its last allowed move counts as
-/// converged, and a cap stop always means an improving move was forgone.
-fn ascend_greedy(
-    state: &mut CommunityState<'_>,
-    config: &SearchConfig,
-    cap: usize,
-    over_cap: AscentStop,
-    cancel: Option<&CancelToken>,
-) -> (AscentOutcome, bool) {
     let mut moves = 0usize;
     let mut interrupted = false;
     let stop = loop {
         match best_move(state) {
-            Some((gain, v, is_add)) if gain > config.min_gain => {
+            Some((gain, v, is_add)) if gain > MIN_GAIN => {
                 if moves >= cap {
                     break over_cap;
                 }
-                if cancel_fires(cancel, moves) {
+                if cancel.is_some_and(|t| moves & CANCEL_POLL_MASK == 0 && t.is_cancelled()) {
                     interrupted = true;
                     break over_cap;
                 }
@@ -284,104 +220,6 @@ fn ascend_greedy(
             _ => break AscentStop::Converged,
         }
     };
-    (
-        AscentOutcome {
-            fitness: state.fitness(),
-            moves,
-            converged: stop == AscentStop::Converged,
-            stop,
-        },
-        interrupted,
-    )
-}
-
-/// The tabu/penalty ascent: accepts the best move even when non-improving
-/// (within the plateau patience), tabus just-removed nodes for
-/// [`SearchConfig::tabu_tenure`] moves, and unwinds to the best set seen
-/// before returning. The unwind replays the move log in reverse, so the
-/// state's incremental counters — including the dedup fingerprint — end
-/// up exactly those of the best set.
-fn ascend_penalized(
-    state: &mut CommunityState<'_>,
-    config: &SearchConfig,
-    cap: usize,
-    over_cap: AscentStop,
-    cancel: Option<&CancelToken>,
-) -> (AscentOutcome, bool) {
-    let tenure = config.tabu_tenure.max(1);
-    let mut moves = 0usize;
-    let mut best_fitness = state.fitness();
-    let mut since_best = 0usize;
-    let mut interrupted = false;
-    // Moves applied since the best set was current, for the unwind.
-    let mut undo: Vec<(NodeId, bool)> = Vec::new();
-    // Tabu entries in expiry order (tenure is constant, so push order is
-    // expiry order); front expires first.
-    let mut tabu: std::collections::VecDeque<(usize, NodeId)> = std::collections::VecDeque::new();
-    let stop = loop {
-        if cancel_fires(cancel, moves) {
-            interrupted = true;
-            break over_cap;
-        }
-        while let Some(&(expiry, v)) = tabu.front() {
-            if expiry > moves {
-                break;
-            }
-            tabu.pop_front();
-            state.expire_tabu(v);
-        }
-        let mut mv = best_move(state);
-        if mv.is_none() && !tabu.is_empty() {
-            // Every remaining candidate is tabu-blocked: fast-forward the
-            // clock (flush all tenures) rather than reporting a spurious
-            // local maximum.
-            for (_, v) in tabu.drain(..) {
-                state.expire_tabu(v);
-            }
-            mv = best_move(state);
-        }
-        let Some((gain, v, is_add)) = mv else {
-            break AscentStop::Converged;
-        };
-        if gain <= config.min_gain && since_best >= config.plateau_moves {
-            break AscentStop::Plateau;
-        }
-        if moves >= cap {
-            break over_cap;
-        }
-        if is_add {
-            state.add(v);
-        } else {
-            state.remove_with_tabu(v);
-            tabu.push_back((moves + tenure, v));
-        }
-        moves += 1;
-        let f = state.fitness();
-        if f > best_fitness + config.min_gain {
-            best_fitness = f;
-            since_best = 0;
-            undo.clear();
-        } else {
-            since_best += 1;
-            undo.push((v, is_add));
-        }
-    };
-    if !undo.is_empty() {
-        for (_, v) in tabu.drain(..) {
-            state.expire_tabu(v);
-        }
-        for &(v, was_add) in undo.iter().rev() {
-            if was_add {
-                state.remove(v);
-            } else {
-                state.add(v);
-            }
-        }
-        debug_assert!(
-            state.fitness() == best_fitness,
-            "unwind must restore the best set exactly"
-        );
-    }
     (
         AscentOutcome {
             fitness: state.fitness(),
@@ -475,7 +313,7 @@ mod tests {
         // Manually replay the ascent, checking monotonicity.
         loop {
             match super::best_move(&mut st) {
-                Some((gain, v, is_add)) if gain > 1e-9 => {
+                Some((gain, v, is_add)) if gain > MIN_GAIN => {
                     if is_add {
                         st.add(v)
                     } else {
@@ -574,88 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn penalized_rule_recovers_cliques_and_matches_greedy_quality() {
-        let g = two_cliques();
-        let mut st = CommunityState::new(&g, 0.9);
-        let cfg = SearchConfig {
-            move_rule: MoveRule::Penalized,
-            plateau_moves: 8,
-            tabu_tenure: 4,
-            ..Default::default()
-        };
-        let out = local_search(&mut st, &[NodeId(0)], &cfg);
-        let raw: Vec<u32> = out.community.members().iter().map(|v| v.raw()).collect();
-        assert_eq!(raw, vec![0, 1, 2, 3]);
-        let greedy = local_search(&mut st, &[NodeId(0)], &SearchConfig::default());
-        assert!(out.fitness >= greedy.fitness - 1e-12);
-    }
-
-    /// The penalized rule keeps exploring past the first plateau but must
-    /// return the best set seen: its fitness can never be worse than
-    /// stopping at the first plateau (patience 0), whose trajectory is a
-    /// prefix of the patient one.
-    #[test]
-    fn best_so_far_is_never_worse_than_the_first_plateau() {
-        let g = two_cliques();
-        let mut st = CommunityState::new(&g, 0.9);
-        for seed in 0..8u32 {
-            let base = SearchConfig {
-                move_rule: MoveRule::Penalized,
-                tabu_tenure: 3,
-                ..Default::default()
-            };
-            let first_plateau = local_search(
-                &mut st,
-                &[NodeId(seed)],
-                &SearchConfig {
-                    plateau_moves: 0,
-                    ..base
-                },
-            );
-            let patient = local_search(
-                &mut st,
-                &[NodeId(seed)],
-                &SearchConfig {
-                    plateau_moves: 16,
-                    ..base
-                },
-            );
-            assert!(
-                patient.fitness >= first_plateau.fitness - 1e-12,
-                "seed {seed}: best-so-far {} worse than first plateau {}",
-                patient.fitness,
-                first_plateau.fitness
-            );
-        }
-    }
-
-    /// After the plateau patience runs out mid-exploration, the state must
-    /// hold exactly the best set (fingerprint included), not the wandering
-    /// endpoint — the driver's dedup relies on it.
-    #[test]
-    fn plateau_stop_restores_the_best_set_in_the_state() {
-        let g = two_cliques();
-        let mut st = CommunityState::new(&g, 0.9);
-        let cfg = SearchConfig {
-            move_rule: MoveRule::Penalized,
-            plateau_moves: 3,
-            tabu_tenure: 2,
-            ..Default::default()
-        };
-        let out = local_search(&mut st, &[NodeId(0)], &cfg);
-        assert!((st.fitness() - out.fitness).abs() < 1e-12);
-        assert_eq!(st.len(), out.community.len());
-        assert_eq!(st.internal_edges(), st.recompute_internal_edges());
-        // The reported fitness matches a from-scratch evaluation.
-        let mut fresh = CommunityState::new(&g, 0.9);
-        for &v in out.community.members() {
-            fresh.add(v);
-        }
-        assert!((fresh.fitness() - out.fitness).abs() < 1e-12);
-        assert_eq!(fresh.fingerprint(), st.fingerprint());
-    }
-
-    #[test]
     fn isolated_node_stays_singleton() {
         let g = from_edges(3, [(0, 1)]);
         let mut st = CommunityState::new(&g, 0.9);
@@ -685,17 +441,16 @@ mod tests {
         let mut st = CommunityState::new(&g, 0.9);
         let token = CancelToken::new();
         token.cancel();
-        for rule in [MoveRule::Greedy, MoveRule::Penalized] {
-            let cfg = SearchConfig {
-                move_rule: rule,
-                ..Default::default()
-            };
-            let (out, interrupted) = ascend_cancellable(&mut st, &[NodeId(0)], &cfg, Some(&token));
-            assert!(interrupted, "{rule:?}: cancellation not observed");
-            assert!(!out.converged);
-            assert_eq!(out.moves, 0);
-            assert_eq!(st.len(), 1, "{rule:?}: partial set should be the seed");
-        }
+        let (out, interrupted) = ascend_cancellable(
+            &mut st,
+            &[NodeId(0)],
+            &SearchConfig::default(),
+            Some(&token),
+        );
+        assert!(interrupted, "cancellation not observed");
+        assert!(!out.converged);
+        assert_eq!(out.moves, 0);
+        assert_eq!(st.len(), 1, "partial set should be the seed");
     }
 
     /// Without a token (or with an unfired one) the cancellable entry point
@@ -712,24 +467,5 @@ mod tests {
         assert_eq!(out.moves, plain.moves);
         assert_eq!(out.fitness, plain.fitness);
         assert_eq!(st.to_community(), plain.community);
-    }
-
-    /// Reusing one state across rules may not leak penalties, tabus or
-    /// members between ascents.
-    #[test]
-    fn rules_can_alternate_on_a_reused_state() {
-        let g = two_cliques();
-        let mut st = CommunityState::new(&g, 0.9);
-        let penalized = SearchConfig {
-            move_rule: MoveRule::Penalized,
-            plateau_moves: 4,
-            ..Default::default()
-        };
-        let a = local_search(&mut st, &[NodeId(0)], &SearchConfig::default());
-        let b = local_search(&mut st, &[NodeId(0)], &penalized);
-        let c = local_search(&mut st, &[NodeId(0)], &SearchConfig::default());
-        assert_eq!(a.community, c.community);
-        assert_eq!(a.fitness, c.fitness);
-        assert_eq!(b.community.len(), 4);
     }
 }

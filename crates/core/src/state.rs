@@ -50,11 +50,6 @@ const TOUCHED: u32 = 1 << 30;
 /// arithmetic can never carry into the flag bits.
 const DEG_MASK: u32 = TOUCHED - 1;
 
-/// `aux` bit for "v is tabu" (recently removed; not addable).
-const AUX_TABU: u32 = 1 << 31;
-/// `aux` bits holding the repeat-add penalty of the penalized move rule.
-const AUX_PENALTY_MASK: u32 = AUX_TABU - 1;
-
 /// Packed per-node record: flags + internal degree in one word, the
 /// intrusive queue links, and the member-list slot. 16 bytes, so the whole
 /// hot-path state of a node is one aligned quarter-cache-line.
@@ -160,13 +155,6 @@ pub struct CommunityState<'g> {
     /// nodes — only their *candidacy* is suppressed — so `Ein` and every
     /// gain evaluation stay exact.
     prune: Vec<u64>,
-    /// Per-node word of the penalized move rule: bit 31 = tabu (recently
-    /// removed, not addable), bits 0..31 = repeat-add penalty subtracted
-    /// from the node's addition-queue bucket key. Lazily allocated by
-    /// [`CommunityState::set_penalized`]; empty = greedy mode, zero cost.
-    /// Invariant: `aux[v] != 0` implies `v` is on the touched list, so
-    /// [`CommunityState::reset`] restores all-zeros in O(touched).
-    aux: Vec<u32>,
     /// Memoized `√(s(s−1))`; grown when the member list grows, so gain
     /// evaluations never call `sqrt` at steady state.
     sqrt: SqrtTable,
@@ -217,7 +205,6 @@ impl<'g> CommunityState<'g> {
             dirty_add: Vec::new(),
             dirty_rem: Vec::new(),
             prune: Vec::new(),
-            aux: Vec::new(),
             sqrt,
             probes: 0,
             #[cfg(test)]
@@ -323,29 +310,6 @@ impl<'g> CommunityState<'g> {
         }
     }
 
-    /// True if `v` may not be linked in the addition queue (pruned or
-    /// tabu). Pruned/tabu nodes keep exact degree accounting; they are
-    /// only invisible to [`CommunityState::best_addition`].
-    #[inline(always)]
-    fn add_blocked(&self, v: u32) -> bool {
-        self.pruned_bit(v) || (!self.aux.is_empty() && self.aux[v as usize] & AUX_TABU != 0)
-    }
-
-    /// Addition-queue bucket key for a non-member at internal degree
-    /// `d ≥ 1`: the true degree under the greedy rule, `max(1, d − penalty)`
-    /// under the penalized rule. Saturating at 1 keeps a penalized node a
-    /// candidate (its true gain is still evaluated exactly; only its
-    /// *priority* drops), and `d` stays exact in the packed word.
-    #[inline(always)]
-    fn add_bucket(&self, v: u32, d: usize) -> usize {
-        if self.aux.is_empty() {
-            d
-        } else {
-            let p = (self.aux[v as usize] & AUX_PENALTY_MASK) as usize;
-            d.saturating_sub(p).max(1)
-        }
-    }
-
     /// Installs (or, with an empty slice, clears) the covered-hub bitmap:
     /// nodes whose bit is set are skipped when enumerating add candidates.
     /// The driver passes `round-start coverage ∧ hub-degree mask`, so every
@@ -357,65 +321,6 @@ impl<'g> CommunityState<'g> {
     pub fn set_prune_snapshot(&mut self, words: &[u64]) {
         self.prune.clear();
         self.prune.extend_from_slice(words);
-    }
-
-    /// Switches the penalized move rule on or off, (de)allocating the aux
-    /// word array. Like [`CommunityState::set_prune_snapshot`], takes
-    /// effect from the next [`CommunityState::reset`].
-    pub fn set_penalized(&mut self, on: bool) {
-        if on && self.aux.is_empty() {
-            self.aux = vec![0; self.recs.len()];
-        } else if !on {
-            self.aux = Vec::new();
-        }
-    }
-
-    /// Removes `v` and marks it tabu: it will not re-enter the addition
-    /// queue until [`CommunityState::expire_tabu`]. Penalized rule only.
-    ///
-    /// # Panics
-    /// Debug-panics if the penalized rule is off or `v` is not a member.
-    pub fn remove_with_tabu(&mut self, v: NodeId) {
-        debug_assert!(!self.aux.is_empty(), "tabu requires the penalized rule");
-        self.aux[v.index()] |= AUX_TABU;
-        self.remove(v);
-    }
-
-    /// Clears `v`'s tabu mark and, if `v` is an eligible boundary node,
-    /// relinks it into the addition queue at its current (penalized)
-    /// bucket. No-op when `v` is not tabu.
-    pub fn expire_tabu(&mut self, v: NodeId) {
-        if self.aux.is_empty() {
-            return;
-        }
-        let i = v.index();
-        let a = self.aux[i];
-        if a & AUX_TABU == 0 {
-            return;
-        }
-        self.aux[i] = a & !AUX_TABU;
-        let rec = self.recs[i];
-        let d = (rec.word & DEG_MASK) as usize;
-        if rec.word & IN_SET != 0 || d == 0 || self.pruned_bit(v.raw()) {
-            return;
-        }
-        let b = self.add_bucket(v.raw(), d);
-        let head = link_at_head(
-            &mut self.recs,
-            &mut self.add_heads,
-            &mut self.dirty_add,
-            v.raw(),
-            b,
-        );
-        self.recs[i] = NodeRec {
-            word: rec.word,
-            prev: NIL,
-            next: head,
-            slot: rec.slot,
-        };
-        if b > self.add_max {
-            self.add_max = b;
-        }
     }
 
     /// Adds `v` to the set. `O(deg v)`, allocation-free at steady state.
@@ -433,17 +338,10 @@ impl<'g> CommunityState<'g> {
         self.ein += d;
         self.fp_xor ^= fp_mix_xor(v.raw());
         self.fp_sum = self.fp_sum.wrapping_add(fp_mix_sum(v.raw()));
-        if d > 0 && !self.add_blocked(v.raw()) {
+        if d > 0 && !self.pruned_bit(v.raw()) {
             // Boundary nodes with positive internal degree sit in the
-            // addition queue (unless pruned/tabu); v leaves it as it
-            // joins S.
-            let b = self.add_bucket(v.raw(), d);
-            unlink_known(&mut self.recs, &mut self.add_heads, rec.prev, rec.next, b);
-        }
-        if !self.aux.is_empty() {
-            let a = self.aux[i];
-            debug_assert!(a & AUX_TABU == 0, "tabu node added to the set");
-            self.aux[i] = (a & AUX_TABU) | ((a & AUX_PENALTY_MASK) + 1).min(AUX_PENALTY_MASK);
+            // addition queue (unless pruned); v leaves it as it joins S.
+            unlink_known(&mut self.recs, &mut self.add_heads, rec.prev, rec.next, d);
         }
         if rec.word & TOUCHED == 0 {
             self.touched.push(v);
@@ -499,43 +397,35 @@ impl<'g> CommunityState<'g> {
                     next: head,
                     slot: urec.slot,
                 };
-            } else if self.add_blocked(u.raw()) {
-                // Pruned/tabu boundary nodes stay out of the queue; only
-                // their (exact) degree accounting advances.
+            } else if self.pruned_bit(u.raw()) {
+                // Pruned boundary nodes stay out of the queue; only their
+                // (exact) degree accounting advances.
                 self.recs[j].word = (urec.word | TOUCHED) + 1;
             } else {
-                let nb = self.add_bucket(u.raw(), du + 1);
-                if du > 0 && self.add_bucket(u.raw(), du) == nb {
-                    // A penalized key saturated at 1: the links are
-                    // already right, only the degree moves.
-                    self.recs[j].word = (urec.word | TOUCHED) + 1;
-                } else {
-                    if du > 0 {
-                        let ob = self.add_bucket(u.raw(), du);
-                        unlink_known(
-                            &mut self.recs,
-                            &mut self.add_heads,
-                            urec.prev,
-                            urec.next,
-                            ob,
-                        );
-                    }
-                    let head = link_at_head(
+                if du > 0 {
+                    unlink_known(
                         &mut self.recs,
                         &mut self.add_heads,
-                        &mut self.dirty_add,
-                        u.raw(),
-                        nb,
+                        urec.prev,
+                        urec.next,
+                        du,
                     );
-                    self.recs[j] = NodeRec {
-                        word: (urec.word | TOUCHED) + 1,
-                        prev: NIL,
-                        next: head,
-                        slot: urec.slot,
-                    };
-                    if nb > self.add_max {
-                        self.add_max = nb;
-                    }
+                }
+                let head = link_at_head(
+                    &mut self.recs,
+                    &mut self.add_heads,
+                    &mut self.dirty_add,
+                    u.raw(),
+                    du + 1,
+                );
+                self.recs[j] = NodeRec {
+                    word: (urec.word | TOUCHED) + 1,
+                    prev: NIL,
+                    next: head,
+                    slot: urec.slot,
+                };
+                if du + 1 > self.add_max {
+                    self.add_max = du + 1;
                 }
             }
         }
@@ -590,57 +480,46 @@ impl<'g> CommunityState<'g> {
                 if du - 1 < self.rem_min {
                     self.rem_min = du - 1;
                 }
-            } else if self.add_blocked(u.raw()) {
+            } else if self.pruned_bit(u.raw()) {
                 self.recs[j].word = urec.word - 1;
             } else {
                 // A boundary node moving down one bucket cannot raise the
                 // maximum; at degree 0 it leaves the queue entirely.
-                let ob = self.add_bucket(u.raw(), du);
-                let nb = if du > 1 {
-                    self.add_bucket(u.raw(), du - 1)
-                } else {
-                    0
-                };
-                if du > 1 && nb == ob {
-                    self.recs[j].word = urec.word - 1;
-                } else {
-                    unlink_known(
+                unlink_known(
+                    &mut self.recs,
+                    &mut self.add_heads,
+                    urec.prev,
+                    urec.next,
+                    du,
+                );
+                let head = if du > 1 {
+                    link_at_head(
                         &mut self.recs,
                         &mut self.add_heads,
-                        urec.prev,
-                        urec.next,
-                        ob,
-                    );
-                    let head = if du > 1 {
-                        link_at_head(
-                            &mut self.recs,
-                            &mut self.add_heads,
-                            &mut self.dirty_add,
-                            u.raw(),
-                            nb,
-                        )
-                    } else {
-                        NIL
-                    };
-                    self.recs[j] = NodeRec {
-                        word: urec.word - 1,
-                        prev: NIL,
-                        next: head,
-                        slot: urec.slot,
-                    };
-                }
+                        &mut self.dirty_add,
+                        u.raw(),
+                        du - 1,
+                    )
+                } else {
+                    NIL
+                };
+                self.recs[j] = NodeRec {
+                    word: urec.word - 1,
+                    prev: NIL,
+                    next: head,
+                    slot: urec.slot,
+                };
             }
         }
         // v rejoins the boundary with its internal degree unchanged
-        // (unless pruned or just marked tabu by `remove_with_tabu`).
-        if d > 0 && !self.add_blocked(v.raw()) {
-            let b = self.add_bucket(v.raw(), d);
+        // (unless pruned).
+        if d > 0 && !self.pruned_bit(v.raw()) {
             let head = link_at_head(
                 &mut self.recs,
                 &mut self.add_heads,
                 &mut self.dirty_add,
                 v.raw(),
-                b,
+                d,
             );
             self.recs[i] = NodeRec {
                 word: rec.word & !IN_SET,
@@ -648,8 +527,8 @@ impl<'g> CommunityState<'g> {
                 next: head,
                 slot: rec.slot,
             };
-            if b > self.add_max {
-                self.add_max = b;
+            if d > self.add_max {
+                self.add_max = d;
             }
         } else {
             self.recs[i] = NodeRec {
@@ -679,13 +558,10 @@ impl<'g> CommunityState<'g> {
     /// `Ein` coefficient `1 − (s−2)/√(s(s−1))` is positive for all `s`), so
     /// the node maximizing `deg_S(v)` also maximizes the fitness gain. The
     /// intrusive bucket queue holds exactly the eligible boundary (pruned
-    /// and tabu nodes are suppressed), so this is a head lookup plus the
+    /// nodes are suppressed), so this is a head lookup plus the
     /// amortized-O(1) tightening of `add_max` (each empty bucket walked is
     /// never walked again until an insert re-raises the bound). Runs stay
-    /// deterministic (LIFO order within a bucket). Under the penalized
-    /// rule the bucket key is `max(1, deg_S − penalty)`, so the head is
-    /// the best candidate by *penalized* priority; callers evaluate its
-    /// true gain via [`CommunityState::gain_add`].
+    /// deterministic (LIFO order within a bucket).
     pub fn best_addition(&mut self) -> Option<NodeId> {
         let mut b = self.add_max;
         self.probes += 1;
@@ -732,17 +608,8 @@ impl<'g> CommunityState<'g> {
     /// O(max_degree) even after an earlier ascent through a high-degree
     /// hub has raised the active bucket range.
     pub fn reset(&mut self) {
-        if self.aux.is_empty() {
-            for &v in &self.touched {
-                self.recs[v.index()] = NodeRec::EMPTY;
-            }
-        } else {
-            // Penalties/tabus are per-ascent; nonzero aux words only ever
-            // belong to touched nodes, so this stays O(touched).
-            for &v in &self.touched {
-                self.recs[v.index()] = NodeRec::EMPTY;
-                self.aux[v.index()] = 0;
-            }
+        for &v in &self.touched {
+            self.recs[v.index()] = NodeRec::EMPTY;
         }
         self.touched.clear();
         self.members.clear();
@@ -1059,106 +926,6 @@ mod tests {
         assert_eq!(st.internal_edges(), st.recompute_internal_edges());
         // Clearing the snapshot restores candidacy from the next reset.
         st.set_prune_snapshot(&[]);
-        st.reset();
-        st.add(NodeId(0));
-        st.add(NodeId(1));
-        assert_eq!(st.best_addition(), Some(NodeId(2)));
-    }
-
-    #[test]
-    fn repeat_add_penalty_lowers_queue_priority_not_gains() {
-        let g = karate_ish();
-        let mut st = CommunityState::new(&g, 0.8);
-        st.set_penalized(true);
-        st.reset();
-        st.add(NodeId(0));
-        st.add(NodeId(1));
-        st.add(NodeId(2));
-        // Churn 2: each add bumps its penalty (1 from the build-up, +1 per
-        // re-add). After two re-adds its penalty is 3.
-        for _ in 0..2 {
-            st.remove(NodeId(2));
-            st.add(NodeId(2));
-        }
-        st.remove(NodeId(2));
-        // True degrees: 2 has deg_S 2, 3 has deg_S... 3 is adjacent to 2
-        // only — not to {0,1} — so with 2 out the boundary is just 2, at
-        // penalized key max(1, 2−3) = 1. Still a candidate, gain exact.
-        assert_eq!(st.best_addition(), Some(NodeId(2)));
-        let g_add = st.gain_add(NodeId(2));
-        let before = st.fitness();
-        st.add(NodeId(2));
-        assert!((st.fitness() - before - g_add).abs() < 1e-12);
-        // And the penalized key demotes 2 below a fresh degree-2 node:
-        // rebuild with both 2 and 4 adjacent at degree 2... simpler graph
-        // check: after reset penalties are gone.
-        st.reset();
-        st.add(NodeId(0));
-        st.add(NodeId(1));
-        assert_eq!(st.best_addition(), Some(NodeId(2)), "penalties reset");
-    }
-
-    #[test]
-    fn penalized_key_orders_candidates_below_fresh_ones() {
-        // A 4-path 0-1-2-3 plus node 4 adjacent to both 1 and 2: from
-        // {1,2}, candidates 0 and 3 have deg_S 1, node 4 has deg_S 2.
-        let g = from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 4)]);
-        let mut st = CommunityState::new(&g, 0.8);
-        st.set_penalized(true);
-        st.reset();
-        st.add(NodeId(1));
-        st.add(NodeId(2));
-        assert_eq!(st.best_addition(), Some(NodeId(4)));
-        // Penalize 4 down to key max(1, 2−2) = 1; it now ties the
-        // degree-1 candidates instead of dominating them, and the LIFO
-        // head of bucket 1 wins.
-        st.add(NodeId(4));
-        st.remove(NodeId(4));
-        st.add(NodeId(4));
-        st.remove(NodeId(4));
-        let best = st.best_addition().unwrap();
-        assert_eq!(st.add_bucket(4, 2), 1, "key saturates at 1");
-        assert!(best == NodeId(0) || best == NodeId(3) || best == NodeId(4));
-    }
-
-    #[test]
-    fn tabu_suppresses_and_expire_restores_candidacy() {
-        let g = karate_ish();
-        let mut st = CommunityState::new(&g, 0.8);
-        st.set_penalized(true);
-        st.reset();
-        for v in [0, 1, 2] {
-            st.add(NodeId(v));
-        }
-        st.remove_with_tabu(NodeId(2));
-        // 2 is the only boundary node of {0,1} but is tabu; 3 lost its
-        // only internal neighbor.
-        assert_eq!(st.best_addition(), None);
-        st.expire_tabu(NodeId(2));
-        assert_eq!(st.best_addition(), Some(NodeId(2)));
-        // Expiring a non-tabu node is a no-op (no double links).
-        st.expire_tabu(NodeId(2));
-        st.add(NodeId(2));
-        assert_eq!(st.internal_edges(), st.recompute_internal_edges());
-        assert_eq!(st.len(), 3);
-    }
-
-    #[test]
-    fn tabu_state_does_not_leak_across_reset() {
-        let g = karate_ish();
-        let mut st = CommunityState::new(&g, 0.8);
-        st.set_penalized(true);
-        st.reset();
-        for v in [0, 1, 2] {
-            st.add(NodeId(v));
-        }
-        st.remove_with_tabu(NodeId(2));
-        st.reset();
-        st.add(NodeId(0));
-        st.add(NodeId(1));
-        assert_eq!(st.best_addition(), Some(NodeId(2)), "tabu cleared");
-        // Dropping back to greedy mode keeps the state consistent too.
-        st.set_penalized(false);
         st.reset();
         st.add(NodeId(0));
         st.add(NodeId(1));

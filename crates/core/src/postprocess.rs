@@ -6,12 +6,15 @@
 //! them. Optionally, every node is then forced into at least one community
 //! by giving each orphan to the community holding most of its neighbors.
 //!
-//! Both passes are built around the same primitive: a flat
-//! [`EpochCounters`] array over dense community ids, so counting "how
-//! many of these nodes fall into community `j`" costs one array bump per
-//! observation, with O(1) logical clearing between queries — no hashing,
-//! no per-query allocation, and no `O(|A| + |B|)` sorted-set
-//! intersections (DESIGN.md §4a has the cost model).
+//! Merging is an exact prefix-filtered set-similarity join (AllPairs,
+//! Bayardo, Ma & Srikant, WWW 2007; PPJoin, Xiao et al., WWW 2008): nodes
+//! are ranked rarest first, only each set's prefix of rarest members is
+//! indexed, and every filter's bound is derived from the f64 test that
+//! accepts a pair, so no accepted pair is ever missed.
+//! Orphan assignment counts neighbor memberships in a flat
+//! [`EpochCounters`] array over dense community ids — one bump per
+//! observation, O(1) logical clearing between queries, no hashing and no
+//! per-query allocation (DESIGN.md §4a has both cost models).
 
 use oca_graph::{Community, Cover, CsrGraph, EpochCounters, NodeId, UnionFind};
 
@@ -31,111 +34,164 @@ use oca_graph::{Community, Cover, CsrGraph, EpochCounters, NodeId, UnionFind};
 /// reached when a round accepts nothing, and only changed groups are ever
 /// re-scanned.
 ///
-/// Cost: one inverted-index sweep per round — `O(Σ membership + Σ
-/// pairwise overlap)` via an epoch-stamped counter array — instead of the
-/// former per-pair sorted-set intersections repeated over whole-cover
-/// passes.
+/// Cost: a prefix-filtered set-similarity join (AllPairs; PPJoin), not a
+/// sweep over every shared node. Nodes are ranked once, rarest first by
+/// (frequency in the input cover, id), and each live set is indexed under
+/// its `|S| − α(|S|) + 1` lowest-ranked members only, where `α(s)` is the
+/// least overlap the acceptance test allows a set of size `s`: two sets
+/// that merge share a node inside both prefixes. Hubs rank last, so they
+/// sit outside all but the smallest sets' prefixes and their posting lists
+/// stay short. A candidate is dropped uncounted
+/// when its size ratio already fails the threshold, when the members left
+/// after the first shared one cannot reach the overlap the pair needs, or
+/// when it is already in the probing set's union–find component this round
+/// (accepting it could not change the round's partition). Otherwise its
+/// members from the first shared one on are checked against the probing
+/// set's, stamped once per probe, until the needed overlap is reached or
+/// out of reach. Every bound is derived from the acceptance test's own f64
+/// expression, so no pair the test accepts is ever missed.
 pub fn merge_similar(cover: &Cover, threshold: f64) -> Cover {
     assert!((0.0..=1.0).contains(&threshold), "threshold in [0,1]");
     let k = cover.len();
     if k <= 1 {
         return cover.clone();
     }
-    // Current member list per original slot. A merged group's union lives
-    // at its union-find root slot; absorbed slots are left empty.
-    let mut members: Vec<Vec<NodeId>> = cover
-        .communities()
-        .iter()
-        .map(|c| c.members().to_vec())
-        .collect();
-    // Inverted index, built once and maintained incrementally (never
-    // rebuilt per pass): for each node, the canonical root ids of the
-    // live communities containing it, exactly one entry per community.
-    let mut index: Vec<Vec<u32>> = vec![Vec::new(); cover.node_count()];
-    for (ci, m) in members.iter().enumerate() {
-        for &v in m {
-            index[v.index()].push(ci as u32);
+    let n = cover.node_count();
+    // Global order: rank nodes rarest first, by (frequency, id). Sets are
+    // held as ascending rank lists, so a set's prefix is its first entries.
+    // `rank` holds each node's frequency until the ranks overwrite it.
+    let mut rank = vec![0u32; n];
+    for c in cover.communities() {
+        for &v in c.members() {
+            rank[v.index()] += 1;
         }
     }
+    let mut node_of_rank: Vec<u32> = (0..n as u32).collect();
+    node_of_rank.sort_unstable_by_key(|&v| (rank[v as usize], v));
+    for (r, &v) in node_of_rank.iter().enumerate() {
+        rank[v as usize] = r as u32;
+    }
+    let mut members: Vec<Vec<u32>> = cover
+        .communities()
+        .iter()
+        .map(|c| {
+            let mut m: Vec<u32> = c.members().iter().map(|v| rank[v.index()]).collect();
+            m.sort_unstable();
+            m
+        })
+        .collect();
+    drop(rank);
+    let prefix = |size: usize| size + 1 - min_overlap(size, threshold);
+    // Prefix index: for each rank, the live sets holding it in their
+    // prefix, with its position there. Changed sets probe it and are then
+    // inserted, so each pair is found from one side only.
+    let mut index: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
     let mut uf = UnionFind::new(k);
-    let mut counts = EpochCounters::new(k);
-    // Slots whose member set changed last round (round 1: all of them).
-    // Only these are re-scanned: an unchanged pair was already tested
-    // with its current sets in an earlier round.
+    // Stamped with the current probe's sequence number: the candidates it
+    // has seen, and the probing set's members.
+    let mut seen = vec![0u32; k];
+    let mut probe = vec![0u32; n];
+    let mut probes = 0u32;
+    // Slots a merge phase takes out of the index (absorbed ones stay out).
+    let mut retired = vec![false; k];
     let mut changed: Vec<u32> = (0..k as u32).collect();
-    let mut is_changed = vec![true; k];
     loop {
         // Acceptance pass. Similarities are evaluated on the round-start
-        // member sets only (nothing is mutated until the pass is over),
-        // which is what makes the accepted-pair set independent of the
-        // scan order.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for &ci in &changed {
-            counts.begin();
-            for &v in &members[ci as usize] {
-                for &cj in &index[v.index()] {
-                    if cj != ci {
-                        counts.bump(cj);
+        // member sets only (nothing is mutated until the pass is over), so
+        // the round's partition — the transitive closure of the accepted
+        // pairs — is independent of the scan order. Pairs are unioned as
+        // they are accepted; a pair already connected is not verified.
+        let mut joined: Vec<(u32, u32)> = Vec::new();
+        for &a in &changed {
+            let set_a = &members[a as usize];
+            let size_a = set_a.len();
+            let prefix_a = &set_a[..prefix(size_a)];
+            probes = probes.checked_add(1).unwrap_or_else(|| {
+                seen.fill(0);
+                probe.fill(0);
+                1
+            });
+            for &x in set_a {
+                probe[x as usize] = probes;
+            }
+            for (i, &x) in prefix_a.iter().enumerate() {
+                for &(b, j) in &index[x as usize] {
+                    if seen[b as usize] == probes {
+                        continue;
+                    }
+                    seen[b as usize] = probes;
+                    let set_b = &members[b as usize];
+                    let Some(need) = min_join_overlap(size_a, set_b.len(), threshold) else {
+                        continue;
+                    };
+                    // `x` is the first shared member of both sets: an
+                    // earlier one would sit in both prefixes, and `b`
+                    // would have been seen there. So the overlap is at
+                    // most 1 + what either set holds after `x`.
+                    let rest_b = &set_b[j as usize + 1..];
+                    if 1 + (size_a - i - 1).min(rest_b.len()) < need {
+                        continue;
+                    }
+                    if uf.find(a as usize) == uf.find(b as usize) {
+                        continue;
+                    }
+                    // Count the rest of `b` against the probe's stamps,
+                    // until the overlap reaches `need` or falls out of reach.
+                    let mut overlap = 1;
+                    for (checked, &y) in rest_b.iter().enumerate() {
+                        if overlap >= need || overlap + rest_b.len() - checked < need {
+                            break;
+                        }
+                        if probe[y as usize] == probes {
+                            overlap += 1;
+                        }
+                    }
+                    if overlap >= need {
+                        uf.union(a as usize, b as usize);
+                        joined.push((a, b));
                     }
                 }
             }
-            let si = members[ci as usize].len();
-            for &cj in counts.touched() {
-                // A changed–changed pair is seen from both sides; keep
-                // one orientation.
-                if is_changed[cj as usize] && cj < ci {
-                    continue;
-                }
-                let overlap = counts.get(cj) as usize;
-                let union = si + members[cj as usize].len() - overlap;
-                if overlap as f64 / union as f64 >= threshold {
-                    pairs.push((ci, cj));
-                }
+            for (j, &x) in prefix_a.iter().enumerate() {
+                index[x as usize].push((a, j as u32));
             }
         }
-        for &ci in &changed {
-            is_changed[ci as usize] = false;
-        }
         changed.clear();
-        if pairs.is_empty() {
+        if joined.is_empty() {
             break;
         }
-        // Merge phase: close the accepted pairs transitively, then
-        // rebuild each group that grew at its new root slot.
-        for &(a, b) in &pairs {
-            uf.union(a as usize, b as usize);
-        }
-        let mut constituents: Vec<(usize, u32)> = pairs
+        // Merge phase: rebuild each group that grew at its root slot.
+        let mut constituents: Vec<(usize, u32)> = joined
             .iter()
             .flat_map(|&(a, b)| [a, b])
             .map(|s| (uf.find(s as usize), s))
             .collect();
         constituents.sort_unstable();
         constituents.dedup();
-        let mut start = 0;
-        while start < constituents.len() {
-            let root = constituents[start].0;
-            let mut end = start;
-            while end < constituents.len() && constituents[end].0 == root {
-                end += 1;
-            }
-            let mut merged: Vec<NodeId> = Vec::new();
-            for &(_, slot) in &constituents[start..end] {
+        // Constituents leave the index, one pass over each list they are
+        // in; the root is re-probed next round and re-inserted then.
+        let mut stale: Vec<u32> = Vec::new();
+        for &(_, slot) in &constituents {
+            let set = &members[slot as usize];
+            retired[slot as usize] = true;
+            stale.extend_from_slice(&set[..prefix(set.len())]);
+        }
+        stale.sort_unstable();
+        stale.dedup();
+        for &x in &stale {
+            index[x as usize].retain(|&(e, _)| !retired[e as usize]);
+        }
+        for group in constituents.chunk_by(|x, y| x.0 == y.0) {
+            let root = group[0].0;
+            let mut merged: Vec<u32> = Vec::new();
+            for &(_, slot) in group {
                 merged.append(&mut members[slot as usize]);
             }
             merged.sort_unstable();
             merged.dedup();
-            // Re-point the union's index entries at the root: drop the
-            // constituents' now-stale entries, add the root once.
-            for &v in &merged {
-                let list = &mut index[v.index()];
-                list.retain(|&e| uf.find_immutable(e as usize) != root);
-                list.push(root as u32);
-            }
             members[root] = merged;
+            retired[root] = false;
             changed.push(root as u32);
-            is_changed[root] = true;
-            start = end;
         }
     }
     // Emit survivors ordered by each group's smallest original index —
@@ -144,12 +200,58 @@ pub fn merge_similar(cover: &Cover, threshold: f64) -> Cover {
     let mut out: Vec<Community> = Vec::new();
     for i in 0..k {
         let root = uf.find(i);
-        if !emitted[root] {
-            emitted[root] = true;
-            out.push(Community::new(std::mem::take(&mut members[root])));
+        if emitted[root] {
+            continue;
         }
+        emitted[root] = true;
+        out.push(if uf.size_of(root) == 1 {
+            cover.communities()[i].clone()
+        } else {
+            Community::from_raw(members[root].iter().map(|&r| node_of_rank[r as usize]))
+        });
     }
-    Cover::new(cover.node_count(), out)
+    Cover::new(n, out)
+}
+
+/// `α(size)`: the smallest overlap `o ≥ 1` with `o as f64 / size as f64 >=
+/// threshold`, i.e. the least overlap a set of `size` members can have
+/// with any set it merges with. An accepted pair has `overlap / union ≥
+/// threshold` with `union ≥ size`, and correctly rounded division is
+/// monotone, so `overlap / size` passes too.
+fn min_overlap(size: usize, threshold: f64) -> usize {
+    least_passing(threshold * size as f64, size, |o| {
+        o as f64 / size as f64 >= threshold
+    })
+}
+
+/// The smallest overlap with which sets of sizes `a` and `b` merge: the
+/// least `o` passing the acceptance test `o as f64 / (a + b - o) as f64 >=
+/// threshold`, which only grows with `o`. `None` when even containment of
+/// the smaller set fails, `min as f64 / max as f64 < threshold`: the size
+/// filter.
+fn min_join_overlap(a: usize, b: usize, threshold: f64) -> Option<usize> {
+    let passes = |o: usize| o as f64 / (a + b - o) as f64 >= threshold;
+    let lo = a.min(b);
+    if !passes(lo) {
+        return None;
+    }
+    let guess = threshold * (a + b) as f64 / (1.0 + threshold);
+    Some(least_passing(guess, lo, passes))
+}
+
+/// The smallest `o` in `1..=max` that `passes`, found by stepping ±1 from
+/// `⌈guess⌉`; `passes` must only grow with `o` and hold at `max`. The
+/// steps absorb the rounding of `guess`: `(0.55 * 100.0).ceil()` is 56,
+/// yet `55.0 / 100.0 >= 0.55`.
+fn least_passing(guess: f64, max: usize, passes: impl Fn(usize) -> bool) -> usize {
+    let mut o = (guess.ceil() as usize).clamp(1, max);
+    while o > 1 && passes(o - 1) {
+        o -= 1;
+    }
+    while !passes(o) {
+        o += 1;
+    }
+    o
 }
 
 /// Assigns each orphan node to the community containing the most of its
@@ -324,6 +426,50 @@ mod tests {
         let merged = merge_similar(&cover, 0.0);
         // Threshold 0 with no shared node: the index never pairs them.
         assert_eq!(merged.len(), 2);
+    }
+
+    /// Thresholds where `t·s` is an integer for many sizes `s`, so an
+    /// off-by-one in a bound shows. At 0.55, `(0.55 * s as f64).ceil()` is
+    /// one too high for 112 sizes up to 4096 (the first is 100).
+    const BOUND_THRESHOLDS: [f64; 9] = [0.0, 1.0 / 3.0, 0.5, 0.55, 0.6, 1.0, 0.1, 0.75, 0.9];
+
+    /// `α(s)` never exceeds the smallest overlap the acceptance test takes
+    /// for a set of size `s` (and equals it, so prefixes are no longer than
+    /// needed). Against any partner the union is at least `s`, so that
+    /// smallest overlap is the first `o` with `o / s` passing.
+    #[test]
+    fn min_overlap_is_the_least_accepted_overlap() {
+        for t in BOUND_THRESHOLDS {
+            for s in 1..=4096usize {
+                let least = (1..=s).find(|&o| o as f64 / s as f64 >= t).unwrap();
+                assert_eq!(min_overlap(s, t), least, "size {s}, threshold {t}");
+            }
+        }
+    }
+
+    /// Every pair the acceptance test takes passes both filters: its
+    /// overlap reaches `α` of either size and the pair's own needed
+    /// overlap, and the size filter keeps it. Exhaustive over small sizes.
+    #[test]
+    fn filters_keep_every_accepted_pair() {
+        for t in BOUND_THRESHOLDS {
+            for a in 1..=120usize {
+                for b in 1..=120usize {
+                    let need = min_join_overlap(a, b, t);
+                    for o in 1..=a.min(b) {
+                        let accepted = o as f64 / (a + b - o) as f64 >= t;
+                        if accepted {
+                            assert!(o >= min_overlap(a, t) && o >= min_overlap(b, t));
+                        }
+                        assert_eq!(
+                            need.is_some_and(|need| o >= need),
+                            accepted,
+                            "sizes {a}, {b}, overlap {o}, threshold {t}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Epoch-stamped counters: a reusable flat counter array with O(touched)
 //! clearing.
 //!
-//! The postprocessing sweeps (community merging, orphan assignment) need
-//! "count occurrences of a few keys out of a large dense id space, then
+//! Orphan assignment and the serve tier's top-k overlap queries need "count
+//! occurrences of a few keys out of a large dense id space, then
 //! start over" thousands of times per run. A `HashMap` pays hashing and
 //! allocation per key; a plain `Vec<u32>` pays an O(n) clear per round.
 //! Epoch stamping gives the flat-array read/write cost with O(1) logical

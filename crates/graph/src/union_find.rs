@@ -1,7 +1,8 @@
 //! Disjoint-set forest (union–find) with path halving and union by size.
 //!
-//! Used by connected-components, the clique-percolation baseline, and the
-//! LFR generator's repair phase.
+//! Used by connected-components, the clique-percolation baseline, the
+//! LFR generator's repair phase, and `merge_similar`'s closure of the
+//! accepted pairs.
 
 /// A disjoint-set forest over `0..len` with path halving and union by size.
 #[derive(Debug, Clone)]
@@ -55,15 +56,6 @@ impl UnionFind {
             self.parent[x as usize] = gp;
             x = gp;
         }
-    }
-
-    /// Finds the representative of `x` without mutating (no compression).
-    pub fn find_immutable(&self, x: usize) -> usize {
-        let mut x = x as u32;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x as usize
     }
 
     /// Merges the sets containing `a` and `b`. Returns `true` if they were
@@ -152,17 +144,6 @@ mod tests {
         assert_ne!(labels[0], labels[4]);
         let max = *labels.iter().max().unwrap() as usize;
         assert_eq!(max + 1, uf.set_count());
-    }
-
-    #[test]
-    fn find_immutable_matches_find() {
-        let mut uf = UnionFind::new(8);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(5, 6);
-        for i in 0..8 {
-            assert_eq!(uf.find_immutable(i), { uf.find(i) });
-        }
     }
 
     #[test]

@@ -14,15 +14,20 @@
 //! version 2, the checkpoint frame at version 3, so a version-2
 //! checkpoint from an older build is refused too).
 //!
-//! `PROPTEST_CASES` scales the property (CI runs it at 5000 cases).
+//! The same flips, truncations and splices drive the byte parsers that
+//! sit in front of the formats and the serve protocol: the gzip decoder,
+//! the edge-list reader and `Request::parse`, which also takes arbitrary
+//! strings.
+//!
+//! `PROPTEST_CASES` scales the properties (CI runs them at 5000 cases).
 
 use oca::{checkpoint_summary, config_checksum, graph_checksum, DriverCheckpoint, Oca, OcaConfig};
 use oca_gen::{lfr, LfrParams};
 use oca_graph::{
-    fnv1a, open_ocg_path, verify_ocg_path, write_ocg_path, BuildReport, ContainerError, Cover,
-    CsrGraph, IntegrityClass, Relabeling,
+    fnv1a, gzip::gunzip, open_ocg_path, read_edge_list, verify_ocg_path, write_ocg_path,
+    BuildReport, ContainerError, Cover, CsrGraph, IntegrityClass, Relabeling,
 };
-use oca_serve::{load_cover_path, save_cover_path};
+use oca_serve::{load_cover_path, save_cover_path, Request};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -228,6 +233,128 @@ proptest! {
             outcome.is_ok(),
             "{format:?} decoder panicked on: {what} (resealed: {resealed}, seed {raw})"
         );
+    }
+}
+
+/// A gzip stream of three members — a dynamic-Huffman block behind a
+/// header with a file name, a stored block and a fixed-Huffman block —
+/// that decodes to [`gzip_plaintext`]. Made with CPython's `gzip` module
+/// (`mtime=0`).
+const GZIP: &[u8] = include_bytes!("data/edges.gz");
+
+/// What [`GZIP`] decodes to: an edge list, the edge-list reader's fixture.
+fn gzip_plaintext() -> Vec<u8> {
+    let mut text: String = (0..200u32)
+        .map(|i| format!("{i} {}\n", i * 7 % 97))
+        .collect();
+    text.push_str("# stored\n0 1\n1 2\n2 0\n5 6\n6 7\n");
+    text.into_bytes()
+}
+
+/// One well-formed line per serve command.
+const REQUESTS: [&str; 7] = [
+    "query 17",
+    "local 3",
+    "topk 5 10",
+    "snapshot",
+    "stats",
+    "health",
+    "shutdown",
+];
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Parser {
+    Gzip,
+    EdgeList,
+    Request,
+}
+
+const PARSERS: [Parser; 3] = [Parser::Gzip, Parser::EdgeList, Parser::Request];
+
+/// The valid input a case of `parser` mutates; `pick` chooses the request
+/// line.
+fn parser_input(parser: Parser, pick: usize) -> Vec<u8> {
+    match parser {
+        Parser::Gzip => GZIP.to_vec(),
+        Parser::EdgeList => gzip_plaintext(),
+        Parser::Request => REQUESTS[pick % REQUESTS.len()].as_bytes().to_vec(),
+    }
+}
+
+/// Runs `parser` over `bytes`; any return is a pass, a panic the failure.
+/// The request parser takes a `&str`, so it sees the bytes lossily decoded.
+fn parse(parser: Parser, bytes: &[u8]) {
+    match parser {
+        Parser::Gzip => {
+            let _ = gunzip(bytes);
+        }
+        Parser::EdgeList => {
+            let _ = read_edge_list(bytes);
+        }
+        Parser::Request => {
+            if let Err(e) = Request::parse(&String::from_utf8_lossy(bytes)) {
+                let _ = e.to_json();
+            }
+        }
+    }
+}
+
+/// A random string of up to 40 characters: ASCII, whitespace of every
+/// kind, digits and arbitrary Unicode scalar values.
+fn arbitrary_string(rng: &mut StdRng) -> String {
+    const PIECES: [&str; 12] = [
+        "query", "local", "topk", "stats", " ", "\t", "\n", "\u{a0}", "\u{2003}", "-", "+", "0",
+    ];
+    let len = rng.random_range(0..=40usize);
+    let mut s = String::new();
+    for _ in 0..len {
+        match rng.random_range(0..4u8) {
+            0 => s.push_str(PIECES[rng.random_range(0..PIECES.len())]),
+            1 => s.push(char::from(rng.random_range(0x20..0x7fu8))),
+            2 => s.push_str(&rng.random::<u64>().to_string()),
+            _ => s.extend(char::from_u32(rng.random_range(0..0x11_0000u32))),
+        }
+    }
+    s
+}
+
+proptest! {
+    #[test]
+    fn byte_parsers_return_typed_errors_on_arbitrary_damage(
+        raw in 0u64..u64::MAX,
+        parser in 0usize..3,
+        kind in 0u8..3,
+        donor in 0usize..3,
+    ) {
+        let parser = PARSERS[parser];
+        let mut rng = StdRng::seed_from_u64(raw);
+        let mut bytes = parser_input(parser, rng.random_range(0..REQUESTS.len()));
+        let donor = parser_input(PARSERS[donor], rng.random_range(0..REQUESTS.len()));
+        let what = mutate(&mut rng, kind, &mut bytes, &donor, 0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| parse(parser, &bytes)));
+        prop_assert!(
+            outcome.is_ok(),
+            "{parser:?} parser panicked on: {what} (seed {raw})"
+        );
+    }
+
+    #[test]
+    fn request_parser_returns_typed_errors_on_arbitrary_strings(raw in 0u64..u64::MAX) {
+        let line = arbitrary_string(&mut StdRng::seed_from_u64(raw));
+        let outcome = catch_unwind(|| parse(Parser::Request, line.as_bytes()));
+        prop_assert!(outcome.is_ok(), "request parser panicked on {line:?}");
+    }
+}
+
+#[test]
+fn byte_parser_fixtures_are_valid() {
+    // Guards the properties against vacuous fixtures.
+    let plain = gzip_plaintext();
+    assert_eq!(gunzip(GZIP).unwrap(), plain);
+    let graph = read_edge_list(plain.as_slice()).unwrap();
+    assert_eq!(graph.node_count(), 200);
+    for line in REQUESTS {
+        assert!(Request::parse(line).is_ok(), "{line}");
     }
 }
 

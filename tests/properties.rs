@@ -6,6 +6,9 @@ use oca_api::{registry, DetectorOptions};
 use oca_graph::{from_edges, Community, Cover, CsrGraph, DetectContext, NodeId, UnionFind};
 use oca_metrics::{omega_index, overlapping_nmi, rho, theta};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 
 /// Reference for the driver's dedup semantics: exact member-vector sets,
@@ -25,41 +28,131 @@ fn exact_dedup_decisions(comms: &[Community]) -> Vec<bool> {
 /// construction.
 fn merge_similar_reference(cover: &Cover, threshold: f64) -> Cover {
     let mut comms: Vec<Community> = cover.communities().to_vec();
-    loop {
-        let k = comms.len();
-        let mut uf = UnionFind::new(k);
-        let mut any = false;
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if comms[i].intersection_size(&comms[j]) > 0
-                    && comms[i].similarity(&comms[j]) >= threshold
-                {
-                    any |= uf.union(i, j);
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-        let mut emitted = vec![false; k];
-        let mut merged: Vec<Community> = Vec::new();
-        for i in 0..k {
-            let root = uf.find(i);
-            if emitted[root] {
-                continue;
-            }
-            emitted[root] = true;
-            let mut group = comms[root].clone();
-            for (j, c) in comms.iter().enumerate() {
-                if j != root && uf.find(j) == root {
-                    group = group.merged(c);
-                }
-            }
-            merged.push(group);
-        }
+    while let Some(merged) = merge_round_reference(&comms, threshold) {
         comms = merged;
     }
     Cover::new(cover.node_count(), comms)
+}
+
+/// One round of [`merge_similar_reference`]: the merged communities, or
+/// `None` when no pair passes.
+fn merge_round_reference(comms: &[Community], threshold: f64) -> Option<Vec<Community>> {
+    let k = comms.len();
+    let mut uf = UnionFind::new(k);
+    let mut any = false;
+    for i in 0..k {
+        for j in (i + 1)..k {
+            if comms[i].intersection_size(&comms[j]) > 0
+                && comms[i].similarity(&comms[j]) >= threshold
+            {
+                any |= uf.union(i, j);
+            }
+        }
+    }
+    if !any {
+        return None;
+    }
+    let mut emitted = vec![false; k];
+    let mut merged: Vec<Community> = Vec::new();
+    for i in 0..k {
+        let root = uf.find(i);
+        if emitted[root] {
+            continue;
+        }
+        emitted[root] = true;
+        let mut group = comms[root].clone();
+        for (j, c) in comms.iter().enumerate() {
+            if j != root && uf.find(j) == root {
+                group = group.merged(c);
+            }
+        }
+        merged.push(group);
+    }
+    Some(merged)
+}
+
+/// Thresholds that put merge pairs exactly on the join's bounds, each with
+/// the step that makes `threshold·|S|` an integer for every multiple of it.
+/// At 0.55, `0.55 * 100.0` rounds above 55 while `55.0 / 100.0` passes, so
+/// a bound taken from `⌈t·s⌉` alone would be one too high.
+const BOUND_THRESHOLDS: [(f64, usize); 6] = [
+    (0.0, 1),
+    (1.0 / 3.0, 3),
+    (0.5, 2),
+    (0.55, 20),
+    (0.6, 5),
+    (1.0, 1),
+];
+
+/// Near-duplicate communities over `0..n`: every set holds the hubs
+/// `0..hubs`, and is either a family's base block with up to 60% of it
+/// dropped and a few outsiders added, or a subset (or a copy) of an earlier
+/// set. Sizes are trimmed to multiples of `step`, so subsets land exactly
+/// on size ratios and overlaps exactly on `threshold·|S|`.
+fn near_duplicate_cover(rng: &mut StdRng, n: u32, hubs: u32, sets: usize, step: usize) -> Cover {
+    let mut others: Vec<u32> = (hubs..n).collect();
+    let families: Vec<Vec<u32>> = (0..rng.random_range(1..=4))
+        .map(|_| {
+            others.shuffle(rng);
+            let len = rng.random_range(others.len() / 5..=others.len() / 2);
+            others[..len.max(1)].to_vec()
+        })
+        .collect();
+    let mut comms: Vec<Vec<u32>> = Vec::new();
+    for _ in 0..sets {
+        let mut m: Vec<u32> = if !comms.is_empty() && rng.random_bool(0.2) {
+            let parent = comms.choose(rng).unwrap().clone();
+            let keep = if rng.random_bool(0.3) { 1.0 } else { 0.8 };
+            parent
+                .into_iter()
+                .filter(|_| rng.random_bool(keep))
+                .collect()
+        } else {
+            let family = families.choose(rng).unwrap();
+            let keep = rng.random_range(0.4..1.0);
+            let mut m: Vec<u32> = family
+                .iter()
+                .copied()
+                .filter(|_| rng.random_bool(keep))
+                .collect();
+            for _ in 0..rng.random_range(0..=family.len() / 4) {
+                m.push(rng.random_range(hubs..n));
+            }
+            m
+        };
+        m.extend(0..hubs);
+        m.sort_unstable();
+        m.dedup();
+        while m.len() % step != 0 && m.len() > hubs as usize {
+            let at = rng.random_range(hubs as usize..m.len());
+            m.remove(at);
+        }
+        comms.push(m);
+    }
+    Cover::new(
+        n as usize,
+        comms.into_iter().map(Community::from_raw).collect(),
+    )
+}
+
+/// Hub-shaped covers, the shape that makes merging expensive on BA graphs:
+/// 20–60 large near-duplicate sets over 100–300 nodes that all hold a few
+/// high-frequency hubs, so merged unions re-qualify in later rounds.
+fn hub_cover(seed: u64, step: usize) -> Cover {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.random_range(100..=300);
+    let hubs = rng.random_range(1..=5);
+    let sets = rng.random_range(20..=60);
+    near_duplicate_cover(&mut rng, n, hubs, sets, step)
+}
+
+/// Small near-duplicate covers: 2–12 sets over 8–30 nodes.
+fn small_bound_cover(seed: u64, step: usize) -> Cover {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.random_range(8..=30);
+    let hubs = rng.random_range(0..=2);
+    let sets = rng.random_range(2..=12);
+    near_duplicate_cover(&mut rng, n, hubs, sets, step)
 }
 
 /// Reference for orphan assignment: the per-node `HashMap` counting the
@@ -363,6 +456,32 @@ proptest! {
         prop_assert_eq!(fast, reference);
     }
 
+    /// The prefix-filtered join against the quadratic reference on
+    /// hub-shaped covers, at thresholds and sizes that sit exactly on its
+    /// prefix, size and positional bounds.
+    #[test]
+    fn merge_similar_matches_reference_on_hub_covers(
+        seed in 0u64..u64::MAX,
+        t in 0usize..6,
+    ) {
+        let (threshold, step) = BOUND_THRESHOLDS[t];
+        let cover = hub_cover(seed, step);
+        let fast = oca::merge_similar(&cover, threshold);
+        prop_assert_eq!(fast, merge_similar_reference(&cover, threshold), "seed {}", seed);
+    }
+
+    /// The same on small covers, where every bound is hit often.
+    #[test]
+    fn merge_similar_matches_reference_at_exact_bounds(
+        seed in 0u64..u64::MAX,
+        t in 0usize..6,
+    ) {
+        let (threshold, step) = BOUND_THRESHOLDS[t];
+        let cover = small_bound_cover(seed, step);
+        let fast = oca::merge_similar(&cover, threshold);
+        prop_assert_eq!(fast, merge_similar_reference(&cover, threshold), "seed {}", seed);
+    }
+
     /// Merging may not depend on the order communities arrive in (the old
     /// grown-union rule did): any permutation yields the same cover up to
     /// community order.
@@ -605,5 +724,29 @@ proptest! {
             sub.graph.edge_count(),
             g.internal_edges(&members, &flags)
         );
+    }
+}
+
+/// Guards the hub-cover properties against a vacuous generator: covers
+/// merge at every bound threshold, and between 0 and 1 some need more
+/// than one round, a merged union passing where its parts did not.
+#[test]
+fn merge_similar_hub_covers_cascade() {
+    for (threshold, step) in BOUND_THRESHOLDS {
+        let (mut merging, mut cascading) = (0, 0);
+        for seed in 0..64 {
+            let mut comms = hub_cover(seed, step).communities().to_vec();
+            let mut rounds = 0;
+            while let Some(merged) = merge_round_reference(&comms, threshold) {
+                comms = merged;
+                rounds += 1;
+            }
+            merging += usize::from(rounds >= 1);
+            cascading += usize::from(rounds >= 2);
+        }
+        assert!(merging > 0, "no hub cover merges at {threshold}");
+        if threshold > 0.0 && threshold < 1.0 {
+            assert!(cascading > 0, "no hub cover cascades at {threshold}");
+        }
     }
 }

@@ -234,11 +234,6 @@ pub fn registry() -> DetectorRegistry {
                 "bypass the spectral c = -1/lambda_min with a fixed value",
             ),
             (
-                "relabel",
-                "true = ascend on a degree-ordered relabeled copy (cache \
-                 locality); covers are still reported in original ids",
-            ),
-            (
                 "ascent-budget",
                 "per-ascent move budget as a multiple of the initial set \
                  size; stops hub ascents from crawling whole cores; 0 \
@@ -405,7 +400,6 @@ fn build_oca(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
         merge_threshold,
         min_community_size: opts.get_or("min-size", defaults.min_community_size)?,
         assign_orphans: opts.get_or("orphans", defaults.assign_orphans)?,
-        relabel: opts.get_or("relabel", defaults.relabel)?,
         search: SearchConfig {
             budget_factor: opts.get_or("ascent-budget", defaults.search.budget_factor)?,
             prune_hub_degree: opts.get_or("hub-prune-degree", defaults.search.prune_hub_degree)?,
@@ -725,15 +719,18 @@ mod tests {
     }
 
     /// The ascent has one move rule, so its old selector and tuning knobs
-    /// are no longer options: each is rejected as an unknown key, and the
-    /// accepted-key list no longer names any of them.
+    /// are no longer options, and neither is the detect-time relabeling
+    /// pass (`oca graph build` degree-orders the graph once): each is
+    /// rejected as an unknown key, and the accepted-key list no longer
+    /// names any of them.
     #[test]
     fn removed_ascent_options_are_unknown() {
         let reg = registry();
         let cases = [
-            ("oca", "move-rule", "greedy", 17),
-            ("oca", "plateau-moves", "8", 17),
-            ("oca", "tabu-tenure", "4", 17),
+            ("oca", "move-rule", "greedy", 16),
+            ("oca", "plateau-moves", "8", 16),
+            ("oca", "tabu-tenure", "4", 16),
+            ("oca", "relabel", "true", 16),
             ("oca-local", "move-rule", "greedy", 4),
         ];
         for (algorithm, removed, value, count) in cases {
@@ -744,7 +741,7 @@ mod tests {
                 DetectError::UnknownOption { key, accepted, .. } => {
                     assert_eq!(key, removed);
                     assert_eq!(accepted.len(), count, "{algorithm}: {accepted:?}");
-                    for gone in ["move-rule", "plateau-moves", "tabu-tenure"] {
+                    for gone in ["move-rule", "plateau-moves", "tabu-tenure", "relabel"] {
                         assert!(!accepted.contains(&gone), "{algorithm} still lists {gone}");
                     }
                 }

@@ -22,16 +22,16 @@
 //! ```
 
 use oca::{CStrategy, HaltingConfig, LocalConfig, OcaConfig, OcaDetector, SearchConfig};
-use oca_bench::{results_dir, run_meta_json, Args, Table};
+use oca_bench::report::{report, Value};
+use oca_bench::{object, Args, Table};
 use oca_gen::{lfr, LfrParams};
 use oca_graph::{from_edges, CancelToken, Community, CommunityDetector, Cover, DetectContext};
 use oca_serve::{persist, Client, FaultPlan, FaultSpec, RecomputeFn, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,17 +71,13 @@ fn quantile_ms(sorted: &[u64], q: f64) -> f64 {
     sorted[rank - 1] as f64 / 1_000_000.0
 }
 
-/// Pulls the first `"key":<u64>` out of a flat JSON response.
-fn extract_u64(json: &str, key: &str) -> u64 {
-    json.split(&format!("\"{key}\":"))
-        .nth(1)
-        .map(|s| {
-            s.chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-        })
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+/// Client-side `count`/`p50_ms`/`p99_ms` of one endpoint's sorted sample.
+fn latency(sorted: &[u64]) -> Value {
+    object! {
+        "count": sorted.len(),
+        "p50_ms": quantile_ms(sorted, 0.50),
+        "p99_ms": quantile_ms(sorted, 0.99),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -144,6 +140,14 @@ struct CrashOutcome {
     rounds: u64,
     verified: u64,
     temp_debris: u64,
+}
+
+fn crash_report(outcome: &CrashOutcome) -> Value {
+    object! {
+        "kill_rounds": outcome.rounds,
+        "verified": outcome.verified,
+        "mid_write_kills": outcome.temp_debris,
+    }
 }
 
 fn crash_phase<V>(mode: &str, path: &Path, rounds: u64, verify: V) -> CrashOutcome
@@ -291,15 +295,15 @@ fn main() {
 
     let args = Args::parse();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed: u64 = args.get_strict("seed", 42);
-    let nodes: usize = args.get_strict("nodes", if smoke { 5_000 } else { 100_000 });
-    let secs: f64 = args.get_strict("secs", if smoke { 2.5 } else { 8.0 });
-    let clients: usize = args.get_strict("clients", if smoke { 2 } else { 4 });
+    let seed: u64 = args.get("seed", 42);
+    let nodes: usize = args.get("nodes", if smoke { 5_000 } else { 100_000 });
+    let secs: f64 = args.get("secs", if smoke { 2.5 } else { 8.0 });
+    let clients: usize = args.get("clients", if smoke { 2 } else { 4 });
     // Well-formed clients pin one worker each for the whole window, so the
     // pool must be larger than the client count for hostile traffic (and
     // worker kills) to get serviced at all.
-    let workers: usize = args.get_strict("workers", clients + 4);
-    let crash_rounds: u64 = args.get_strict("crash-rounds", if smoke { 4 } else { 8 });
+    let workers: usize = args.get("workers", clients + 4);
+    let crash_rounds: u64 = args.get("crash-rounds", if smoke { 4 } else { 8 });
     let idle_timeout = Duration::from_millis(500);
     let query_budget_ms = 50.0;
 
@@ -439,7 +443,7 @@ fn main() {
     let mut tallies: Vec<ClientTally> = Vec::new();
     let mut overloaded_seen = 0u64;
     let mut final_stats = String::new();
-    let mut report = None;
+    let mut served = None;
     let deadline = Instant::now() + Duration::from_secs_f64(secs);
     std::thread::scope(|scope| {
         let _guard = CancelOnDrop(server.cancel_token());
@@ -476,19 +480,20 @@ fn main() {
                 match client.request(&line) {
                     Ok(response) => {
                         let nanos = start.elapsed().as_nanos() as u64;
-                        let parseable = response.starts_with('{')
-                            && response.ends_with('}')
-                            && (response.contains("\"ok\":true")
-                                || response.contains("\"kind\":\""));
-                        if parseable {
-                            tally.answered += 1;
-                        } else {
-                            tally.torn += 1;
+                        // Answered means exactly one JSON object with a
+                        // boolean `ok`; anything else is torn.
+                        let parsed = Value::parse(&response).ok();
+                        let field = |key| parsed.as_ref().and_then(|r| r.get(key));
+                        match field("ok") {
+                            Some(&Value::Bool(ok)) => {
+                                tally.answered += 1;
+                                if !ok {
+                                    tally.error_responses += 1;
+                                }
+                            }
+                            _ => tally.torn += 1,
                         }
-                        if response.contains("\"ok\":false") {
-                            tally.error_responses += 1;
-                        }
-                        if response.contains("\"partial\":true") {
+                        if field("partial") == Some(&Value::Bool(true)) {
                             tally.partial_responses += 1;
                         }
                         match bucket {
@@ -537,10 +542,12 @@ fn main() {
         let burst: Vec<TcpStream> = (0..(64 + 32)).filter_map(|_| chaos_connect(addr)).collect();
         for mut stream in burst.into_iter().rev() {
             let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-            if let Some(line) = read_response_line(&mut stream) {
-                if line.contains("\"kind\":\"overloaded\"") {
-                    overloaded_seen += 1;
-                }
+            let response = read_response_line(&mut stream).and_then(|l| Value::parse(&l).ok());
+            let kind = response
+                .as_ref()
+                .and_then(|r| r.get("error")?.get("kind")?.as_str());
+            if kind == Some("overloaded") {
+                overloaded_seen += 1;
             }
             if overloaded_seen >= 8 {
                 break;
@@ -567,9 +574,9 @@ fn main() {
         final_stats = stats;
         let _ = control.request("shutdown").expect("shutdown");
         drop(control);
-        report = Some(run.join().expect("server thread").expect("server run"));
+        served = Some(run.join().expect("server thread").expect("server run"));
     });
-    let report = report.expect("report");
+    let served = served.expect("server report");
     let counts = faults.counts();
 
     let mut query_ns: Vec<u64> = tallies.iter().flat_map(|t| t.query_ns.clone()).collect();
@@ -584,7 +591,10 @@ fn main() {
     let torn: u64 = tallies.iter().map(|t| t.torn).sum();
     let error_responses: u64 = tallies.iter().map(|t| t.error_responses).sum();
     let partial_responses: u64 = tallies.iter().map(|t| t.partial_responses).sum();
-    let last_recovery_ms = extract_u64(&final_stats, "last_recovery_ms");
+    let last_recovery_ms = Value::parse(&final_stats)
+        .ok()
+        .and_then(|stats| stats.get("recompute")?.get("last_recovery_ms")?.as_u64())
+        .unwrap_or(0);
 
     let mut table = Table::new(["endpoint", "count", "p50_ms", "p99_ms"]);
     for (name, sorted) in [
@@ -615,7 +625,7 @@ fn main() {
         counts.recompute_failures,
         counts.recompute_panics
     );
-    println!("server: {}", report.summary_line());
+    println!("server: {}", served.summary_line());
 
     let query_p99 = quantile_ms(&query_ns, 0.99);
     let faults_fired = counts.request_panics >= 1
@@ -632,126 +642,84 @@ fn main() {
         && faults_fired
         && crash_ok;
 
-    let mut json = String::from("{\n  \"bench\": \"chaos\",\n");
-    let _ = write!(
-        json,
-        "  \"mode\": \"{}\",\n  \"meta\": {},\n  \"rng_seed\": {seed},\n",
-        if smoke { "smoke" } else { "full" },
-        run_meta_json(&format!("lfr-timing n={} seed {seed}", graph.node_count())),
+    let json = report(
+        "chaos",
+        smoke,
+        &format!("lfr-timing n={} seed {seed}", graph.node_count()),
+        object! {
+            "rng_seed": seed,
+            "nodes": graph.node_count(),
+            "edges": graph.edge_count(),
+            "workers": workers,
+            "well_formed_clients": clients,
+            "duration_secs": secs,
+            "fault_spec": object! {
+                "panic_request_every": fault_spec.panic_request_every,
+                "stall_request_every": fault_spec.stall_request_every,
+                "stall_ms": fault_spec.stall.as_millis(),
+                "kill_worker_every_conns": fault_spec.kill_worker_every_conns,
+                "fail_recompute_every": fault_spec.fail_recompute_every,
+                "panic_recompute_every": fault_spec.panic_recompute_every,
+            },
+            "faults_fired": object! {
+                "request_panics": counts.request_panics,
+                "request_stalls": counts.request_stalls,
+                "worker_kills": counts.worker_kills,
+                "recompute_failures": counts.recompute_failures,
+                "recompute_panics": counts.recompute_panics,
+            },
+            "well_formed": object! {
+                "sent": sent,
+                "answered": answered,
+                "lost": lost,
+                "torn": torn,
+                "typed_errors": error_responses,
+                "partial_results": partial_responses,
+            },
+            "hostile_connections": chaos_conns.load(Ordering::Relaxed),
+            "overloaded_rejects_observed": overloaded_seen,
+            "under_fault_latency": object! {
+                "query": latency(&query_ns),
+                "local": latency(&local_ns),
+                "topk": latency(&topk_ns),
+            },
+            "server": object! {
+                "connections": served.connections,
+                "requests": served.requests,
+                "errors": served.errors,
+                "panics": served.panics,
+                "respawns": served.respawns,
+                "overloaded_rejects": served.overloaded_rejects,
+                "oversized_lines": served.oversized_lines,
+                "idle_reaped": served.idle_reaped,
+                "deadline_hits": served.deadline_hits,
+                "shutdown_rejects": served.shutdown_rejects,
+                "recomputes_published": served.recomputes,
+                "recompute_failures": served.recompute_failures,
+                "recovery_ms_after_last_outage": last_recovery_ms,
+                "degraded_at_exit": served.degraded,
+                "final_epoch": served.final_epoch,
+            },
+            "crash_safety": object! {
+                "cover": crash_report(&cover_crash),
+                "ocg": crash_report(&ocg_crash),
+            },
+            "gate": object! {
+                "zero_lost": lost == 0,
+                "zero_torn": torn == 0,
+                "query_p99_limit_ms": query_budget_ms,
+                "query_p99_ok": query_p99 <= query_budget_ms,
+                "overload_observed": overloaded_seen >= 1,
+                "faults_fired": faults_fired,
+                "crash_safe": crash_ok,
+                "pass": pass,
+            },
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"nodes\": {}, \"edges\": {},\n  \"workers\": {workers}, \
-         \"well_formed_clients\": {clients}, \"duration_secs\": {secs},",
-        graph.node_count(),
-        graph.edge_count(),
-    );
-    let _ = writeln!(
-        json,
-        "  \"fault_spec\": {{\"panic_request_every\": {}, \"stall_request_every\": {}, \
-         \"stall_ms\": {}, \"kill_worker_every_conns\": {}, \"fail_recompute_every\": {}, \
-         \"panic_recompute_every\": {}}},",
-        fault_spec.panic_request_every,
-        fault_spec.stall_request_every,
-        fault_spec.stall.as_millis(),
-        fault_spec.kill_worker_every_conns,
-        fault_spec.fail_recompute_every,
-        fault_spec.panic_recompute_every,
-    );
-    let _ = writeln!(
-        json,
-        "  \"faults_fired\": {{\"request_panics\": {}, \"request_stalls\": {}, \
-         \"worker_kills\": {}, \"recompute_failures\": {}, \"recompute_panics\": {}}},",
-        counts.request_panics,
-        counts.request_stalls,
-        counts.worker_kills,
-        counts.recompute_failures,
-        counts.recompute_panics,
-    );
-    let _ = writeln!(
-        json,
-        "  \"well_formed\": {{\"sent\": {sent}, \"answered\": {answered}, \"lost\": {lost}, \
-         \"torn\": {torn}, \"typed_errors\": {error_responses}, \
-         \"partial_results\": {partial_responses}}},\n  \
-         \"hostile_connections\": {},\n  \"overloaded_rejects_observed\": {overloaded_seen},",
-        chaos_conns.load(Ordering::Relaxed),
-    );
-    let _ = writeln!(
-        json,
-        "  \"under_fault_latency\": {{\
-         \"query\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}, \
-         \"local\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}, \
-         \"topk\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}}},",
-        query_ns.len(),
-        quantile_ms(&query_ns, 0.50),
-        query_p99,
-        local_ns.len(),
-        quantile_ms(&local_ns, 0.50),
-        quantile_ms(&local_ns, 0.99),
-        topk_ns.len(),
-        quantile_ms(&topk_ns, 0.50),
-        quantile_ms(&topk_ns, 0.99),
-    );
-    let _ = writeln!(
-        json,
-        "  \"server\": {{\"connections\": {}, \"requests\": {}, \"errors\": {}, \
-         \"panics\": {}, \"respawns\": {}, \"overloaded_rejects\": {}, \
-         \"oversized_lines\": {}, \"idle_reaped\": {}, \"deadline_hits\": {}, \
-         \"shutdown_rejects\": {}, \"recomputes_published\": {}, \
-         \"recompute_failures\": {}, \"recovery_ms_after_last_outage\": {last_recovery_ms}, \
-         \"degraded_at_exit\": {}, \"final_epoch\": {}}},",
-        report.connections,
-        report.requests,
-        report.errors,
-        report.panics,
-        report.respawns,
-        report.overloaded_rejects,
-        report.oversized_lines,
-        report.idle_reaped,
-        report.deadline_hits,
-        report.shutdown_rejects,
-        report.recomputes,
-        report.recompute_failures,
-        report.degraded,
-        report.final_epoch,
-    );
-    let _ = writeln!(
-        json,
-        "  \"crash_safety\": {{\
-         \"cover\": {{\"kill_rounds\": {}, \"verified\": {}, \"mid_write_kills\": {}}}, \
-         \"ocg\": {{\"kill_rounds\": {}, \"verified\": {}, \"mid_write_kills\": {}}}}},",
-        cover_crash.rounds,
-        cover_crash.verified,
-        cover_crash.temp_debris,
-        ocg_crash.rounds,
-        ocg_crash.verified,
-        ocg_crash.temp_debris,
-    );
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"zero_lost\": {}, \"zero_torn\": {}, \
-         \"query_p99_limit_ms\": {query_budget_ms}, \"query_p99_ok\": {}, \
-         \"overload_observed\": {}, \"faults_fired\": {faults_fired}, \
-         \"crash_safe\": {crash_ok}, \"pass\": {pass}}}\n}}",
-        lost == 0,
-        torn == 0,
-        query_p99 <= query_budget_ms,
-        overloaded_seen >= 1,
-    );
-
-    let dir: PathBuf = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("could not create {}: {e}", dir.display());
+    oca_bench::report::write("BENCH_chaos.json", &json).unwrap_or_else(|e| {
+        eprintln!("could not write the report: {e}");
         std::process::exit(1);
-    }
-    let path = dir.join("BENCH_chaos.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    });
 
     if pass {
         println!(

@@ -38,13 +38,13 @@ use oca::{
     initial_set, local_search, ticket_seed, CheckpointConfig, CommunityState, HaltingConfig, Oca,
     OcaConfig, SearchConfig, SeedStrategy,
 };
-use oca_bench::{peak_rss_bytes, results_dir, Args, Table};
+use oca_bench::report::{report, Value};
+use oca_bench::{object, peak_rss_bytes, results_dir, Args, Table};
 use oca_gen::{barabasi_albert, daisy_tree, lfr, DaisyParams, LfrParams};
 use oca_graph::{Cover, CsrGraph, NodeId};
 use oca_metrics::{omega_index, theta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Measurements of the isolated ascent loop on one graph.
@@ -276,7 +276,7 @@ fn make_graph(family: &str, n: usize, seed: u64) -> CsrGraph {
     }
 }
 
-/// A previously recorded case, parsed from the baseline JSON. The phase
+/// A previously recorded case, read from the baseline report. The phase
 /// fields are 0 when the baseline predates phase timing (pre-phase
 /// snapshots stay comparable for ns/move and end-to-end).
 struct BaselineCase {
@@ -289,110 +289,75 @@ struct BaselineCase {
     theta_vs_unbudgeted: Option<f64>,
 }
 
-/// Minimal extraction of the fields the gate needs from a prior run's
-/// JSON (written by this binary, so the shape is known; no JSON crate in
-/// the sanctioned dependency set).
-fn json_number(chunk: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = chunk.find(&pat)? + pat.len();
-    let rest = chunk[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The gateable cases of a baseline report: those carrying the ns/move
+/// and end-to-end fields the gate compares.
+fn parse_baseline(report: &Value) -> Vec<BaselineCase> {
+    let Some(Value::Array(cases)) = report.get("cases") else {
+        return Vec::new();
+    };
+    cases
+        .iter()
+        .filter_map(|case| {
+            let u64_of = |key| case.get(key).and_then(Value::as_u64);
+            let f64_of = |key| case.get(key).and_then(Value::as_f64);
+            Some(BaselineCase {
+                family: case.get("family")?.as_str()?.to_string(),
+                nodes: usize::try_from(u64_of("nodes")?).ok()?,
+                ns_per_move: f64_of("ns_per_move")?,
+                end_to_end_secs: f64_of("end_to_end_secs")?,
+                dedup_ns: u64_of("dedup_ns").unwrap_or(0),
+                merge_ns: u64_of("merge_ns").unwrap_or(0),
+                theta_vs_unbudgeted: f64_of("theta_vs_unbudgeted"),
+            })
+        })
+        .collect()
 }
 
-fn parse_baseline(text: &str) -> Vec<BaselineCase> {
-    let mut out = Vec::new();
-    for chunk in text.split("\"family\":").skip(1) {
-        let name = chunk.split('"').nth(1).unwrap_or("").to_string();
-        if let (Some(nodes), Some(npm), Some(secs)) = (
-            json_number(chunk, "nodes"),
-            json_number(chunk, "ns_per_move"),
-            json_number(chunk, "end_to_end_secs"),
-        ) {
-            out.push(BaselineCase {
-                family: name,
-                nodes: nodes as usize,
-                ns_per_move: npm,
-                end_to_end_secs: secs,
-                dedup_ns: json_number(chunk, "dedup_ns").map_or(0, |v| v as u64),
-                merge_ns: json_number(chunk, "merge_ns").map_or(0, |v| v as u64),
-                theta_vs_unbudgeted: json_number(chunk, "theta_vs_unbudgeted"),
-            });
-        }
-    }
-    out
-}
-
-fn json_case(case: &Case, baseline: Option<&BaselineCase>, last: bool) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "    {{\"family\": \"{}\", \"nodes\": {}, \"edges\": {}, \
-         \"ascents\": {}, \"moves\": {}, \"ascent_total_ns\": {}, \
-         \"ns_per_move\": {:.2}, \"moves_per_sec\": {:.0}, \
-         \"end_to_end_secs\": {:.6}, \"seeds_tried\": {}, \"communities\": {}, \
-         \"coverage\": {:.4}, \"halt\": \"{}\"",
-        case.family,
-        case.nodes,
-        case.edges,
-        case.ascent.ascents,
-        case.ascent.moves,
-        case.ascent.total_ns,
-        case.ascent.ns_per_move,
-        case.ascent.moves_per_sec,
-        case.end_to_end.secs,
-        case.end_to_end.seeds_tried,
-        case.end_to_end.communities,
-        case.end_to_end.coverage,
-        case.end_to_end.halt,
-    );
-    let _ = write!(
-        out,
-        ", \"ascent_ns\": {}, \"dedup_ns\": {}, \"merge_ns\": {}, \"orphan_ns\": {}",
-        case.end_to_end.ascent_ns,
-        case.end_to_end.dedup_ns,
-        case.end_to_end.merge_ns,
-        case.end_to_end.orphan_ns,
-    );
+fn case_report(case: &Case, baseline: Option<&BaselineCase>) -> Value {
+    let e2e = &case.end_to_end;
+    let mut out = object! {
+        "family": case.family,
+        "nodes": case.nodes,
+        "edges": case.edges,
+        "ascents": case.ascent.ascents,
+        "moves": case.ascent.moves,
+        "ascent_total_ns": case.ascent.total_ns,
+        "ns_per_move": case.ascent.ns_per_move,
+        "moves_per_sec": case.ascent.moves_per_sec,
+        "end_to_end_secs": e2e.secs,
+        "seeds_tried": e2e.seeds_tried,
+        "communities": e2e.communities,
+        "coverage": e2e.coverage,
+        "halt": e2e.halt,
+        "ascent_ns": e2e.ascent_ns,
+        "dedup_ns": e2e.dedup_ns,
+        "merge_ns": e2e.merge_ns,
+        "orphan_ns": e2e.orphan_ns,
+    };
     if let (Some(th), Some(om)) = (case.theta_vs_unbudgeted, case.omega_vs_unbudgeted) {
-        let _ = write!(
-            out,
-            ", \"theta_vs_unbudgeted\": {th:.4}, \"omega_vs_unbudgeted\": {om:.4}",
-        );
+        out.push("theta_vs_unbudgeted", th);
+        out.push("omega_vs_unbudgeted", om);
     }
     if let Some(c) = &case.ckpt {
-        let _ = write!(
-            out,
-            ", \"ckpt_rounds\": {}, \"ckpt_last_bytes\": {}, \"ckpt_last_write_ns\": {}, \
-             \"ckpt_total_write_ns\": {}, \"ckpt_overhead_pct\": {:.3}",
-            c.rounds, c.last_bytes, c.last_write_ns, c.total_write_ns, c.overhead_pct,
-        );
+        out.push("ckpt_rounds", c.rounds);
+        out.push("ckpt_last_bytes", c.last_bytes);
+        out.push("ckpt_last_write_ns", c.last_write_ns);
+        out.push("ckpt_total_write_ns", c.total_write_ns);
+        out.push("ckpt_overhead_pct", c.overhead_pct);
     }
     if let Some(b) = baseline {
-        let _ = write!(
-            out,
-            ", \"before_ns_per_move\": {:.2}, \"ns_per_move_ratio\": {:.3}, \
-             \"before_end_to_end_secs\": {:.6}, \"end_to_end_speedup\": {:.3}",
-            b.ns_per_move,
+        out.push("before_ns_per_move", b.ns_per_move);
+        out.push(
+            "ns_per_move_ratio",
             case.ascent.ns_per_move / b.ns_per_move.max(1e-9),
-            b.end_to_end_secs,
-            b.end_to_end_secs / case.end_to_end.secs.max(1e-9),
         );
+        out.push("before_end_to_end_secs", b.end_to_end_secs);
+        out.push("end_to_end_speedup", b.end_to_end_secs / e2e.secs.max(1e-9));
         if b.dedup_ns + b.merge_ns > 0 {
-            let _ = write!(
-                out,
-                ", \"before_dedup_ns\": {}, \"before_merge_ns\": {}",
-                b.dedup_ns, b.merge_ns,
-            );
+            out.push("before_dedup_ns", b.dedup_ns);
+            out.push("before_merge_ns", b.merge_ns);
         }
     }
-    out.push('}');
-    if !last {
-        out.push(',');
-    }
-    out.push('\n');
     out
 }
 
@@ -400,7 +365,7 @@ fn main() {
     let args = Args::parse();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let write_baseline = std::env::args().any(|a| a == "--write-baseline");
-    let seed: u64 = args.get_strict("seed", 42);
+    let seed: u64 = args.get("seed", 42);
     // Smoke mode only changes the default; an explicit --sizes still wins
     // (same convention as parallel_scaling's --nodes).
     let default_sizes = if smoke {
@@ -426,10 +391,19 @@ fn main() {
             .display()
             .to_string(),
     );
-    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-    let baseline = parse_baseline(&baseline_text);
-    // The first occurrence is the top-level field (cases have no RSS key).
-    let baseline_rss = json_number(&baseline_text, "peak_rss_bytes").map_or(0, |v| v as u64);
+    // A missing or unparseable baseline fails the smoke gate below: the
+    // gate must compare something to pass.
+    let baseline_report = oca_bench::report::read(&baseline_path);
+    let (baseline, baseline_rss) = match &baseline_report {
+        Ok(report) => (
+            parse_baseline(report),
+            report
+                .get("peak_rss_bytes")
+                .and_then(Value::as_u64)
+                .unwrap_or(0),
+        ),
+        Err(_) => (Vec::new(), 0),
+    };
 
     println!(
         "hot path: sequential ascent loop, sizes {sizes:?}, seed {seed}{}",
@@ -554,46 +528,31 @@ fn main() {
     print!("{}", table.render());
     println!("peak RSS: {:.1} MiB", peak_rss as f64 / (1024.0 * 1024.0));
 
-    let mut json = String::from("{\n  \"bench\": \"hot_path\",\n");
-    let _ = write!(
-        json,
-        "  \"mode\": \"{}\",\n  \"meta\": {},\n  \"rng_seed\": {seed},\n  \"peak_rss_bytes\": {peak_rss},\n",
-        if smoke { "smoke" } else { "full" },
-        oca_bench::run_meta_json(&format!(
-            "lfr/ba/ba-hub/daisy sweep, sizes {sizes:?}"
-        )),
-    );
+    let mut fields = object! { "rng_seed": seed, "peak_rss_bytes": peak_rss };
     if baseline_rss > 0 {
-        let _ = writeln!(
-            json,
-            "  \"before_peak_rss_bytes\": {baseline_rss}, \"peak_rss_ratio\": {:.3},",
-            peak_rss as f64 / baseline_rss as f64,
-        );
+        fields.push("before_peak_rss_bytes", baseline_rss);
+        fields.push("peak_rss_ratio", peak_rss as f64 / baseline_rss as f64);
     }
-    json.push_str("  \"cases\": [\n");
-    for (i, case) in cases.iter().enumerate() {
-        json.push_str(&json_case(case, find_baseline(case), i + 1 == cases.len()));
-    }
-    json.push_str("  ]\n}\n");
-
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("could not create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
+    let case_reports: Vec<Value> = cases
+        .iter()
+        .map(|case| case_report(case, find_baseline(case)))
+        .collect();
+    fields.push("cases", case_reports);
+    let json = report(
+        "hot_path",
+        smoke,
+        &format!("lfr/ba/ba-hub/daisy sweep, sizes {sizes:?}"),
+        fields,
+    );
     let name = if write_baseline {
         "BENCH_hotpath_baseline.json"
     } else {
         "BENCH_hotpath.json"
     };
-    let path = dir.join(name);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    oca_bench::report::write(name, &json).unwrap_or_else(|e| {
+        eprintln!("could not write the report: {e}");
+        std::process::exit(1);
+    });
 
     // Regression gate: ns/move must stay within 25% of the baseline
     // snapshot for every case the baseline also measured, and the
@@ -602,10 +561,10 @@ fn main() {
     // ns/move. Phase wall-clock is noisier than ns/move, so its gate is
     // wider: fail only past 1.5x the baseline plus a 10 ms grace (tiny
     // smoke-mode phases never trip on jitter, a reintroduced quadratic
-    // sweep still does). The gate never passes vacuously: zero matches
-    // against a non-empty baseline is a misconfigured snapshot (e.g. a
-    // full-mode baseline checked against a smoke run) and fails in smoke
-    // mode rather than silently gating nothing.
+    // sweep still does). The gate never passes vacuously: in smoke mode a
+    // missing or unparseable baseline fails, and so do zero matches (a
+    // misconfigured snapshot, e.g. a full-mode baseline checked against a
+    // smoke run) rather than silently gating nothing.
     let mut regressed = false;
     let mut matched = 0usize;
     for case in &cases {
@@ -661,8 +620,11 @@ fn main() {
     if regressed {
         std::process::exit(1);
     }
-    if baseline.is_empty() {
-        println!("regression gate: no baseline at {baseline_path} — nothing compared");
+    if let Err(e) = &baseline_report {
+        eprintln!("regression gate: no usable baseline ({e})");
+        if smoke {
+            std::process::exit(1);
+        }
     } else if matched == 0 {
         eprintln!(
             "regression gate: baseline {baseline_path} matched none of the {} cases \

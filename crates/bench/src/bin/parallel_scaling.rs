@@ -11,10 +11,10 @@
 //! ```
 
 use oca::{HaltingConfig, Oca, OcaConfig, OcaResult};
-use oca_bench::{results_dir, secs, Args, Table};
+use oca_bench::report::{report, Value};
+use oca_bench::{object, secs, Args, Table};
 use oca_gen::{lfr, planted_partition, LfrParams};
 use oca_graph::CsrGraph;
-use std::fmt::Write as _;
 
 struct Point {
     threads: usize,
@@ -56,42 +56,38 @@ fn sweep(graph: &CsrGraph, threads: &[usize], seed: u64, batch: usize) -> Vec<Po
     points
 }
 
-fn json_graph(family: &str, graph: &CsrGraph, points: &[Point]) -> String {
+fn graph_report(family: &str, graph: &CsrGraph, points: &[Point]) -> Value {
     let base_secs = points[0].result.elapsed.as_secs_f64();
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "    {{\n      \"family\": \"{family}\",\n      \"nodes\": {},\n      \"edges\": {},\n      \"points\": [\n",
-        graph.node_count(),
-        graph.edge_count()
-    );
-    for (i, p) in points.iter().enumerate() {
-        let s = p.result.elapsed.as_secs_f64();
-        let throughput = p.result.seeds_tried as f64 / s.max(1e-9);
-        let _ = writeln!(
-            out,
-            "        {{\"threads\": {}, \"secs\": {:.6}, \"seeds_tried\": {}, \"communities\": {}, \"halt\": \"{}\", \"throughput_seeds_per_sec\": {:.1}, \"speedup\": {:.3}, \"identical_to_1_thread\": {}}}{}",
-            p.threads,
-            s,
-            p.result.seeds_tried,
-            p.result.cover.len(),
-            p.result.halt_reason.map_or("none", |r| r.label()),
-            throughput,
-            base_secs / s.max(1e-9),
-            p.deterministic,
-            if i + 1 < points.len() { "," } else { "" }
-        );
+    let points: Vec<Value> = points
+        .iter()
+        .map(|p| {
+            let s = p.result.elapsed.as_secs_f64();
+            object! {
+                "threads": p.threads,
+                "secs": s,
+                "seeds_tried": p.result.seeds_tried,
+                "communities": p.result.cover.len(),
+                "halt": p.result.halt_reason.map_or("none", |r| r.label()),
+                "throughput_seeds_per_sec": p.result.seeds_tried as f64 / s.max(1e-9),
+                "speedup": base_secs / s.max(1e-9),
+                "identical_to_1_thread": p.deterministic,
+            }
+        })
+        .collect();
+    object! {
+        "family": family,
+        "nodes": graph.node_count(),
+        "edges": graph.edge_count(),
+        "points": points,
     }
-    out.push_str("      ]\n    }");
-    out
 }
 
 fn main() {
     let args = Args::parse();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed: u64 = args.get_strict("seed", 42);
-    let batch: usize = args.get_strict("batch", 64);
-    let nodes: usize = args.get_strict("nodes", if smoke { 300 } else { 4000 });
+    let seed: u64 = args.get("seed", 42);
+    let batch: usize = args.get("batch", 64);
+    let nodes: usize = args.get("nodes", if smoke { 300 } else { 4000 });
     let mut threads: Vec<usize> = if smoke {
         vec![1, 2]
     } else {
@@ -157,40 +153,29 @@ fn main() {
     let pass = all_points
         .iter()
         .all(|(_, _, points)| points.iter().all(|p| p.deterministic));
-    let mut json = String::from("{\n  \"bench\": \"parallel_scaling\",\n");
-    let _ = write!(
-        json,
-        "  \"mode\": \"{}\",\n  \"meta\": {},\n  \"rng_seed\": {seed},\n  \"batch\": {batch},\n  \"thread_counts\": {threads:?},\n  \"determinism\": \"{}\",\n  \"graphs\": [\n",
-        if smoke { "smoke" } else { "full" },
-        oca_bench::run_meta_json(&format!(
+    let graphs: Vec<Value> = all_points
+        .iter()
+        .map(|(family, graph, points)| graph_report(family, graph, points))
+        .collect();
+    let json = report(
+        "parallel_scaling",
+        smoke,
+        &format!(
             "lfr{} n={nodes} mu=0.3",
             if smoke { "" } else { "+planted" }
-        )),
-        if pass { "pass" } else { "fail" }
+        ),
+        object! {
+            "rng_seed": seed,
+            "batch": batch,
+            "thread_counts": threads,
+            "determinism": if pass { "pass" } else { "fail" },
+            "graphs": graphs,
+        },
     );
-    for (i, (family, graph, points)) in all_points.iter().enumerate() {
-        json.push_str(&json_graph(family, graph, points));
-        json.push_str(if i + 1 < all_points.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
-
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("could not create {}: {e}", dir.display());
+    oca_bench::report::write("BENCH_parallel.json", &json).unwrap_or_else(|e| {
+        eprintln!("could not write the report: {e}");
         std::process::exit(1);
-    }
-    let path = dir.join("BENCH_parallel.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    });
 
     if pass {
         println!("determinism check: PASS (identical cover and cutoff at every thread count)");

@@ -16,13 +16,13 @@
 //! ```
 
 use oca::{CStrategy, HaltingConfig, LocalConfig, OcaConfig, OcaDetector, SearchConfig};
-use oca_bench::{results_dir, run_meta_json, Args, Table};
+use oca_bench::report::{report, Value};
+use oca_bench::{object, Args, Table};
 use oca_gen::{lfr, LfrParams};
 use oca_graph::{CancelToken, CommunityDetector, DetectContext};
 use oca_serve::{Client, RecomputeFn, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,27 +54,36 @@ fn quantile_us(sorted: &[u64], q: f64) -> f64 {
     sorted[rank - 1] as f64 / 1_000.0
 }
 
+/// Client-side `count`/`p50_us`/`p99_us` of one endpoint's sorted sample.
+fn latency(sorted: &[u64]) -> Value {
+    object! {
+        "count": sorted.len(),
+        "p50_us": quantile_us(sorted, 0.50),
+        "p99_us": quantile_us(sorted, 0.99),
+    }
+}
+
 #[allow(clippy::too_many_lines)]
 fn main() {
     let args = Args::parse();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed: u64 = args.get_strict("seed", 42);
-    let nodes: usize = args.get_strict("nodes", if smoke { 10_000 } else { 1_000_000 });
-    let secs: f64 = args.get_strict("secs", if smoke { 2.0 } else { 10.0 });
+    let seed: u64 = args.get("seed", 42);
+    let nodes: usize = args.get("nodes", if smoke { 10_000 } else { 1_000_000 });
+    let secs: f64 = args.get("secs", if smoke { 2.0 } else { 10.0 });
     // Closed-loop load matched to the host: on an oversubscribed box the
     // bench would otherwise measure scheduler queueing between its own
     // client threads, not serving latency.
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let clients: usize = args.get_strict("clients", host.min(4));
-    let workers: usize = args.get_strict("workers", host.clamp(2, 4));
-    let recompute_ms: u64 = args.get_strict("recompute-millis", if smoke { 250 } else { 1000 });
+    let clients: usize = args.get("clients", host.min(4));
+    let workers: usize = args.get("workers", host.clamp(2, 4));
+    let recompute_ms: u64 = args.get("recompute-millis", if smoke { 250 } else { 1000 });
     // Sized so a recompute round completes (and so publishes an epoch)
     // well inside the measurement window even on a single busy core.
-    let recompute_seeds: usize = args.get_strict("recompute-seeds", if smoke { 200 } else { 400 });
-    let fixed_c: f64 = args.get_strict("fixed-c", 0.75);
+    let recompute_seeds: usize = args.get("recompute-seeds", if smoke { 200 } else { 400 });
+    let fixed_c: f64 = args.get("fixed-c", 0.75);
     // One in `local-every` requests is a seeded ascent; the rest are
     // index lookups — a read-heavy mix, like a deployed cover service.
-    let local_every: usize = args.get_strict("local-every", 16).max(1);
+    let local_every: usize = args.get("local-every", 16).max(1);
 
     println!(
         "query latency: oca-serve under sustained load, n={nodes}, {clients} clients x {secs}s, \
@@ -146,7 +155,7 @@ fn main() {
     let n = graph.node_count() as u64;
 
     let mut samples: Vec<ClientSamples> = Vec::new();
-    let mut report = None;
+    let mut served = None;
     std::thread::scope(|scope| {
         let _guard = CancelOnDrop(server.cancel_token());
         let server = &server;
@@ -173,7 +182,9 @@ fn main() {
                 } else {
                     out.query_ns.push(nanos);
                 }
-                if response.contains("\"ok\":false") {
+                let ok =
+                    Value::parse(&response).is_ok_and(|r| r.get("ok") == Some(&Value::Bool(true)));
+                if !ok {
                     out.errors += 1;
                 }
             }
@@ -187,9 +198,9 @@ fn main() {
         }
         let mut control = Client::connect(addr).expect("connect for shutdown");
         let _ = control.request("shutdown").expect("shutdown");
-        report = Some(run.join().expect("server thread").expect("server run"));
+        served = Some(run.join().expect("server thread").expect("server run"));
     });
-    let report = report.expect("report");
+    let served = served.expect("server report");
 
     let mut query_ns: Vec<u64> = samples.iter().flat_map(|s| s.query_ns.clone()).collect();
     let mut local_ns: Vec<u64> = samples.iter().flat_map(|s| s.local_ns.clone()).collect();
@@ -212,66 +223,44 @@ fn main() {
     println!(
         "throughput {throughput:.0} req/s over {clients} clients; {} epochs published \
          (final epoch {}); {errors} request errors",
-        report.recomputes, report.final_epoch
+        served.recomputes, served.final_epoch
     );
 
     let query_p99 = quantile_us(&query_ns, 0.99);
     let pass = query_p99 <= 1_000.0 && errors == 0;
 
-    let mut json = String::from("{\n  \"bench\": \"query_latency\",\n");
-    let _ = write!(
-        json,
-        "  \"mode\": \"{}\",\n  \"meta\": {},\n  \"rng_seed\": {seed},\n",
-        if smoke { "smoke" } else { "full" },
-        run_meta_json(&format!(
+    let json = report(
+        "query_latency",
+        smoke,
+        &format!(
             "lfr-timing n={} communities 500..700 seed {seed}",
             graph.node_count()
-        )),
+        ),
+        object! {
+            "rng_seed": seed,
+            "nodes": graph.node_count(),
+            "edges": graph.edge_count(),
+            "workers": workers,
+            "clients": clients,
+            "duration_secs": secs,
+            "local_every": local_every,
+            "recompute_interval_ms": recompute_ms,
+            "recompute_seed_budget": recompute_seeds,
+            "recomputes_published": served.recomputes,
+            "final_epoch": served.final_epoch,
+            "client_query": latency(&query_ns),
+            "client_local": latency(&local_ns),
+            "throughput_req_per_sec": throughput,
+            "request_errors": errors,
+            "server_requests": served.requests,
+            "server_errors": served.errors,
+            "gate": object! { "query_p99_limit_us": 1000.0, "pass": pass },
+        },
     );
-    let _ = writeln!(
-        json,
-        "  \"nodes\": {}, \"edges\": {},\n  \"workers\": {workers}, \"clients\": {clients}, \
-         \"duration_secs\": {secs}, \"local_every\": {local_every},\n  \
-         \"recompute_interval_ms\": {recompute_ms}, \"recompute_seed_budget\": {recompute_seeds},\n  \
-         \"recomputes_published\": {}, \"final_epoch\": {},",
-        graph.node_count(),
-        graph.edge_count(),
-        report.recomputes,
-        report.final_epoch,
-    );
-    let _ = writeln!(
-        json,
-        "  \"client_query\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}},\n  \
-         \"client_local\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}},\n  \
-         \"throughput_req_per_sec\": {throughput:.1}, \"request_errors\": {errors},\n  \
-         \"server_requests\": {}, \"server_errors\": {},",
-        query_ns.len(),
-        quantile_us(&query_ns, 0.50),
-        query_p99,
-        local_ns.len(),
-        quantile_us(&local_ns, 0.50),
-        quantile_us(&local_ns, 0.99),
-        report.requests,
-        report.errors,
-    );
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"query_p99_limit_us\": 1000.0, \"pass\": {pass}}}\n}}"
-    );
-
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("could not create {}: {e}", dir.display());
+    oca_bench::report::write("BENCH_serve.json", &json).unwrap_or_else(|e| {
+        eprintln!("could not write the report: {e}");
         std::process::exit(1);
-    }
-    let path = dir.join("BENCH_serve.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    });
 
     if pass {
         println!("latency gate: PASS (query p99 {query_p99:.1}us <= 1000us, no request errors)");

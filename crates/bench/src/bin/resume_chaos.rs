@@ -23,13 +23,13 @@
 use oca::{
     checkpoint_summary, CheckpointConfig, CheckpointFaults, Oca, OcaConfig, OcaResult, ResumePolicy,
 };
-use oca_bench::{results_dir, run_meta_json, Args, Table};
+use oca_bench::report::{report, Value};
+use oca_bench::{object, Args, Table};
 use oca_gen::{lfr, LfrParams};
 use oca_graph::CsrGraph;
 use oca_serve::persist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -65,7 +65,8 @@ fn load_graph(ocg: &Path) -> CsrGraph {
 // ---------------------------------------------------------------------
 // Child mode: one (possibly resumed) checkpointed detection run. The
 // parent SIGKILLs us at a random instant — or lets us finish, in which
-// case we persist the cover and print the telemetry it gates on.
+// case we persist the cover and print the telemetry it gates on as one
+// JSON line.
 // ---------------------------------------------------------------------
 
 fn run_detect_child(argv: &[String]) -> ! {
@@ -80,13 +81,10 @@ fn run_detect_child(argv: &[String]) -> ! {
     match Oca::new(config).run_ctx(&graph, &oca_graph::DetectContext::new(seed)) {
         Ok(result) => {
             persist::save_cover_path(out, &result.cover, 0.5).expect("save cover");
-            println!("seeds_tried={}", result.seeds_tried);
-            println!("elapsed_ns={}", result.elapsed.as_nanos());
-            println!("ckpt_rounds={}", result.checkpoint.rounds_checkpointed);
-            println!("ckpt_total_write_ns={}", result.checkpoint.total_write_ns);
+            let resumed_from = result.checkpoint.resumed_from_ticket.unwrap_or(0);
             println!(
-                "ckpt_resumed_from={}",
-                result.checkpoint.resumed_from_ticket.unwrap_or(0)
+                "{}",
+                object! { "seeds_tried": result.seeds_tried, "resumed_from_ticket": resumed_from }
             );
             std::process::exit(0);
         }
@@ -95,15 +93,6 @@ fn run_detect_child(argv: &[String]) -> ! {
             std::process::exit(2);
         }
     }
-}
-
-/// Pulls `key=value` telemetry lines out of a completed child's stdout.
-fn child_stat(stdout: &str, key: &str) -> u64 {
-    stdout
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{key}=")))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 /// What the parent observed at one kill point.
@@ -129,10 +118,10 @@ fn main() {
 
     let args = Args::parse();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed: u64 = args.get_strict("seed", 42);
-    let nodes: usize = args.get_strict("nodes", if smoke { 5_000 } else { 100_000 });
-    let kill_rounds: u64 = args.get_strict("kill-rounds", if smoke { 3 } else { 8 });
-    let threads: usize = args.get_strict("threads", 2);
+    let seed: u64 = args.get("seed", 42);
+    let nodes: usize = args.get("nodes", if smoke { 5_000 } else { 100_000 });
+    let kill_rounds: u64 = args.get("kill-rounds", if smoke { 3 } else { 8 });
+    let threads: usize = args.get("threads", 2);
     // The paper-scale gate is 5% on LFR-100k. Smoke runs are a fraction
     // of a second of work on a tiny graph, where per-round fsyncs are
     // proportionally enormous and jittery (shared CI hosts); the loose
@@ -341,8 +330,9 @@ fn main() {
         output.status.code()
     );
     let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-    let final_seeds = child_stat(&stdout, "seeds_tried");
-    let final_resumed_from = child_stat(&stdout, "ckpt_resumed_from");
+    let stats = Value::parse(stdout.trim()).unwrap_or(Value::Null);
+    let stat = |key| stats.get(key).and_then(Value::as_u64).unwrap_or(0);
+    let (final_seeds, final_resumed_from) = (stat("seeds_tried"), stat("resumed_from_ticket"));
     let (final_cover, _) =
         persist::load_cover_path(&out_path, Some(graph.node_count())).expect("final cover loads");
     let chain_secs = t_chain.elapsed().as_secs_f64();
@@ -416,90 +406,75 @@ fn main() {
         saved_ckpts.len()
     );
 
-    // --- JSON ----------------------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"resume_chaos\",\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",\n  \"meta\": {},\n  \"rng_seed\": {seed},",
-        if smoke { "smoke" } else { "full" },
-        run_meta_json(&format!("lfr-timing n={} seed {seed}", graph.node_count())),
-    );
-    let _ = writeln!(
-        json,
-        "  \"nodes\": {}, \"edges\": {}, \"threads\": {threads}, \"kill_rounds\": {},",
-        graph.node_count(),
-        graph.edge_count(),
-        rounds.len(),
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline\": {{\"seeds_tried\": {}, \"communities\": {}, \
-         \"elapsed_secs\": {:.3}, \"halt\": \"{}\"}},",
-        baseline.seeds_tried,
-        baseline.cover.len(),
-        baseline.elapsed.as_secs_f64(),
-        baseline.halt_reason.map_or("none", |r| r.label()),
-    );
-    let _ = writeln!(
-        json,
-        "  \"checkpointed_baseline\": {{\"ckpt_rounds\": {}, \"ckpt_last_bytes\": {}, \
-         \"ckpt_last_write_ns\": {}, \"ckpt_total_write_ns\": {}, \
-         \"elapsed_secs\": {:.3}, \"overhead_pct\": {overhead_pct:.4}}},",
-        ckpt_baseline.checkpoint.rounds_checkpointed,
-        ckpt_baseline.checkpoint.last_bytes,
-        ckpt_baseline.checkpoint.last_write_ns,
-        ckpt_baseline.checkpoint.total_write_ns,
-        ckpt_baseline.elapsed.as_secs_f64(),
-    );
-    json.push_str("  \"kill_chain\": [\n");
-    for (i, r) in rounds.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"round\": {i}, \"delay_ms\": {}, \"ckpt_present\": {}, \
-             \"ckpt_readable\": {}, \"seeds_at_kill\": {}, \"advanced\": {}, \
-             \"mid_write_kills\": {}, \"fresh_chain\": {}}}{}",
-            r.delay_ms,
-            r.ckpt_present,
-            r.ckpt_readable,
-            r.seeds_at_kill,
-            r.advanced,
-            r.mid_write_debris,
-            r.fresh_chain,
-            if i + 1 < rounds.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"final_resume\": {{\"seeds_tried\": {final_seeds}, \
-         \"resumed_from_ticket\": {final_resumed_from}, \
-         \"completions_before_kill\": {completions_before_kill}, \
-         \"chain_secs\": {chain_secs:.3}}},",
-    );
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"bit_identical_cover\": {bit_identical}, \
-         \"seeds_match\": {seeds_match}, \"kill_points_verified\": {kill_points_verified}, \
-         \"unreadable_checkpoints\": {unreadable}, \"mid_write_kills\": {debris}, \
-         \"monotone_progress\": {monotone}, \"overhead_limit_pct\": {overhead_budget_pct}, \
-         \"overhead_pct\": {overhead_pct:.4}, \"overhead_ok\": {overhead_ok}, \
-         \"pass\": {pass}}}\n}}",
+    // --- Report --------------------------------------------------------
+    let kill_chain: Vec<Value> = rounds
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            object! {
+                "round": i,
+                "delay_ms": r.delay_ms,
+                "ckpt_present": r.ckpt_present,
+                "ckpt_readable": r.ckpt_readable,
+                "seeds_at_kill": r.seeds_at_kill,
+                "advanced": r.advanced,
+                "mid_write_kills": r.mid_write_debris,
+                "fresh_chain": r.fresh_chain,
+            }
+        })
+        .collect();
+    let ckpt = &ckpt_baseline.checkpoint;
+    let json = report(
+        "resume_chaos",
+        smoke,
+        &format!("lfr-timing n={} seed {seed}", graph.node_count()),
+        object! {
+            "rng_seed": seed,
+            "nodes": graph.node_count(),
+            "edges": graph.edge_count(),
+            "threads": threads,
+            "kill_rounds": rounds.len(),
+            "baseline": object! {
+                "seeds_tried": baseline.seeds_tried,
+                "communities": baseline.cover.len(),
+                "elapsed_secs": baseline.elapsed.as_secs_f64(),
+                "halt": baseline.halt_reason.map_or("none", |r| r.label()),
+            },
+            "checkpointed_baseline": object! {
+                "ckpt_rounds": ckpt.rounds_checkpointed,
+                "ckpt_last_bytes": ckpt.last_bytes,
+                "ckpt_last_write_ns": ckpt.last_write_ns,
+                "ckpt_total_write_ns": ckpt.total_write_ns,
+                "elapsed_secs": ckpt_baseline.elapsed.as_secs_f64(),
+                "overhead_pct": overhead_pct,
+            },
+            "kill_chain": kill_chain,
+            "final_resume": object! {
+                "seeds_tried": final_seeds,
+                "resumed_from_ticket": final_resumed_from,
+                "completions_before_kill": completions_before_kill,
+                "chain_secs": chain_secs,
+            },
+            "gate": object! {
+                "bit_identical_cover": bit_identical,
+                "seeds_match": seeds_match,
+                "kill_points_verified": kill_points_verified,
+                "unreadable_checkpoints": unreadable,
+                "mid_write_kills": debris,
+                "monotone_progress": monotone,
+                "overhead_limit_pct": overhead_budget_pct,
+                "overhead_pct": overhead_pct,
+                "overhead_ok": overhead_ok,
+                "pass": pass,
+            },
+        },
     );
 
     let _ = std::fs::remove_dir_all(&work_dir);
-    let dir: PathBuf = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("could not create {}: {e}", dir.display());
+    oca_bench::report::write("BENCH_resume.json", &json).unwrap_or_else(|e| {
+        eprintln!("could not write the report: {e}");
         std::process::exit(1);
-    }
-    let path = dir.join("BENCH_resume.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    });
 
     if pass {
         println!(

@@ -31,13 +31,13 @@
 //! ```
 
 use oca::{HaltingConfig, Oca, OcaConfig};
-use oca_bench::{peak_rss_bytes, results_dir, run_meta_json, Args, Table};
+use oca_bench::report::{report, Value};
+use oca_bench::{object, peak_rss_bytes, results_dir, Args, Table};
 use oca_gen::{wiki_like_edges, WikiLikeParams};
 use oca_graph::{
     build_ocg_from_emitter, open_ocg_path, read_cover_path, verify_ocg_path, write_cover_path,
     BuildOptions, Cover, Fnv1a,
 };
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -107,13 +107,13 @@ fn main() {
         .unwrap_or_else(|| PathBuf::from("target/wikipedia_scale"));
     let params = Params {
         smoke,
-        scale: args.get_strict("scale", if smoke { 16 } else { 23 }),
-        edge_factor: args.get_strict("edge-factor", if smoke { 10 } else { 16 }),
-        seed: args.get_strict("seed", 42),
-        seeds: args.get_strict("seeds", if smoke { 200 } else { 1000 }),
-        threads: args.get_strict("threads", 1),
-        chunk_edges: args.get_strict("chunk-edges", if smoke { 1 << 16 } else { 8 << 20 }),
-        dir: args.get_strict("dir", default_dir),
+        scale: args.get("scale", if smoke { 16 } else { 23 }),
+        edge_factor: args.get("edge-factor", if smoke { 10 } else { 16 }),
+        seed: args.get("seed", 42),
+        seeds: args.get("seeds", if smoke { 200 } else { 1000 }),
+        threads: args.get("threads", 1),
+        chunk_edges: args.get("chunk-edges", if smoke { 1 << 16 } else { 8 << 20 }),
+        dir: args.get("dir", default_dir),
         keep,
     };
     if params.threads == 0 {
@@ -121,7 +121,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let phase: String = args.get_strict("phase", String::new());
+    let phase: String = args.get("phase", String::new());
     if !phase.is_empty() {
         run_phase(&phase, &params);
     } else {
@@ -173,15 +173,19 @@ fn orchestrate(p: &Params) {
     let verify = read_fragment(p, "verify");
     let mmap = read_fragment(p, "detect-mmap");
     let ram = read_fragment(p, "detect-ram");
+    let number =
+        |fragment: &Value, key: &str| fragment.get(key).and_then(Value::as_f64).unwrap_or(0.0);
 
     // Gate 1: external-memory build stays within its chunk budget.
-    let edges = json_number(&build, "edges").unwrap_or(0.0) as u64;
-    let build_rss = json_number(&build, "peak_rss_bytes").unwrap_or(0.0) as u64;
-    let rss_budget = json_number(&build, "rss_budget_bytes").unwrap_or(0.0) as u64;
+    let edges = number(&build, "edges") as u64;
+    let build_rss = number(&build, "peak_rss_bytes") as u64;
+    let rss_budget = number(&build, "rss_budget_bytes") as u64;
     let build_within_budget = build_rss > 0 && build_rss <= rss_budget;
     // Gate 2: the mmap load path uses a fraction of the in-RAM load path.
-    let mmap_load = json_number(&mmap, "load_peak_rss_bytes").unwrap_or(0.0);
-    let ram_load = json_number(&ram, "load_peak_rss_bytes").unwrap_or(0.0);
+    // Without an in-RAM reading (no /proc) the fraction is infinite, which
+    // the report writes as null and the gate counts as failed.
+    let mmap_load = number(&mmap, "load_peak_rss_bytes");
+    let ram_load = number(&ram, "load_peak_rss_bytes");
     let load_fraction = if ram_load > 0.0 {
         mmap_load / ram_load
     } else {
@@ -189,8 +193,8 @@ fn orchestrate(p: &Params) {
     };
     let mmap_load_under_fraction = mmap_load > 0.0 && load_fraction <= MAX_LOAD_RSS_FRACTION;
     // Gate 3: storage choice is invisible to detection.
-    let fp_mmap = json_string(&mmap, "cover_fingerprint");
-    let fp_ram = json_string(&ram, "cover_fingerprint");
+    let fp_mmap = mmap.get("cover_fingerprint").and_then(Value::as_str);
+    let fp_ram = ram.get("cover_fingerprint").and_then(Value::as_str);
     let covers_bit_identical = fp_mmap.is_some() && fp_mmap == fp_ram;
     // Full runs must actually be at the paper's scale.
     let edges_at_scale = edges >= p.min_edges();
@@ -198,70 +202,16 @@ fn orchestrate(p: &Params) {
     let passed =
         build_within_budget && mmap_load_under_fraction && covers_bit_identical && edges_at_scale;
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"wikipedia_scale\",");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if p.smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(
-        json,
-        "  \"meta\": {},",
-        run_meta_json(&format!(
-            "wiki-like scale={} edge_factor={} seed={}",
-            p.scale, p.edge_factor, p.seed
-        ))
-    );
-    let _ = writeln!(
-        json,
-        "  \"params\": {{\"scale\": {}, \"edge_factor\": {}, \"seed\": {}, \"seeds\": {}, \
-         \"threads\": {}, \"chunk_edges\": {}, \"min_edges\": {}}},",
-        p.scale,
-        p.edge_factor,
-        p.seed,
-        p.seeds,
-        p.threads,
-        p.chunk_edges,
-        p.min_edges()
-    );
-    let _ = writeln!(json, "  \"build\": {},", build.trim());
-    let _ = writeln!(json, "  \"verify\": {},", verify.trim());
-    let _ = writeln!(json, "  \"detect_mmap\": {},", mmap.trim());
-    let _ = writeln!(json, "  \"detect_ram\": {},", ram.trim());
-    let _ = writeln!(
-        json,
-        "  \"gates\": {{\"build_within_budget\": {build_within_budget}, \
-         \"edges_at_scale\": {edges_at_scale}, \
-         \"mmap_load_rss_fraction\": {load_fraction:.4}, \
-         \"max_load_rss_fraction\": {MAX_LOAD_RSS_FRACTION}, \
-         \"mmap_load_under_fraction\": {mmap_load_under_fraction}, \
-         \"covers_bit_identical\": {covers_bit_identical}, \
-         \"passed\": {passed}}}"
-    );
-    json.push('}');
-    json.push('\n');
-
-    let out = results_dir().join("BENCH_scale.json");
-    std::fs::create_dir_all(results_dir()).ok();
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
-
     let gb = 1024.0 * 1024.0 * 1024.0;
     let mut table = Table::new(["metric", "value"]);
     table.row([
         "nodes".to_string(),
-        format!("{}", json_number(&build, "nodes").unwrap_or(0.0) as u64),
+        format!("{}", number(&build, "nodes") as u64),
     ]);
     table.row(["edges".to_string(), edges.to_string()]);
     table.row([
         "build secs".to_string(),
-        format!("{:.1}", json_number(&build, "secs").unwrap_or(0.0)),
+        format!("{:.1}", number(&build, "secs")),
     ]);
     table.row([
         "build peak RSS".to_string(),
@@ -273,7 +223,7 @@ fn orchestrate(p: &Params) {
     ]);
     table.row([
         "verify secs".to_string(),
-        format!("{:.1}", json_number(&verify, "secs").unwrap_or(0.0)),
+        format!("{:.1}", number(&verify, "secs")),
     ]);
     table.row([
         "load RSS mmap/ram".to_string(),
@@ -289,9 +239,11 @@ fn orchestrate(p: &Params) {
             format!("{label} secs / F1 / peak RSS"),
             format!(
                 "{:.1}s / {:.3} / {:.2} GiB",
-                json_number(frag, "secs").unwrap_or(0.0),
-                json_number(frag, "recovery_f1").unwrap_or(-1.0),
-                json_number(frag, "peak_rss_bytes").unwrap_or(0.0) / gb
+                number(frag, "secs"),
+                frag.get("recovery_f1")
+                    .and_then(Value::as_f64)
+                    .unwrap_or(-1.0),
+                number(frag, "peak_rss_bytes") / gb
             ),
         ]);
     }
@@ -300,6 +252,43 @@ fn orchestrate(p: &Params) {
         covers_bit_identical.to_string(),
     ]);
     table.row(["gates passed".to_string(), passed.to_string()]);
+
+    let json = report(
+        "wikipedia_scale",
+        p.smoke,
+        &format!(
+            "wiki-like scale={} edge_factor={} seed={}",
+            p.scale, p.edge_factor, p.seed
+        ),
+        object! {
+            "params": object! {
+                "scale": p.scale,
+                "edge_factor": p.edge_factor,
+                "seed": p.seed,
+                "seeds": p.seeds,
+                "threads": p.threads,
+                "chunk_edges": p.chunk_edges,
+                "min_edges": p.min_edges(),
+            },
+            "build": build,
+            "verify": verify,
+            "detect_mmap": mmap,
+            "detect_ram": ram,
+            "gates": object! {
+                "build_within_budget": build_within_budget,
+                "edges_at_scale": edges_at_scale,
+                "mmap_load_rss_fraction": load_fraction,
+                "max_load_rss_fraction": MAX_LOAD_RSS_FRACTION,
+                "mmap_load_under_fraction": mmap_load_under_fraction,
+                "covers_bit_identical": covers_bit_identical,
+                "passed": passed,
+            },
+        },
+    );
+    oca_bench::report::write("BENCH_scale.json", &json).unwrap_or_else(|e| {
+        eprintln!("error: could not write the report: {e}");
+        std::process::exit(1);
+    });
     print!("{}", table.render());
 
     if !p.keep {
@@ -311,15 +300,15 @@ fn orchestrate(p: &Params) {
     }
 
     if !passed {
-        eprintln!("error: scale gates failed (see {})", out.display());
+        eprintln!("error: scale gates failed (see results/BENCH_scale.json)");
         std::process::exit(1);
     }
     println!("\npaper reference: all relevant communities of Wikipedia in < 3.25 h.");
 }
 
-fn read_fragment(p: &Params, phase: &str) -> String {
-    std::fs::read_to_string(p.fragment_path(phase)).unwrap_or_else(|e| {
-        eprintln!("error: phase {phase} left no fragment: {e}");
+fn read_fragment(p: &Params, phase: &str) -> Value {
+    oca_bench::report::read(p.fragment_path(phase)).unwrap_or_else(|e| {
+        eprintln!("error: phase {phase} left no readable fragment: {e}");
         std::process::exit(1);
     })
 }
@@ -341,7 +330,7 @@ fn run_phase(phase: &str, p: &Params) {
         }
     };
     let path = p.fragment_path(phase);
-    if let Err(e) = std::fs::write(&path, fragment) {
+    if let Err(e) = std::fs::write(&path, fragment.to_string()) {
         eprintln!("error: could not write {}: {e}", path.display());
         std::process::exit(1);
     }
@@ -350,7 +339,7 @@ fn run_phase(phase: &str, p: &Params) {
 /// Streams the wiki-like generator through the external-memory `.ocg`
 /// builder — the edge list never exists in RAM — and writes the planted
 /// ground truth beside it for the detect phases to score against.
-fn phase_build(p: &Params) -> String {
+fn phase_build(p: &Params) -> Value {
     let start = Instant::now();
     let params = WikiLikeParams {
         edge_factor: p.edge_factor,
@@ -393,25 +382,25 @@ fn phase_build(p: &Params) -> String {
         peak_rss as f64 / (1024.0 * 1024.0),
         budget as f64 / (1024.0 * 1024.0),
     );
-    format!(
-        "{{\"nodes\": {}, \"edges\": {}, \"edges_read\": {}, \"self_loops\": {}, \
-         \"duplicates\": {}, \"ingest_runs\": {}, \"planted_communities\": {}, \
-         \"secs\": {secs:.3}, \"peak_rss_bytes\": {peak_rss}, \"rss_budget_bytes\": {budget}}}",
-        stats.nodes,
-        stats.edges,
-        stats.edges_read,
-        stats.self_loops,
-        stats.duplicates,
-        stats.ingest_runs,
-        planted.len(),
-    )
+    object! {
+        "nodes": stats.nodes,
+        "edges": stats.edges,
+        "edges_read": stats.edges_read,
+        "self_loops": stats.self_loops,
+        "duplicates": stats.duplicates,
+        "ingest_runs": stats.ingest_runs,
+        "planted_communities": planted.len(),
+        "secs": secs,
+        "peak_rss_bytes": peak_rss,
+        "rss_budget_bytes": budget,
+    }
 }
 
 /// The full O(n+m) audit of the file the build phase wrote: payload
 /// checksum against the header, every CSR invariant, permutation check.
 /// Its RSS is dominated by paging the whole mapping through — that's why
 /// it is not the phase the builder's budget gate measures.
-fn phase_verify(p: &Params) -> String {
+fn phase_verify(p: &Params) -> Value {
     let start = Instant::now();
     let info = verify_ocg_path(p.ocg_path()).unwrap_or_else(|e| {
         eprintln!("error: verification failed: {e}");
@@ -426,17 +415,18 @@ fn phase_verify(p: &Params) -> String {
         info.edge_count,
         info.byte_len as f64 / (1024.0 * 1024.0 * 1024.0),
     );
-    format!(
-        "{{\"secs\": {secs:.3}, \"peak_rss_bytes\": {peak_rss}, \
-         \"file_bytes\": {}, \"checksum\": \"{:016x}\"}}",
-        info.byte_len, info.checksum,
-    )
+    object! {
+        "secs": secs,
+        "peak_rss_bytes": peak_rss,
+        "file_bytes": info.byte_len,
+        "checksum": format!("{:016x}", info.checksum),
+    }
 }
 
 /// Loads the built `.ocg` (memory-mapped, or copied into owned heap
 /// storage for the in-RAM comparison), runs OCA, and reports recovery
 /// against the planted cover plus the load-time and whole-phase RSS peaks.
-fn phase_detect(p: &Params, mapped: bool) -> String {
+fn phase_detect(p: &Params, mapped: bool) -> Value {
     let storage = if mapped { "mmap" } else { "ram" };
     let ocg = open_ocg_path(p.ocg_path()).unwrap_or_else(|e| {
         eprintln!("error: could not open graph: {e}");
@@ -493,14 +483,17 @@ fn phase_detect(p: &Params, mapped: bool) -> String {
         load_peak_rss as f64 / (1024.0 * 1024.0),
         peak_rss as f64 / (1024.0 * 1024.0),
     );
-    format!(
-        "{{\"storage\": \"{storage}\", \"load_peak_rss_bytes\": {load_peak_rss}, \
-         \"peak_rss_bytes\": {peak_rss}, \"secs\": {secs:.3}, \"seeds_tried\": {}, \
-         \"communities\": {}, \"recovery_f1\": {recovery:.4}, \
-         \"nodes_per_sec\": {nodes_per_sec:.0}, \"cover_fingerprint\": \"{fingerprint}\"}}",
-        result.seeds_tried,
-        result.cover.len(),
-    )
+    object! {
+        "storage": storage,
+        "load_peak_rss_bytes": load_peak_rss,
+        "peak_rss_bytes": peak_rss,
+        "secs": secs,
+        "seeds_tried": result.seeds_tried,
+        "communities": result.cover.len(),
+        "recovery_f1": recovery,
+        "nodes_per_sec": nodes_per_sec,
+        "cover_fingerprint": fingerprint,
+    }
 }
 
 /// An order-sensitive FNV-1a digest of a cover's exact community list —
@@ -517,22 +510,4 @@ fn cover_fingerprint(cover: &Cover) -> String {
         }
     }
     format!("{:016x}", fnv.finish())
-}
-
-// Minimal extractors for the flat JSON fragments the phases emit (no JSON
-// crate in the sanctioned dependency set).
-
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn json_string(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    Some(rest[..rest.find('"')?].to_string())
 }

@@ -172,28 +172,6 @@ impl Table {
     }
 }
 
-/// Run metadata embedded in every benchmark JSON so a results file is
-/// self-describing: the git commit the run came from (`"unknown"` when
-/// the binary runs outside a checkout), the host's available
-/// parallelism, and a free-form description of the graph family and
-/// parameters measured. Returns one JSON object literal, no trailing
-/// comma or newline.
-pub fn run_meta_json(graph: &str) -> String {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .filter(|hash| !hash.is_empty() && hash.chars().all(|ch| ch.is_ascii_alphanumeric()))
-        .unwrap_or_else(|| "unknown".to_string());
-    let host_threads = std::thread::available_parallelism().map_or(0, |n| n.get());
-    format!(
-        "{{\"git_commit\": \"{commit}\", \"host_threads\": {host_threads}, \"graph\": \"{}\"}}",
-        graph.replace('"', "'")
-    )
-}
-
 /// The process's peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`), or 0 where unavailable. The high-water mark is
 /// monotone for the lifetime of the process, so benches that want
@@ -253,19 +231,10 @@ impl Args {
         Args { pairs }
     }
 
-    /// Returns the value for `key` parsed as `T`, or `default`.
+    /// Returns the value for `key` parsed as `T`, or `default` when the
+    /// option is absent. A present but malformed value is an error: the
+    /// process exits 2 rather than silently running the default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Like [`Args::get`], but exits with an error message when the option
-    /// is present and malformed instead of silently using the default.
-    pub fn get_strict<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.pairs.iter().rev().find(|(k, _)| k == key) {
             None => default,
             Some((_, v)) => v.parse().unwrap_or_else(|_| {
@@ -372,17 +341,6 @@ mod tests {
         assert_eq!(args.get("seed", 0u64), 7);
         assert_eq!(args.get("nodes", 0usize), 300);
         assert_eq!(args.get("smoke", 1usize), 1, "flag has no value");
-    }
-
-    #[test]
-    fn run_meta_is_a_self_describing_json_object() {
-        let meta = run_meta_json("lfr n=1000 mu=0.3 \"quoted\"");
-        assert!(meta.starts_with('{') && meta.ends_with('}'), "{meta}");
-        assert!(meta.contains("\"git_commit\": \""), "{meta}");
-        assert!(meta.contains("\"host_threads\": "), "{meta}");
-        // Double quotes in the description cannot break the JSON string.
-        assert!(meta.contains("'quoted'"), "{meta}");
-        assert!(!meta.contains("\"quoted\""), "{meta}");
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //! every algorithm through the `oca-api` registry as a
 //! `Box<dyn CommunityDetector>` — identical graphs, identical
 //! postprocessing, no per-algorithm dispatch. The hot ascent kernel is
-//! timed by the `hot_path` binary.
+//! timed by the `hot_path` binary. Every `results/BENCH_*.json` is written
+//! and read through [`report`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod harness;
+pub mod report;
 
 pub use harness::{
-    display_name, peak_rss_bytes, results_dir, run_algorithm, run_detector, run_meta_json, secs,
+    display_name, peak_rss_bytes, results_dir, run_algorithm, run_detector, secs,
     shared_postprocess, Args, RunOutput, Table, QUALITY_ALGORITHMS,
 };

@@ -55,7 +55,7 @@ impl Cli {
 
     /// Typed option lookup with a default; malformed values are reported
     /// as errors rather than silently replaced by the default.
-    pub fn get_strict<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.options.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -141,8 +141,8 @@ mod tests {
         let cli = parse("detect --input g.edges --algorithm oca --seed 7");
         assert_eq!(cli.command.as_deref(), Some("detect"));
         assert_eq!(cli.get_str("input"), Some("g.edges"));
-        assert_eq!(cli.get_strict::<u64>("seed", 0), Ok(7));
-        assert_eq!(cli.get_strict::<usize>("missing", 42), Ok(42));
+        assert_eq!(cli.get::<u64>("seed", 0), Ok(7));
+        assert_eq!(cli.get::<usize>("missing", 42), Ok(42));
     }
 
     #[test]
@@ -150,7 +150,7 @@ mod tests {
         let cli = parse("generate --family lfr --quiet --nodes 100");
         assert!(cli.has_flag("quiet"));
         assert!(!cli.has_flag("loud"));
-        assert_eq!(cli.get_strict::<usize>("nodes", 0), Ok(100));
+        assert_eq!(cli.get::<usize>("nodes", 0), Ok(100));
     }
 
     #[test]
@@ -171,24 +171,24 @@ mod tests {
     }
 
     #[test]
-    fn get_strict_rejects_malformed_values() {
+    fn get_rejects_malformed_values() {
         let cli = parse("detect --threads eight --seed 7");
-        assert_eq!(cli.get_strict::<usize>("threads", 1).ok(), None);
+        assert_eq!(cli.get::<usize>("threads", 1).ok(), None);
         assert!(cli
-            .get_strict::<usize>("threads", 1)
+            .get::<usize>("threads", 1)
             .unwrap_err()
             .contains("--threads"));
-        assert_eq!(cli.get_strict::<usize>("missing", 3), Ok(3));
-        assert_eq!(cli.get_strict::<u64>("seed", 0), Ok(7));
+        assert_eq!(cli.get::<usize>("missing", 3), Ok(3));
+        assert_eq!(cli.get::<u64>("seed", 0), Ok(7));
         // Negative numbers are not swallowed into the default either.
         let cli = parse("detect --threads -4");
-        assert!(cli.get_strict::<usize>("threads", 1).is_err());
+        assert!(cli.get::<usize>("threads", 1).is_err());
     }
 
     #[test]
     fn last_option_wins() {
         let cli = parse("x --seed 1 --seed 2");
-        assert_eq!(cli.get_strict::<u64>("seed", 0), Ok(2));
+        assert_eq!(cli.get::<u64>("seed", 0), Ok(2));
     }
 
     #[test]

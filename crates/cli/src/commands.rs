@@ -230,13 +230,13 @@ fn generate(cli: &Cli) -> Result<(), String> {
     )?;
     let family = cli.require("family")?.to_string();
     let output = cli.require("output")?.to_string();
-    let nodes: usize = cli.get_strict("nodes", 1000)?;
-    let seed: u64 = cli.get_strict("seed", 42)?;
+    let nodes: usize = cli.get("nodes", 1000)?;
+    let seed: u64 = cli.get("seed", 42)?;
     let mut rng = StdRng::seed_from_u64(seed);
 
     let (graph, truth): (CsrGraph, Option<Cover>) = match family.as_str() {
         "lfr" => {
-            let mu: f64 = cli.get_strict("mu", 0.3)?;
+            let mu: f64 = cli.get("mu", 0.3)?;
             let b = lfr(&LfrParams::small(nodes, mu, seed));
             (b.graph, Some(b.ground_truth))
         }
@@ -246,11 +246,11 @@ fn generate(cli: &Cli) -> Result<(), String> {
             (b.graph, Some(b.ground_truth))
         }
         "gnp" => {
-            let p: f64 = cli.get_strict("p", 0.01)?;
+            let p: f64 = cli.get("p", 0.01)?;
             (gnp(nodes, p, &mut rng), None)
         }
         "ba" => {
-            let m: usize = cli.get_strict("m", 5)?;
+            let m: usize = cli.get("m", 5)?;
             (barabasi_albert(nodes, m, &mut rng), None)
         }
         "rmat" => {
@@ -321,7 +321,7 @@ fn detect(cli: &Cli) -> Result<(), String> {
 
     let loaded = load_graph(cli)?;
     let graph = &loaded.graph;
-    let seed: u64 = cli.get_strict("seed", 42)?;
+    let seed: u64 = cli.get("seed", 42)?;
     let mut opts = DetectorOptions::new();
     for (key, value) in cli.option_pairs() {
         if !DETECT_OPTIONS.contains(&key) {
@@ -600,14 +600,14 @@ fn serve(cli: &Cli) -> Result<(), String> {
     cli.ensure_known(&SERVE_OPTIONS, &[])?;
     let loaded = load_graph(cli)?;
     let addr = cli.get_str("addr").unwrap_or("127.0.0.1:7010").to_string();
-    let workers: usize = cli.get_strict("workers", 4)?;
-    let seed: u64 = cli.get_strict("seed", 42)?;
-    let recompute_secs: f64 = cli.get_strict("recompute-secs", 0.0)?;
-    let max_seconds: f64 = cli.get_strict("max-seconds", 0.0)?;
-    let deadline_ms: u64 = cli.get_strict("deadline-ms", 0)?;
-    let max_pending: usize = cli.get_strict("max-pending", 128)?;
-    let idle_secs: f64 = cli.get_strict("idle-secs", 120.0)?;
-    let max_line_bytes: usize = cli.get_strict("max-line-bytes", 64 * 1024)?;
+    let workers: usize = cli.get("workers", 4)?;
+    let seed: u64 = cli.get("seed", 42)?;
+    let recompute_secs: f64 = cli.get("recompute-secs", 0.0)?;
+    let max_seconds: f64 = cli.get("max-seconds", 0.0)?;
+    let deadline_ms: u64 = cli.get("deadline-ms", 0)?;
+    let max_pending: usize = cli.get("max-pending", 128)?;
+    let idle_secs: f64 = cli.get("idle-secs", 120.0)?;
+    let max_line_bytes: usize = cli.get("max-line-bytes", 64 * 1024)?;
     let algorithm = cli.get_str("algorithm").unwrap_or("oca").to_string();
 
     let mut local = LocalConfig {
@@ -790,8 +790,8 @@ fn graph_build(cli: &Cli) -> Result<(), String> {
     let output = cli.require("output")?;
     let defaults = BuildOptions::default();
     let options = BuildOptions {
-        chunk_edges: cli.get_strict("chunk-edges", defaults.chunk_edges)?,
-        min_nodes: cli.get_strict("min-nodes", defaults.min_nodes)?,
+        chunk_edges: cli.get("chunk-edges", defaults.chunk_edges)?,
+        min_nodes: cli.get("min-nodes", defaults.min_nodes)?,
         relabel: !cli.has_flag("no-relabel"),
         verify: !cli.has_flag("no-verify"),
         tmp_dir: cli.get_str("tmp-dir").map(Into::into),

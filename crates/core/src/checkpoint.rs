@@ -271,9 +271,8 @@ pub struct DriverCheckpoint {
     pub rejected_streak: u64,
     /// Ascent stop tallies at the boundary.
     pub stops: AscentStopStats,
-    /// Node count of the graph the driver ran on (the relabeled copy when
-    /// `relabel` is set); redundant with the graph binding, kept for
-    /// structural validation.
+    /// Node count of the graph the driver ran on; redundant with the graph
+    /// binding, kept for structural validation.
     pub node_count: u64,
     /// Accepted communities, in acceptance (ticket) order.
     pub accepted: Vec<Community>,
@@ -302,7 +301,7 @@ const FRAME: Frame = Frame {
 ///
 /// `checkpoint` (where/how to persist), `threads` (never affects output),
 /// and `rng_seed` (carried in the payload and adopted on resume) are
-/// normalized out. Everything else — halting, search, batch, relabel,
+/// normalized out. Everything else — halting, search, batch,
 /// seed strategy, `c` strategy, postprocessing — changes which tickets
 /// produce what, so a mismatch must refuse the resume.
 pub fn config_checksum(config: &OcaConfig) -> u64 {
@@ -832,9 +831,9 @@ mod tests {
         let mut halting = base.clone();
         halting.halting.max_seeds += 1;
         assert_ne!(config_checksum(&base), config_checksum(&halting));
-        let mut relabel = base.clone();
-        relabel.relabel = true;
-        assert_ne!(config_checksum(&base), config_checksum(&relabel));
+        let mut orphans = base.clone();
+        orphans.assign_orphans = true;
+        assert_ne!(config_checksum(&base), config_checksum(&orphans));
     }
 
     #[test]

@@ -54,15 +54,6 @@ pub struct OcaConfig {
     /// `threads` does not. Larger rounds synchronize less often but may
     /// discard up to `batch − 1` ascents past the halting cutoff.
     pub batch: usize,
-    /// Run the ascents on a degree-ordered relabeled copy of the graph
-    /// (hub adjacency rows packed together for cache locality; see
-    /// `oca_graph::Relabeling`). The cover is mapped back and reported in
-    /// original ids. Like `batch`, this is part of the schedule: it
-    /// changes which seeds are drawn (seed picks index the relabeled id
-    /// space), so covers differ from an unrelabeled run of the same seed,
-    /// but quality is equivalent and determinism across thread counts is
-    /// unaffected.
-    pub relabel: bool,
     /// Crash-safe progress: periodically persist the driver's round-start
     /// state to a `.ockpt` file and (per the policy) resume from it. Not
     /// part of the deterministic schedule — a checkpointed run, a plain
@@ -83,7 +74,6 @@ impl Default for OcaConfig {
             rng_seed: 0x0CA,
             threads: 1,
             batch: 64,
-            relabel: false,
             checkpoint: None,
         }
     }

@@ -26,7 +26,6 @@ use crate::seed::{initial_set, ticket_seed};
 use crate::state::CommunityState;
 use oca_graph::{
     Community, ContainerError, Cover, CsrGraph, DetectContext, DetectError, Detection, NodeId,
-    Relabeling,
 };
 use oca_spectral::interaction_strength;
 use rand::rngs::StdRng;
@@ -468,36 +467,7 @@ impl Oca {
     /// Randomness still derives from [`OcaConfig::rng_seed`]; detector
     /// wrappers copy the context seed into the config first. For a fixed
     /// seed the result is identical at any [`OcaConfig::threads`] count.
-    ///
-    /// With [`OcaConfig::relabel`] set, the run happens on a
-    /// degree-ordered copy of the graph and every cover leaving this
-    /// function — the result's and a cancellation's partial — is mapped
-    /// back to original ids.
     pub fn run_ctx(&self, graph: &CsrGraph, ctx: &DetectContext) -> Result<OcaResult, DetectError> {
-        if !self.config.relabel {
-            return self.run_ctx_inner(graph, ctx);
-        }
-        let relabeling = Relabeling::degree_descending(graph);
-        let compact = graph.relabeled(&relabeling);
-        match self.run_ctx_inner(&compact, ctx) {
-            Ok(mut result) => {
-                result.cover = relabeling.cover_to_original(&result.cover);
-                Ok(result)
-            }
-            Err(DetectError::Cancelled { partial }) => Err(DetectError::cancelled(Detection {
-                cover: relabeling.cover_to_original(&partial.cover),
-                ..*partial
-            })),
-            Err(other) => Err(other),
-        }
-    }
-
-    /// [`Oca::run_ctx`] on the graph as given (no relabeling pass).
-    fn run_ctx_inner(
-        &self,
-        graph: &CsrGraph,
-        ctx: &DetectContext,
-    ) -> Result<OcaResult, DetectError> {
         let start = Instant::now();
         let n = graph.node_count();
         let cancelled =

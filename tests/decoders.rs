@@ -16,12 +16,15 @@
 //!
 //! The same flips, truncations and splices drive the byte parsers that
 //! sit in front of the formats and the serve protocol: the gzip decoder,
-//! the edge-list reader and `Request::parse`, which also takes arbitrary
-//! strings.
+//! the edge-list reader, `Request::parse` and the bench-report reader
+//! (`oca_bench::report`) over a committed report. The request parser and
+//! the report reader also take arbitrary strings, and the report reader
+//! every truncation of that report and 100k-deep `[`/`{` nesting.
 //!
 //! `PROPTEST_CASES` scales the properties (CI runs them at 5000 cases).
 
 use oca::{checkpoint_summary, config_checksum, graph_checksum, DriverCheckpoint, Oca, OcaConfig};
+use oca_bench::report::{ParseErrorKind, Value};
 use oca_gen::{lfr, LfrParams};
 use oca_graph::{
     fnv1a, gzip::gunzip, open_ocg_path, read_edge_list, verify_ocg_path, write_ocg_path,
@@ -262,14 +265,23 @@ const REQUESTS: [&str; 7] = [
     "shutdown",
 ];
 
+/// A committed bench report: the chaos bench's, the most deeply nested.
+const REPORT: &str = include_str!("../results/BENCH_chaos.json");
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Parser {
     Gzip,
     EdgeList,
     Request,
+    Report,
 }
 
-const PARSERS: [Parser; 3] = [Parser::Gzip, Parser::EdgeList, Parser::Request];
+const PARSERS: [Parser; 4] = [
+    Parser::Gzip,
+    Parser::EdgeList,
+    Parser::Request,
+    Parser::Report,
+];
 
 /// The valid input a case of `parser` mutates; `pick` chooses the request
 /// line.
@@ -278,11 +290,13 @@ fn parser_input(parser: Parser, pick: usize) -> Vec<u8> {
         Parser::Gzip => GZIP.to_vec(),
         Parser::EdgeList => gzip_plaintext(),
         Parser::Request => REQUESTS[pick % REQUESTS.len()].as_bytes().to_vec(),
+        Parser::Report => REPORT.as_bytes().to_vec(),
     }
 }
 
 /// Runs `parser` over `bytes`; any return is a pass, a panic the failure.
-/// The request parser takes a `&str`, so it sees the bytes lossily decoded.
+/// The request parser and the report reader take a `&str`, so they see
+/// the bytes lossily decoded.
 fn parse(parser: Parser, bytes: &[u8]) {
     match parser {
         Parser::Gzip => {
@@ -294,6 +308,11 @@ fn parse(parser: Parser, bytes: &[u8]) {
         Parser::Request => {
             if let Err(e) = Request::parse(&String::from_utf8_lossy(bytes)) {
                 let _ = e.to_json();
+            }
+        }
+        Parser::Report => {
+            if let Err(e) = Value::parse(&String::from_utf8_lossy(bytes)) {
+                let _ = e.to_string();
             }
         }
     }
@@ -318,13 +337,32 @@ fn arbitrary_string(rng: &mut StdRng) -> String {
     s
 }
 
+/// A random string of up to 60 JSON tokens, fragments and arbitrary
+/// characters, so most cases get past the first byte.
+fn arbitrary_json(rng: &mut StdRng) -> String {
+    const PIECES: [&str; 20] = [
+        "{", "}", "[", "]", ":", ",", "\"", "\"k\":", "\\", "\\u", "\\ud800", "null", "true",
+        "fals", "-", "0", "1.5e", "E+", " ", "\n",
+    ];
+    let len = rng.random_range(0..=60usize);
+    let mut s = String::new();
+    for _ in 0..len {
+        match rng.random_range(0..4u8) {
+            0 | 1 => s.push_str(PIECES[rng.random_range(0..PIECES.len())]),
+            2 => s.push_str(&rng.random::<u64>().to_string()),
+            _ => s.extend(char::from_u32(rng.random_range(0..0x11_0000u32))),
+        }
+    }
+    s
+}
+
 proptest! {
     #[test]
     fn byte_parsers_return_typed_errors_on_arbitrary_damage(
         raw in 0u64..u64::MAX,
-        parser in 0usize..3,
+        parser in 0usize..4,
         kind in 0u8..3,
-        donor in 0usize..3,
+        donor in 0usize..4,
     ) {
         let parser = PARSERS[parser];
         let mut rng = StdRng::seed_from_u64(raw);
@@ -344,6 +382,38 @@ proptest! {
         let outcome = catch_unwind(|| parse(Parser::Request, line.as_bytes()));
         prop_assert!(outcome.is_ok(), "request parser panicked on {line:?}");
     }
+
+    #[test]
+    fn report_reader_returns_typed_errors_on_arbitrary_strings(raw in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(raw);
+        let text = if raw % 2 == 0 {
+            arbitrary_json(&mut rng)
+        } else {
+            arbitrary_string(&mut rng)
+        };
+        let outcome = catch_unwind(|| parse(Parser::Report, text.as_bytes()));
+        prop_assert!(outcome.is_ok(), "report reader panicked on {text:?}");
+    }
+}
+
+#[test]
+fn report_reader_survives_every_truncation_and_deep_nesting() {
+    // Every proper prefix of a report is an incomplete value: typed
+    // error, never a panic and never a silently accepted half report.
+    for (end, _) in REPORT.trim_end().char_indices() {
+        let err = Value::parse(&REPORT[..end]).expect_err("a truncated report parses");
+        assert!(err.offset <= end, "{err} at cut {end}");
+    }
+    // Nesting far past any stack the recursion could hold is refused at
+    // the depth limit instead.
+    for unit in ["[", "{\"a\":", "[{\"a\":", "[1,"] {
+        let text = unit.repeat(100_000);
+        assert_eq!(
+            Value::parse(&text).unwrap_err().kind,
+            ParseErrorKind::TooDeep,
+            "{unit}"
+        );
+    }
 }
 
 #[test]
@@ -356,6 +426,8 @@ fn byte_parser_fixtures_are_valid() {
     for line in REQUESTS {
         assert!(Request::parse(line).is_ok(), "{line}");
     }
+    let report = Value::parse(REPORT).unwrap();
+    assert_eq!(report.get("bench").and_then(Value::as_str), Some("chaos"));
 }
 
 /// Loads `bytes` as a sealed `format` file, bound to the fixtures.

@@ -237,25 +237,6 @@ fn every_detector_produces_valid_covers_on_edge_case_graphs() {
     }
 }
 
-/// The edge-case and determinism contracts also hold for OCA's optional
-/// degree-ordered relabeling pass (covers must come back in original ids
-/// even on degenerate graphs; see tests/relabeling.rs for the quality and
-/// thread-count contracts).
-#[test]
-fn oca_relabeling_passes_the_edge_case_contracts() {
-    let reg = registry();
-    for (graph_name, graph) in edge_case_graphs() {
-        let opts = DetectorOptions::new().with("relabel", "true");
-        let detector = reg.build("oca", &opts).expect("relabel is a valid option");
-        let a = detector
-            .detect(&graph, &mut DetectContext::new(5))
-            .unwrap_or_else(|e| panic!("oca+relabel failed on {graph_name}: {e}"));
-        assert_valid_cover("oca+relabel", graph_name, &graph, &a.cover);
-        let b = detector.detect(&graph, &mut DetectContext::new(5)).unwrap();
-        assert_eq!(a.cover, b.cover, "oca+relabel on {graph_name}");
-    }
-}
-
 #[test]
 fn disconnected_cliques_are_found_separately() {
     let (_, disconnected) = edge_case_graphs().remove(2);

@@ -252,11 +252,6 @@ pub fn registry() -> DetectorRegistry {
                  uninterrupted cover bit for bit",
             ),
             (
-                "checkpoint-every-rounds",
-                "rounds between checkpoint writes (default 1; larger \
-                 trades redo work for write overhead)",
-            ),
-            (
                 "checkpoint-resume",
                 "'fresh' (ignore any existing checkpoint), 'strict' \
                  (resume; refuse damaged or mismatched files with a typed \
@@ -425,16 +420,13 @@ fn build_oca(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
         };
         config.checkpoint = Some(CheckpointConfig {
             resume,
-            every_rounds: opts.get_or("checkpoint-every-rounds", 1u64)?,
             ..CheckpointConfig::at(path)
         });
-    } else if opts.get("checkpoint-every-rounds").is_some()
-        || opts.get("checkpoint-resume").is_some()
-    {
+    } else if opts.get("checkpoint-resume").is_some() {
         return Err(DetectError::InvalidOption {
             key: "checkpoint-path".to_string(),
             value: String::new(),
-            message: "checkpoint-every-rounds / checkpoint-resume need checkpoint-path".to_string(),
+            message: "checkpoint-resume needs checkpoint-path".to_string(),
         });
     }
     Ok(Box::new(OcaDetector::new(config)?))
@@ -727,10 +719,10 @@ mod tests {
     fn removed_ascent_options_are_unknown() {
         let reg = registry();
         let cases = [
-            ("oca", "move-rule", "greedy", 16),
-            ("oca", "plateau-moves", "8", 16),
-            ("oca", "tabu-tenure", "4", 16),
-            ("oca", "relabel", "true", 16),
+            ("oca", "move-rule", "greedy", 15),
+            ("oca", "plateau-moves", "8", 15),
+            ("oca", "tabu-tenure", "4", 15),
+            ("oca", "relabel", "true", 15),
             ("oca-local", "move-rule", "greedy", 4),
         ];
         for (algorithm, removed, value, count) in cases {
@@ -869,7 +861,6 @@ mod tests {
                 "oca",
                 &DetectorOptions::new()
                     .with("checkpoint-path", path.to_str().unwrap())
-                    .with("checkpoint-every-rounds", "2")
                     .with("checkpoint-resume", "salvage")
                     .with("max-seeds", "50"),
             )
@@ -898,10 +889,24 @@ mod tests {
         assert!(matches!(
             reg.build(
                 "oca",
-                &DetectorOptions::new().with("checkpoint-every-rounds", "2"),
+                &DetectorOptions::new().with("checkpoint-resume", "strict"),
             ),
             Err(DetectError::InvalidOption { .. })
         ));
+        // The write cadence is no longer an option: the driver writes at
+        // every round start.
+        let cadence = "checkpoint-every-rounds";
+        for opts in [
+            DetectorOptions::new().with(cadence, "2"),
+            DetectorOptions::new()
+                .with("checkpoint-path", path.to_str().unwrap())
+                .with(cadence, "2"),
+        ] {
+            assert!(matches!(
+                reg.build("oca", &opts),
+                Err(DetectError::UnknownOption { .. })
+            ));
+        }
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //! cargo run -p oca-bench --release --bin resume_chaos -- --smoke # 5k CI gate
 //! ```
 
-use oca::{
-    checkpoint_summary, CheckpointConfig, CheckpointFaults, Oca, OcaConfig, OcaResult, ResumePolicy,
-};
+use oca::{checkpoint_summary, CheckpointConfig, Oca, OcaConfig, OcaResult};
 use oca_bench::report::{report, Value};
 use oca_bench::{object, Args, Table};
 use oca_gen::{lfr, LfrParams};
@@ -43,12 +41,7 @@ fn detect_config(seed: u64, threads: usize, ckpt: Option<&Path>) -> OcaConfig {
         rng_seed: seed,
         threads,
         batch: 64,
-        checkpoint: ckpt.map(|path| CheckpointConfig {
-            path: path.to_path_buf(),
-            every_rounds: 1,
-            resume: ResumePolicy::Strict,
-            faults: CheckpointFaults::none(),
-        }),
+        checkpoint: ckpt.map(CheckpointConfig::at),
         ..OcaConfig::default()
     }
 }

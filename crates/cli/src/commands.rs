@@ -149,11 +149,11 @@ Long `detect` runs survive crashes: `--checkpoint F.ockpt` persists the
 driver's round-boundary state atomically; after a crash (or ^C) rerun the
 same command with `--resume` and the run continues where it stopped,
 producing the bit-identical cover an uninterrupted run would have. ^C and
-SIGTERM always stop at the next safe point, flush the checkpoint (if
-armed) and write the partial cover to `--save-cover` (if given) before
-exiting cleanly. `cover load` and `graph verify` exit 3 on a checksum
-mismatch, 4 on truncation and 5 on a version mismatch (1 for everything
-else), naming the class in the message.
+SIGTERM always stop at the next safe point and write the partial cover to
+`--save-cover` (if given) before exiting cleanly; the checkpoint (if
+armed) holds the start of the interrupted round. `cover load` and `graph
+verify` exit 3 on a checksum mismatch, 4 on truncation and 5 on a version
+mismatch (1 for everything else), naming the class in the message.
 
 `serve` answers `query`/`local`/`topk`/`snapshot`/`stats`/`health` as
 one-line JSON over TCP (try `nc` and type `query 0`). `--cover` warm-starts
@@ -402,8 +402,8 @@ fn detect(cli: &Cli) -> Result<(), String> {
             );
             match &checkpoint_path {
                 Some(ckpt) => println!(
-                    "checkpoint flushed to {ckpt}; rerun with --resume to continue \
-                     where this run stopped"
+                    "checkpoint {ckpt} holds the start of the interrupted round; \
+                     rerun with --resume to continue from there"
                 ),
                 None => println!(
                     "halted: interrupted — no checkpoint was armed, so a rerun \

@@ -1,7 +1,7 @@
 //! Dependency-free SIGINT/SIGTERM capture for graceful interruption.
 //!
-//! `detect` wants ^C to mean "stop at the next safe point, flush the
-//! checkpoint / partial cover, exit cleanly" rather than die mid-write.
+//! `detect` wants ^C to mean "stop at the next safe point, write the
+//! partial cover, exit cleanly" rather than die mid-write.
 //! The handler only stores the signal number in an atomic; a watcher
 //! thread in the command turns it into a [`oca_graph::CancelToken`]
 //! cancellation, and the driver unwinds through its normal cancellation

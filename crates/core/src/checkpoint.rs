@@ -6,10 +6,12 @@
 //! outcomes in ticket order. A *round boundary* — the point where one
 //! batch of tickets has been fully reduced and the next round's coverage
 //! snapshot has not yet been taken — is therefore a complete cut: the
-//! accepted communities, the dedup fingerprints, the uncovered list (in
-//! its exact swap-remove order, because seed picks index it), the coverage
-//! bitmap, and the halting counters together determine every subsequent
-//! ticket bit-for-bit, at any thread count.
+//! accepted communities, the uncovered list (in its exact swap-remove
+//! order, because seed picks index it) and the halting counters together
+//! determine every subsequent ticket bit-for-bit, at any thread count.
+//! Everything else the driver holds at a boundary (the dedup
+//! fingerprints, the coverage bitmap, the covered count) is derived from
+//! those on resume.
 //!
 //! This module serializes exactly that cut into an `.ockpt` file — a
 //! sealed [`oca_graph::container`] frame — and reconstructs it on resume.
@@ -32,9 +34,9 @@
 //! Mid-round state is deliberately *not* checkpointable: tickets past the
 //! round's cutoff may already be reduced out of order on other workers,
 //! and the coverage snapshot lent to the workers is round-global. The
-//! runner instead rewinds to the round start when asked to flush on
-//! cancellation, which costs at most one round of redone work after
-//! resume.
+//! runner writes at the start of every round and nowhere else, so an
+//! interrupted run — killed or cancelled — resumes from the start of the
+//! round it was in, redoing at most that one round.
 
 use crate::config::OcaConfig;
 use crate::halting::AscentStopStats;
@@ -67,13 +69,12 @@ pub enum ResumePolicy {
 ///
 /// Excluded from the config binding checksum (the checksum normalizes
 /// `checkpoint` to `None`), so a resumed run may checkpoint to a different
-/// path or cadence than the run that wrote the file.
+/// path than the run that wrote the file. The driver writes at the start
+/// of every round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointConfig {
     /// The `.ockpt` file to write (and resume from).
     pub path: PathBuf,
-    /// Write every N round boundaries (1 = every round).
-    pub every_rounds: u64,
     /// What to do with an existing file at `path` on start.
     pub resume: ResumePolicy,
     /// Fault injection for crash testing; unarmed in production.
@@ -81,12 +82,11 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Checkpoint to `path` every round, resuming strictly — the default
-    /// shape for CLI `detect --checkpoint`.
+    /// Checkpoint to `path`, resuming strictly — the default shape for
+    /// CLI `detect --checkpoint`.
     pub fn at(path: impl Into<PathBuf>) -> Self {
         CheckpointConfig {
             path: path.into(),
-            every_rounds: 1,
             resume: ResumePolicy::Strict,
             faults: CheckpointFaults::none(),
         }
@@ -101,9 +101,9 @@ pub struct CheckpointFaultSpec {
     /// written to the temp file, then the write fails. The atomic path
     /// must leave the previous complete checkpoint in place.
     pub torn_write_every: u64,
-    /// After the Nth *successful* checkpoint write, the driver aborts at
-    /// the next round boundary as if killed — exercising exactly the
-    /// crash window the resume path must cover.
+    /// Right after the Nth *successful* checkpoint write, the driver
+    /// aborts as if killed — exercising exactly the crash window the
+    /// resume path must cover.
     pub kill_after_writes: u64,
 }
 
@@ -124,7 +124,7 @@ pub struct CheckpointFaultCounts {
     pub write_attempts: u64,
     /// Writes torn by injection.
     pub torn_writes: u64,
-    /// Simulated kills taken at round boundaries.
+    /// Simulated kills taken right after a checkpoint write.
     pub kills: u64,
 }
 
@@ -214,7 +214,7 @@ impl CheckpointFaults {
 /// `Detection` stats (and from there into `BENCH_hotpath.json`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckpointStats {
-    /// Round boundaries at which a checkpoint was successfully written.
+    /// Round starts at which a checkpoint was successfully written.
     pub rounds_checkpointed: u64,
     /// Size in bytes of the last successful write.
     pub last_bytes: u64,
@@ -263,8 +263,6 @@ pub struct DriverCheckpoint {
     pub lambda_min: f64,
     /// Tickets fully reduced — the next round starts here.
     pub seeds_tried: u64,
-    /// Covered-node count (must equal the bitmap's popcount).
-    pub covered: u64,
     /// Stagnation-window counter at the boundary.
     pub stagnant: u64,
     /// Duplicate-streak counter at the boundary.
@@ -276,25 +274,20 @@ pub struct DriverCheckpoint {
     pub node_count: u64,
     /// Accepted communities, in acceptance (ticket) order.
     pub accepted: Vec<Community>,
-    /// The accepted communities' dedup fingerprints, parallel to
-    /// `accepted` — stored rather than recomputed so the `seen` set is
-    /// reconstructed bit-for-bit.
-    pub fingerprints: Vec<u128>,
     /// The uncovered list in its exact order. Order is load-bearing: seed
     /// picks index this list, and its order is the deterministic product
-    /// of the swap-removes applied so far.
+    /// of the swap-removes applied so far. It holds exactly the nodes that
+    /// are in no accepted community, each once.
     pub uncovered: Vec<u32>,
-    /// The coverage bitmap words (must be the exact complement of
-    /// `uncovered`).
-    pub bitmap_words: Vec<u64>,
 }
 
-/// The `.ockpt` frame. Version 1 files (the pre-container envelope) and
-/// version 2 files (whose payload still carried a fourth stop tally) are
-/// refused as a version mismatch.
+/// The `.ockpt` frame. Older versions are refused as a version mismatch:
+/// version 1 (the pre-container envelope), version 2 (a fourth stop
+/// tally) and version 3 (a covered counter, the dedup fingerprints and the
+/// coverage bitmap, all derived on resume since version 4).
 const FRAME: Frame = Frame {
     magic: *b"OCACKPT\0",
-    version: 3,
+    version: 4,
 };
 
 /// The config binding checksum: a hash of every schedule-affecting field.
@@ -327,6 +320,11 @@ pub fn graph_checksum(graph: &CsrGraph) -> u64 {
 }
 
 impl DriverCheckpoint {
+    /// Nodes covered at the boundary: those not on the uncovered list.
+    pub fn covered(&self) -> u64 {
+        self.node_count - self.uncovered.len() as u64
+    }
+
     /// Serializes the state into the `.ockpt` payload layout.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -336,17 +334,14 @@ impl DriverCheckpoint {
 
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(
-            12 * 8
+            11 * 8
                 + self.accepted.iter().map(|c| 4 + 4 * c.len()).sum::<usize>()
-                + 16 * self.fingerprints.len()
-                + 4 * self.uncovered.len()
-                + 8 * self.bitmap_words.len(),
+                + 4 * self.uncovered.len(),
         );
         out.extend_from_slice(&self.rng_seed.to_le_bytes());
         out.extend_from_slice(&self.c.to_bits().to_le_bytes());
         out.extend_from_slice(&self.lambda_min.to_bits().to_le_bytes());
         out.extend_from_slice(&self.seeds_tried.to_le_bytes());
-        out.extend_from_slice(&self.covered.to_le_bytes());
         out.extend_from_slice(&self.stagnant.to_le_bytes());
         out.extend_from_slice(&self.rejected_streak.to_le_bytes());
         out.extend_from_slice(&(self.stops.converged as u64).to_le_bytes());
@@ -360,16 +355,9 @@ impl DriverCheckpoint {
                 out.extend_from_slice(&(v.index() as u32).to_le_bytes());
             }
         }
-        for fp in &self.fingerprints {
-            out.extend_from_slice(&fp.to_le_bytes());
-        }
         out.extend_from_slice(&(self.uncovered.len() as u64).to_le_bytes());
         for &v in &self.uncovered {
             out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.bitmap_words.len() as u64).to_le_bytes());
-        for &w in &self.bitmap_words {
-            out.extend_from_slice(&w.to_le_bytes());
         }
     }
 
@@ -389,7 +377,6 @@ impl DriverCheckpoint {
         let c = r.f64()?;
         let lambda_min = r.f64()?;
         let seeds_tried = r.u64()?;
-        let covered = r.u64()?;
         let stagnant = r.u64()?;
         let rejected_streak = r.u64()?;
         let stops = AscentStopStats {
@@ -400,9 +387,9 @@ impl DriverCheckpoint {
         let node_count = r.u64()?;
         // Every count is checked against the bytes left before anything
         // is allocated: a forged count must not abort the process. Each
-        // community costs at least its length word and its fingerprint.
+        // community costs at least its length word.
         let n_communities = r.u64()?;
-        r.fits(n_communities, 4 + 16)?;
+        r.fits(n_communities, 4)?;
         let mut accepted = Vec::new();
         for _ in 0..n_communities {
             let len = r.u32()?;
@@ -417,10 +404,6 @@ impl DriverCheckpoint {
                 members.push(NodeId::new(v));
             }
             accepted.push(Community::new(members));
-        }
-        let mut fingerprints = Vec::with_capacity(accepted.len());
-        for _ in 0..n_communities {
-            fingerprints.push(r.u128()?);
         }
         let n_uncovered = r.u64()?;
         if n_uncovered > node_count {
@@ -438,34 +421,27 @@ impl DriverCheckpoint {
             }
             uncovered.push(v);
         }
-        let n_words = r.u64()?;
-        let mut bitmap_words = Vec::with_capacity(r.fits(n_words, 8)?);
-        for _ in 0..n_words {
-            bitmap_words.push(r.u64()?);
-        }
         let ckpt = DriverCheckpoint {
             rng_seed,
             c,
             lambda_min,
             seeds_tried,
-            covered,
             stagnant,
             rejected_streak,
             stops,
             node_count,
             accepted,
-            fingerprints,
             uncovered,
-            bitmap_words,
         };
         ckpt.validate()?;
         Ok(ckpt)
     }
 
-    /// Cross-checks the redundant encodings against each other: the
-    /// bitmap must be the exact complement of the uncovered list, its
-    /// popcount must equal the covered counter, and the uncovered list
-    /// must be duplicate-free.
+    /// Checks what the driver relies on: a finite `c`, no more accepted
+    /// communities than tickets, and coverage that is one consistent
+    /// partition — every node is either a member of some accepted
+    /// community or on the uncovered list, never both, and the uncovered
+    /// list names no node twice. (Bounds were checked while decoding.)
     fn validate(&self) -> Result<(), ContainerError> {
         if !self.c.is_finite() {
             return Err(ContainerError::Malformed(format!(
@@ -473,65 +449,47 @@ impl DriverCheckpoint {
                 self.c
             )));
         }
-        let n = self.node_count as usize;
-        let expected_words = n.div_ceil(64);
-        if self.bitmap_words.len() != expected_words {
-            return Err(ContainerError::Malformed(format!(
-                "{} bitmap words for {n} nodes (expected {expected_words})",
-                self.bitmap_words.len()
-            )));
-        }
-        let popcount: u64 = self
-            .bitmap_words
-            .iter()
-            .map(|w| w.count_ones() as u64)
-            .sum();
-        if popcount != self.covered {
-            return Err(ContainerError::Malformed(format!(
-                "bitmap popcount {popcount} disagrees with covered counter {}",
-                self.covered
-            )));
-        }
-        if self.covered + self.uncovered.len() as u64 != self.node_count {
-            return Err(ContainerError::Malformed(format!(
-                "{} covered + {} uncovered != {} nodes",
-                self.covered,
-                self.uncovered.len(),
-                self.node_count
-            )));
-        }
-        // Complement + duplicate-freeness in one pass: every uncovered
-        // node must have a *set-so-far-unseen* clear bit. Work on a copy
-        // so validation stays read-only.
-        let mut words = self.bitmap_words.clone();
-        for &v in &self.uncovered {
-            let (word, bit) = (v as usize / 64, v as usize % 64);
-            if words[word] >> bit & 1 == 1 {
-                return Err(ContainerError::Malformed(format!(
-                    "node {v} is both covered and uncovered"
-                )));
-            }
-            words[word] |= 1 << bit;
-        }
-        // All n bits are now set iff bitmap == complement(uncovered).
-        let full: u64 = words.iter().map(|w| w.count_ones() as u64).sum();
-        if full != self.node_count {
-            return Err(ContainerError::Malformed(
-                "bitmap is not the complement of the uncovered list".to_string(),
-            ));
-        }
-        if self.fingerprints.len() != self.accepted.len() {
-            return Err(ContainerError::Malformed(format!(
-                "{} fingerprints for {} communities",
-                self.fingerprints.len(),
-                self.accepted.len()
-            )));
-        }
         if self.seeds_tried < self.accepted.len() as u64 {
             return Err(ContainerError::Malformed(format!(
                 "{} accepted communities from only {} tickets",
                 self.accepted.len(),
                 self.seeds_tried
+            )));
+        }
+        // Each node must be listed at least once, as a member or as
+        // uncovered, so the node count is bounded by the listings — and
+        // with it the bitmap below, which a forged count cannot inflate.
+        let listed =
+            self.uncovered.len() as u64 + self.accepted.iter().map(|c| c.len() as u64).sum::<u64>();
+        if self.node_count > listed {
+            return Err(ContainerError::Malformed(format!(
+                "{} nodes but only {listed} covered or uncovered listings",
+                self.node_count
+            )));
+        }
+        // One bitmap pass: mark the accepted members, then every uncovered
+        // node must land on a clear bit, and all n bits must end up set.
+        let n = self.node_count as usize;
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for community in &self.accepted {
+            for v in community.members() {
+                words[v.index() / 64] |= 1 << (v.index() % 64);
+            }
+        }
+        for &v in &self.uncovered {
+            let (word, bit) = (v as usize / 64, v as usize % 64);
+            if words[word] >> bit & 1 == 1 {
+                return Err(ContainerError::Malformed(format!(
+                    "uncovered node {v} is also covered or listed twice"
+                )));
+            }
+            words[word] |= 1 << bit;
+        }
+        let marked: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+        if marked != self.node_count {
+            return Err(ContainerError::Malformed(format!(
+                "{} of {n} nodes are neither covered nor uncovered",
+                self.node_count - marked
             )));
         }
         Ok(())
@@ -623,7 +581,7 @@ pub fn checkpoint_summary(path: &Path) -> Result<CheckpointSummary, ContainerErr
         let ckpt = DriverCheckpoint::decode_from(r)?;
         Ok(CheckpointSummary {
             seeds_tried: ckpt.seeds_tried,
-            covered: ckpt.covered,
+            covered: ckpt.covered(),
             node_count: ckpt.node_count,
             communities: ckpt.accepted.len() as u64,
             config_checksum,
@@ -643,15 +601,11 @@ mod tests {
         // prove order is preserved verbatim).
         let mut uncovered: Vec<u32> = (0..n as u32).filter(|&v| v != 0 && v != 2).collect();
         uncovered.reverse();
-        let words = (n as usize).div_ceil(64);
-        let mut bitmap_words = vec![0u64; words];
-        bitmap_words[0] = 0b101;
         DriverCheckpoint {
             rng_seed: 0xABCD,
             c: 0.42,
             lambda_min: -2.38,
             seeds_tried: 128,
-            covered: 2,
             stagnant: 7,
             rejected_streak: 3,
             stops: AscentStopStats {
@@ -662,11 +616,9 @@ mod tests {
             node_count: n,
             accepted: vec![
                 Community::from_raw([0, 2]),
-                Community::from_raw([2, 0]), // same set; dedup is the fps' job
+                Community::from_raw([2, 0]), // the same set may be listed twice
             ],
-            fingerprints: vec![0x1111_2222_3333_4444_5555_6666_7777_8888, 42],
             uncovered,
-            bitmap_words,
         }
     }
 
@@ -718,39 +670,69 @@ mod tests {
 
         let summary = checkpoint_summary(&path).unwrap();
         assert_eq!(summary.seeds_tried, 128);
+        assert_eq!(summary.covered, 2);
         assert_eq!(summary.communities, 2);
         assert_eq!(summary.node_count, 70);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Saves `state` as a checksum-valid `.ockpt` and loads it back: the
+    /// frame passes, so any refusal comes from the payload decoder.
+    fn load_sealed(
+        state: &DriverCheckpoint,
+        tag: &str,
+    ) -> Result<DriverCheckpoint, ContainerError> {
+        let dir = std::env::temp_dir().join(format!("oca_sealed_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ockpt");
+        state.save(&path, 1, 2, &CheckpointFaults::none()).unwrap();
+        let loaded = DriverCheckpoint::load(&path, 1, 2);
+        std::fs::remove_dir_all(&dir).ok();
+        loaded
+    }
+
+    fn assert_malformed(state: &DriverCheckpoint, tag: &str) {
+        match load_sealed(state, tag) {
+            Err(ContainerError::Malformed(_)) => {}
+            other => panic!("{tag}: expected Malformed, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn structural_inconsistencies_are_malformed() {
-        // Bitmap/counter disagreement.
-        let mut bad = sample(70);
-        bad.covered = 3;
-        assert!(matches!(
-            DriverCheckpoint::decode(&bad.encode()).unwrap_err(),
-            ContainerError::Malformed(_)
-        ));
-        // A node both covered and uncovered.
+    fn accepted_member_listed_as_uncovered_is_malformed() {
         let mut bad = sample(70);
         bad.uncovered.push(0);
-        bad.uncovered.remove(0);
-        assert!(DriverCheckpoint::decode(&bad.encode()).is_err());
-        // Duplicate uncovered entry (displacing another keeps the count).
+        assert_malformed(&bad, "both");
+    }
+
+    #[test]
+    fn duplicate_uncovered_node_is_malformed() {
+        // Displacing another entry keeps the count at n − covered.
         let mut bad = sample(70);
         bad.uncovered[0] = bad.uncovered[1];
-        assert!(DriverCheckpoint::decode(&bad.encode()).is_err());
-        // Fingerprint count disagreeing with the community count.
+        assert_malformed(&bad, "duplicate");
+    }
+
+    #[test]
+    fn node_neither_covered_nor_uncovered_is_malformed() {
         let mut bad = sample(70);
-        bad.fingerprints.pop();
-        // (encode writes fps count == accepted count, so shrink accepted
-        // instead to produce the mismatch on the wire)
-        bad.accepted.pop();
-        bad.seeds_tried = 1; // fewer accepts than tickets stays plausible
-        let mut payload = bad.encode();
+        bad.uncovered.pop();
+        assert_malformed(&bad, "neither");
+        // A node count beyond every listing is refused before the
+        // coverage bitmap is allocated.
+        let mut bad = sample(70);
+        bad.node_count = u64::MAX;
+        assert_malformed(&bad, "forged_n");
+    }
+
+    #[test]
+    fn structural_inconsistencies_are_malformed() {
+        assert!(load_sealed(&sample(70), "pristine").is_ok());
         // Claim 2 communities but provide 1: truncated payload.
-        payload[11 * 8..12 * 8].copy_from_slice(&2u64.to_le_bytes());
+        let mut bad = sample(70);
+        bad.accepted.pop();
+        let mut payload = bad.encode();
+        payload[10 * 8..11 * 8].copy_from_slice(&2u64.to_le_bytes());
         assert!(DriverCheckpoint::decode(&payload).is_err());
         // More accepts than tickets is impossible.
         let mut bad = sample(70);
@@ -774,20 +756,19 @@ mod tests {
 
     #[test]
     fn forged_counts_are_malformed_not_allocated() {
-        // Offsets into the payload: 12 fixed u64 fields, then the
-        // communities, fingerprints, uncovered list and bitmap.
+        // Offsets into the payload: 11 fixed u64 fields (the node count
+        // is the tenth), then the communities and the uncovered list.
         let ckpt = sample(70);
         let payload = ckpt.encode();
-        let communities_at = 11 * 8;
-        let first_len_at = 12 * 8;
-        let uncovered_at = 12 * 8 + (4 + 2 * 4) * 2 + 16 * 2;
-        let words_at = uncovered_at + 8 + 4 * ckpt.uncovered.len();
+        let node_count_at = 9 * 8;
+        let communities_at = 10 * 8;
+        let first_len_at = 11 * 8;
+        let uncovered_at = 11 * 8 + (4 + 2 * 4) * 2;
         for (at, forged) in [
             (communities_at, u64::MAX),
             (communities_at, 1 << 62),
             (uncovered_at, u64::MAX),
-            (words_at, u64::MAX),
-            (words_at, 1 << 40),
+            (uncovered_at, 1 << 40),
         ] {
             let mut bad = payload.clone();
             bad[at..at + 8].copy_from_slice(&forged.to_le_bytes());
@@ -800,7 +781,7 @@ mod tests {
         // A forged node count lets a forged uncovered count past the
         // bounds check; the bytes-left check still refuses it.
         let mut bad = payload.clone();
-        bad[10 * 8..11 * 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[node_count_at..node_count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         bad[uncovered_at..uncovered_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         assert!(matches!(
             DriverCheckpoint::decode(&bad).unwrap_err(),

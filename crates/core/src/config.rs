@@ -129,11 +129,6 @@ impl OcaConfig {
             return Err(invalid("need at least one move per ascent".to_string()));
         }
         if let Some(ckpt) = &self.checkpoint {
-            if ckpt.every_rounds < 1 {
-                return Err(invalid(
-                    "need at least one round between checkpoints".to_string(),
-                ));
-            }
             if ckpt.path.as_os_str().is_empty() {
                 return Err(invalid("checkpoint path must not be empty".to_string()));
             }

@@ -53,7 +53,7 @@ pub use fitness::{fitness, fitness_from_definition, gain_add, gain_remove, phi, 
 pub use halting::{AscentStopStats, HaltReason, HaltingConfig, HaltingState};
 pub use local::{LocalConfig, LocalDetection, LocalDetector};
 pub use postprocess::{assign_orphans, merge_similar};
-pub use runner::{run_default, CoverageBitmap, Oca, OcaResult, PhaseNanos};
+pub use runner::{run_default, Oca, OcaResult, PhaseNanos};
 pub use search::{
     ascend, ascend_cancellable, local_search, AscentOutcome, AscentStop, SearchConfig,
     SearchOutcome, MIN_GAIN, MIN_MOVE_BUDGET,

@@ -10,9 +10,10 @@
 //! discarded identically no matter how threads interleaved, so for a fixed
 //! seed the cover is bit-identical across `threads ∈ {1, 2, …}`.
 //!
-//! The only cross-thread state during a round is read-only (the snapshot,
-//! the [`CoverageBitmap`]) plus one atomic ticket cursor workers lease
-//! small ticket batches from — no mutex anywhere on the hot path.
+//! The only cross-thread state during a round is read-only (the uncovered
+//! snapshot, the round-start dedup set) plus one atomic ticket cursor
+//! workers lease small ticket batches from — no mutex anywhere on the hot
+//! path.
 
 use crate::checkpoint::{
     config_checksum, graph_checksum, CheckpointConfig, CheckpointStats, DriverCheckpoint,
@@ -23,7 +24,7 @@ use crate::halting::{AscentStopStats, HaltReason, HaltingState};
 use crate::postprocess::{assign_orphans, merge_similar};
 use crate::search::{ascend, AscentStop};
 use crate::seed::{initial_set, ticket_seed};
-use crate::state::CommunityState;
+use crate::state::{set_fingerprint, CommunityState};
 use oca_graph::{
     Community, ContainerError, Cover, CsrGraph, DetectContext, DetectError, Detection, NodeId,
 };
@@ -31,7 +32,7 @@ use oca_spectral::interaction_strength;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Per-phase wall-clock breakdown of one run, in nanoseconds. The bench
@@ -90,63 +91,12 @@ pub struct Oca {
     config: OcaConfig,
 }
 
-/// Node-coverage bitmap over `AtomicU64` words.
-///
-/// Inside the driver the ordered reduction is the only writer (seed picks
-/// deliberately use the round snapshot, not this bitmap — see
-/// `Round::pick_seed`), but updates go through `&self` atomics so the
-/// bitmap can be read lock-free from any thread at any time (progress
-/// callbacks, external monitors) and shared across the worker scope
-/// without borrow gymnastics. `Relaxed` suffices: bits only ever turn on,
-/// and cross-round visibility is given by the scope join.
-#[derive(Debug)]
-pub struct CoverageBitmap {
-    words: Vec<AtomicU64>,
-}
-
-impl CoverageBitmap {
-    /// An all-uncovered bitmap for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        CoverageBitmap {
-            words: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// True if node `i` is covered. Lock-free.
-    pub fn get(&self, i: usize) -> bool {
-        self.words[i / 64].load(Ordering::Relaxed) & (1 << (i % 64)) != 0
-    }
-
-    /// Marks node `i` covered; returns true if it was newly covered.
-    /// A real atomic RMW, so even concurrent setters could not lose bits.
-    fn set(&self, i: usize) -> bool {
-        let mask = 1 << (i % 64);
-        self.words[i / 64].fetch_or(mask, Ordering::Relaxed) & mask == 0
-    }
-
-    /// Copies the current words into `dst` (lock-free snapshot). The
-    /// driver takes one per round — at the round boundary, where the
-    /// bitmap is identical on the sequential and parallel paths — to
-    /// build the covered-hub prune mask every ticket of the round shares.
-    pub fn copy_words_into(&self, dst: &mut [u64]) {
-        debug_assert_eq!(dst.len(), self.words.len());
-        for (d, w) in dst.iter_mut().zip(&self.words) {
-            *d = w.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Number of 64-bit words backing the bitmap.
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Rebuilds a bitmap from checkpointed words (validated upstream by
-    /// [`DriverCheckpoint::decode`]).
-    fn from_words(words: &[u64]) -> Self {
-        CoverageBitmap {
-            words: words.iter().map(|&w| AtomicU64::new(w)).collect(),
-        }
-    }
+/// Sets bit `i` of a node bitmap; returns true if it was clear.
+fn set_bit(words: &mut [u64], i: usize) -> bool {
+    let mask = 1 << (i % 64);
+    let was_clear = words[i / 64] & mask == 0;
+    words[i / 64] |= mask;
+    was_clear
 }
 
 /// The uncovered-node list: O(1) unbiased seed picks (no rejection
@@ -201,9 +151,7 @@ struct TicketOutcome {
 /// The ordered deterministic reduction: every accepted ascent flows
 /// through [`Reduction::record`] in ascending ticket order, which is what
 /// makes dedup, coverage accounting and the halting cutoff independent of
-/// thread scheduling. The coverage bitmap lives *outside* (it is updated
-/// through `&self` atomics), so workers can hold a shared reference to it
-/// across rounds while the reduction advances between them.
+/// thread scheduling.
 struct Reduction {
     halting: HaltingState,
     uncovered: UncoveredList,
@@ -211,17 +159,15 @@ struct Reduction {
     /// end (in this deterministic order) while its `nodes` vec is lent
     /// out as the round's snapshot.
     newly_covered: Vec<NodeId>,
+    /// Coverage bitmap, one bit per node, set as members are accepted.
+    /// Mid-round it runs ahead of `uncovered`; the driver reads it only
+    /// at round start, for the covered-hub prune mask.
+    covered: Vec<u64>,
     /// Fingerprints of every accepted community: dedup is an O(1) probe
     /// with no member-vector clone (was `HashSet<Vec<NodeId>>`, which
     /// cloned and content-hashed the full vector once per ticket).
     seen: HashSet<u128>,
     accepted: Vec<Community>,
-    /// The accepted communities' fingerprints in acceptance order,
-    /// parallel to `accepted`. `seen` holds exactly this set (rejects
-    /// never enter it), so this vector is both the checkpoint's canonical
-    /// fingerprint serialization and the rewind path's O(round) undo log
-    /// for `seen`.
-    accepted_fps: Vec<u128>,
     min_size: usize,
     halted: bool,
     /// Stop-reason tally of every recorded ticket (budget telemetry).
@@ -236,9 +182,9 @@ impl Reduction {
             halting,
             uncovered: UncoveredList::new(n),
             newly_covered: Vec::new(),
+            covered: vec![0; n.div_ceil(64)],
             seen: HashSet::new(),
             accepted: Vec::new(),
-            accepted_fps: Vec::new(),
             min_size: config.min_community_size,
             halted,
             stops: AscentStopStats::default(),
@@ -247,13 +193,14 @@ impl Reduction {
 
     /// Reconstructs the round-start state a checkpoint recorded: the
     /// exact uncovered list (content *and* order — seed picks index it),
-    /// the dedup set, the accepted communities and the halting counters.
-    fn restore(config: &OcaConfig, n: usize, ckpt: &DriverCheckpoint) -> Self {
+    /// the accepted communities and the halting counters, plus what they
+    /// determine — the coverage bitmap and the dedup set.
+    fn restore(config: &OcaConfig, n: usize, ckpt: DriverCheckpoint) -> Self {
         let halting = HaltingState::restore(
             config.halting,
             n,
             ckpt.seeds_tried as usize,
-            ckpt.covered as usize,
+            ckpt.covered() as usize,
             ckpt.stagnant as usize,
             ckpt.rejected_streak as usize,
         );
@@ -263,59 +210,46 @@ impl Reduction {
         for (i, v) in nodes.iter().enumerate() {
             pos[v.index()] = i as u32;
         }
+        let mut covered = vec![0; n.div_ceil(64)];
+        let mut seen = HashSet::with_capacity(ckpt.accepted.len());
+        for community in &ckpt.accepted {
+            seen.insert(set_fingerprint(community.members()));
+            for v in community.members() {
+                set_bit(&mut covered, v.index());
+            }
+        }
         Reduction {
             halting,
             uncovered: UncoveredList { nodes, pos },
             newly_covered: Vec::new(),
-            seen: ckpt.fingerprints.iter().copied().collect(),
-            accepted: ckpt.accepted.clone(),
-            accepted_fps: ckpt.fingerprints.clone(),
+            covered,
+            seen,
+            accepted: ckpt.accepted,
             min_size: config.min_community_size,
             halted,
             stops: ckpt.stops,
         }
     }
 
-    /// Snapshots the current (round-boundary) state for checkpointing.
-    /// The bitmap words are derived from the uncovered list rather than
-    /// copied from the live bitmap: at a boundary the two agree, and on
-    /// the cancellation flush path — where the live bitmap may have run
-    /// ahead inside the abandoned round — the rewound uncovered list is
-    /// the authoritative one.
+    /// Snapshots the current (round-start) state for checkpointing.
     fn to_checkpoint(&self, rng_seed: u64, c: f64, lambda_min: f64, n: usize) -> DriverCheckpoint {
-        let mut words = vec![u64::MAX; n.div_ceil(64)];
-        if n % 64 != 0 {
-            words[n / 64] = (1u64 << (n % 64)) - 1;
-        }
-        for v in &self.uncovered.nodes {
-            words[v.index() / 64] &= !(1u64 << (v.index() % 64));
-        }
         DriverCheckpoint {
             rng_seed,
             c,
             lambda_min,
             seeds_tried: self.halting.seeds_tried() as u64,
-            covered: self.halting.covered() as u64,
             stagnant: self.halting.stagnant() as u64,
             rejected_streak: self.halting.rejected_streak() as u64,
             stops: self.stops,
             node_count: n as u64,
             accepted: self.accepted.clone(),
-            fingerprints: self.accepted_fps.clone(),
             uncovered: self.uncovered.nodes.iter().map(|v| v.0).collect(),
-            bitmap_words: words,
         }
     }
 
     /// Records the next ticket's outcome (in ticket order) and emits the
     /// post-record progress tick. Returns true while the run should go on.
-    fn record(
-        &mut self,
-        outcome: TicketOutcome,
-        covered: &CoverageBitmap,
-        ctx: &DetectContext,
-        max_seeds: usize,
-    ) -> bool {
+    fn record(&mut self, outcome: TicketOutcome, ctx: &DetectContext, max_seeds: usize) -> bool {
         debug_assert!(!self.halted, "ticket recorded past the cutoff");
         self.stops.record(outcome.stop);
         // Too-small communities are dropped without entering the dedup
@@ -331,13 +265,12 @@ impl Reduction {
                 .expect("novel fingerprint implies materialized members");
             let mut newly = 0usize;
             for &v in community.members() {
-                if covered.set(v.index()) {
+                if set_bit(&mut self.covered, v.index()) {
                     self.newly_covered.push(v);
                     newly += 1;
                 }
             }
             self.accepted.push(community);
-            self.accepted_fps.push(outcome.fp);
             self.halting.record(newly, true);
         }
         ctx.tick("ascent", self.halting.seeds_tried(), Some(max_seeds));
@@ -400,7 +333,7 @@ impl Round<'_> {
     /// O(1) unbiased pick from the uncovered snapshot; when everything is
     /// covered (possible while the coverage criterion is disabled) any
     /// node will do. Note the pick is against the *snapshot*, not the live
-    /// bitmap: the sequential path reduces incrementally, so the bitmap
+    /// coverage: the sequential path reduces incrementally, so coverage
     /// may run ahead mid-round, and consulting it would reintroduce
     /// schedule-dependent output.
     fn pick_seed<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
@@ -462,7 +395,10 @@ impl Oca {
     /// emitted per ticket as the ordered reduction records it — ticks are
     /// monotone and the final tick reports the run's last ascent. On
     /// cancellation the accepted (raw, un-postprocessed) communities are
-    /// returned inside [`DetectError::Cancelled`].
+    /// returned inside [`DetectError::Cancelled`]. An armed checkpoint is
+    /// written at the start of every round and at no other point, so after
+    /// a cancellation (or a kill) it holds the start of the interrupted
+    /// round, which a resume continues from.
     ///
     /// Randomness still derives from [`OcaConfig::rng_seed`]; detector
     /// wrappers copy the context seed into the config first. For a fixed
@@ -561,18 +497,13 @@ impl Oca {
         let rng_seed = resumed.as_ref().map_or(config.rng_seed, |d| d.rng_seed);
 
         let threads = config.threads;
-        let covered = match &resumed {
-            Some(d) => CoverageBitmap::from_words(&d.bitmap_words),
-            None => CoverageBitmap::new(n),
-        };
-        let mut reduction = match &resumed {
+        let mut reduction = match resumed {
             Some(d) => {
                 ckpt_stats.resumed_from_ticket = Some(d.seeds_tried);
                 Reduction::restore(config, n, d)
             }
             None => Reduction::new(config, n),
         };
-        drop(resumed);
         let mut phases = PhaseNanos::default();
         // One reusable search state per worker; buffers persist across
         // rounds so reset cost stays proportional to work done.
@@ -581,16 +512,15 @@ impl Oca {
             .collect();
         // Covered-hub pruning: nodes of degree ≥ the threshold get a bit
         // in this fixed mask; each round intersects it with the round-start
-        // coverage and hands the result to every worker state. Because the
-        // bitmap only advances at round boundaries on the parallel path —
-        // and the sequential path uses the same round-start snapshot — the
-        // prune mask a ticket sees is a pure function of the schedule, so
-        // covers stay bit-identical across thread counts.
+        // coverage and hands the result to every worker state. The mask a
+        // ticket sees is therefore a pure function of the schedule on the
+        // sequential and parallel paths alike, so covers stay bit-identical
+        // across thread counts.
         let hub_mask: Vec<u64> = if config.search.prune_hub_degree > 0 {
-            let mut mask = vec![0u64; covered.word_count()];
+            let mut mask = vec![0u64; n.div_ceil(64)];
             for v in 0..n {
                 if graph.neighbors(NodeId(v as u32)).len() >= config.search.prune_hub_degree {
-                    mask[v / 64] |= 1 << (v % 64);
+                    set_bit(&mut mask, v);
                 }
             }
             mask
@@ -598,13 +528,36 @@ impl Oca {
             Vec::new()
         };
         let mut prune_words = vec![0u64; hub_mask.len()];
-        let mut rounds_since_start = 0u64;
 
         while !reduction.halted {
+            if let Some(ck) = ckpt_cfg {
+                // The round start is the one cut a resume continues from
+                // bit-identically, and the only point the driver writes.
+                let wrote = write_checkpoint(
+                    ck,
+                    bindings.expect("bindings computed when armed"),
+                    &reduction,
+                    &mut ckpt_stats,
+                    rng_seed,
+                    c,
+                    lambda_min,
+                    n,
+                );
+                if wrote && ck.faults.check_kill(ckpt_stats.rounds_checkpointed) {
+                    // Simulated kill right after the write: the crash
+                    // window resume must cover.
+                    let seeds = reduction.halting.seeds_tried();
+                    let cover = Cover::new(n, reduction.accepted);
+                    return Err(cancelled(cover, seeds, c, lambda_min, &ckpt_stats));
+                }
+            }
             if !hub_mask.is_empty() {
-                covered.copy_words_into(&mut prune_words);
-                for (w, m) in prune_words.iter_mut().zip(&hub_mask) {
-                    *w &= m;
+                for ((w, &covered), &hub) in prune_words
+                    .iter_mut()
+                    .zip(&reduction.covered)
+                    .zip(&hub_mask)
+                {
+                    *w = covered & hub;
                 }
                 for state in &mut states {
                     state.set_prune_snapshot(&prune_words);
@@ -620,15 +573,6 @@ impl Oca {
             // at the cutoff without wasted ascents) while every pick of
             // the round still sees the round-start coverage, exactly
             // like the parallel path.
-            // Round-start guard for the cancellation rewind: counter
-            // clones only, taken only while checkpointing is armed.
-            let guard = ckpt_cfg.is_some().then(|| {
-                (
-                    reduction.halting.clone(),
-                    reduction.stops,
-                    reduction.accepted.len(),
-                )
-            });
             let snapshot = std::mem::take(&mut reduction.uncovered.nodes);
             let round = Round {
                 graph,
@@ -650,7 +594,7 @@ impl Oca {
                     let t0 = Instant::now();
                     let outcome = round.run_ticket(&mut states[0], t, &reduction.seen);
                     let t1 = Instant::now();
-                    let go_on = reduction.record(outcome, &covered, ctx, config.halting.max_seeds);
+                    let go_on = reduction.record(outcome, ctx, config.halting.max_seeds);
                     phases.ascent_ns += t1.duration_since(t0).as_nanos() as u64;
                     phases.dedup_ns += t1.elapsed().as_nanos() as u64;
                     if !go_on {
@@ -667,7 +611,7 @@ impl Oca {
                     // contiguous prefix before it is still reduced so the
                     // partial result is well-formed.
                     let Some(outcome) = slot else { break };
-                    if !reduction.record(outcome, &covered, ctx, config.halting.max_seeds)
+                    if !reduction.record(outcome, ctx, config.halting.max_seeds)
                         || ctx.is_cancelled()
                     {
                         break;
@@ -677,70 +621,15 @@ impl Oca {
             }
             reduction.uncovered.nodes = snapshot;
             if ctx.is_cancelled() {
-                if let (Some(ck), Some((halting, stops, accepted_len))) = (ckpt_cfg, guard) {
-                    // Rewind to the round start — the only cut the
-                    // schedule can resume from bit-identically — then
-                    // flush a final checkpoint and return the rewound
-                    // state as the partial. The abandoned round's accepts
-                    // are undone (fingerprints out of `seen`, communities
-                    // truncated, counters restored, buffered removals
-                    // dropped); the live bitmap may keep stray mid-round
-                    // bits, but the checkpoint derives coverage from the
-                    // rewound uncovered list and this process does no
-                    // further work with the bitmap.
-                    for fp in reduction.accepted_fps.drain(accepted_len..) {
-                        reduction.seen.remove(&fp);
-                    }
-                    reduction.accepted.truncate(accepted_len);
-                    reduction.halting = halting;
-                    reduction.stops = stops;
-                    reduction.newly_covered.clear();
-                    write_checkpoint(
-                        ck,
-                        bindings.expect("bindings computed when armed"),
-                        &reduction,
-                        &mut ckpt_stats,
-                        rng_seed,
-                        c,
-                        lambda_min,
-                        n,
-                    );
-                    let seeds = reduction.halting.seeds_tried();
-                    let cover = Cover::new(n, std::mem::take(&mut reduction.accepted));
-                    return Err(cancelled(cover, seeds, c, lambda_min, &ckpt_stats));
-                }
-                for v in std::mem::take(&mut reduction.newly_covered) {
-                    reduction.uncovered.remove(v);
-                }
+                // Nothing is written or undone: the partial is every
+                // community reduced so far, and the checkpoint (if armed)
+                // still holds this round's start.
                 let seeds = reduction.halting.seeds_tried();
                 let cover = Cover::new(n, reduction.accepted);
                 return Err(cancelled(cover, seeds, c, lambda_min, &ckpt_stats));
             }
             for v in std::mem::take(&mut reduction.newly_covered) {
                 reduction.uncovered.remove(v);
-            }
-            rounds_since_start += 1;
-            if let Some(ck) = ckpt_cfg {
-                if !reduction.halted && rounds_since_start % ck.every_rounds == 0 {
-                    let wrote = write_checkpoint(
-                        ck,
-                        bindings.expect("bindings computed when armed"),
-                        &reduction,
-                        &mut ckpt_stats,
-                        rng_seed,
-                        c,
-                        lambda_min,
-                        n,
-                    );
-                    if wrote && ck.faults.check_kill(ckpt_stats.rounds_checkpointed) {
-                        // Simulated kill-between-rounds: abandon the run
-                        // at exactly the boundary the checkpoint just
-                        // captured — the crash window resume must cover.
-                        let seeds = reduction.halting.seeds_tried();
-                        let cover = Cover::new(n, std::mem::take(&mut reduction.accepted));
-                        return Err(cancelled(cover, seeds, c, lambda_min, &ckpt_stats));
-                    }
-                }
             }
         }
 
@@ -778,7 +667,7 @@ impl Oca {
     }
 }
 
-/// Writes the reduction's current boundary state to the configured
+/// Writes the reduction's round-start state to the configured
 /// checkpoint path, updating the telemetry. Failures (I/O errors,
 /// injected torn writes) are counted, not fatal: the run continues, and
 /// the previous complete checkpoint — the atomic writer never replaces a
@@ -1108,11 +997,14 @@ mod tests {
 
     #[test]
     fn coverage_bitmap_tracks_sets() {
-        let bm = CoverageBitmap::new(130);
-        assert!(!bm.get(0) && !bm.get(129));
-        assert!(bm.set(129), "first set is new");
-        assert!(!bm.set(129), "second set is not");
-        assert!(bm.get(129) && !bm.get(128));
+        let mut words = vec![0u64; 130usize.div_ceil(64)];
+        assert!(set_bit(&mut words, 129), "first set is new");
+        assert!(!set_bit(&mut words, 129), "second set is not");
+        assert!(
+            set_bit(&mut words, 128),
+            "a neighbouring bit is still clear"
+        );
+        assert_eq!(words, vec![0, 0, 0b11]);
     }
 
     #[test]
@@ -1178,9 +1070,9 @@ mod tests {
     }
 
     /// `quick_config` with a small round so runs span several checkpoint
-    /// boundaries. A two-ticket round cannot cover the 15 nodes in its
-    /// first round (two 5-cliques at most), so a kill after the first
-    /// periodic write is always reachable.
+    /// writes. A two-ticket round cannot cover the 15 nodes in its first
+    /// round (two 5-cliques at most), so a kill after the second write
+    /// is always reachable.
     fn tiny_round_config() -> OcaConfig {
         OcaConfig {
             batch: 2,
@@ -1216,24 +1108,26 @@ mod tests {
     }
 
     /// The tentpole contract: SIGKILL-style abandonment right after a
-    /// boundary write, then a resume — under a *different* nominal seed
+    /// round-start write, then a resume — under a *different* nominal seed
     /// and any thread count — reproduces the uninterrupted run bit for
     /// bit (cover, cutoff and halt reason).
     #[test]
     fn kill_between_rounds_then_resume_is_bit_identical() {
         let g = three_cliques();
         let baseline = Oca::new(tiny_round_config()).run(&g);
+        // The kill fires right after the second write, which holds the
+        // start of round 2.
+        let kill_after = 2;
         for threads in [1usize, 2, 4] {
             let path = ckpt_dir("kill").join(format!("t{threads}.ockpt"));
             let faults = CheckpointFaults::new(CheckpointFaultSpec {
                 torn_write_every: 0,
-                kill_after_writes: 1,
+                kill_after_writes: kill_after,
             });
             let err = Oca::new(OcaConfig {
                 threads,
                 checkpoint: Some(CheckpointConfig {
                     path: path.clone(),
-                    every_rounds: 1,
                     resume: ResumePolicy::Strict,
                     faults,
                 }),
@@ -1260,61 +1154,76 @@ mod tests {
             assert_eq!(r.seeds_tried, baseline.seeds_tried, "threads = {threads}");
             assert_eq!(r.halt_reason, baseline.halt_reason, "threads = {threads}");
             assert_eq!(r.ascent_stops, baseline.ascent_stops, "threads = {threads}");
+            assert_eq!(
+                r.raw_community_count, baseline.raw_community_count,
+                "threads = {threads}"
+            );
             let resumed_from = r.checkpoint.resumed_from_ticket.expect("run resumed");
-            assert!(resumed_from > 0 && resumed_from < baseline.seeds_tried as u64);
+            let batch = tiny_round_config().batch as u64;
+            assert_eq!(
+                resumed_from,
+                (kill_after - 1) * batch,
+                "threads = {threads}"
+            );
             assert!(!path.exists(), "the spent checkpoint is removed");
         }
     }
 
-    /// Cancellation mid-round rewinds to the round start — the partial
-    /// reports a whole number of rounds — and the flushed checkpoint
-    /// resumes to the uninterrupted result.
+    /// Cancellation mid-round writes and undoes nothing: the partial holds
+    /// every ascent reduced so far, the checkpoint still holds the start of
+    /// the interrupted round, and resuming from it reproduces the
+    /// uninterrupted result.
     #[test]
-    fn cancel_mid_round_rewinds_flushes_and_resumes_bit_identically() {
+    fn cancel_mid_round_then_resume_is_bit_identical() {
         let g = three_cliques();
         let cfg = OcaConfig {
             batch: 4,
             ..quick_config()
         };
         let baseline = Oca::new(cfg.clone()).run(&g);
-        let path = ckpt_dir("cancel").join("run.ockpt");
-        let token = CancelToken::new();
-        let trigger = token.clone();
-        // Cancel on the fifth ascent: one ticket into the second round.
-        let ctx = DetectContext::new(0x0CA)
-            .with_cancel(token)
-            .with_progress(move |p| {
-                if p.done == 5 {
-                    trigger.cancel();
-                }
-            });
-        let err = Oca::new(OcaConfig {
-            checkpoint: Some(CheckpointConfig::at(&path)),
-            ..cfg.clone()
-        })
-        .run_ctx(&g, &ctx)
-        .unwrap_err();
-        let DetectError::Cancelled { partial } = err else {
-            panic!("expected Cancelled");
-        };
-        assert_eq!(
-            partial.iterations % 4,
-            0,
-            "the partial is rewound to a round boundary"
-        );
-        assert!(path.exists(), "cancellation flushed a final checkpoint");
+        for threads in [1usize, 2] {
+            let path = ckpt_dir("cancel").join(format!("t{threads}.ockpt"));
+            let token = CancelToken::new();
+            let trigger = token.clone();
+            // Cancel on the fifth ascent: one ticket into the second
+            // round, which would have been the run's last.
+            let ctx = DetectContext::new(0x0CA)
+                .with_cancel(token)
+                .with_progress(move |p| {
+                    if p.done == 5 {
+                        trigger.cancel();
+                    }
+                });
+            let err = Oca::new(OcaConfig {
+                threads,
+                checkpoint: Some(CheckpointConfig::at(&path)),
+                ..cfg.clone()
+            })
+            .run_ctx(&g, &ctx)
+            .unwrap_err();
+            let DetectError::Cancelled { partial } = err else {
+                panic!("expected Cancelled");
+            };
+            assert_eq!(partial.iterations, 5, "threads = {threads}");
+            assert!(path.exists(), "the round-start write survives the cancel");
 
-        let r = Oca::new(OcaConfig {
-            checkpoint: Some(CheckpointConfig::at(&path)),
-            ..cfg
-        })
-        .run(&g);
-        assert_eq!(r.cover, baseline.cover);
-        assert_eq!(r.seeds_tried, baseline.seeds_tried);
-        assert_eq!(
-            r.checkpoint.resumed_from_ticket,
-            Some(partial.iterations as u64)
-        );
+            let r = Oca::new(OcaConfig {
+                checkpoint: Some(CheckpointConfig::at(&path)),
+                ..cfg.clone()
+            })
+            .run(&g);
+            assert_eq!(r.cover, baseline.cover, "threads = {threads}");
+            assert_eq!(r.seeds_tried, baseline.seeds_tried, "threads = {threads}");
+            assert_eq!(
+                r.raw_community_count, baseline.raw_community_count,
+                "threads = {threads}"
+            );
+            assert_eq!(
+                r.checkpoint.resumed_from_ticket,
+                Some(4),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]
@@ -1357,7 +1266,6 @@ mod tests {
         Oca::new(OcaConfig {
             checkpoint: Some(CheckpointConfig {
                 path: path.clone(),
-                every_rounds: 1,
                 resume: ResumePolicy::Strict,
                 faults,
             }),
@@ -1399,7 +1307,6 @@ mod tests {
         });
         let ck = CheckpointConfig {
             path: path.clone(),
-            every_rounds: 1,
             resume: ResumePolicy::Strict,
             faults: faults.clone(),
         };
@@ -1421,29 +1328,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(debris.is_empty(), "temp debris: {debris:?}");
-    }
-
-    #[test]
-    fn every_rounds_sets_the_write_cadence() {
-        let g = three_cliques();
-        let dense_path = ckpt_dir("cadence").join("dense.ockpt");
-        let sparse_path = ckpt_dir("cadence").join("sparse.ockpt");
-        let run = |path: &std::path::Path, every: u64| {
-            Oca::new(OcaConfig {
-                checkpoint: Some(CheckpointConfig {
-                    path: path.to_path_buf(),
-                    every_rounds: every,
-                    resume: ResumePolicy::Strict,
-                    faults: CheckpointFaults::none(),
-                }),
-                ..tiny_round_config()
-            })
-            .run(&g)
-        };
-        let dense = run(&dense_path, 1);
-        let sparse = run(&sparse_path, 3);
-        assert_eq!(dense.cover, sparse.cover, "cadence is not schedule");
-        assert!(dense.checkpoint.rounds_checkpointed > sparse.checkpoint.rounds_checkpointed);
     }
 
     use oca_graph::CsrGraph;

@@ -40,6 +40,26 @@ fn fp_mix_sum(v: u32) -> u64 {
     splitmix64(v as u64 ^ FP_SUM_SALT)
 }
 
+/// Folds the two halves into the 128-bit fingerprint: the additive half
+/// high, the XOR half low.
+#[inline(always)]
+fn fp_combine(xor: u64, sum: u64) -> u128 {
+    ((sum as u128) << 64) | xor as u128
+}
+
+/// The fingerprint [`CommunityState::fingerprint`] reports while the state
+/// holds exactly the set `members` (which must be duplicate-free), computed
+/// from scratch in `O(|members|)`. A resumed driver rebuilds its dedup set
+/// from the checkpointed communities with it.
+pub fn set_fingerprint(members: &[NodeId]) -> u128 {
+    let (mut xor, mut sum) = (0u64, 0u64);
+    for v in members {
+        xor ^= fp_mix_xor(v.raw());
+        sum = sum.wrapping_add(fp_mix_sum(v.raw()));
+    }
+    fp_combine(xor, sum)
+}
+
 /// `word` bit for "v ∈ S".
 const IN_SET: u32 = 1 << 31;
 /// `word` bit for "v is on the touched list".
@@ -264,7 +284,7 @@ impl<'g> CommunityState<'g> {
     /// keys on this instead of cloning and hashing the member vector
     /// (collision odds for distinct sets ≈ 2⁻¹²⁸ per pair; DESIGN.md §4a).
     pub fn fingerprint(&self) -> u128 {
-        ((self.fp_sum as u128) << 64) | self.fp_xor as u128
+        fp_combine(self.fp_xor, self.fp_sum)
     }
 
     /// Fitness gain if `v` were added. `v` must not be a member.

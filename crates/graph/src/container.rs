@@ -380,11 +380,6 @@ impl<'a> Reader<'a> {
         self.array().map(u64::from_le_bytes)
     }
 
-    /// The next little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, ContainerError> {
-        self.array().map(u128::from_le_bytes)
-    }
-
     /// The next little-endian `f64`.
     pub fn f64(&mut self) -> Result<f64, ContainerError> {
         self.array().map(f64::from_le_bytes)

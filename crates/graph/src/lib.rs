@@ -39,7 +39,6 @@ pub mod container;
 pub mod cover_io;
 pub mod csr;
 pub mod detect;
-pub mod distances;
 pub mod epoch;
 pub mod error;
 pub mod gzip;
@@ -63,7 +62,6 @@ pub use container::{fnv1a, ContainerError, Fnv1a, Frame, IntegrityClass, Reader}
 pub use cover_io::{read_cover, read_cover_path, write_cover, write_cover_path};
 pub use csr::CsrGraph;
 pub use detect::{CancelToken, CommunityDetector, DetectContext, DetectError, Detection, Progress};
-pub use distances::{bfs_distances, double_sweep_diameter, eccentricity};
 pub use epoch::EpochCounters;
 pub use error::{GraphError, Result};
 pub use io::{
@@ -80,5 +78,5 @@ pub use ocg_build::{
 pub use relabel::Relabeling;
 pub use stats::GraphStats;
 pub use subgraph::Subgraph;
-pub use traversal::{ball, Bfs, Dfs};
+pub use traversal::ball;
 pub use union_find::UnionFind;

@@ -1,7 +1,6 @@
-//! Summary statistics for graphs (degree distribution, clustering sample).
+//! Summary statistics for graphs (Table I of the paper).
 
 use crate::csr::CsrGraph;
-use crate::node::NodeId;
 
 /// Aggregate statistics of a graph, as reported in the paper's Table I.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,43 +48,6 @@ impl GraphStats {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(graph: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_degree() + 1];
-    for v in graph.nodes() {
-        hist[graph.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Local clustering coefficient of one node: fraction of neighbor pairs
-/// that are themselves connected. 0 for degree < 2.
-pub fn local_clustering(graph: &CsrGraph, v: NodeId) -> f64 {
-    let neigh = graph.neighbors(v);
-    let d = neigh.len();
-    if d < 2 {
-        return 0.0;
-    }
-    let mut links = 0usize;
-    for (i, &a) in neigh.iter().enumerate() {
-        for &b in &neigh[i + 1..] {
-            if graph.has_edge(a, b) {
-                links += 1;
-            }
-        }
-    }
-    2.0 * links as f64 / (d * (d - 1)) as f64
-}
-
-/// Average local clustering coefficient over all nodes (exact; `O(Σ d²)`).
-pub fn average_clustering(graph: &CsrGraph) -> f64 {
-    if graph.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = graph.nodes().map(|v| local_clustering(graph, v)).sum();
-    sum / graph.node_count() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,27 +71,5 @@ mod tests {
         let s = GraphStats::compute(&g);
         assert_eq!(s.nodes, 0);
         assert_eq!(s.min_degree, 0);
-        assert_eq!(average_clustering(&g), 0.0);
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = from_edges(5, [(0, 1), (1, 2), (2, 3)]);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 5);
-        assert_eq!(h[0], 1, "node 4 isolated");
-        assert_eq!(h[1], 2, "nodes 0 and 3");
-        assert_eq!(h[2], 2, "nodes 1 and 2");
-    }
-
-    #[test]
-    fn clustering_triangle_vs_path() {
-        let tri = from_edges(3, [(0, 1), (1, 2), (0, 2)]);
-        assert!((local_clustering(&tri, NodeId(0)) - 1.0).abs() < 1e-12);
-        assert!((average_clustering(&tri) - 1.0).abs() < 1e-12);
-
-        let path = from_edges(3, [(0, 1), (1, 2)]);
-        assert_eq!(local_clustering(&path, NodeId(1)), 0.0);
-        assert_eq!(local_clustering(&path, NodeId(0)), 0.0, "degree 1");
     }
 }

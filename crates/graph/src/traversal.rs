@@ -1,89 +1,7 @@
-//! Breadth-first and depth-first traversal iterators.
+//! Breadth-first neighbourhoods.
 
 use crate::csr::CsrGraph;
 use crate::node::NodeId;
-use std::collections::VecDeque;
-
-/// Breadth-first traversal from a start node, yielding each reachable node
-/// once in BFS order.
-#[derive(Debug)]
-pub struct Bfs<'g> {
-    graph: &'g CsrGraph,
-    queue: VecDeque<NodeId>,
-    visited: Vec<bool>,
-}
-
-impl<'g> Bfs<'g> {
-    /// A BFS rooted at `start`.
-    pub fn new(graph: &'g CsrGraph, start: NodeId) -> Self {
-        let mut visited = vec![false; graph.node_count()];
-        let mut queue = VecDeque::new();
-        if start.index() < graph.node_count() {
-            visited[start.index()] = true;
-            queue.push_back(start);
-        }
-        Bfs {
-            graph,
-            queue,
-            visited,
-        }
-    }
-}
-
-impl Iterator for Bfs<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let v = self.queue.pop_front()?;
-        for &u in self.graph.neighbors(v) {
-            if !self.visited[u.index()] {
-                self.visited[u.index()] = true;
-                self.queue.push_back(u);
-            }
-        }
-        Some(v)
-    }
-}
-
-/// Depth-first traversal from a start node (preorder).
-#[derive(Debug)]
-pub struct Dfs<'g> {
-    graph: &'g CsrGraph,
-    stack: Vec<NodeId>,
-    visited: Vec<bool>,
-}
-
-impl<'g> Dfs<'g> {
-    /// A DFS rooted at `start`.
-    pub fn new(graph: &'g CsrGraph, start: NodeId) -> Self {
-        let mut visited = vec![false; graph.node_count()];
-        let mut stack = Vec::new();
-        if start.index() < graph.node_count() {
-            visited[start.index()] = true;
-            stack.push(start);
-        }
-        Dfs {
-            graph,
-            stack,
-            visited,
-        }
-    }
-}
-
-impl Iterator for Dfs<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let v = self.stack.pop()?;
-        for &u in self.graph.neighbors(v).iter().rev() {
-            if !self.visited[u.index()] {
-                self.visited[u.index()] = true;
-                self.stack.push(u);
-            }
-        }
-        Some(v)
-    }
-}
 
 /// Nodes within `radius` hops of `start` (including `start`), in BFS order.
 pub fn ball(graph: &CsrGraph, start: NodeId, radius: usize) -> Vec<NodeId> {
@@ -123,30 +41,17 @@ mod tests {
     #[test]
     fn bfs_visits_in_level_order() {
         let g = from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)]);
-        let order: Vec<_> = Bfs::new(&g, NodeId(0)).map(|v| v.raw()).collect();
+        let order: Vec<_> = ball(&g, NodeId(0), usize::MAX)
+            .iter()
+            .map(|v| v.raw())
+            .collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn bfs_only_reaches_component() {
         let g = from_edges(5, [(0, 1), (2, 3)]);
-        let reached: Vec<_> = Bfs::new(&g, NodeId(0)).collect();
-        assert_eq!(reached.len(), 2);
-    }
-
-    #[test]
-    fn dfs_preorder_on_path() {
-        let g = path_graph();
-        let order: Vec<_> = Dfs::new(&g, NodeId(0)).map(|v| v.raw()).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn dfs_visits_every_reachable_node_once() {
-        let g = from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let mut order: Vec<_> = Dfs::new(&g, NodeId(0)).map(|v| v.raw()).collect();
-        order.sort_unstable();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        assert_eq!(ball(&g, NodeId(0), usize::MAX).len(), 2);
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! The tentpole contract under randomized abuse:
 //!
-//! * kill the driver right after a random boundary write, resume from the
-//!   checkpoint — at any thread count, under a different nominal seed —
+//! * kill the driver right after a random round-start write, resume from
+//!   the checkpoint — at any thread count, under a different nominal seed —
 //!   and the final cover and `seeds_tried` are bit-identical to an
 //!   uninterrupted run;
+//! * cancel the driver at a random progress tick instead: the checkpoint
+//!   still holds the start of the interrupted round, and resuming from it
+//!   is just as bit-identical;
 //! * a damaged `.ockpt` (random byte flip, random truncation, version
 //!   patch) is refused with a typed error under the strict policy and
 //!   discarded under salvage — garbage is never loaded as state;
@@ -16,7 +19,7 @@ use oca::{
     ResumePolicy,
 };
 use oca_gen::{lfr, LfrParams};
-use oca_graph::{CsrGraph, DetectContext, DetectError};
+use oca_graph::{CancelToken, CsrGraph, DetectContext, DetectError};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +31,7 @@ fn graph() -> &'static CsrGraph {
 }
 
 /// Tiny rounds so even this 300-node run crosses several checkpoint
-/// boundaries — the kill points under test.
+/// writes — the kill points under test.
 fn base_config() -> OcaConfig {
     OcaConfig {
         batch: 2,
@@ -39,8 +42,8 @@ fn base_config() -> OcaConfig {
 
 struct Baseline {
     plain: OcaResult,
-    /// Periodic boundary writes a full checkpointed run performs: the
-    /// space of distinct kill points.
+    /// Round-start writes a full checkpointed run performs: the space of
+    /// distinct kill points.
     writes: u64,
 }
 
@@ -78,8 +81,8 @@ fn case_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// Runs to completion under `kill_after_writes` faults and leaves the
-/// flushed checkpoint at `path`.
+/// Runs under `kill_after_writes` faults until the kill, leaving the
+/// checkpoint of the kill round's start at `path`.
 fn killed_run(path: &Path, kill_after_writes: u64, threads: usize) {
     let faults = CheckpointFaults::new(CheckpointFaultSpec {
         torn_write_every: 0,
@@ -89,7 +92,6 @@ fn killed_run(path: &Path, kill_after_writes: u64, threads: usize) {
         threads,
         checkpoint: Some(CheckpointConfig {
             path: path.to_path_buf(),
-            every_rounds: 1,
             resume: ResumePolicy::Strict,
             faults,
         }),
@@ -101,12 +103,25 @@ fn killed_run(path: &Path, kill_after_writes: u64, threads: usize) {
     assert!(path.exists(), "the kill must leave a checkpoint behind");
 }
 
+/// Resumes the checkpoint at `path` at `threads` under a nominal seed
+/// other than the original one: the checkpoint's recorded seed must win.
+fn resumed_run(path: &Path, threads: usize) -> OcaResult {
+    Oca::new(OcaConfig {
+        threads,
+        rng_seed: 0xDEAD_BEEF,
+        checkpoint: Some(CheckpointConfig::at(path)),
+        ..base_config()
+    })
+    .run(graph())
+}
+
 const THREADS: [usize; 3] = [1, 2, 4];
 
 proptest! {
-    /// Kill after a random boundary write, resume at a random (often
+    /// Kill after a random round-start write, resume at a random (often
     /// different) thread count under a different nominal seed: the chain
-    /// reproduces the uninterrupted run bit for bit.
+    /// reproduces the uninterrupted run bit for bit, continuing from the
+    /// start of the round the kill hit.
     #[test]
     fn kill_at_a_random_round_then_resume_is_bit_identical(
         raw_kill in 0u64..1_000_000,
@@ -118,21 +133,57 @@ proptest! {
         let path = case_path("kill");
         killed_run(&path, kill_after, THREADS[kill_threads]);
 
-        let r = Oca::new(OcaConfig {
-            threads: THREADS[resume_threads],
-            rng_seed: 0xDEAD_BEEF, // the checkpoint's recorded seed must win
-            checkpoint: Some(CheckpointConfig {
-                resume: ResumePolicy::Strict,
-                ..CheckpointConfig::at(&path)
-            }),
-            ..base_config()
-        })
-        .run(graph());
+        let r = resumed_run(&path, THREADS[resume_threads]);
         prop_assert_eq!(&r.cover, &base.plain.cover);
         prop_assert_eq!(r.seeds_tried, base.plain.seeds_tried);
         prop_assert_eq!(r.halt_reason, base.plain.halt_reason);
-        let resumed_from = r.checkpoint.resumed_from_ticket.expect("run resumed");
-        prop_assert!(resumed_from > 0 && resumed_from < base.plain.seeds_tried as u64);
+        prop_assert_eq!(r.raw_community_count, base.plain.raw_community_count);
+        let batch = base_config().batch as u64;
+        prop_assert_eq!(r.checkpoint.resumed_from_ticket, Some((kill_after - 1) * batch));
+        prop_assert!(!path.exists(), "the spent checkpoint is removed");
+    }
+
+    /// Cancel from the progress callback at a random tick: nothing is
+    /// written or undone, so the checkpoint still holds the start of the
+    /// round the cancel hit. Resumed at a random thread count under a
+    /// different nominal seed, the chain reproduces the uninterrupted run.
+    #[test]
+    fn cancel_at_a_random_tick_then_resume_is_bit_identical(
+        raw_tick in 0u64..1_000_000,
+        cancel_threads in 0usize..3,
+        resume_threads in 0usize..3,
+    ) {
+        let base = baseline();
+        let tick = 1 + raw_tick % base.plain.seeds_tried as u64;
+        let path = case_path("cancel");
+        let token = CancelToken::new();
+        let trigger = token.clone();
+        let ctx = DetectContext::new(0x0CA)
+            .with_cancel(token)
+            .with_progress(move |p| {
+                if p.done as u64 == tick {
+                    trigger.cancel();
+                }
+            });
+        let err = Oca::new(OcaConfig {
+            threads: THREADS[cancel_threads],
+            checkpoint: Some(CheckpointConfig::at(&path)),
+            ..base_config()
+        })
+        .run_ctx(graph(), &ctx)
+        .unwrap_err();
+        let DetectError::Cancelled { partial } = err else {
+            panic!("expected Cancelled, got {err}");
+        };
+        prop_assert_eq!(partial.iterations as u64, tick, "the partial is not rewound");
+
+        let r = resumed_run(&path, THREADS[resume_threads]);
+        prop_assert_eq!(&r.cover, &base.plain.cover);
+        prop_assert_eq!(r.seeds_tried, base.plain.seeds_tried);
+        prop_assert_eq!(r.halt_reason, base.plain.halt_reason);
+        prop_assert_eq!(r.raw_community_count, base.plain.raw_community_count);
+        let batch = base_config().batch as u64;
+        prop_assert_eq!(r.checkpoint.resumed_from_ticket, Some((tick - 1) / batch * batch));
         prop_assert!(!path.exists(), "the spent checkpoint is removed");
     }
 
@@ -208,7 +259,6 @@ proptest! {
         let r = Oca::new(OcaConfig {
             checkpoint: Some(CheckpointConfig {
                 path: path.clone(),
-                every_rounds: 1,
                 resume: ResumePolicy::Strict,
                 faults: faults.clone(),
             }),

@@ -11,8 +11,8 @@
 //! A table test then pins the sealed frame's integrity classes for a
 //! cover and a checkpoint: cut at every length, trailing garbage, and
 //! every version but the current one (per format: the cover frame is at
-//! version 2, the checkpoint frame at version 3, so a version-2
-//! checkpoint from an older build is refused too).
+//! version 2, the checkpoint frame at version 4, so version-2 and
+//! version-3 checkpoints from older builds are refused too).
 //!
 //! The same flips, truncations and splices drive the byte parsers that
 //! sit in front of the formats and the serve protocol: the gzip decoder,
@@ -104,23 +104,30 @@ fn fixtures() -> &'static Fixtures {
         save_cover_path(&cover_path, &result.cover, result.c).unwrap();
 
         // A checkpoint in the driver's layout, bound to this config and
-        // graph: the run's communities accepted, nothing yet covered.
+        // graph: the run's communities accepted, every other node
+        // uncovered.
         let ckpt_path = scratch_path("fixture.ockpt");
         let bindings = (config_checksum(&config()), graph_checksum(&graph));
+        let mut covered = vec![false; graph.node_count()];
+        for community in result.cover.communities() {
+            for v in community.members() {
+                covered[v.index()] = true;
+            }
+        }
         let state = DriverCheckpoint {
             rng_seed: 7,
             c: result.c,
             lambda_min: result.lambda_min,
             seeds_tried: result.seeds_tried as u64,
-            covered: 0,
             stagnant: 0,
             rejected_streak: 0,
             stops: Default::default(),
             node_count: graph.node_count() as u64,
             accepted: result.cover.communities().to_vec(),
-            fingerprints: (0..result.cover.len() as u128).collect(),
-            uncovered: (0..graph.node_count() as u32).rev().collect(),
-            bitmap_words: vec![0; graph.node_count().div_ceil(64)],
+            uncovered: (0..graph.node_count() as u32)
+                .rev()
+                .filter(|&v| !covered[v as usize])
+                .collect(),
         };
         state
             .save(&ckpt_path, bindings.0, bindings.1, &Default::default())
@@ -468,7 +475,7 @@ fn sealed_frames_classify_damage_the_same_way() {
         );
         let stale: &[u32] = match format {
             Format::Cover => &[1, 3, u32::MAX],
-            _ => &[1, 2, 4, u32::MAX],
+            _ => &[1, 2, 3, 5, u32::MAX],
         };
         for &version in stale {
             let mut patched = pristine.to_vec();

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) on the core data-structure and
 //! algorithm invariants.
 
+use oca::state::set_fingerprint;
 use oca::{fitness, fitness_from_definition, local_search, CommunityState, SearchConfig, MIN_GAIN};
 use oca_api::{registry, DetectorOptions};
 use oca_graph::{from_edges, Community, Cover, CsrGraph, DetectContext, NodeId, UnionFind};
@@ -440,6 +441,26 @@ proptest! {
                 st.add(v);
             }
             prop_assert_eq!(fps.insert(st.fingerprint()), want, "set {:?}", c.members());
+        }
+    }
+
+    /// The from-scratch fingerprint a resumed driver rebuilds its dedup
+    /// set with equals the incremental one after any add/remove sequence:
+    /// toggling a node adds it when absent and removes it when present.
+    #[test]
+    fn set_fingerprint_matches_incremental_fingerprint(
+        toggles in prop::collection::vec(0u32..30, 0..80),
+    ) {
+        let g = CsrGraph::empty(30);
+        let mut st = CommunityState::new(&g, 0.5);
+        for (i, &v) in toggles.iter().enumerate() {
+            let v = NodeId::new(v);
+            if st.contains(v) {
+                st.remove(v);
+            } else {
+                st.add(v);
+            }
+            prop_assert_eq!(set_fingerprint(st.members()), st.fingerprint(), "after toggle {}", i);
         }
     }
 

@@ -122,8 +122,8 @@ fn main() {
     };
     // The background refresh: a seed-capped OCA pass with the same fixed
     // c as the serving config — c is a property of the static graph, so
-    // re-running the spectral power iteration every round would spend
-    // the whole window resolving what is already known.
+    // re-running the spectral solve every round would spend the whole
+    // window resolving what is already known.
     let recompute: Box<RecomputeFn> = Box::new(move |graph, seed, cancel| {
         let config = OcaConfig {
             halting: HaltingConfig {

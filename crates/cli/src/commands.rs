@@ -731,7 +731,7 @@ fn cover_save(cli: &Cli) -> Result<(), String> {
     };
     save_cover_path(output, &cover, c).map_err(|e| format!("writing {output}: {e}"))?;
     println!(
-        "wrote {output} ({} communities, {} nodes, c = {c:.6})",
+        "wrote {output} ({} communities, {} nodes, c = {c})",
         cover.len(),
         cover.node_count()
     );
@@ -750,7 +750,7 @@ fn cover_load(cli: &Cli) -> Result<(), CmdError> {
     let (cover, c) = load_cover_path(binary, Some(graph.node_count()))
         .map_err(|e| integrity_error(format!("loading {binary}: {e}"), e.integrity_class()))?;
     println!(
-        "{binary}: {} communities, coverage {:.3}, {} overlap nodes, c = {c:.6}",
+        "{binary}: {} communities, coverage {:.3}, {} overlap nodes, c = {c}",
         cover.len(),
         cover.coverage(),
         cover.overlap_node_count()

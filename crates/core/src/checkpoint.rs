@@ -257,7 +257,7 @@ pub struct DriverCheckpoint {
     /// remaining tickets continue the original schedule.
     pub rng_seed: u64,
     /// The resolved interaction strength (spectral resolution is itself
-    /// deterministic, but re-resolving costs a power-method run).
+    /// deterministic, but re-resolving costs a Lanczos solve).
     pub c: f64,
     /// The λ_min estimate behind `c` (telemetry; 0 when `c` was fixed).
     pub lambda_min: f64,

@@ -10,7 +10,8 @@ use oca_spectral::PowerConfig;
 /// Where the interaction strength `c` comes from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CStrategy {
-    /// The paper's choice: `c = −1/λ_min` via the power method.
+    /// The paper's choice, `c = −1/λ_min`, with `λ_min` from a Lanczos
+    /// solve (the paper uses the power method).
     Spectral(PowerConfig),
     /// A fixed value in `(0, 1)`; used by the ablation benches.
     Fixed(f64),

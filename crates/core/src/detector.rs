@@ -53,9 +53,17 @@ impl CommunityDetector for OcaDetector {
         config.rng_seed = ctx.seed();
         let checkpointed = config.checkpoint.is_some();
         let result = Oca::try_new(config)?.run_ctx(graph, ctx)?;
+        // `{}` prints the shortest string that parses back to the same
+        // f64, so a printed `c` reruns as `--fixed-c` exactly.
         let mut stats = vec![
-            ("c", format!("{:.6}", result.c)),
-            ("lambda_min", format!("{:.6}", result.lambda_min)),
+            ("c", format!("{}", result.c)),
+            ("lambda_min", format!("{}", result.lambda_min)),
+            ("spectral_ns", result.phases.spectral_ns.to_string()),
+            (
+                "spectral_iterations",
+                result.spectral_iterations.to_string(),
+            ),
+            ("spectral_converged", result.spectral_converged.to_string()),
             ("raw_communities", result.raw_community_count.to_string()),
             (
                 "halt_reason",
@@ -150,9 +158,19 @@ mod tests {
         assert!(d.complete);
         assert!(d.stats.iter().any(|(k, _)| *k == "c"));
         assert!(d.stats.iter().any(|(k, _)| *k == "lambda_min"));
+        assert!(d
+            .stats
+            .contains(&("spectral_converged", "true".to_string())));
         // The per-phase breakdown rides along so harnesses can attribute
         // wall-clock without OCA-specific plumbing.
-        for phase in ["ascent_ns", "dedup_ns", "merge_ns", "orphan_ns"] {
+        for phase in [
+            "spectral_ns",
+            "spectral_iterations",
+            "ascent_ns",
+            "dedup_ns",
+            "merge_ns",
+            "orphan_ns",
+        ] {
             assert!(
                 d.stats
                     .iter()

@@ -7,7 +7,8 @@
 //! virtual vector representation of the graph:
 //!
 //! 1. nodes become unit vectors with inner product `c = −1/λ_min` between
-//!    neighbors ([`oca_spectral`] estimates `λ_min` with the power method);
+//!    neighbors ([`oca_spectral`] estimates `λ_min` with a Lanczos solve
+//!    where the paper uses the power method);
 //! 2. a subset `S` scores `ϕ(S) = ‖Σ_{v∈S} v‖² = |S| + 2·c·Ein(S)`;
 //! 3. the *directed Laplacian* of `ϕ` over the subset lattice gives the
 //!    fitness `L(S)` ([`fitness()`]);

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LocalConfig {
     /// Interaction-strength source. Spectral resolution is a whole-graph
-    /// power iteration — servers resolve it once per snapshot via
+    /// Lanczos solve — servers resolve it once per snapshot via
     /// [`LocalDetector::resolve_c`] and use [`LocalDetector::detect_with`].
     pub c: CStrategy,
     /// How the query node expands into the ascent's initial set.
@@ -130,7 +130,7 @@ impl LocalDetector {
     }
 
     /// Resolves the interaction strength for `graph` under this
-    /// configuration. Spectral resolution runs a power iteration over the
+    /// configuration. Spectral resolution runs a Lanczos solve over the
     /// whole graph — call once per graph (or cover snapshot) and reuse the
     /// value through [`LocalDetector::detect_with`].
     pub fn resolve_c(&self, graph: &CsrGraph) -> f64 {
@@ -311,7 +311,7 @@ impl LocalDetector {
             complete,
             iterations: 1,
             stats: vec![
-                ("c", format!("{c:.6}")),
+                ("c", format!("{c}")),
                 ("fitness", format!("{:.6}", outcome.fitness)),
                 ("moves", outcome.moves.to_string()),
                 ("stop", outcome.stop.label().to_string()),
@@ -337,7 +337,7 @@ impl LocalDetector {
             elapsed,
             complete: false,
             iterations: 0,
-            stats: vec![("c", format!("{c:.6}"))],
+            stats: vec![("c", format!("{c}"))],
         })
     }
 

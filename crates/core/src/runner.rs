@@ -28,7 +28,7 @@ use crate::state::{set_fingerprint, CommunityState};
 use oca_graph::{
     Community, ContainerError, Cover, CsrGraph, DetectContext, DetectError, Detection, NodeId,
 };
-use oca_spectral::interaction_strength;
+use oca_spectral::{interaction_strength, InteractionStrength, PowerResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -41,6 +41,9 @@ use std::time::{Duration, Instant};
 /// postprocessing) can never hide inside the end-to-end total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
+    /// The spectral solve for `c = −1/λ_min`; 0 when `c` is fixed or
+    /// restored from a checkpoint.
+    pub spectral_ns: u64,
     /// Greedy ascents: seed drawing plus local search. In parallel mode
     /// this is the wall time of the worker rounds, not summed CPU time.
     pub ascent_ns: u64,
@@ -62,6 +65,12 @@ pub struct OcaResult {
     pub c: f64,
     /// The `λ_min` estimate behind it (0 when `c` was fixed).
     pub lambda_min: f64,
+    /// Lanczos steps of the spectral solve; 0 when no solve ran (`c`
+    /// fixed or restored from a checkpoint).
+    pub spectral_iterations: usize,
+    /// Whether the spectral solve met its tolerance; false when no solve
+    /// ran.
+    pub spectral_converged: bool,
     /// Seeds processed before the halting cutoff (deterministic for a
     /// fixed seed, independent of the thread count).
     pub seeds_tried: usize,
@@ -369,13 +378,16 @@ impl Oca {
         &self.config
     }
 
-    /// Resolves the interaction strength for `graph`.
-    fn resolve_c(&self, graph: &CsrGraph) -> (f64, f64) {
+    /// Resolves the interaction strength for `graph`, timing a spectral
+    /// solve into `phases`.
+    fn resolve_c(&self, graph: &CsrGraph, phases: &mut PhaseNanos) -> InteractionStrength {
         match self.config.c {
-            CStrategy::Fixed(c) => (c, 0.0),
+            CStrategy::Fixed(c) => unsolved(c, 0.0),
             CStrategy::Spectral(ref pc) => {
+                let t0 = Instant::now();
                 let s = interaction_strength(graph, pc);
-                (s.c, s.lambda_min)
+                phases.spectral_ns = t0.elapsed().as_nanos() as u64;
+                s
             }
         }
     }
@@ -408,9 +420,11 @@ impl Oca {
         let n = graph.node_count();
         let cancelled =
             |cover: Cover, seeds: usize, c: f64, lambda_min: f64, ckpt: &CheckpointStats| {
+                // `{}` prints the shortest string that parses back to the
+                // same f64, so a printed `c` reruns as `--fixed-c` exactly.
                 let mut stats = vec![
-                    ("c", format!("{c:.6}")),
-                    ("lambda_min", format!("{lambda_min:.6}")),
+                    ("c", format!("{c}")),
+                    ("lambda_min", format!("{lambda_min}")),
                 ];
                 stats.extend(ckpt.stat_entries());
                 DetectError::cancelled(Detection {
@@ -425,18 +439,21 @@ impl Oca {
         if ctx.is_cancelled() {
             return Err(cancelled(Cover::empty(n), 0, 0.0, 0.0, &ckpt_stats));
         }
+        let mut phases = PhaseNanos::default();
         if n == 0 {
-            let (c, lambda_min) = self.resolve_c(graph);
+            let strength = self.resolve_c(graph, &mut phases);
             return Ok(OcaResult {
                 cover: Cover::empty(0),
-                c,
-                lambda_min,
+                c: strength.c,
+                lambda_min: strength.lambda_min,
+                spectral_iterations: strength.power.iterations,
+                spectral_converged: strength.power.converged,
                 seeds_tried: 0,
                 raw_community_count: 0,
                 halt_reason: None,
                 ascent_stops: AscentStopStats::default(),
                 elapsed: start.elapsed(),
-                phases: PhaseNanos::default(),
+                phases,
                 checkpoint: ckpt_stats,
             });
         }
@@ -487,13 +504,14 @@ impl Oca {
                 }
             }
         }
-        let (c, lambda_min) = match &resumed {
+        let strength = match &resumed {
             // Re-resolving would give the same values (spectral
-            // resolution is deterministic) at the cost of a power-method
-            // run; the checkpoint carries them instead.
-            Some(d) => (d.c, d.lambda_min),
-            None => self.resolve_c(graph),
+            // resolution is deterministic) at the cost of a Lanczos
+            // solve; the checkpoint carries them instead.
+            Some(d) => unsolved(d.c, d.lambda_min),
+            None => self.resolve_c(graph, &mut phases),
         };
+        let (c, lambda_min) = (strength.c, strength.lambda_min);
         let rng_seed = resumed.as_ref().map_or(config.rng_seed, |d| d.rng_seed);
 
         let threads = config.threads;
@@ -504,7 +522,6 @@ impl Oca {
             }
             None => Reduction::new(config, n),
         };
-        let mut phases = PhaseNanos::default();
         // One reusable search state per worker; buffers persist across
         // rounds so reset cost stays proportional to work done.
         let mut states: Vec<CommunityState<'_>> = (0..threads.max(1))
@@ -656,6 +673,8 @@ impl Oca {
             cover,
             c,
             lambda_min,
+            spectral_iterations: strength.power.iterations,
+            spectral_converged: strength.power.converged,
             seeds_tried: reduction.halting.seeds_tried(),
             raw_community_count: raw_count,
             halt_reason: reduction.halting.reason(),
@@ -664,6 +683,20 @@ impl Oca {
             phases,
             checkpoint: ckpt_stats,
         })
+    }
+}
+
+/// An interaction strength that no solve produced: a fixed `c`, or one
+/// restored from a checkpoint.
+fn unsolved(c: f64, lambda_min: f64) -> InteractionStrength {
+    InteractionStrength {
+        c,
+        lambda_min,
+        power: PowerResult {
+            eigenvalue: lambda_min,
+            iterations: 0,
+            converged: false,
+        },
     }
 }
 
@@ -1055,6 +1088,25 @@ mod tests {
         assert_eq!(r.c, 0.7);
         assert_eq!(r.lambda_min, 0.0);
         assert_eq!(r.cover.len(), 3);
+    }
+
+    #[test]
+    fn spectral_solve_is_timed_and_reported() {
+        let g = three_cliques();
+        let spectral = Oca::new(quick_config()).run(&g);
+        assert!(spectral.phases.spectral_ns > 0);
+        assert!(spectral.spectral_iterations > 0);
+        assert!(spectral.spectral_converged);
+
+        let fixed = Oca::new(OcaConfig {
+            c: CStrategy::Fixed(spectral.c),
+            ..quick_config()
+        })
+        .run(&g);
+        assert_eq!(fixed.phases.spectral_ns, 0);
+        assert_eq!(fixed.spectral_iterations, 0);
+        assert!(!fixed.spectral_converged);
+        assert_eq!(fixed.cover, spectral.cover, "same c, same cover");
     }
 
     use crate::checkpoint::{

@@ -154,6 +154,17 @@ impl CsrGraph {
         &self.neighbors.as_slice()[offsets[i] as usize..offsets[i + 1] as usize]
     }
 
+    /// Every neighbor row in node order: item `i` is `neighbors(NodeId(i))`.
+    /// Resolves the storage slabs once for the whole walk instead of once
+    /// per row, for full sweeps such as a mat-vec.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
+        let neighbors = self.neighbors.as_slice();
+        self.offsets
+            .as_slice()
+            .windows(2)
+            .map(move |w| &neighbors[w[0] as usize..w[1] as usize])
+    }
+
     /// True if `{u, v}` is an edge. `O(log deg)`; probes the smaller row.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         if u == v {
@@ -320,6 +331,15 @@ mod tests {
         let g = triangle_plus_pendant();
         assert_eq!(g.neighbors(NodeId(2)), &[NodeId(0), NodeId(1), NodeId(3)]);
         assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn rows_walk_every_neighbor_row_in_node_order() {
+        let g = triangle_plus_pendant();
+        assert_eq!(g.rows().len(), g.node_count());
+        for (v, row) in g.nodes().zip(g.rows()) {
+            assert_eq!(row, g.neighbors(v));
+        }
     }
 
     #[test]

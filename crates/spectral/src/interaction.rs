@@ -23,7 +23,7 @@ pub struct InteractionStrength {
     pub c: f64,
     /// The `λ_min` estimate it was derived from (0 for degenerate graphs).
     pub lambda_min: f64,
-    /// The underlying power-iteration diagnostics.
+    /// The underlying Lanczos diagnostics (steps, convergence).
     pub power: PowerResult,
 }
 
@@ -31,8 +31,9 @@ pub struct InteractionStrength {
 ///
 /// For any graph with at least one edge, interlacing with the `K2` spectrum
 /// gives `λ_min ≤ −1`, hence `c ∈ (0, 1]`; the clamp only trims the exact
-/// `λ_min = −1` case (disjoint unions of cliques) to stay strictly below 1,
-/// and guards against small numerical overshoot of the power method.
+/// `λ_min = −1` case (disjoint unions of cliques) to stay strictly below 1.
+/// The Lanczos estimate is already pushed below the true `λ_min` by its
+/// residual, so `c` errs on the admissible side and needs no back-off.
 pub fn interaction_strength(graph: &CsrGraph, config: &PowerConfig) -> InteractionStrength {
     let power = lambda_min(graph, config);
     let lam = power.eigenvalue;

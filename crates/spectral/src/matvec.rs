@@ -8,35 +8,29 @@ use oca_graph::CsrGraph;
 
 /// Computes `out = A·x` where `A` is the adjacency matrix of `graph`.
 ///
+/// Each row is summed into four independent accumulators, so the adds of
+/// a long row overlap instead of waiting on one another.
+///
 /// # Panics
 /// Panics if `x` and `out` don't both have length `graph.node_count()`.
 pub fn adj_matvec(graph: &CsrGraph, x: &[f64], out: &mut [f64]) {
     let n = graph.node_count();
     assert_eq!(x.len(), n, "input vector length mismatch");
     assert_eq!(out.len(), n, "output vector length mismatch");
-    for v in graph.nodes() {
-        let mut acc = 0.0;
-        for &u in graph.neighbors(v) {
-            acc += x[u.index()];
+    for (o, row) in out.iter_mut().zip(graph.rows()) {
+        let mut acc = [0.0f64; 4];
+        let mut quads = row.chunks_exact(4);
+        for q in &mut quads {
+            acc[0] += x[q[0].index()];
+            acc[1] += x[q[1].index()];
+            acc[2] += x[q[2].index()];
+            acc[3] += x[q[3].index()];
         }
-        out[v.index()] = acc;
-    }
-}
-
-/// Computes `out = (A + shift·I)·x`.
-pub fn shifted_matvec(graph: &CsrGraph, shift: f64, x: &[f64], out: &mut [f64]) {
-    adj_matvec(graph, x, out);
-    for (o, &xi) in out.iter_mut().zip(x) {
-        *o += shift * xi;
-    }
-}
-
-/// Computes `out = (shift·I − A)·x` (used to reach the *most negative*
-/// adjacency eigenvalue with a power iteration).
-pub fn reflected_matvec(graph: &CsrGraph, shift: f64, x: &[f64], out: &mut [f64]) {
-    adj_matvec(graph, x, out);
-    for (o, &xi) in out.iter_mut().zip(x) {
-        *o = shift * xi - *o;
+        let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+        for &u in quads.remainder() {
+            sum += x[u.index()];
+        }
+        *o = sum;
     }
 }
 
@@ -90,14 +84,15 @@ mod tests {
     }
 
     #[test]
-    fn shifted_and_reflected_agree_with_definition() {
-        let g = from_edges(2, [(0, 1)]);
-        let x = [3.0, -1.0];
-        let mut y = [0.0; 2];
-        shifted_matvec(&g, 2.0, &x, &mut y);
-        assert_eq!(y, [-1.0 + 6.0, 3.0 - 2.0]); // A·x = [-1, 3]
-        reflected_matvec(&g, 2.0, &x, &mut y);
-        assert_eq!(y, [6.0 + 1.0, -2.0 - 3.0]);
+    fn matvec_sums_long_rows_with_a_remainder() {
+        // Hub 0 has 9 neighbors: two full quads of accumulators plus one
+        // leftover; the leaves have rows of length 1.
+        let g = from_edges(10, (1..10u32).map(|v| (0, v)));
+        let x: Vec<f64> = (0..10).map(f64::from).collect();
+        let mut y = vec![0.0; 10];
+        adj_matvec(&g, &x, &mut y);
+        assert_eq!(y[0], 45.0);
+        assert!(y[1..].iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -223,9 +223,7 @@ mod tests {
             ),
         ] {
             let g = from_edges(n, edges);
-            let s = interaction_strength(&g, &PowerConfig::default());
-            // Back off a hair for power-method tolerance.
-            let c = (s.c * (1.0 - 1e-6)).min(crate::interaction::MAX_C);
+            let c = interaction_strength(&g, &PowerConfig::default()).c;
             assert!(
                 VectorRepresentation::build(&g, c).is_ok(),
                 "spectral c = {c} should be admissible"

@@ -186,3 +186,43 @@ fn parallel_matches_sequential_quality() {
         "parallel quality {par_theta} far from sequential {seq_theta}"
     );
 }
+
+/// `oca detect` prints `c` so that `--fixed-c <printed>` reruns the same
+/// detection: the printed string parses back to the spectral `c` exactly,
+/// and a registry build with that fixed `c` writes the identical cover.
+#[test]
+fn printed_spectral_c_reruns_as_fixed_c_with_the_same_cover() {
+    use oca_api::{registry, DetectorOptions};
+    use oca_graph::{write_cover, DetectContext};
+
+    let bench = lfr(&LfrParams::small(400, 0.3, 5));
+    let g = &bench.graph;
+    let registry = registry();
+    let spec = registry.get("oca").unwrap();
+    let detect = |opts: &DetectorOptions| {
+        let detector = spec.build_tuned(g, opts).unwrap();
+        detector.detect(g, &mut DetectContext::new(42)).unwrap()
+    };
+    let spectral = detect(&DetectorOptions::new());
+    let stat = |key: &str| {
+        let (_, value) = spectral.stats.iter().find(|(k, _)| *k == key).unwrap();
+        value.clone()
+    };
+    let strength = oca_spectral::interaction_strength(g, &Default::default());
+    let printed = stat("c");
+    assert_eq!(
+        printed.parse::<f64>().unwrap(),
+        strength.c,
+        "printed {printed}"
+    );
+    let lambda_min = stat("lambda_min").parse::<f64>().unwrap();
+    assert_eq!(lambda_min, strength.lambda_min);
+
+    let fixed = detect(&DetectorOptions::new().with("fixed-c", &printed));
+    let bytes = |d: &oca_graph::Detection| {
+        let mut out = Vec::new();
+        write_cover(&d.cover, &mut out).unwrap();
+        out
+    };
+    assert_eq!(bytes(&spectral), bytes(&fixed));
+}

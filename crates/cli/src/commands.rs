@@ -297,16 +297,6 @@ const DETECT_OPTIONS: [&str; 7] = [
 ];
 const DETECT_FLAGS: [&str; 4] = ["list-algorithms", "orphans", "progress", "resume"];
 
-/// Writes `cover` to `path` in the text format through a temp-and-rename,
-/// so an interruption (even a second ^C) can never leave a half-written
-/// cover behind.
-fn save_cover_atomic(cover: &Cover, path: &str) -> Result<(), String> {
-    oca_graph::atomic_write_path(std::path::Path::new(path), |w| {
-        oca_graph::write_cover(cover, w).map_err(std::io::Error::other)
-    })
-    .map_err(|e| format!("writing {path}: {e}"))
-}
-
 fn detect(cli: &Cli) -> Result<(), String> {
     let reg = registry();
     if cli.has_flag("list-algorithms") {
@@ -411,7 +401,7 @@ fn detect(cli: &Cli) -> Result<(), String> {
                 ),
             }
             if let Some(path) = cli.get_str("save-cover") {
-                save_cover_atomic(&cover, path)?;
+                write_cover_path(&cover, path).map_err(|e| format!("writing {path}: {e}"))?;
                 println!("wrote partial cover to {path}");
             }
             // A graceful interruption is a clean exit: everything the run
@@ -458,7 +448,7 @@ fn detect(cli: &Cli) -> Result<(), String> {
         println!("wrote {path}");
     }
     if let Some(path) = cli.get_str("save-cover") {
-        save_cover_atomic(&cover, path)?;
+        write_cover_path(&cover, path).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
     }
     Ok(())

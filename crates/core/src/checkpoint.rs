@@ -6,12 +6,14 @@
 //! outcomes in ticket order. A *round boundary* — the point where one
 //! batch of tickets has been fully reduced and the next round's coverage
 //! snapshot has not yet been taken — is therefore a complete cut: the
-//! accepted communities, the uncovered list (in its exact swap-remove
-//! order, because seed picks index it) and the halting counters together
-//! determine every subsequent ticket bit-for-bit, at any thread count.
-//! Everything else the driver holds at a boundary (the dedup
-//! fingerprints, the coverage bitmap, the covered count) is derived from
-//! those on resume.
+//! accepted communities (in acceptance order) and the halting counters
+//! together determine every subsequent ticket bit-for-bit, at any thread
+//! count. Everything else the driver holds at a boundary is a function of
+//! the accepted list: the uncovered list (whose order seed picks index)
+//! only ever changes by swap-removing each accepted community's still
+//! uncovered members in member order, so resume rebuilds it — and the
+//! dedup fingerprints and the covered count with it — by replaying the
+//! accepted communities through the same routine the run used.
 //!
 //! This module serializes exactly that cut into an `.ockpt` file — a
 //! sealed [`oca_graph::container`] frame — and reconstructs it on resume.
@@ -31,9 +33,9 @@
 //! payload          DriverCheckpoint::encode (field order of the struct)
 //! ```
 //!
-//! Mid-round state is deliberately *not* checkpointable: tickets past the
-//! round's cutoff may already be reduced out of order on other workers,
-//! and the coverage snapshot lent to the workers is round-global. The
+//! Mid-round state is deliberately *not* checkpointable: every ticket of
+//! a round ascends against the round-start coverage snapshot, so a cut
+//! inside a round would have to carry the ascents already run. The
 //! runner writes at the start of every round and nowhere else, so an
 //! interrupted run — killed or cancelled — resumes from the start of the
 //! round it was in, redoing at most that one round.
@@ -248,11 +250,15 @@ impl CheckpointStats {
     }
 }
 
-/// The driver's complete round-boundary state, as serialized.
+/// The driver's round-boundary state, as serialized: its counters and the
+/// communities it accepted. The rest of its state is rebuilt on resume by
+/// replaying `accepted` (see the module docs).
 ///
-/// Field order is the payload layout (all integers little-endian).
+/// Field order is the payload layout (all integers little-endian). `A`
+/// holds the accepted list: owned when decoded, borrowed (`&[Community]`)
+/// when the driver encodes its live state without copying it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DriverCheckpoint {
+pub struct DriverCheckpoint<A = Vec<Community>> {
     /// The master RNG seed of the original run; adopted on resume so the
     /// remaining tickets continue the original schedule.
     pub rng_seed: u64,
@@ -270,24 +276,21 @@ pub struct DriverCheckpoint {
     /// Ascent stop tallies at the boundary.
     pub stops: AscentStopStats,
     /// Node count of the graph the driver ran on; redundant with the graph
-    /// binding, kept for structural validation.
+    /// binding, kept for structural validation. The driver checks it
+    /// against the graph before anything is sized by it.
     pub node_count: u64,
     /// Accepted communities, in acceptance (ticket) order.
-    pub accepted: Vec<Community>,
-    /// The uncovered list in its exact order. Order is load-bearing: seed
-    /// picks index this list, and its order is the deterministic product
-    /// of the swap-removes applied so far. It holds exactly the nodes that
-    /// are in no accepted community, each once.
-    pub uncovered: Vec<u32>,
+    pub accepted: A,
 }
 
 /// The `.ockpt` frame. Older versions are refused as a version mismatch:
 /// version 1 (the pre-container envelope), version 2 (a fourth stop
-/// tally) and version 3 (a covered counter, the dedup fingerprints and the
-/// coverage bitmap, all derived on resume since version 4).
+/// tally), version 3 (a covered counter, the dedup fingerprints and the
+/// coverage bitmap) and version 4 (the uncovered list, rebuilt by replay
+/// since version 5).
 const FRAME: Frame = Frame {
     magic: *b"OCACKPT\0",
-    version: 4,
+    version: 5,
 };
 
 /// The config binding checksum: a hash of every schedule-affecting field.
@@ -319,10 +322,20 @@ pub fn graph_checksum(graph: &CsrGraph) -> u64 {
     fnv1a(&bytes)
 }
 
-impl DriverCheckpoint {
-    /// Nodes covered at the boundary: those not on the uncovered list.
+impl<A: AsRef<[Community]>> DriverCheckpoint<A> {
+    /// Nodes covered at the boundary: the distinct members of the
+    /// accepted communities. Counted by sorting the members, so the cost
+    /// is bounded by the payload, never by `node_count`.
     pub fn covered(&self) -> u64 {
-        self.node_count - self.uncovered.len() as u64
+        let mut members: Vec<NodeId> = self
+            .accepted
+            .as_ref()
+            .iter()
+            .flat_map(|c| c.members().iter().copied())
+            .collect();
+        members.sort_unstable();
+        members.dedup();
+        members.len() as u64
     }
 
     /// Serializes the state into the `.ockpt` payload layout.
@@ -333,11 +346,8 @@ impl DriverCheckpoint {
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(
-            11 * 8
-                + self.accepted.iter().map(|c| 4 + 4 * c.len()).sum::<usize>()
-                + 4 * self.uncovered.len(),
-        );
+        let accepted = self.accepted.as_ref();
+        out.reserve(11 * 8 + accepted.iter().map(|c| 4 + 4 * c.len()).sum::<usize>());
         out.extend_from_slice(&self.rng_seed.to_le_bytes());
         out.extend_from_slice(&self.c.to_bits().to_le_bytes());
         out.extend_from_slice(&self.lambda_min.to_bits().to_le_bytes());
@@ -348,19 +358,46 @@ impl DriverCheckpoint {
         out.extend_from_slice(&(self.stops.move_cap as u64).to_le_bytes());
         out.extend_from_slice(&(self.stops.move_budget as u64).to_le_bytes());
         out.extend_from_slice(&self.node_count.to_le_bytes());
-        out.extend_from_slice(&(self.accepted.len() as u64).to_le_bytes());
-        for community in &self.accepted {
+        out.extend_from_slice(&(accepted.len() as u64).to_le_bytes());
+        for community in accepted {
             out.extend_from_slice(&(community.len() as u32).to_le_bytes());
             for &v in community.members() {
                 out.extend_from_slice(&(v.index() as u32).to_le_bytes());
             }
         }
-        out.extend_from_slice(&(self.uncovered.len() as u64).to_le_bytes());
-        for &v in &self.uncovered {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
     }
 
+    /// Atomically writes the state to `path` under the two binding
+    /// checksums, returning the bytes written. Fault injection (torn
+    /// writes) is applied when armed in `faults`.
+    pub fn save(
+        &self,
+        path: &Path,
+        config_checksum: u64,
+        graph_checksum: u64,
+        faults: &CheckpointFaults,
+    ) -> std::io::Result<u64> {
+        let body = |out: &mut Vec<u8>| {
+            out.extend_from_slice(&config_checksum.to_le_bytes());
+            out.extend_from_slice(&graph_checksum.to_le_bytes());
+            self.encode_into(out);
+        };
+        if faults.check_torn_write() {
+            // Write half the file, then fail: the atomic path must delete
+            // the temp file and leave any previous checkpoint untouched.
+            let bytes = FRAME.seal_with(body);
+            let half = &bytes[..bytes.len() / 2];
+            let result = atomic_write_path(path, |w| {
+                std::io::Write::write_all(w, half)?;
+                Err(std::io::Error::other("injected torn checkpoint write"))
+            });
+            return Err(result.expect_err("torn write cannot succeed"));
+        }
+        FRAME.write_path(path, body)
+    }
+}
+
+impl DriverCheckpoint {
     /// Decodes and structurally validates a payload. The frame has already
     /// checksummed the bytes; failures here mean the payload is internally
     /// inconsistent, and are [`ContainerError::Malformed`] — resume refuses
@@ -405,22 +442,6 @@ impl DriverCheckpoint {
             }
             accepted.push(Community::new(members));
         }
-        let n_uncovered = r.u64()?;
-        if n_uncovered > node_count {
-            return Err(ContainerError::Malformed(format!(
-                "{n_uncovered} uncovered nodes on a {node_count}-node graph"
-            )));
-        }
-        let mut uncovered = Vec::with_capacity(r.fits(n_uncovered, 4)?);
-        for _ in 0..n_uncovered {
-            let v = r.u32()?;
-            if u64::from(v) >= node_count {
-                return Err(ContainerError::Malformed(format!(
-                    "uncovered node {v} out of bounds for {node_count} nodes"
-                )));
-            }
-            uncovered.push(v);
-        }
         let ckpt = DriverCheckpoint {
             rng_seed,
             c,
@@ -431,17 +452,16 @@ impl DriverCheckpoint {
             stops,
             node_count,
             accepted,
-            uncovered,
         };
         ckpt.validate()?;
         Ok(ckpt)
     }
 
     /// Checks what the driver relies on: a finite `c`, no more accepted
-    /// communities than tickets, and coverage that is one consistent
-    /// partition — every node is either a member of some accepted
-    /// community or on the uncovered list, never both, and the uncovered
-    /// list names no node twice. (Bounds were checked while decoding.)
+    /// communities than tickets, and a node count that `u32` ids can
+    /// name. (Member bounds were checked while decoding; replaying the
+    /// members cannot fail on in-bounds input, since a repeated member is
+    /// simply already covered.)
     fn validate(&self) -> Result<(), ContainerError> {
         if !self.c.is_finite() {
             return Err(ContainerError::Malformed(format!(
@@ -456,72 +476,13 @@ impl DriverCheckpoint {
                 self.seeds_tried
             )));
         }
-        // Each node must be listed at least once, as a member or as
-        // uncovered, so the node count is bounded by the listings — and
-        // with it the bitmap below, which a forged count cannot inflate.
-        let listed =
-            self.uncovered.len() as u64 + self.accepted.iter().map(|c| c.len() as u64).sum::<u64>();
-        if self.node_count > listed {
+        if self.node_count > u64::from(u32::MAX) {
             return Err(ContainerError::Malformed(format!(
-                "{} nodes but only {listed} covered or uncovered listings",
+                "{} nodes exceed the u32 id space",
                 self.node_count
             )));
         }
-        // One bitmap pass: mark the accepted members, then every uncovered
-        // node must land on a clear bit, and all n bits must end up set.
-        let n = self.node_count as usize;
-        let mut words = vec![0u64; n.div_ceil(64)];
-        for community in &self.accepted {
-            for v in community.members() {
-                words[v.index() / 64] |= 1 << (v.index() % 64);
-            }
-        }
-        for &v in &self.uncovered {
-            let (word, bit) = (v as usize / 64, v as usize % 64);
-            if words[word] >> bit & 1 == 1 {
-                return Err(ContainerError::Malformed(format!(
-                    "uncovered node {v} is also covered or listed twice"
-                )));
-            }
-            words[word] |= 1 << bit;
-        }
-        let marked: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-        if marked != self.node_count {
-            return Err(ContainerError::Malformed(format!(
-                "{} of {n} nodes are neither covered nor uncovered",
-                self.node_count - marked
-            )));
-        }
         Ok(())
-    }
-
-    /// Atomically writes the state to `path` under the two binding
-    /// checksums, returning the bytes written. Fault injection (torn
-    /// writes) is applied when armed in `faults`.
-    pub fn save(
-        &self,
-        path: &Path,
-        config_checksum: u64,
-        graph_checksum: u64,
-        faults: &CheckpointFaults,
-    ) -> std::io::Result<u64> {
-        let body = |out: &mut Vec<u8>| {
-            out.extend_from_slice(&config_checksum.to_le_bytes());
-            out.extend_from_slice(&graph_checksum.to_le_bytes());
-            self.encode_into(out);
-        };
-        if faults.check_torn_write() {
-            // Write half the file, then fail: the atomic path must delete
-            // the temp file and leave any previous checkpoint untouched.
-            let bytes = FRAME.seal_with(body);
-            let half = &bytes[..bytes.len() / 2];
-            let result = atomic_write_path(path, |w| {
-                std::io::Write::write_all(w, half)?;
-                Err(std::io::Error::other("injected torn checkpoint write"))
-            });
-            return Err(result.expect_err("torn write cannot succeed"));
-        }
-        FRAME.write_path(path, body)
     }
 
     /// Reads, verifies and decodes the checkpoint at `path`, refusing
@@ -557,7 +518,8 @@ impl DriverCheckpoint {
 pub struct CheckpointSummary {
     /// Tickets fully reduced at the recorded boundary.
     pub seeds_tried: u64,
-    /// Covered nodes at the boundary.
+    /// Covered nodes at the boundary: the distinct members of the
+    /// accepted communities.
     pub covered: u64,
     /// Node count of the graph the run was on.
     pub node_count: u64,
@@ -597,10 +559,6 @@ mod tests {
     use oca_graph::from_edges;
 
     fn sample(n: u64) -> DriverCheckpoint {
-        // Nodes 0 and 2 covered, the rest uncovered (reverse order to
-        // prove order is preserved verbatim).
-        let mut uncovered: Vec<u32> = (0..n as u32).filter(|&v| v != 0 && v != 2).collect();
-        uncovered.reverse();
         DriverCheckpoint {
             rng_seed: 0xABCD,
             c: 0.42,
@@ -618,7 +576,6 @@ mod tests {
                 Community::from_raw([0, 2]),
                 Community::from_raw([2, 0]), // the same set may be listed twice
             ],
-            uncovered,
         }
     }
 
@@ -627,8 +584,6 @@ mod tests {
         let ckpt = sample(70);
         let decoded = DriverCheckpoint::decode(&ckpt.encode()).unwrap();
         assert_eq!(decoded, ckpt);
-        // Uncovered order survived verbatim.
-        assert_eq!(decoded.uncovered, ckpt.uncovered);
     }
 
     #[test]
@@ -691,40 +646,6 @@ mod tests {
         loaded
     }
 
-    fn assert_malformed(state: &DriverCheckpoint, tag: &str) {
-        match load_sealed(state, tag) {
-            Err(ContainerError::Malformed(_)) => {}
-            other => panic!("{tag}: expected Malformed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn accepted_member_listed_as_uncovered_is_malformed() {
-        let mut bad = sample(70);
-        bad.uncovered.push(0);
-        assert_malformed(&bad, "both");
-    }
-
-    #[test]
-    fn duplicate_uncovered_node_is_malformed() {
-        // Displacing another entry keeps the count at n − covered.
-        let mut bad = sample(70);
-        bad.uncovered[0] = bad.uncovered[1];
-        assert_malformed(&bad, "duplicate");
-    }
-
-    #[test]
-    fn node_neither_covered_nor_uncovered_is_malformed() {
-        let mut bad = sample(70);
-        bad.uncovered.pop();
-        assert_malformed(&bad, "neither");
-        // A node count beyond every listing is refused before the
-        // coverage bitmap is allocated.
-        let mut bad = sample(70);
-        bad.node_count = u64::MAX;
-        assert_malformed(&bad, "forged_n");
-    }
-
     #[test]
     fn structural_inconsistencies_are_malformed() {
         assert!(load_sealed(&sample(70), "pristine").is_ok());
@@ -757,18 +678,18 @@ mod tests {
     #[test]
     fn forged_counts_are_malformed_not_allocated() {
         // Offsets into the payload: 11 fixed u64 fields (the node count
-        // is the tenth), then the communities and the uncovered list.
-        let ckpt = sample(70);
-        let payload = ckpt.encode();
+        // is the tenth), then the communities.
+        let payload = sample(70).encode();
         let node_count_at = 9 * 8;
         let communities_at = 10 * 8;
         let first_len_at = 11 * 8;
-        let uncovered_at = 11 * 8 + (4 + 2 * 4) * 2;
         for (at, forged) in [
             (communities_at, u64::MAX),
             (communities_at, 1 << 62),
-            (uncovered_at, u64::MAX),
-            (uncovered_at, 1 << 40),
+            // Beyond the u32 id space: refused before anything could be
+            // sized by it.
+            (node_count_at, u64::MAX),
+            (node_count_at, 1 << 32),
         ] {
             let mut bad = payload.clone();
             bad[at..at + 8].copy_from_slice(&forged.to_le_bytes());
@@ -778,15 +699,6 @@ mod tests {
                 "count {forged} at {at}: {err:?}"
             );
         }
-        // A forged node count lets a forged uncovered count past the
-        // bounds check; the bytes-left check still refuses it.
-        let mut bad = payload.clone();
-        bad[node_count_at..node_count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        bad[uncovered_at..uncovered_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        assert!(matches!(
-            DriverCheckpoint::decode(&bad).unwrap_err(),
-            ContainerError::Malformed(_)
-        ));
         // A member-count word of u32::MAX on the first community.
         let mut bad = payload.clone();
         bad[first_len_at..first_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());

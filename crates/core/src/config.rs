@@ -109,6 +109,20 @@ impl OcaConfig {
         if self.halting.max_seeds < 1 {
             return Err(invalid("need at least one seed".to_string()));
         }
+        // A zero window (or a target coverage of zero or NaN) would halt
+        // before the first seed, or silently switch the coverage criterion
+        // off; a target above 1 stays valid and means "never".
+        if self.halting.stagnation_limit < 1 {
+            return Err(invalid(
+                "stagnation limit must be at least one seed".to_string(),
+            ));
+        }
+        let target = self.halting.target_coverage;
+        if target.is_nan() || target <= 0.0 {
+            return Err(invalid(format!(
+                "target coverage must be a positive number, got {target}"
+            )));
+        }
         if self.halting.stagnation_streak < 1 {
             return Err(invalid(
                 "stagnation streak must be at least one rejected seed".to_string(),
@@ -178,6 +192,45 @@ mod tests {
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.to_string().contains("streak"));
+    }
+
+    #[test]
+    fn rejects_zero_stagnation_limit() {
+        let cfg = OcaConfig {
+            halting: HaltingConfig {
+                stagnation_limit: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("stagnation limit"));
+    }
+
+    #[test]
+    fn rejects_target_coverage_that_is_not_positive() {
+        for target in [0.0, -0.5, f64::NAN] {
+            let cfg = OcaConfig {
+                halting: HaltingConfig {
+                    target_coverage: target,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(err.to_string().contains("target coverage"), "{target}");
+        }
+        // Above 1 means "never reached": the coverage criterion is off.
+        for target in [1.0, 2.0, f64::INFINITY] {
+            let cfg = OcaConfig {
+                halting: HaltingConfig {
+                    target_coverage: target,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            cfg.validate().unwrap();
+        }
     }
 
     #[test]

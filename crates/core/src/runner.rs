@@ -10,10 +10,12 @@
 //! discarded identically no matter how threads interleaved, so for a fixed
 //! seed the cover is bit-identical across `threads ∈ {1, 2, …}`.
 //!
-//! The only cross-thread state during a round is read-only (the uncovered
-//! snapshot, the round-start dedup set) plus one atomic ticket cursor
-//! workers lease small ticket batches from — no mutex anywhere on the hot
-//! path.
+//! Every round takes one path at any thread count: the workers (the
+//! caller's thread plus `threads − 1` scoped threads) run all its tickets,
+//! then the reduction records them in ticket order. The only cross-thread
+//! state during a round is read-only (the uncovered snapshot, the
+//! round-start dedup set) plus one atomic ticket cursor workers lease
+//! small ticket batches from — no mutex anywhere on the hot path.
 
 use crate::checkpoint::{
     config_checksum, graph_checksum, CheckpointConfig, CheckpointStats, DriverCheckpoint,
@@ -44,10 +46,11 @@ pub struct PhaseNanos {
     /// The spectral solve for `c = −1/λ_min`; 0 when `c` is fixed or
     /// restored from a checkpoint.
     pub spectral_ns: u64,
-    /// Greedy ascents: seed drawing plus local search. In parallel mode
-    /// this is the wall time of the worker rounds, not summed CPU time.
+    /// Greedy ascents: seed drawing plus local search, as the wall time of
+    /// the worker rounds (not summed CPU time).
     pub ascent_ns: u64,
-    /// The ordered reduction: fingerprint dedup, coverage accounting and
+    /// The ordered reduction: fingerprint dedup, coverage accounting (the
+    /// uncovered-list swap-removes of each accepted community) and
     /// halting, per ticket.
     pub dedup_ns: u64,
     /// [`merge_similar`] over the accepted communities.
@@ -100,20 +103,11 @@ pub struct Oca {
     config: OcaConfig,
 }
 
-/// Sets bit `i` of a node bitmap; returns true if it was clear.
-fn set_bit(words: &mut [u64], i: usize) -> bool {
-    let mask = 1 << (i % 64);
-    let was_clear = words[i / 64] & mask == 0;
-    words[i / 64] |= mask;
-    was_clear
-}
-
 /// The uncovered-node list: O(1) unbiased seed picks (no rejection
-/// sampling), updated by swap-removal on cover. Removals are buffered
-/// during a round and applied at its end — the driver lends `nodes` out
-/// as the round's pick snapshot without copying — and their order is the
-/// deterministic reduction order, so the list content *and order* are
-/// identical across thread counts.
+/// sampling), updated by swap-removal as the ordered reduction accepts
+/// communities. Its content *and order* are therefore a pure function of
+/// the accepted communities in acceptance order — identical across thread
+/// counts, and rebuilt on resume by replaying them.
 #[derive(Debug)]
 struct UncoveredList {
     nodes: Vec<NodeId>,
@@ -129,13 +123,21 @@ impl UncoveredList {
         }
     }
 
-    fn remove(&mut self, v: NodeId) {
+    fn is_covered(&self, v: NodeId) -> bool {
+        self.pos[v.index()] == u32::MAX
+    }
+
+    /// Swap-removes `v` if it is still uncovered; returns whether it was.
+    fn remove(&mut self, v: NodeId) -> bool {
         let p = self.pos[v.index()];
-        debug_assert_ne!(p, u32::MAX, "node removed twice");
+        if p == u32::MAX {
+            return false;
+        }
         let last = *self.nodes.last().expect("non-empty when removing");
         self.nodes.swap_remove(p as usize);
         self.pos[last.index()] = p;
         self.pos[v.index()] = u32::MAX;
+        true
     }
 }
 
@@ -157,21 +159,15 @@ struct TicketOutcome {
     stop: AscentStop,
 }
 
-/// The ordered deterministic reduction: every accepted ascent flows
-/// through [`Reduction::record`] in ascending ticket order, which is what
-/// makes dedup, coverage accounting and the halting cutoff independent of
-/// thread scheduling.
+/// The ordered deterministic reduction: every ticket flows through
+/// [`Reduction::record`] in ascending ticket order, which is what makes
+/// dedup, coverage accounting and the halting cutoff independent of
+/// thread scheduling. Its state is the accepted list plus what replaying
+/// that list derives: the uncovered list, the dedup set and the covered
+/// count.
 struct Reduction {
     halting: HaltingState,
     uncovered: UncoveredList,
-    /// Nodes newly covered this round; applied to `uncovered` at round
-    /// end (in this deterministic order) while its `nodes` vec is lent
-    /// out as the round's snapshot.
-    newly_covered: Vec<NodeId>,
-    /// Coverage bitmap, one bit per node, set as members are accepted.
-    /// Mid-round it runs ahead of `uncovered`; the driver reads it only
-    /// at round start, for the covered-hub prune mask.
-    covered: Vec<u64>,
     /// Fingerprints of every accepted community: dedup is an O(1) probe
     /// with no member-vector clone (was `HashSet<Vec<NodeId>>`, which
     /// cloned and content-hashed the full vector once per ticket).
@@ -190,8 +186,6 @@ impl Reduction {
         Reduction {
             halting,
             uncovered: UncoveredList::new(n),
-            newly_covered: Vec::new(),
-            covered: vec![0; n.div_ceil(64)],
             seen: HashSet::new(),
             accepted: Vec::new(),
             min_size: config.min_community_size,
@@ -200,48 +194,45 @@ impl Reduction {
         }
     }
 
-    /// Reconstructs the round-start state a checkpoint recorded: the
-    /// exact uncovered list (content *and* order — seed picks index it),
-    /// the accepted communities and the halting counters, plus what they
-    /// determine — the coverage bitmap and the dedup set.
+    /// Reconstructs the round-start state a checkpoint recorded by
+    /// replaying its accepted communities, in order, through the same
+    /// [`Reduction::accept`] the run used: that rebuilds the uncovered
+    /// list in its exact swap-remove order (seed picks index it) and the
+    /// dedup set. The halting counters come from the checkpoint.
     fn restore(config: &OcaConfig, n: usize, ckpt: DriverCheckpoint) -> Self {
-        let halting = HaltingState::restore(
+        let mut reduction = Reduction::new(config, n);
+        for community in ckpt.accepted {
+            reduction.seen.insert(set_fingerprint(community.members()));
+            reduction.accept(community);
+        }
+        reduction.halting = HaltingState::restore(
             config.halting,
             n,
             ckpt.seeds_tried as usize,
-            ckpt.covered() as usize,
+            n - reduction.uncovered.nodes.len(),
             ckpt.stagnant as usize,
             ckpt.rejected_streak as usize,
         );
-        let halted = halting.should_halt();
-        let nodes: Vec<NodeId> = ckpt.uncovered.iter().map(|&v| NodeId(v)).collect();
-        let mut pos = vec![u32::MAX; n];
-        for (i, v) in nodes.iter().enumerate() {
-            pos[v.index()] = i as u32;
-        }
-        let mut covered = vec![0; n.div_ceil(64)];
-        let mut seen = HashSet::with_capacity(ckpt.accepted.len());
-        for community in &ckpt.accepted {
-            seen.insert(set_fingerprint(community.members()));
-            for v in community.members() {
-                set_bit(&mut covered, v.index());
-            }
-        }
-        Reduction {
-            halting,
-            uncovered: UncoveredList { nodes, pos },
-            newly_covered: Vec::new(),
-            covered,
-            seen,
-            accepted: ckpt.accepted,
-            min_size: config.min_community_size,
-            halted,
-            stops: ckpt.stops,
-        }
+        reduction.halted = reduction.halting.should_halt();
+        reduction.stops = ckpt.stops;
+        reduction
     }
 
-    /// Snapshots the current (round-start) state for checkpointing.
-    fn to_checkpoint(&self, rng_seed: u64, c: f64, lambda_min: f64, n: usize) -> DriverCheckpoint {
+    /// Appends `community` to the accepted list and swap-removes each of
+    /// its members that is still uncovered, in member order. Returns how
+    /// many nodes it newly covered.
+    fn accept(&mut self, community: Community) -> usize {
+        let mut newly = 0;
+        for &v in community.members() {
+            newly += usize::from(self.uncovered.remove(v));
+        }
+        self.accepted.push(community);
+        newly
+    }
+
+    /// The current (round-start) state as a checkpoint that borrows the
+    /// accepted list rather than copying it.
+    fn checkpoint(&self, rng_seed: u64, c: f64, lambda_min: f64) -> DriverCheckpoint<&[Community]> {
         DriverCheckpoint {
             rng_seed,
             c,
@@ -250,9 +241,8 @@ impl Reduction {
             stagnant: self.halting.stagnant() as u64,
             rejected_streak: self.halting.rejected_streak() as u64,
             stops: self.stops,
-            node_count: n as u64,
-            accepted: self.accepted.clone(),
-            uncovered: self.uncovered.nodes.iter().map(|v| v.0).collect(),
+            node_count: self.uncovered.pos.len() as u64,
+            accepted: &self.accepted,
         }
     }
 
@@ -272,14 +262,7 @@ impl Reduction {
             let community = outcome
                 .community
                 .expect("novel fingerprint implies materialized members");
-            let mut newly = 0usize;
-            for &v in community.members() {
-                if set_bit(&mut self.covered, v.index()) {
-                    self.newly_covered.push(v);
-                    newly += 1;
-                }
-            }
-            self.accepted.push(community);
+            let newly = self.accept(community);
             self.halting.record(newly, true);
         }
         ctx.tick("ascent", self.halting.seeds_tried(), Some(max_seeds));
@@ -295,6 +278,8 @@ struct Round<'a> {
     /// The uncovered nodes as of the round start — the coverage snapshot
     /// every seed pick of the round is drawn against.
     snapshot: &'a [NodeId],
+    /// The dedup set as of the round start.
+    seen: &'a HashSet<u128>,
     /// The master RNG seed tickets derive from. Usually
     /// [`OcaConfig::rng_seed`], but a resumed run adopts the *original*
     /// run's seed from the checkpoint, so the remaining tickets continue
@@ -307,29 +292,79 @@ struct Round<'a> {
 }
 
 impl Round<'_> {
+    /// Executes the round's tickets: the caller's thread runs worker 0
+    /// and one scoped thread per further state runs the rest. Workers
+    /// lease ticket chunks from an atomic cursor (one `fetch_add` per
+    /// chunk — the entire cross-thread synchronization of the round), and
+    /// their results are assembled into ticket-indexed slots for the
+    /// ordered reduction. `None` slots only occur after cancellation.
+    fn run(
+        &self,
+        states: &mut [CommunityState<'_>],
+        ctx: &DetectContext,
+    ) -> Vec<Option<TicketOutcome>> {
+        let cursor = AtomicUsize::new(0);
+        // Small leases keep workers balanced near the end of a round while
+        // amortizing the cursor traffic.
+        let lease = (self.len / (states.len() * 4)).clamp(1, 32);
+        let work = |state: &mut CommunityState<'_>| {
+            let mut out: Vec<(usize, TicketOutcome)> = Vec::new();
+            'lease: loop {
+                let lo = cursor.fetch_add(lease, Ordering::Relaxed);
+                if lo >= self.len {
+                    break;
+                }
+                for t in lo..(lo + lease).min(self.len) {
+                    if ctx.is_cancelled() {
+                        break 'lease;
+                    }
+                    out.push((t, self.run_ticket(state, t)));
+                }
+            }
+            out
+        };
+        let (first, rest) = states.split_first_mut().expect("one state per worker");
+        let buffers: Vec<Vec<(usize, TicketOutcome)>> = std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = rest
+                .iter_mut()
+                .map(|state| scope.spawn(move || work(state)))
+                .collect();
+            let mut buffers = vec![work(first)];
+            buffers.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker thread panicked")),
+            );
+            buffers
+        });
+
+        let mut slots: Vec<Option<TicketOutcome>> = Vec::new();
+        slots.resize_with(self.len, || None);
+        for (t, outcome) in buffers.into_iter().flatten() {
+            debug_assert!(slots[t].is_none(), "ticket executed twice");
+            slots[t] = Some(outcome);
+        }
+        slots
+    }
+
     /// Runs the ascent for round-local ticket `t`: a pure function of
     /// `(rng_seed, start + t)` and the round snapshot.
     ///
-    /// `seen` is a dedup-set snapshot no newer than the reduction's view
-    /// of this ticket (the live set on the sequential path, the
-    /// round-start set in parallel). Probing it never changes the
-    /// *decision* — the reduction re-checks in ticket order — it only
-    /// skips materializing member vectors for ascents that are already
-    /// guaranteed to be rejected, so the output stays bit-identical at
-    /// any thread count.
-    fn run_ticket(
-        &self,
-        state: &mut CommunityState<'_>,
-        t: usize,
-        seen: &HashSet<u128>,
-    ) -> TicketOutcome {
+    /// Every ticket of the round probes the round-start `seen` set, which
+    /// is never newer than the reduction's view of that ticket. Probing it
+    /// never changes the *decision* — the reduction re-checks in ticket
+    /// order — it only skips materializing member vectors for ascents
+    /// that are already guaranteed to be rejected, so the output stays
+    /// bit-identical at any thread count.
+    fn run_ticket(&self, state: &mut CommunityState<'_>, t: usize) -> TicketOutcome {
         let mut rng = StdRng::seed_from_u64(ticket_seed(self.rng_seed, self.start + t as u64));
         let seed = self.pick_seed(&mut rng);
         let initial = initial_set(self.config.seed_strategy, self.graph, seed, &mut rng);
         let outcome = ascend(state, &initial, &self.config.search);
         let fp = state.fingerprint();
         let size = state.len();
-        let community = (size >= self.config.min_community_size && !seen.contains(&fp))
+        let community = (size >= self.config.min_community_size && !self.seen.contains(&fp))
             .then(|| state.to_community());
         TicketOutcome {
             fp,
@@ -341,10 +376,7 @@ impl Round<'_> {
 
     /// O(1) unbiased pick from the uncovered snapshot; when everything is
     /// covered (possible while the coverage criterion is disabled) any
-    /// node will do. Note the pick is against the *snapshot*, not the live
-    /// coverage: the sequential path reduces incrementally, so coverage
-    /// may run ahead mid-round, and consulting it would reintroduce
-    /// schedule-dependent output.
+    /// node will do.
     fn pick_seed<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
         if self.snapshot.is_empty() {
             return NodeId(rng.random_range(0..self.graph.node_count() as u32));
@@ -514,7 +546,6 @@ impl Oca {
         let (c, lambda_min) = (strength.c, strength.lambda_min);
         let rng_seed = resumed.as_ref().map_or(config.rng_seed, |d| d.rng_seed);
 
-        let threads = config.threads;
         let mut reduction = match resumed {
             Some(d) => {
                 ckpt_stats.resumed_from_ticket = Some(d.seeds_tried);
@@ -524,27 +555,23 @@ impl Oca {
         };
         // One reusable search state per worker; buffers persist across
         // rounds so reset cost stays proportional to work done.
-        let mut states: Vec<CommunityState<'_>> = (0..threads.max(1))
+        let mut states: Vec<CommunityState<'_>> = (0..config.threads)
             .map(|_| CommunityState::new(graph, c))
             .collect();
-        // Covered-hub pruning: nodes of degree ≥ the threshold get a bit
-        // in this fixed mask; each round intersects it with the round-start
-        // coverage and hands the result to every worker state. The mask a
-        // ticket sees is therefore a pure function of the schedule on the
-        // sequential and parallel paths alike, so covers stay bit-identical
-        // across thread counts.
-        let hub_mask: Vec<u64> = if config.search.prune_hub_degree > 0 {
-            let mut mask = vec![0u64; n.div_ceil(64)];
-            for v in 0..n {
-                if graph.neighbors(NodeId(v as u32)).len() >= config.search.prune_hub_degree {
-                    set_bit(&mut mask, v);
-                }
-            }
-            mask
+        // Covered-hub pruning: each round start marks the hubs (degree ≥
+        // the threshold) that are already covered, and hands that mask to
+        // every worker state. The mask a ticket sees is therefore a pure
+        // function of the schedule, so covers stay bit-identical across
+        // thread counts.
+        let hubs: Vec<NodeId> = if config.search.prune_hub_degree > 0 {
+            graph
+                .nodes()
+                .filter(|&v| graph.neighbors(v).len() >= config.search.prune_hub_degree)
+                .collect()
         } else {
             Vec::new()
         };
-        let mut prune_words = vec![0u64; hub_mask.len()];
+        let mut prune_words = vec![0u64; n.div_ceil(64)];
 
         while !reduction.halted {
             if let Some(ck) = ckpt_cfg {
@@ -553,12 +580,8 @@ impl Oca {
                 let wrote = write_checkpoint(
                     ck,
                     bindings.expect("bindings computed when armed"),
-                    &reduction,
+                    &reduction.checkpoint(rng_seed, c, lambda_min),
                     &mut ckpt_stats,
-                    rng_seed,
-                    c,
-                    lambda_min,
-                    n,
                 );
                 if wrote && ck.faults.check_kill(ckpt_stats.rounds_checkpointed) {
                     // Simulated kill right after the write: the crash
@@ -568,75 +591,42 @@ impl Oca {
                     return Err(cancelled(cover, seeds, c, lambda_min, &ckpt_stats));
                 }
             }
-            if !hub_mask.is_empty() {
-                for ((w, &covered), &hub) in prune_words
-                    .iter_mut()
-                    .zip(&reduction.covered)
-                    .zip(&hub_mask)
-                {
-                    *w = covered & hub;
+            if !hubs.is_empty() {
+                prune_words.fill(0);
+                for &v in &hubs {
+                    if reduction.uncovered.is_covered(v) {
+                        prune_words[v.index() / 64] |= 1 << (v.index() % 64);
+                    }
                 }
                 for state in &mut states {
                     state.set_prune_snapshot(&prune_words);
                 }
             }
             let done = reduction.halting.seeds_tried();
-            let len = config.batch.min(config.halting.max_seeds - done);
-            debug_assert!(len > 0, "max_seeds exhausted without halting");
-            // The uncovered list is *lent out* (no copy) as the round's
-            // pick snapshot; the reduction buffers this round's removals
-            // in `newly_covered` and applies them once the round is over,
-            // so the sequential path can reduce incrementally (stopping
-            // at the cutoff without wasted ascents) while every pick of
-            // the round still sees the round-start coverage, exactly
-            // like the parallel path.
-            let snapshot = std::mem::take(&mut reduction.uncovered.nodes);
             let round = Round {
                 graph,
                 config,
-                snapshot: &snapshot,
+                snapshot: &reduction.uncovered.nodes,
+                seen: &reduction.seen,
                 rng_seed,
                 start: done as u64,
-                len,
+                len: config.batch.min(config.halting.max_seeds - done),
             };
-
-            if threads <= 1 || len == 1 {
-                for t in 0..len {
-                    if ctx.is_cancelled() {
-                        break;
-                    }
-                    // Sequentially the reduction's live dedup set is
-                    // current for this ticket, so it doubles as the
-                    // pre-filter snapshot.
-                    let t0 = Instant::now();
-                    let outcome = round.run_ticket(&mut states[0], t, &reduction.seen);
-                    let t1 = Instant::now();
-                    let go_on = reduction.record(outcome, ctx, config.halting.max_seeds);
-                    phases.ascent_ns += t1.duration_since(t0).as_nanos() as u64;
-                    phases.dedup_ns += t1.elapsed().as_nanos() as u64;
-                    if !go_on {
-                        break;
-                    }
+            debug_assert!(round.len > 0, "max_seeds exhausted without halting");
+            let t0 = Instant::now();
+            let results = round.run(&mut states, ctx);
+            let t1 = Instant::now();
+            phases.ascent_ns += t1.duration_since(t0).as_nanos() as u64;
+            for slot in results {
+                // A hole means a worker bailed on cancellation; the
+                // contiguous prefix before it is still reduced so the
+                // partial result is well-formed.
+                let Some(outcome) = slot else { break };
+                if !reduction.record(outcome, ctx, config.halting.max_seeds) || ctx.is_cancelled() {
+                    break;
                 }
-            } else {
-                let t0 = Instant::now();
-                let results = run_round_parallel(&round, &mut states, &reduction.seen, ctx);
-                let t1 = Instant::now();
-                phases.ascent_ns += t1.duration_since(t0).as_nanos() as u64;
-                for slot in results {
-                    // A hole means a worker bailed on cancellation; the
-                    // contiguous prefix before it is still reduced so the
-                    // partial result is well-formed.
-                    let Some(outcome) = slot else { break };
-                    if !reduction.record(outcome, ctx, config.halting.max_seeds)
-                        || ctx.is_cancelled()
-                    {
-                        break;
-                    }
-                }
-                phases.dedup_ns += t1.elapsed().as_nanos() as u64;
             }
-            reduction.uncovered.nodes = snapshot;
+            phases.dedup_ns += t1.elapsed().as_nanos() as u64;
             if ctx.is_cancelled() {
                 // Nothing is written or undone: the partial is every
                 // community reduced so far, and the checkpoint (if armed)
@@ -644,9 +634,6 @@ impl Oca {
                 let seeds = reduction.halting.seeds_tried();
                 let cover = Cover::new(n, reduction.accepted);
                 return Err(cancelled(cover, seeds, c, lambda_min, &ckpt_stats));
-            }
-            for v in std::mem::take(&mut reduction.newly_covered) {
-                reduction.uncovered.remove(v);
             }
         }
 
@@ -700,23 +687,17 @@ fn unsolved(c: f64, lambda_min: f64) -> InteractionStrength {
     }
 }
 
-/// Writes the reduction's round-start state to the configured
-/// checkpoint path, updating the telemetry. Failures (I/O errors,
-/// injected torn writes) are counted, not fatal: the run continues, and
-/// the previous complete checkpoint — the atomic writer never replaces a
-/// file with a partial one — keeps covering it.
-#[allow(clippy::too_many_arguments)]
+/// Writes a round-start checkpoint to the configured path, updating the
+/// telemetry. Failures (I/O errors, injected torn writes) are counted, not
+/// fatal: the run continues, and the previous complete checkpoint — the
+/// atomic writer never replaces a file with a partial one — keeps covering
+/// it. Returns whether the write landed.
 fn write_checkpoint(
     ck: &CheckpointConfig,
     bindings: (u64, u64),
-    reduction: &Reduction,
+    snapshot: &DriverCheckpoint<&[Community]>,
     stats: &mut CheckpointStats,
-    rng_seed: u64,
-    c: f64,
-    lambda_min: f64,
-    n: usize,
 ) -> bool {
-    let snapshot = reduction.to_checkpoint(rng_seed, c, lambda_min, n);
     let t0 = Instant::now();
     match snapshot.save(&ck.path, bindings.0, bindings.1, &ck.faults) {
         Ok(bytes) => {
@@ -734,59 +715,6 @@ fn write_checkpoint(
     }
 }
 
-/// Executes one round's tickets across scoped worker threads. Workers
-/// lease ticket chunks from an atomic cursor (one `fetch_add` per chunk —
-/// the entire cross-thread synchronization of the round) and return their
-/// results, which are assembled into ticket-indexed slots for the ordered
-/// reduction. `None` slots only occur after cancellation.
-fn run_round_parallel(
-    round: &Round<'_>,
-    states: &mut [CommunityState<'_>],
-    seen: &HashSet<u128>,
-    ctx: &DetectContext,
-) -> Vec<Option<TicketOutcome>> {
-    let cursor = AtomicUsize::new(0);
-    // Small leases keep workers balanced near the end of a round while
-    // amortizing the cursor traffic.
-    let lease = (round.len / (states.len() * 4)).clamp(1, 32);
-    let buffers: Vec<Vec<(usize, TicketOutcome)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = states
-            .iter_mut()
-            .map(|state| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, TicketOutcome)> = Vec::new();
-                    'lease: loop {
-                        let lo = cursor.fetch_add(lease, Ordering::Relaxed);
-                        if lo >= round.len {
-                            break;
-                        }
-                        for t in lo..(lo + lease).min(round.len) {
-                            if ctx.is_cancelled() {
-                                break 'lease;
-                            }
-                            out.push((t, round.run_ticket(state, t, seen)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<TicketOutcome>> = Vec::new();
-    slots.resize_with(round.len, || None);
-    for (t, outcome) in buffers.into_iter().flatten() {
-        debug_assert!(slots[t].is_none(), "ticket executed twice");
-        slots[t] = Some(outcome);
-    }
-    slots
-}
-
 /// Convenience: run OCA with default configuration.
 pub fn run_default(graph: &CsrGraph) -> OcaResult {
     Oca::default().run(graph)
@@ -796,6 +724,7 @@ pub fn run_default(graph: &CsrGraph) -> OcaResult {
 mod tests {
     use super::*;
     use crate::config::OcaConfig;
+    use crate::search::AscentStop;
     use oca_graph::from_edges;
     use std::sync::Mutex;
 
@@ -1028,16 +957,77 @@ mod tests {
         );
     }
 
-    #[test]
-    fn coverage_bitmap_tracks_sets() {
-        let mut words = vec![0u64; 130usize.div_ceil(64)];
-        assert!(set_bit(&mut words, 129), "first set is new");
-        assert!(!set_bit(&mut words, 129), "second set is not");
-        assert!(
-            set_bit(&mut words, 128),
-            "a neighbouring bit is still clear"
-        );
-        assert_eq!(words, vec![0, 0, 0b11]);
+    /// A random ticket outcome over `n` nodes: often a repeat of an
+    /// earlier set (a duplicate), sometimes below the minimum size, and
+    /// overlapping earlier sets through the small node range.
+    fn random_outcome(rng: &mut StdRng, n: usize, earlier: &mut Vec<Vec<NodeId>>) -> TicketOutcome {
+        let members: Vec<NodeId> = if !earlier.is_empty() && rng.random_range(0..3) == 0 {
+            earlier[rng.random_range(0..earlier.len())].clone()
+        } else {
+            let len = rng.random_range(1..=n.min(8));
+            let set = (0..len).map(|_| NodeId(rng.random_range(0..n as u32)));
+            Community::new(set.collect()).members().to_vec()
+        };
+        earlier.push(members.clone());
+        let stop = [
+            AscentStop::Converged,
+            AscentStop::MoveCap,
+            AscentStop::MoveBudget,
+        ][rng.random_range(0..3usize)];
+        TicketOutcome {
+            fp: set_fingerprint(&members),
+            size: members.len(),
+            community: Some(Community::new(members)),
+            stop,
+        }
+    }
+
+    proptest::proptest! {
+        /// Resume is a replay: at every round start, restoring from the
+        /// reduction's checkpoint (through the payload codec) rebuilds the
+        /// uncovered list in order, its positions, the dedup set and the
+        /// halting counters exactly as the live reduction holds them.
+        #[test]
+        fn restore_replays_the_round_start_state_exactly(
+            n in 1usize..48,
+            batch in 1usize..9,
+            rounds in 1usize..10,
+            seed in 0u64..u64::MAX,
+        ) {
+            let config = OcaConfig {
+                halting: crate::halting::HaltingConfig {
+                    max_seeds: usize::MAX,
+                    target_coverage: 2.0,
+                    stagnation_limit: usize::MAX,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let ctx = DetectContext::new(0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut earlier = Vec::new();
+            let mut live = Reduction::new(&config, n);
+            for _ in 0..rounds {
+                let payload = live.checkpoint(7, 0.5, -2.0).encode();
+                let restored =
+                    Reduction::restore(&config, n, DriverCheckpoint::decode(&payload).unwrap());
+                assert_eq!(restored.uncovered.nodes, live.uncovered.nodes);
+                assert_eq!(restored.uncovered.pos, live.uncovered.pos);
+                assert_eq!(restored.seen, live.seen);
+                assert_eq!(restored.accepted, live.accepted);
+                assert_eq!(restored.stops, live.stops);
+                assert_eq!(restored.halted, live.halted);
+                let (a, b) = (&restored.halting, &live.halting);
+                assert_eq!(a.seeds_tried(), b.seeds_tried());
+                assert_eq!(a.covered(), b.covered());
+                assert_eq!(a.stagnant(), b.stagnant());
+                assert_eq!(a.rejected_streak(), b.rejected_streak());
+                for _ in 0..batch {
+                    let outcome = random_outcome(&mut rng, n, &mut earlier);
+                    assert!(live.record(outcome, &ctx, usize::MAX));
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,12 @@ use std::path::Path;
 /// Writes a cover, one community per line.
 pub fn write_cover<W: Write>(cover: &Cover, writer: W) -> Result<()> {
     let mut w = std::io::BufWriter::new(writer);
+    write_lines(cover, &mut w)?;
+    w.flush()?;
+    Ok(())
+}
+
+fn write_lines<W: Write>(cover: &Cover, w: &mut W) -> std::io::Result<()> {
     writeln!(
         w,
         "# cover: {} communities over {} nodes",
@@ -23,7 +29,6 @@ pub fn write_cover<W: Write>(cover: &Cover, writer: W) -> Result<()> {
         let ids: Vec<String> = c.members().iter().map(|v| v.raw().to_string()).collect();
         writeln!(w, "{}", ids.join(" "))?;
     }
-    w.flush()?;
     Ok(())
 }
 
@@ -62,9 +67,12 @@ pub fn read_cover<R: Read>(node_count: usize, reader: R) -> Result<Cover> {
     Ok(Cover::new(node_count, communities))
 }
 
-/// Writes a cover to a file path.
+/// Writes a cover to a file path through a temp file and a rename
+/// ([`crate::atomic_write_path`]), so an interruption or a failed write
+/// never leaves a torn cover under `path`.
 pub fn write_cover_path<P: AsRef<Path>>(cover: &Cover, path: P) -> Result<()> {
-    write_cover(cover, std::fs::File::create(path)?)
+    crate::atomic::atomic_write_path(path.as_ref(), |w| write_lines(cover, w))?;
+    Ok(())
 }
 
 /// Reads a cover from a file path.
@@ -124,5 +132,22 @@ mod tests {
         write_cover_path(&cover, &path).unwrap();
         assert_eq!(read_cover_path(8, &path).unwrap(), cover);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn writing_over_a_cover_replaces_it_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("oca_cover_io_over_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cover.txt");
+        write_cover_path(&sample(), &path).unwrap();
+        let other = Cover::new(8, vec![Community::from_raw([5, 6, 7])]);
+        write_cover_path(&other, &path).unwrap();
+        assert_eq!(read_cover_path(8, &path).unwrap(), other);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, vec!["cover.txt".to_string()], "temp debris");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

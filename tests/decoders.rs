@@ -11,8 +11,10 @@
 //! A table test then pins the sealed frame's integrity classes for a
 //! cover and a checkpoint: cut at every length, trailing garbage, and
 //! every version but the current one (per format: the cover frame is at
-//! version 2, the checkpoint frame at version 4, so version-2 and
-//! version-3 checkpoints from older builds are refused too).
+//! version 2, the checkpoint frame at version 5, so version-2 to
+//! version-4 checkpoints from older builds are refused too). A
+//! checksum-valid checkpoint with a forged node count is refused without
+//! anything being sized by that count.
 //!
 //! The same flips, truncations and splices drive the byte parsers that
 //! sit in front of the formats and the serve protocol: the gzip decoder,
@@ -104,16 +106,9 @@ fn fixtures() -> &'static Fixtures {
         save_cover_path(&cover_path, &result.cover, result.c).unwrap();
 
         // A checkpoint in the driver's layout, bound to this config and
-        // graph: the run's communities accepted, every other node
-        // uncovered.
+        // graph, with the run's communities accepted.
         let ckpt_path = scratch_path("fixture.ockpt");
         let bindings = (config_checksum(&config()), graph_checksum(&graph));
-        let mut covered = vec![false; graph.node_count()];
-        for community in result.cover.communities() {
-            for v in community.members() {
-                covered[v.index()] = true;
-            }
-        }
         let state = DriverCheckpoint {
             rng_seed: 7,
             c: result.c,
@@ -124,10 +119,6 @@ fn fixtures() -> &'static Fixtures {
             stops: Default::default(),
             node_count: graph.node_count() as u64,
             accepted: result.cover.communities().to_vec(),
-            uncovered: (0..graph.node_count() as u32)
-                .rev()
-                .filter(|&v| !covered[v as usize])
-                .collect(),
         };
         state
             .save(&ckpt_path, bindings.0, bindings.1, &Default::default())
@@ -475,7 +466,7 @@ fn sealed_frames_classify_damage_the_same_way() {
         );
         let stale: &[u32] = match format {
             Format::Cover => &[1, 3, u32::MAX],
-            _ => &[1, 2, 3, 5, u32::MAX],
+            _ => &[1, 2, 3, 4, u32::MAX],
         };
         for &version in stale {
             let mut patched = pristine.to_vec();
@@ -498,5 +489,24 @@ fn cover_fixture_is_a_real_cover() {
     let (cover, c): (Cover, f64) = load_cover_path(&path, Some(f.node_count)).unwrap();
     assert!(cover.len() > 1 && c > 0.0);
     assert!(f.ocg.len() > OCG_HEADER_LEN && f.checkpoint.len() > 100);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn forged_node_count_is_refused_without_allocating_by_it() {
+    let f = fixtures();
+    let path = scratch_path("forged_n.ockpt");
+    std::fs::write(&path, &f.checkpoint).unwrap();
+    let mut forged = DriverCheckpoint::load(&path, f.bindings.0, f.bindings.1).unwrap();
+    forged.node_count = u64::MAX;
+    // `save` seals the frame, so the file passes every checksum and the
+    // bindings still match: only the payload decoder can refuse it.
+    forged
+        .save(&path, f.bindings.0, f.bindings.1, &Default::default())
+        .unwrap();
+    let err = DriverCheckpoint::load(&path, f.bindings.0, f.bindings.1).unwrap_err();
+    assert!(matches!(err, ContainerError::Malformed(_)), "{err:?}");
+    let err = checkpoint_summary(&path).unwrap_err();
+    assert!(matches!(err, ContainerError::Malformed(_)), "{err:?}");
     std::fs::remove_file(&path).ok();
 }

@@ -247,9 +247,9 @@ pub fn registry() -> DetectorRegistry {
             ),
             (
                 "checkpoint-path",
-                "persist round-boundary driver state to this .ockpt file \
-                 (atomic writes); a resumed chain reproduces the \
-                 uninterrupted cover bit for bit",
+                "persist round-boundary driver state to this .ockpt \
+                 journal (one synced append per round); a resumed chain \
+                 reproduces the uninterrupted cover bit for bit",
             ),
             (
                 "checkpoint-resume",

@@ -1,8 +1,9 @@
 //! Hot-path bench: times the sequential greedy-ascent inner loop in
 //! isolation (`local_search` over a reusable [`oca::CommunityState`]) and
 //! end-to-end single-thread detection, on LFR / BA / hub-stress BA /
-//! daisy graphs. Results go to `results/BENCH_hotpath.json` (fields
-//! documented in README.md) with ns/move, moves/s, a per-phase
+//! daisy graphs. Results go to `results/BENCH_hotpath.json`, or under
+//! `target/bench-smoke/` in smoke mode (fields documented in README.md),
+//! with ns/move, moves/s, a per-phase
 //! ascent/dedup/merge/orphan wall-clock breakdown, peak RSS, and
 //! before/after deltas against a committed baseline snapshot; a ns/move
 //! regression beyond 25% of the baseline — or a dedup+merge phase blow-up
@@ -544,12 +545,14 @@ fn main() {
         &format!("lfr/ba/ba-hub/daisy sweep, sizes {sizes:?}"),
         fields,
     );
-    let name = if write_baseline {
-        "BENCH_hotpath_baseline.json"
+    // The baseline is committed even when it is a smoke snapshot: the
+    // smoke gate reads it from `results/`.
+    let written = if write_baseline {
+        oca_bench::report::write_in(&results_dir(), "BENCH_hotpath_baseline.json", &json)
     } else {
-        "BENCH_hotpath.json"
+        oca_bench::report::write("BENCH_hotpath.json", &json)
     };
-    oca_bench::report::write(name, &json).unwrap_or_else(|e| {
+    written.unwrap_or_else(|e| {
         eprintln!("could not write the report: {e}");
         std::process::exit(1);
     });

@@ -300,7 +300,7 @@ fn orchestrate(p: &Params) {
     }
 
     if !passed {
-        eprintln!("error: scale gates failed (see results/BENCH_scale.json)");
+        eprintln!("error: scale gates failed (see the BENCH_scale.json written above)");
         std::process::exit(1);
     }
     println!("\npaper reference: all relevant communities of Wikipedia in < 3.25 h.");

@@ -5,8 +5,9 @@
 //! every algorithm through the `oca-api` registry as a
 //! `Box<dyn CommunityDetector>` — identical graphs, identical
 //! postprocessing, no per-algorithm dispatch. The hot ascent kernel is
-//! timed by the `hot_path` binary. Every `results/BENCH_*.json` is written
-//! and read through [`report`].
+//! timed by the `hot_path` binary. Every `BENCH_*.json` report is written
+//! and read through [`report`]: full runs to `results/`, smoke runs to
+//! `target/bench-smoke/`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

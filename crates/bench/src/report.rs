@@ -9,11 +9,16 @@
 //! [`oca_serve::protocol::json_escape`]. The reader is a recursive-descent
 //! parser whose nesting-depth limit keeps any input from overflowing the
 //! stack; every malformed input is a typed [`ParseError`].
+//!
+//! Full runs write to `results/`, where the reports listed in the root
+//! `.gitignore` are committed. Smoke runs write to [`smoke_dir`]
+//! (`target/bench-smoke/`), so running a CI gate locally never rewrites a
+//! committed report.
 
 use crate::harness::results_dir;
 use oca_serve::protocol::json_escape;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// A JSON value. Objects keep their keys in insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -465,12 +470,25 @@ pub fn report(bench: &str, smoke: bool, graph: &str, fields: Value) -> Value {
     out
 }
 
-/// Writes `value` to `results/<file_name>`, creating the directory, and
-/// prints the path. The error names the path.
+/// Where smoke-mode reports go: `target/bench-smoke/` under the workspace
+/// root, beside the build output and out of version control.
+pub fn smoke_dir() -> PathBuf {
+    results_dir().with_file_name("target").join("bench-smoke")
+}
+
+/// Writes `value` to `<file_name>` in `results/`, or in [`smoke_dir`]
+/// when the report's `mode` is `smoke`. See [`write_in`].
 pub fn write(file_name: &str, value: &Value) -> std::io::Result<()> {
-    let dir = results_dir();
+    let smoke = value.get("mode").and_then(Value::as_str) == Some("smoke");
+    let dir = if smoke { smoke_dir() } else { results_dir() };
+    write_in(&dir, file_name, value)
+}
+
+/// Writes `value` to `dir/<file_name>` whatever its mode, creating the
+/// directory, and prints the path. The error names the path.
+pub fn write_in(dir: &Path, file_name: &str, value: &Value) -> std::io::Result<()> {
     let path = dir.join(file_name);
-    std::fs::create_dir_all(&dir)
+    std::fs::create_dir_all(dir)
         .and_then(|()| std::fs::write(&path, format!("{value}\n")))
         .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
     println!("wrote {}", path.display());
@@ -594,6 +612,26 @@ mod tests {
         assert_eq!(Value::parse(" -0.5e1 "), Ok(Value::Float(-5.0)));
         let mixed = vec![Value::Int(0), Value::Int(-7), Value::Float(100.0)];
         assert_eq!(Value::parse("[0, -7, 1E2]"), Ok(Value::Array(mixed)));
+    }
+
+    /// A smoke report lands in `target/bench-smoke/`, never in the
+    /// committed `results/`; a full one lands in `results/`.
+    #[test]
+    fn smoke_reports_stay_out_of_results() {
+        let name = format!("BENCH_test_{}.json", std::process::id());
+        let smoke = report("t", true, "g", object! {});
+        write(&name, &smoke).unwrap();
+        let path = smoke_dir().join(&name);
+        assert_eq!(read(&path).unwrap(), smoke);
+        assert!(!results_dir().join(&name).exists());
+        assert!(smoke_dir().ends_with("target/bench-smoke"));
+        std::fs::remove_file(&path).unwrap();
+
+        let full = report("t", false, "g", object! {});
+        write(&name, &full).unwrap();
+        let path = results_dir().join(&name);
+        assert_eq!(read(&path).unwrap(), full);
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Every committed report (each `!/results/*.json` line of the root

@@ -145,8 +145,9 @@ sort (`--chunk-edges` caps the RAM), applying the cache-friendly
 degree-descending relabeling by default; covers on disk always use the
 input's own node ids.
 
-Long `detect` runs survive crashes: `--checkpoint F.ockpt` persists the
-driver's round-boundary state atomically; after a crash (or ^C) rerun the
+Long `detect` runs survive crashes: `--checkpoint F.ockpt` keeps the
+driver's round-boundary state in a crash-safe journal (one small synced
+append per round); after a crash (or ^C) rerun the
 same command with `--resume` and the run continues where it stopped,
 producing the bit-identical cover an uninterrupted run would have. ^C and
 SIGTERM always stop at the next safe point and write the partial cover to

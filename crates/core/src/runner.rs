@@ -18,7 +18,7 @@
 //! small ticket batches from — no mutex anywhere on the hot path.
 
 use crate::checkpoint::{
-    config_checksum, graph_checksum, CheckpointConfig, CheckpointStats, DriverCheckpoint,
+    config_checksum, graph_checksum, CheckpointConfig, CheckpointStats, DriverCheckpoint, Journal,
     ResumePolicy,
 };
 use crate::config::{CStrategy, OcaConfig};
@@ -546,6 +546,10 @@ impl Oca {
         let (c, lambda_min) = (strength.c, strength.lambda_min);
         let rng_seed = resumed.as_ref().map_or(config.rng_seed, |d| d.rng_seed);
 
+        // The journal's first write is the new base: it replaces the file
+        // the run resumed from (or any stale one) with this run's state.
+        let mut journal =
+            ckpt_cfg.map(|ck| Journal::new(ck, bindings.expect("bindings computed when armed")));
         let mut reduction = match resumed {
             Some(d) => {
                 ckpt_stats.resumed_from_ticket = Some(d.seeds_tried);
@@ -574,18 +578,18 @@ impl Oca {
         let mut prune_words = vec![0u64; n.div_ceil(64)];
 
         while !reduction.halted {
-            if let Some(ck) = ckpt_cfg {
+            if let Some(journal) = &mut journal {
                 // The round start is the one cut a resume continues from
                 // bit-identically, and the only point the driver writes.
-                let wrote = write_checkpoint(
-                    ck,
-                    bindings.expect("bindings computed when armed"),
+                write_checkpoint(
+                    journal,
                     &reduction.checkpoint(rng_seed, c, lambda_min),
                     &mut ckpt_stats,
                 );
-                if wrote && ck.faults.check_kill(ckpt_stats.rounds_checkpointed) {
-                    // Simulated kill right after the write: the crash
-                    // window resume must cover.
+                let attempts = ckpt_stats.rounds_checkpointed + ckpt_stats.write_failures;
+                if journal.faults.check_kill(attempts) {
+                    // Simulated kill right after the write, landed or
+                    // torn: the crash windows resume must cover.
                     let seeds = reduction.halting.seeds_tried();
                     let cover = Cover::new(n, reduction.accepted);
                     return Err(cancelled(cover, seeds, c, lambda_min, &ckpt_stats));
@@ -649,12 +653,8 @@ impl Oca {
             cover = assign_orphans(graph, &cover, 16);
             phases.orphan_ns += t0.elapsed().as_nanos() as u64;
         }
-        if let Some(ck) = ckpt_cfg {
-            // The run completed: the checkpoint is spent. Removing it
-            // keeps a later run over the same path (serve's next
-            // recompute round, a re-invocation of the CLI) from resuming
-            // into an already-finished state.
-            let _ = std::fs::remove_file(&ck.path);
+        if let Some(journal) = journal {
+            journal.discard();
         }
         Ok(OcaResult {
             cover,
@@ -687,31 +687,27 @@ fn unsolved(c: f64, lambda_min: f64) -> InteractionStrength {
     }
 }
 
-/// Writes a round-start checkpoint to the configured path, updating the
+/// Records a round-start checkpoint in the journal, updating the
 /// telemetry. Failures (I/O errors, injected torn writes) are counted, not
-/// fatal: the run continues, and the previous complete checkpoint — the
-/// atomic writer never replaces a file with a partial one — keeps covering
-/// it. Returns whether the write landed.
+/// fatal: the run continues, and the journal's last whole record keeps
+/// covering it (a torn base never replaces the file, and a torn append is
+/// a torn tail that readers ignore and the next write cuts off).
 fn write_checkpoint(
-    ck: &CheckpointConfig,
-    bindings: (u64, u64),
+    journal: &mut Journal,
     snapshot: &DriverCheckpoint<&[Community]>,
     stats: &mut CheckpointStats,
-) -> bool {
+) {
     let t0 = Instant::now();
-    match snapshot.save(&ck.path, bindings.0, bindings.1, &ck.faults) {
+    match journal.write(snapshot) {
         Ok(bytes) => {
             let ns = t0.elapsed().as_nanos() as u64;
             stats.rounds_checkpointed += 1;
             stats.last_bytes = bytes;
+            stats.total_bytes = journal.whole_bytes();
             stats.last_write_ns = ns;
             stats.total_write_ns += ns;
-            true
         }
-        Err(_) => {
-            stats.write_failures += 1;
-            false
-        }
+        Err(_) => stats.write_failures += 1,
     }
 }
 
@@ -957,6 +953,20 @@ mod tests {
         );
     }
 
+    /// A config whose halting never fires, so random outcomes can be
+    /// recorded for as many rounds as a property asks.
+    fn never_halting_config() -> OcaConfig {
+        OcaConfig {
+            halting: crate::halting::HaltingConfig {
+                max_seeds: usize::MAX,
+                target_coverage: 2.0,
+                stagnation_limit: usize::MAX,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
     /// A random ticket outcome over `n` nodes: often a repeat of an
     /// earlier set (a duplicate), sometimes below the minimum size, and
     /// overlapping earlier sets through the small node range.
@@ -994,15 +1004,7 @@ mod tests {
             rounds in 1usize..10,
             seed in 0u64..u64::MAX,
         ) {
-            let config = OcaConfig {
-                halting: crate::halting::HaltingConfig {
-                    max_seeds: usize::MAX,
-                    target_coverage: 2.0,
-                    stagnation_limit: usize::MAX,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
+            let config = never_halting_config();
             let ctx = DetectContext::new(0);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut earlier = Vec::new();
@@ -1027,6 +1029,58 @@ mod tests {
                     assert!(live.record(outcome, &ctx, usize::MAX));
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The journal holds the round-start state: at every round start
+        /// of a random run, reading the journal back gives exactly the
+        /// checkpoint the live reduction encodes — or, after an injected
+        /// torn write, the one its last whole record holds, which the
+        /// next write's truncation then builds on.
+        #[test]
+        fn journal_restores_the_live_round_start_state(
+            n in 1usize..48,
+            batch in 1usize..9,
+            rounds in 1usize..10,
+            torn_write_every in 0u64..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::checkpoint::{CheckpointFaultSpec, CheckpointFaults};
+            let config = never_halting_config();
+            let path = ckpt_dir("journal").join(format!("{seed:x}.ockpt"));
+            let faults = CheckpointFaults::new(CheckpointFaultSpec {
+                torn_write_every,
+                kill_after_writes: 0,
+            });
+            let ck = CheckpointConfig {
+                faults,
+                ..CheckpointConfig::at(&path)
+            };
+            let mut journal = Journal::new(&ck, (1, 2));
+            let ctx = DetectContext::new(0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut earlier = Vec::new();
+            let mut live = Reduction::new(&config, n);
+            let mut last_whole = None;
+            for _ in 0..rounds {
+                let state = live.checkpoint(7, 0.5, -2.0);
+                if journal.write(&state).is_ok() {
+                    last_whole = Some(DriverCheckpoint::decode(&state.encode()).unwrap());
+                }
+                match &last_whole {
+                    Some(expected) => {
+                        assert_eq!(&DriverCheckpoint::load(&path, 1, 2).unwrap(), expected)
+                    }
+                    None => assert!(!path.exists(), "a torn base never lands"),
+                }
+                for _ in 0..batch {
+                    let outcome = random_outcome(&mut rng, n, &mut earlier);
+                    assert!(live.record(outcome, &ctx, usize::MAX));
+                }
+            }
+            journal.discard();
+            assert!(!path.exists());
         }
     }
 

@@ -24,7 +24,9 @@
 //! foreign or stale file reports as such rather than as damage.
 //!
 //! Writes go through [`atomic_write_path`], so a crash mid-write leaves
-//! the previous complete file in place — never a torn one.
+//! the previous complete file in place — never a torn one. A frame may
+//! also open a longer file ([`Frame::unseal_prefix`]): the checkpoint
+//! journal is one sealed base frame followed by appended records.
 //!
 //! [`Truncated`]: ContainerError::Truncated
 //! [`ChecksumMismatch`]: ContainerError::ChecksumMismatch
@@ -279,6 +281,19 @@ impl Frame {
 
     /// Verifies a file image and returns its body.
     pub fn unseal<'a>(&self, bytes: &'a [u8]) -> Result<&'a [u8], ContainerError> {
+        let (body, frame_len) = self.unseal_prefix(bytes)?;
+        if frame_len < bytes.len() {
+            // Bytes after the checksum: the atomic writer never produces
+            // this, so it is damage, like any other change to the bytes.
+            return Err(ContainerError::ChecksumMismatch);
+        }
+        Ok(body)
+    }
+
+    /// Verifies the frame at the start of `bytes`, which other bytes may
+    /// follow (the records of an append-only journal), and returns its
+    /// body and the frame's length.
+    pub fn unseal_prefix<'a>(&self, bytes: &'a [u8]) -> Result<(&'a [u8], usize), ContainerError> {
         check_preamble(bytes, self.magic, self.version, FRAME_HEADER_LEN)?;
         let body_len = u64::from_le_bytes(
             bytes[12..FRAME_HEADER_LEN]
@@ -290,16 +305,12 @@ impl Frame {
         if len < expected {
             return Err(ContainerError::Truncated { len, expected });
         }
-        if len > expected {
-            // Bytes after the checksum: the atomic writer never produces
-            // this, so it is damage, like any other change to the bytes.
-            return Err(ContainerError::ChecksumMismatch);
-        }
-        let (sealed, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
+        let (sealed, trailer) =
+            bytes[..expected as usize].split_at(expected as usize - TRAILER_LEN);
         if fnv1a(sealed) != u64::from_le_bytes(trailer.try_into().expect("8-byte trailer")) {
             return Err(ContainerError::ChecksumMismatch);
         }
-        Ok(&sealed[FRAME_HEADER_LEN..])
+        Ok((&sealed[FRAME_HEADER_LEN..], expected as usize))
     }
 
     /// Seals the body that `write_body` appends and atomically writes it
@@ -520,6 +531,26 @@ mod tests {
             err.integrity_class(),
             Some(IntegrityClass::ChecksumMismatch)
         );
+    }
+
+    #[test]
+    fn a_frame_prefix_unseals_with_its_length() {
+        let mut bytes = sample();
+        let frame_len = bytes.len();
+        bytes.extend_from_slice(b"appended record");
+        let (body, len) = FRAME.unseal_prefix(&bytes).unwrap();
+        assert_eq!(len, frame_len);
+        assert_eq!(body, (0..=255u8).collect::<Vec<_>>());
+        // The frame itself is still checked in full.
+        bytes[FRAME_HEADER_LEN] ^= 1;
+        assert!(matches!(
+            FRAME.unseal_prefix(&bytes).unwrap_err(),
+            ContainerError::ChecksumMismatch
+        ));
+        assert!(matches!(
+            FRAME.unseal_prefix(&bytes[..frame_len - 1]).unwrap_err(),
+            ContainerError::Truncated { .. }
+        ));
     }
 
     #[test]

@@ -986,7 +986,7 @@ impl Server {
         let snapshot = self.store.load();
         format!(
             "{{\"ok\":true,\"op\":\"snapshot\",\"epoch\":{},\"node_count\":{},\
-             \"communities\":{},\"memberships\":{},\"coverage\":{:.4},\"c\":{:.6},\
+             \"communities\":{},\"memberships\":{},\"coverage\":{:.4},\"c\":{},\
              \"index_bytes\":{}}}",
             snapshot.epoch,
             snapshot.node_count(),

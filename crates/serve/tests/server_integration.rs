@@ -144,6 +144,8 @@ fn snapshot_stats_and_health_report_the_current_epoch() {
         assert!(snapshot.contains("\"node_count\":8"), "{snapshot}");
         assert!(snapshot.contains("\"communities\":2"), "{snapshot}");
         assert!(snapshot.contains("\"coverage\":1.0000"), "{snapshot}");
+        // `c` in shortest round-trip form, so it reruns as `--fixed-c`.
+        assert!(snapshot.contains("\"c\":0.9,"), "{snapshot}");
         let health = client.request("health").unwrap();
         assert!(
             health.contains("\"ok\":true") && health.contains("\"epoch\":1"),

@@ -9,14 +9,18 @@
 //! * cancel the driver at a random progress tick instead: the checkpoint
 //!   still holds the start of the interrupted round, and resuming from it
 //!   is just as bit-identical;
-//! * a damaged `.ockpt` (random byte flip, random truncation, version
-//!   patch) is refused with a typed error under the strict policy and
-//!   discarded under salvage — garbage is never loaded as state;
+//! * a damaged `.ockpt` journal (a byte flip in its base or in a record
+//!   that more records follow, a cut inside the base, a version patch) is
+//!   refused with a typed error under the strict policy and discarded
+//!   under salvage — garbage is never loaded as state;
+//! * a torn final record (cut short, or failing its checksum) is ignored:
+//!   the resume starts one round earlier and still ends bit-identical, as
+//!   it does after an injected torn append followed by a kill;
 //! * injected torn writes never corrupt the target path or the result.
 
 use oca::{
-    CheckpointConfig, CheckpointFaultSpec, CheckpointFaults, Oca, OcaConfig, OcaResult,
-    ResumePolicy,
+    checkpoint_summary, CheckpointConfig, CheckpointFaultSpec, CheckpointFaults, Oca, OcaConfig,
+    OcaResult, ResumePolicy,
 };
 use oca_gen::{lfr, LfrParams};
 use oca_graph::{CancelToken, CsrGraph, DetectContext, DetectError};
@@ -84,8 +88,13 @@ fn case_path(tag: &str) -> PathBuf {
 /// Runs under `kill_after_writes` faults until the kill, leaving the
 /// checkpoint of the kill round's start at `path`.
 fn killed_run(path: &Path, kill_after_writes: u64, threads: usize) {
+    killed_run_with(path, 0, kill_after_writes, threads);
+}
+
+/// [`killed_run`] with every `torn_write_every`th write torn as well.
+fn killed_run_with(path: &Path, torn_write_every: u64, kill_after_writes: u64, threads: usize) {
     let faults = CheckpointFaults::new(CheckpointFaultSpec {
-        torn_write_every: 0,
+        torn_write_every,
         kill_after_writes,
     });
     let err = Oca::new(OcaConfig {
@@ -115,6 +124,71 @@ fn resumed_run(path: &Path, threads: usize) -> OcaResult {
     .run(graph())
 }
 
+/// Where the base and each record of a journal of whole records end: the
+/// base frame's length follows from its body length (the u64 at offset
+/// 12; 20 header and 8 checksum bytes around the body), a record's from
+/// its length word (16 header and 8 checksum bytes around the body).
+fn journal_ends(bytes: &[u8]) -> Vec<usize> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let mut ends = vec![20 + word(12) + 8];
+    let mut at = ends[0];
+    while at + 16 <= bytes.len() {
+        at += 16 + word(at) + 8;
+        ends.push(at);
+    }
+    ends
+}
+
+/// Runs the strict and then the salvage policy over the journal at
+/// `path`: strict must refuse it with a typed error and keep the file,
+/// salvage must discard it and restart from scratch.
+fn assert_refused_then_salvaged(path: &Path) {
+    let strict = Oca::new(OcaConfig {
+        checkpoint: Some(CheckpointConfig {
+            resume: ResumePolicy::Strict,
+            ..CheckpointConfig::at(path)
+        }),
+        ..base_config()
+    })
+    .run_ctx(graph(), &DetectContext::new(0x0CA));
+    match strict {
+        Err(DetectError::Checkpoint { .. }) => {}
+        Err(other) => panic!("expected a typed checkpoint refusal, got {other}"),
+        Ok(_) => panic!("a damaged checkpoint must not resume"),
+    }
+    prop_assert!(path.exists(), "strict mode never deletes the evidence");
+
+    let r = Oca::new(OcaConfig {
+        checkpoint: Some(CheckpointConfig {
+            resume: ResumePolicy::Salvage,
+            ..CheckpointConfig::at(path)
+        }),
+        ..base_config()
+    })
+    .run(graph());
+    prop_assert_eq!(
+        &r.cover,
+        &baseline().plain.cover,
+        "salvage restarts from scratch"
+    );
+    prop_assert_eq!(r.checkpoint.resumed_from_ticket, None);
+    prop_assert!(!path.exists(), "salvage consumed the damaged file");
+}
+
+/// Resumes the journal at `path` and checks the chain against the
+/// uninterrupted run: same cover, cutoff, halt reason and raw count,
+/// resumed from `ticket`.
+fn assert_resumes_bit_identically(path: &Path, threads: usize, ticket: u64) {
+    let base = baseline();
+    let r = resumed_run(path, threads);
+    prop_assert_eq!(&r.cover, &base.plain.cover);
+    prop_assert_eq!(r.seeds_tried, base.plain.seeds_tried);
+    prop_assert_eq!(r.halt_reason, base.plain.halt_reason);
+    prop_assert_eq!(r.raw_community_count, base.plain.raw_community_count);
+    prop_assert_eq!(r.checkpoint.resumed_from_ticket, Some(ticket));
+    prop_assert!(!path.exists(), "the spent checkpoint is removed");
+}
+
 const THREADS: [usize; 3] = [1, 2, 4];
 
 proptest! {
@@ -133,14 +207,8 @@ proptest! {
         let path = case_path("kill");
         killed_run(&path, kill_after, THREADS[kill_threads]);
 
-        let r = resumed_run(&path, THREADS[resume_threads]);
-        prop_assert_eq!(&r.cover, &base.plain.cover);
-        prop_assert_eq!(r.seeds_tried, base.plain.seeds_tried);
-        prop_assert_eq!(r.halt_reason, base.plain.halt_reason);
-        prop_assert_eq!(r.raw_community_count, base.plain.raw_community_count);
         let batch = base_config().batch as u64;
-        prop_assert_eq!(r.checkpoint.resumed_from_ticket, Some((kill_after - 1) * batch));
-        prop_assert!(!path.exists(), "the spent checkpoint is removed");
+        assert_resumes_bit_identically(&path, THREADS[resume_threads], (kill_after - 1) * batch);
     }
 
     /// Cancel from the progress callback at a random tick: nothing is
@@ -177,20 +245,16 @@ proptest! {
         };
         prop_assert_eq!(partial.iterations as u64, tick, "the partial is not rewound");
 
-        let r = resumed_run(&path, THREADS[resume_threads]);
-        prop_assert_eq!(&r.cover, &base.plain.cover);
-        prop_assert_eq!(r.seeds_tried, base.plain.seeds_tried);
-        prop_assert_eq!(r.halt_reason, base.plain.halt_reason);
-        prop_assert_eq!(r.raw_community_count, base.plain.raw_community_count);
         let batch = base_config().batch as u64;
-        prop_assert_eq!(r.checkpoint.resumed_from_ticket, Some((tick - 1) / batch * batch));
-        prop_assert!(!path.exists(), "the spent checkpoint is removed");
+        assert_resumes_bit_identically(&path, THREADS[resume_threads], (tick - 1) / batch * batch);
     }
 
-    /// Damage a real checkpoint at a random spot — byte flip, truncation,
-    /// or a version patch — and the strict policy refuses it with a typed
-    /// error while salvage discards it and restarts clean. Garbage is
-    /// never loaded as driver state.
+    /// Damage a real journal where it is not a torn tail — a byte flip
+    /// in its base or in a record that more records follow, a cut inside
+    /// the base, or a version patch (to version 5, the format before the
+    /// journal, or a future one) — and the strict policy refuses it with a
+    /// typed error while salvage discards it and restarts clean. Garbage
+    /// is never loaded as driver state.
     #[test]
     fn damaged_checkpoints_are_refused_never_loaded(
         raw_site in 0u64..1_000_000,
@@ -199,51 +263,89 @@ proptest! {
         let base = baseline();
         let path = case_path("damage");
         killed_run(&path, 1 + raw_site % base.writes, 1);
-        let pristine = std::fs::read(&path).unwrap();
-        let mut bytes = pristine.clone();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let ends = journal_ends(&bytes);
+        prop_assert_eq!(*ends.last().unwrap(), bytes.len(), "the kill left whole records");
         match kind {
             0 => {
-                // Bit rot anywhere in the file.
-                let at = (raw_site as usize) % bytes.len();
+                // Bit rot anywhere before the final record: in the base
+                // (the whole file when no record follows it) or in a
+                // record that more records follow.
+                let final_start = if ends.len() > 1 { ends[ends.len() - 2] } else { ends[0] };
+                let at = (raw_site as usize) % final_start;
                 bytes[at] ^= 0xFF;
             }
             1 => {
-                // Truncation to any strictly shorter length.
-                bytes.truncate((raw_site as usize) % bytes.len());
+                // A cut inside the base.
+                bytes.truncate((raw_site as usize) % ends[0]);
             }
             _ => {
-                // A future format version (the u32 after the 8-byte magic).
-                bytes[8..12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
+                // A stale or future format version (the u32 after the
+                // 8-byte magic).
+                let version = [5, u32::MAX][raw_site as usize % 2];
+                bytes[8..12].copy_from_slice(&version.to_le_bytes());
             }
         }
         std::fs::write(&path, &bytes).unwrap();
+        assert_refused_then_salvaged(&path);
+    }
 
-        let strict = Oca::new(OcaConfig {
-            checkpoint: Some(CheckpointConfig {
-                resume: ResumePolicy::Strict,
-                ..CheckpointConfig::at(&path)
-            }),
-            ..base_config()
-        })
-        .run_ctx(graph(), &DetectContext::new(0x0CA));
-        match strict {
-            Err(DetectError::Checkpoint { .. }) => {}
-            Err(other) => panic!("expected a typed checkpoint refusal, got {other}"),
-            Ok(_) => panic!("a damaged checkpoint must not resume"),
+    /// A torn final record — cut anywhere inside it, or with a byte of its
+    /// body or checksum flipped — is the append a kill interrupted: the
+    /// resume ignores it, starts one round earlier, and still ends in the
+    /// uninterrupted run's cover and `seeds_tried`.
+    #[test]
+    fn torn_final_record_resumes_one_round_earlier(
+        raw_kill in 0u64..1_000_000,
+        raw_site in 0u64..1_000_000,
+        flip in 0u8..2,
+        resume_threads in 0usize..3,
+    ) {
+        let base = baseline();
+        // At least two writes, so the journal has a record after its base.
+        let kill_after = 2 + raw_kill % (base.writes - 1);
+        let path = case_path("tail");
+        killed_run(&path, kill_after, 1);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let ends = journal_ends(&bytes);
+        prop_assert_eq!(ends.len() as u64, kill_after, "one base and a record per later write");
+        let final_start = ends[ends.len() - 2];
+        if flip == 1 {
+            let body_start = final_start + 16;
+            let at = body_start + raw_site as usize % (bytes.len() - body_start);
+            bytes[at] ^= 0xFF;
+        } else {
+            bytes.truncate(final_start + raw_site as usize % (bytes.len() - final_start));
         }
-        prop_assert!(path.exists(), "strict mode never deletes the evidence");
+        std::fs::write(&path, &bytes).unwrap();
+        let summary = checkpoint_summary(&path).unwrap();
+        prop_assert_eq!(summary.journal_bytes, final_start as u64);
 
-        let r = Oca::new(OcaConfig {
-            checkpoint: Some(CheckpointConfig {
-                resume: ResumePolicy::Salvage,
-                ..CheckpointConfig::at(&path)
-            }),
-            ..base_config()
-        })
-        .run(graph());
-        prop_assert_eq!(&r.cover, &base.plain.cover, "salvage restarts from scratch");
-        prop_assert_eq!(r.checkpoint.resumed_from_ticket, None);
-        prop_assert!(!path.exists(), "salvage consumed the damaged file");
+        let batch = base_config().batch as u64;
+        assert_resumes_bit_identically(&path, THREADS[resume_threads], (kill_after - 2) * batch);
+    }
+
+    /// A torn append followed by a kill: the `k`th write dies halfway,
+    /// leaving half a record on disk, and the driver is killed right
+    /// after. The resume ignores the torn tail and continues from the
+    /// record before it, bit-identically.
+    #[test]
+    fn torn_append_then_kill_resumes_bit_identically(
+        raw_k in 0u64..1_000_000,
+        kill_threads in 0usize..3,
+        resume_threads in 0usize..3,
+    ) {
+        let base = baseline();
+        // Write 1 is the base; appends start at write 2.
+        let k = 2 + raw_k % (base.writes - 1);
+        let path = case_path("torn_kill");
+        killed_run_with(&path, k, k, THREADS[kill_threads]);
+        let len = std::fs::metadata(&path).unwrap().len();
+        let summary = checkpoint_summary(&path).unwrap();
+        prop_assert!(summary.journal_bytes < len, "the torn append left a tail");
+
+        let batch = base_config().batch as u64;
+        assert_resumes_bit_identically(&path, THREADS[resume_threads], (k - 2) * batch);
     }
 
     /// Torn writes at a random cadence: failures are telemetry, the run's

@@ -1,20 +1,23 @@
 //! Every on-disk decoder handles arbitrary bytes without panicking.
 //!
 //! One property drives all three formats — `.ocg` (open and full verify),
-//! binary covers and `.ockpt` checkpoints — with byte flips, truncations,
-//! splices (including bytes spliced in from another format) and aligned
-//! 8-byte fields overwritten with `u64::MAX`, `1 << 62` or `u32::MAX`.
-//! Half the cases re-seal the checksum after mutating, so the body
-//! decoders behind the integrity checks are reached too. Every case must
-//! return a typed error or `Ok`, never panic.
+//! binary covers and `.ockpt` checkpoint journals (a base frame and the
+//! records a real run appended) — with byte flips, truncations, splices
+//! (including bytes spliced in from another format) and aligned 8-byte
+//! fields overwritten with `u64::MAX`, `1 << 62` or `u32::MAX`. Half the
+//! cases re-seal the checksums after mutating, so the body decoders
+//! behind the integrity checks are reached too. Every case must return a
+//! typed error or `Ok`, never panic.
 //!
 //! A table test then pins the sealed frame's integrity classes for a
-//! cover and a checkpoint: cut at every length, trailing garbage, and
-//! every version but the current one (per format: the cover frame is at
-//! version 2, the checkpoint frame at version 5, so version-2 to
-//! version-4 checkpoints from older builds are refused too). A
-//! checksum-valid checkpoint with a forged node count is refused without
-//! anything being sized by that count.
+//! cover and a checkpoint journal's base: cut at every length and every
+//! version but the current one (per format: the cover frame is at
+//! version 2, the checkpoint base at version 6, so version-1 to version-5
+//! checkpoints from older builds are refused too). A journal cut at every
+//! byte past its base, or followed by garbage, reads as the state at its
+//! last whole record: the state the run held when it wrote that record.
+//! A checksum-valid checkpoint with a forged node count is refused
+//! without anything being sized by that count.
 //!
 //! The same flips, truncations and splices drive the byte parsers that
 //! sit in front of the formats and the serve protocol: the gzip decoder,
@@ -25,12 +28,16 @@
 //!
 //! `PROPTEST_CASES` scales the properties (CI runs them at 5000 cases).
 
-use oca::{checkpoint_summary, config_checksum, graph_checksum, DriverCheckpoint, Oca, OcaConfig};
+use oca::{
+    checkpoint_summary, config_checksum, graph_checksum, CheckpointConfig, CheckpointFaultSpec,
+    CheckpointFaults, DriverCheckpoint, Oca, OcaConfig, ResumePolicy,
+};
 use oca_bench::report::{ParseErrorKind, Value};
 use oca_gen::{lfr, LfrParams};
 use oca_graph::{
     fnv1a, gzip::gunzip, open_ocg_path, read_edge_list, verify_ocg_path, write_ocg_path,
-    BuildReport, ContainerError, Cover, CsrGraph, IntegrityClass, Relabeling,
+    BuildReport, Community, ContainerError, Cover, CsrGraph, DetectContext, DetectError,
+    IntegrityClass, Relabeling,
 };
 use oca_serve::{load_cover_path, save_cover_path, Request};
 use proptest::prelude::*;
@@ -56,10 +63,18 @@ const FORMATS: [Format; 3] = [Format::Ocg, Format::Cover, Format::Checkpoint];
 struct Fixtures {
     ocg: Vec<u8>,
     cover: Vec<u8>,
+    /// A journal of a base and several records, as a killed run left it.
     checkpoint: Vec<u8>,
+    /// Per write of that run: where the journal ended after it, and the
+    /// accepted communities and tickets the run held when it wrote it.
+    writes: Vec<(usize, Vec<Community>, u64)>,
     node_count: usize,
     bindings: (u64, u64),
 }
+
+/// Checkpoint writes the fixture run makes before it is killed: a base
+/// and three records.
+const FIXTURE_WRITES: u64 = 4;
 
 impl Fixtures {
     fn bytes(&self, format: Format) -> &[u8] {
@@ -105,50 +120,99 @@ fn fixtures() -> &'static Fixtures {
         let cover_path = scratch_path("fixture.cover");
         save_cover_path(&cover_path, &result.cover, result.c).unwrap();
 
-        // A checkpoint in the driver's layout, bound to this config and
-        // graph, with the run's communities accepted.
-        let ckpt_path = scratch_path("fixture.ockpt");
-        let bindings = (config_checksum(&config()), graph_checksum(&graph));
-        let state = DriverCheckpoint {
-            rng_seed: 7,
-            c: result.c,
-            lambda_min: result.lambda_min,
-            seeds_tried: result.seeds_tried as u64,
-            stagnant: 0,
-            rejected_streak: 0,
-            stops: Default::default(),
-            node_count: graph.node_count() as u64,
-            accepted: result.cover.communities().to_vec(),
+        // The journal a run killed right after its `kills`th checkpoint
+        // write leaves, and the accepted communities and tickets the run
+        // held then (its partial result: the kill follows the write
+        // before any further ticket is reduced).
+        let killed = |kills: u64| {
+            let ckpt_path = scratch_path("fixture.ockpt");
+            let faults = CheckpointFaults::new(CheckpointFaultSpec {
+                torn_write_every: 0,
+                kill_after_writes: kills,
+            });
+            let err = Oca::new(OcaConfig {
+                checkpoint: Some(CheckpointConfig {
+                    path: ckpt_path.clone(),
+                    resume: ResumePolicy::Fresh,
+                    faults,
+                }),
+                ..config()
+            })
+            .run_ctx(&graph, &DetectContext::new(7))
+            .unwrap_err();
+            let DetectError::Cancelled { partial } = err else {
+                panic!("expected the kill, got {err}");
+            };
+            let bytes = std::fs::read(&ckpt_path).unwrap();
+            let accepted = partial.cover.communities().to_vec();
+            (bytes, accepted, partial.iterations as u64)
         };
-        state
-            .save(&ckpt_path, bindings.0, bindings.1, &Default::default())
-            .unwrap();
-        let loaded = DriverCheckpoint::load(&ckpt_path, bindings.0, bindings.1).unwrap();
-        assert_eq!(loaded, state);
+        let (checkpoint, accepted, seeds) = killed(FIXTURE_WRITES);
+        let mut writes = Vec::new();
+        for kills in 1..FIXTURE_WRITES {
+            let (prefix, accepted, seeds) = killed(kills);
+            assert!(checkpoint.starts_with(&prefix), "the journal only grows");
+            writes.push((prefix.len(), accepted, seeds));
+        }
+        writes.push((checkpoint.len(), accepted, seeds));
+        assert!(
+            writes
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0 && w[0].2 < w[1].2),
+            "every write appended a record of a later round"
+        );
+        assert!(writes[0].1.is_empty() && !writes[3].1.is_empty());
 
         Fixtures {
             ocg: std::fs::read(&ocg_path).unwrap(),
             cover: std::fs::read(&cover_path).unwrap(),
-            checkpoint: std::fs::read(&ckpt_path).unwrap(),
+            checkpoint,
+            writes,
             node_count: graph.node_count(),
-            bindings,
+            bindings: (config_checksum(&config()), graph_checksum(&graph)),
         }
     })
 }
 
-/// Recomputes the checksum so a mutated file passes the integrity check
-/// and reaches the body decoder: the header field of an `.ocg`, the
-/// trailer of a sealed frame.
+/// Recomputes the checksums so a mutated file passes the integrity checks
+/// and reaches the body decoders: the header field of an `.ocg`, the
+/// trailer of a sealed frame, and for a checkpoint journal the trailer of
+/// its base frame (wherever its body length now puts it) and the length
+/// check and checksum of every record its length words delimit.
 fn reseal(format: Format, bytes: &mut [u8]) {
+    let seal = |bytes: &mut [u8], from: usize, end: usize| {
+        let checksum = fnv1a(&bytes[from..end - 8]);
+        bytes[end - 8..end].copy_from_slice(&checksum.to_le_bytes());
+    };
+    let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     match format {
         Format::Ocg if bytes.len() >= OCG_HEADER_LEN => {
             let checksum = fnv1a(&bytes[OCG_HEADER_LEN..]);
             bytes[48..56].copy_from_slice(&checksum.to_le_bytes());
         }
-        Format::Cover | Format::Checkpoint if bytes.len() >= 8 => {
-            let at = bytes.len() - 8;
-            let checksum = fnv1a(&bytes[..at]);
-            bytes[at..].copy_from_slice(&checksum.to_le_bytes());
+        Format::Cover if bytes.len() >= 8 => seal(bytes, 0, bytes.len()),
+        Format::Checkpoint if bytes.len() >= 28 => {
+            let file_len = bytes.len() as u64;
+            // Where a piece of `len` body bytes and `overhead` others that
+            // starts at `at` ends, if it ends inside the file.
+            let fits = |len: u64, at: usize, overhead: u64| {
+                len.checked_add(at as u64 + overhead)
+                    .filter(|&end| end <= file_len)
+                    .map(|end| end as usize)
+            };
+            let Some(mut at) = fits(word(bytes, 12), 0, 28) else {
+                return;
+            };
+            seal(bytes, 0, at);
+            while at + 24 <= bytes.len() {
+                let len = word(bytes, at);
+                let Some(end) = fits(len, at, 24) else {
+                    return;
+                };
+                bytes[at + 8..at + 16].copy_from_slice(&(!len).to_le_bytes());
+                seal(bytes, at, end);
+                at = end;
+            }
         }
         _ => {}
     }
@@ -431,20 +495,38 @@ fn byte_parser_fixtures_are_valid() {
 /// Loads `bytes` as a sealed `format` file, bound to the fixtures.
 fn load_sealed(format: Format, bytes: &[u8]) -> Result<(), ContainerError> {
     let f = fixtures();
-    let path = scratch_path("table");
+    match format {
+        Format::Cover => {
+            let path = scratch_path("table");
+            std::fs::write(&path, bytes).unwrap();
+            let result = load_cover_path(&path, Some(f.node_count)).map(drop);
+            std::fs::remove_file(&path).ok();
+            result
+        }
+        _ => load_journal(bytes).map(drop),
+    }
+}
+
+/// Loads `bytes` as a checkpoint journal bound to the fixtures.
+fn load_journal(bytes: &[u8]) -> Result<DriverCheckpoint, ContainerError> {
+    let f = fixtures();
+    let path = scratch_path("journal");
     std::fs::write(&path, bytes).unwrap();
-    let result = match format {
-        Format::Cover => load_cover_path(&path, Some(f.node_count)).map(drop),
-        _ => DriverCheckpoint::load(&path, f.bindings.0, f.bindings.1).map(drop),
-    };
+    let result = DriverCheckpoint::load(&path, f.bindings.0, f.bindings.1);
     std::fs::remove_file(&path).ok();
     result
 }
 
 #[test]
 fn sealed_frames_classify_damage_the_same_way() {
+    let f = fixtures();
     for format in [Format::Cover, Format::Checkpoint] {
-        let pristine = fixtures().bytes(format);
+        // A journal's base is the sealed frame; the records after it are
+        // the next test's.
+        let pristine = match format {
+            Format::Cover => &f.cover[..],
+            _ => &f.checkpoint[..f.writes[0].0],
+        };
         let class = |bytes: &[u8]| load_sealed(format, bytes).unwrap_err().integrity_class();
         assert!(
             load_sealed(format, pristine).is_ok(),
@@ -457,16 +539,9 @@ fn sealed_frames_classify_damage_the_same_way() {
                 "{format:?} cut to {len} bytes"
             );
         }
-        let mut garbage = pristine.to_vec();
-        garbage.extend_from_slice(b"junk");
-        assert_eq!(
-            class(&garbage),
-            Some(IntegrityClass::ChecksumMismatch),
-            "{format:?} with trailing garbage"
-        );
         let stale: &[u32] = match format {
             Format::Cover => &[1, 3, u32::MAX],
-            _ => &[1, 2, 3, 4, u32::MAX],
+            _ => &[1, 2, 3, 4, 5, u32::MAX],
         };
         for &version in stale {
             let mut patched = pristine.to_vec();
@@ -478,6 +553,40 @@ fn sealed_frames_classify_damage_the_same_way() {
             );
         }
     }
+}
+
+#[test]
+fn journal_cut_anywhere_past_its_base_reads_the_last_whole_record() {
+    let f = fixtures();
+    let state_at = |len: usize| {
+        let state = load_journal(&f.checkpoint[..len])
+            .unwrap_or_else(|e| panic!("journal cut to {len} bytes: {e}"));
+        (state.accepted, state.seeds_tried)
+    };
+    for len in f.writes[0].0..=f.checkpoint.len() {
+        let (_, accepted, seeds) = f
+            .writes
+            .iter()
+            .rev()
+            .find(|w| w.0 <= len)
+            .expect("the base ends first");
+        assert_eq!(state_at(len), (accepted.clone(), *seeds), "cut to {len}");
+    }
+    // Bytes after a cover's checksum are damage; after a journal's last
+    // record they are a torn tail, and the journal still reads whole.
+    let mut garbage = f.cover.clone();
+    garbage.extend_from_slice(b"junk");
+    assert_eq!(
+        load_sealed(Format::Cover, &garbage)
+            .unwrap_err()
+            .integrity_class(),
+        Some(IntegrityClass::ChecksumMismatch)
+    );
+    let mut torn = f.checkpoint.clone();
+    torn.extend_from_slice(b"junk");
+    let (_, accepted, seeds) = f.writes.last().unwrap();
+    let state = load_journal(&torn).unwrap();
+    assert_eq!((&state.accepted, state.seeds_tried), (accepted, *seeds));
 }
 
 #[test]

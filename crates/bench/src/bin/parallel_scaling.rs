@@ -1,7 +1,8 @@
 //! Parallel scaling bench: sweeps the OCA driver's thread count on
 //! generated graphs, records throughput/speedup, and *verifies* the
 //! driver's determinism contract — every thread count must produce a
-//! cover and seeds-tried cutoff identical to the 1-thread run. Results go
+//! cover, seeds-tried cutoff, `c` and `λ_min` identical (to the bit) to
+//! the 1-thread run. Results go
 //! to `results/BENCH_parallel.json` (fields documented in README.md); a
 //! failed determinism check exits non-zero, so CI can gate on it.
 //!
@@ -45,6 +46,8 @@ fn sweep(graph: &CsrGraph, threads: &[usize], seed: u64, batch: usize) -> Vec<Po
         let deterministic = points.first().is_none_or(|reference| {
             result.cover == reference.result.cover
                 && result.seeds_tried == reference.result.seeds_tried
+                && result.c.to_bits() == reference.result.c.to_bits()
+                && result.lambda_min.to_bits() == reference.result.lambda_min.to_bits()
         });
         points.push(Point {
             threads: t,
@@ -68,6 +71,8 @@ fn graph_report(family: &str, graph: &CsrGraph, points: &[Point]) -> Value {
                 "seeds_tried": p.result.seeds_tried,
                 "communities": p.result.cover.len(),
                 "halt": p.result.halt_reason.map_or("none", |r| r.label()),
+                "c": p.result.c,
+                "lambda_min": p.result.lambda_min,
                 "throughput_seeds_per_sec": p.result.seeds_tried as f64 / s.max(1e-9),
                 "speedup": base_secs / s.max(1e-9),
                 "identical_to_1_thread": p.deterministic,
@@ -178,7 +183,9 @@ fn main() {
     });
 
     if pass {
-        println!("determinism check: PASS (identical cover and cutoff at every thread count)");
+        println!(
+            "determinism check: PASS (identical cover, cutoff, c and lambda_min at every thread count)"
+        );
     } else {
         eprintln!("determinism check: FAIL — parallel output diverged from the 1-thread run");
         std::process::exit(1);

@@ -47,7 +47,8 @@ pub struct OcaConfig {
     /// (and fixed [`OcaConfig::batch`]) the cover is identical at any
     /// [`OcaConfig::threads`] count.
     pub rng_seed: u64,
-    /// Worker threads. Never affects the output, only wall-clock time.
+    /// Worker threads, for the ascents and for the spectral solve's
+    /// mat-vecs. Never affects the output, only wall-clock time.
     pub threads: usize,
     /// Tickets (seeded ascents) per scheduling round. All seeds of a round
     /// are drawn against the same coverage snapshot, so `batch` is part of

@@ -64,6 +64,7 @@ impl CommunityDetector for OcaDetector {
                 result.spectral_iterations.to_string(),
             ),
             ("spectral_converged", result.spectral_converged.to_string()),
+            ("setup_ns", result.phases.setup_ns.to_string()),
             ("raw_communities", result.raw_community_count.to_string()),
             (
                 "halt_reason",
@@ -73,6 +74,7 @@ impl CommunityDetector for OcaDetector {
             ("dedup_ns", result.phases.dedup_ns.to_string()),
             ("merge_ns", result.phases.merge_ns.to_string()),
             ("orphan_ns", result.phases.orphan_ns.to_string()),
+            ("unattributed_ns", result.phases.unattributed_ns.to_string()),
             (
                 "ascents_converged",
                 result.ascent_stops.converged.to_string(),
@@ -170,6 +172,8 @@ mod tests {
             "dedup_ns",
             "merge_ns",
             "orphan_ns",
+            "setup_ns",
+            "unattributed_ns",
         ] {
             assert!(
                 d.stats

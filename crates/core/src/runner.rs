@@ -30,7 +30,7 @@ use crate::state::{set_fingerprint, CommunityState};
 use oca_graph::{
     Community, ContainerError, Cover, CsrGraph, DetectContext, DetectError, Detection, NodeId,
 };
-use oca_spectral::{interaction_strength, InteractionStrength, PowerResult};
+use oca_spectral::{interaction_strength_threaded, InteractionStrength, PowerResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -46,6 +46,9 @@ pub struct PhaseNanos {
     /// The spectral solve for `c = −1/λ_min`; 0 when `c` is fixed or
     /// restored from a checkpoint.
     pub spectral_ns: u64,
+    /// Everything else before the first round: checkpoint load and
+    /// replay, the binding checksums, the worker states and the hub list.
+    pub setup_ns: u64,
     /// Greedy ascents: seed drawing plus local search, as the wall time of
     /// the worker rounds (not summed CPU time).
     pub ascent_ns: u64,
@@ -57,6 +60,26 @@ pub struct PhaseNanos {
     pub merge_ns: u64,
     /// [`assign_orphans`], when enabled.
     pub orphan_ns: u64,
+    /// The part of [`OcaResult::elapsed`] no phase above and no
+    /// checkpoint write ([`CheckpointStats::total_write_ns`]) accounts
+    /// for, saturating at zero: round bookkeeping, the prune mask, cover
+    /// assembly.
+    pub unattributed_ns: u64,
+}
+
+impl PhaseNanos {
+    /// Sets [`PhaseNanos::unattributed_ns`] to what is left of `elapsed`
+    /// after the other phases and `checkpoint_write_ns`.
+    fn attribute(&mut self, elapsed: Duration, checkpoint_write_ns: u64) {
+        let named = self.spectral_ns
+            + self.setup_ns
+            + self.ascent_ns
+            + self.dedup_ns
+            + self.merge_ns
+            + self.orphan_ns
+            + checkpoint_write_ns;
+        self.unattributed_ns = (elapsed.as_nanos() as u64).saturating_sub(named);
+    }
 }
 
 /// Result of an OCA run.
@@ -411,13 +434,15 @@ impl Oca {
     }
 
     /// Resolves the interaction strength for `graph`, timing a spectral
-    /// solve into `phases`.
+    /// solve into `phases`. The solve's mat-vecs run on the run's
+    /// [`OcaConfig::threads`] workers; `c` is the same to the bit at any
+    /// count.
     fn resolve_c(&self, graph: &CsrGraph, phases: &mut PhaseNanos) -> InteractionStrength {
         match self.config.c {
             CStrategy::Fixed(c) => unsolved(c, 0.0),
             CStrategy::Spectral(ref pc) => {
                 let t0 = Instant::now();
-                let s = interaction_strength(graph, pc);
+                let s = interaction_strength_threaded(graph, pc, self.config.threads);
                 phases.spectral_ns = t0.elapsed().as_nanos() as u64;
                 s
             }
@@ -474,6 +499,8 @@ impl Oca {
         let mut phases = PhaseNanos::default();
         if n == 0 {
             let strength = self.resolve_c(graph, &mut phases);
+            let elapsed = start.elapsed();
+            phases.attribute(elapsed, 0);
             return Ok(OcaResult {
                 cover: Cover::empty(0),
                 c: strength.c,
@@ -484,7 +511,7 @@ impl Oca {
                 raw_community_count: 0,
                 halt_reason: None,
                 ascent_stops: AscentStopStats::default(),
-                elapsed: start.elapsed(),
+                elapsed,
                 phases,
                 checkpoint: ckpt_stats,
             });
@@ -576,6 +603,7 @@ impl Oca {
             Vec::new()
         };
         let mut prune_words = vec![0u64; n.div_ceil(64)];
+        phases.setup_ns = (start.elapsed().as_nanos() as u64).saturating_sub(phases.spectral_ns);
 
         while !reduction.halted {
             if let Some(journal) = &mut journal {
@@ -656,6 +684,8 @@ impl Oca {
         if let Some(journal) = journal {
             journal.discard();
         }
+        let elapsed = start.elapsed();
+        phases.attribute(elapsed, ckpt_stats.total_write_ns);
         Ok(OcaResult {
             cover,
             c,
@@ -666,7 +696,7 @@ impl Oca {
             raw_community_count: raw_count,
             halt_reason: reduction.halting.reason(),
             ascent_stops: reduction.stops,
-            elapsed: start.elapsed(),
+            elapsed,
             phases,
             checkpoint: ckpt_stats,
         })
@@ -788,6 +818,36 @@ mod tests {
             assert_eq!(r.cover, reference.cover, "threads = {threads}");
             assert_eq!(r.seeds_tried, reference.seeds_tried, "threads = {threads}");
             assert_eq!(r.halt_reason, reference.halt_reason, "threads = {threads}");
+        }
+    }
+
+    /// The spectral solve splits its mat-vecs over the run's workers, and
+    /// `c` must not notice: on a graph of several row blocks per worker,
+    /// `c`, `λ_min` and the step count are bit-equal at every count.
+    #[test]
+    fn spectral_c_is_bit_identical_at_any_thread_count() {
+        let g = oca_gen::lfr(&oca_gen::LfrParams::small(3000, 0.3, 5)).graph;
+        let run = |threads| {
+            let mut config = quick_config();
+            config.threads = threads;
+            config.halting.max_seeds = 16;
+            Oca::new(config).run(&g)
+        };
+        let reference = run(1);
+        assert!(reference.spectral_converged);
+        for threads in [2, 4, 8] {
+            let r = run(threads);
+            assert_eq!(r.c.to_bits(), reference.c.to_bits(), "threads = {threads}");
+            assert_eq!(
+                r.lambda_min.to_bits(),
+                reference.lambda_min.to_bits(),
+                "threads = {threads}"
+            );
+            assert_eq!(
+                r.spectral_iterations, reference.spectral_iterations,
+                "threads = {threads}"
+            );
+            assert_eq!(r.cover, reference.cover, "threads = {threads}");
         }
     }
 
@@ -939,18 +999,35 @@ mod tests {
         }
     }
 
+    /// Every nanosecond of `elapsed` lands in exactly one part: a named
+    /// phase, a checkpoint write, or `unattributed_ns`.
     #[test]
     fn phase_breakdown_accounts_for_the_run() {
         let g = three_cliques();
-        let r = Oca::new(quick_config()).run(&g);
-        assert!(r.phases.ascent_ns > 0, "ascent work must be timed");
-        assert!(r.phases.dedup_ns > 0, "reduction work must be timed");
-        assert_eq!(r.phases.orphan_ns, 0, "orphan assignment is off");
-        let total = r.phases.ascent_ns + r.phases.dedup_ns + r.phases.merge_ns;
-        assert!(
-            total <= r.elapsed.as_nanos() as u64,
-            "phases cannot exceed the wall clock"
-        );
+        let path = ckpt_dir("phases").join("run.ockpt");
+        for checkpoint in [None, Some(CheckpointConfig::at(&path))] {
+            let armed = checkpoint.is_some();
+            let r = Oca::new(OcaConfig {
+                checkpoint,
+                ..quick_config()
+            })
+            .run(&g);
+            let p = r.phases;
+            assert!(p.setup_ns > 0, "setup must be timed");
+            assert!(p.ascent_ns > 0, "ascent work must be timed");
+            assert!(p.dedup_ns > 0, "reduction work must be timed");
+            assert_eq!(p.orphan_ns, 0, "orphan assignment is off");
+            assert_eq!(armed, r.checkpoint.total_write_ns > 0);
+            let parts = p.spectral_ns
+                + p.setup_ns
+                + p.ascent_ns
+                + p.dedup_ns
+                + p.merge_ns
+                + p.orphan_ns
+                + r.checkpoint.total_write_ns
+                + p.unattributed_ns;
+            assert_eq!(parts, r.elapsed.as_nanos() as u64, "armed = {armed}");
+        }
     }
 
     /// A config whose halting never fires, so random outcomes can be

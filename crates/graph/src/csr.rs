@@ -158,9 +158,21 @@ impl CsrGraph {
     /// Resolves the storage slabs once for the whole walk instead of once
     /// per row, for full sweeps such as a mat-vec.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
+        self.row_block(0..self.node_count())
+    }
+
+    /// The neighbor rows of the nodes in `block`, in node order: the
+    /// slice of [`CsrGraph::rows`] one worker of a split sweep walks,
+    /// with the storage slabs resolved once for the whole block.
+    ///
+    /// # Panics
+    /// Panics if `block` reaches past `node_count()`.
+    pub fn row_block(
+        &self,
+        block: std::ops::Range<usize>,
+    ) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
         let neighbors = self.neighbors.as_slice();
-        self.offsets
-            .as_slice()
+        self.offsets.as_slice()[block.start..block.end + 1]
             .windows(2)
             .map(move |w| &neighbors[w[0] as usize..w[1] as usize])
     }
@@ -340,6 +352,9 @@ mod tests {
         for (v, row) in g.nodes().zip(g.rows()) {
             assert_eq!(row, g.neighbors(v));
         }
+        let block: Vec<&[NodeId]> = g.row_block(1..3).collect();
+        assert_eq!(block, [g.neighbors(NodeId(1)), g.neighbors(NodeId(2))]);
+        assert_eq!(g.row_block(4..4).len(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! orthogonal. Larger `c` separates communities better, and the largest
 //! admissible value is `c = −1/λ_min`.
 
-use crate::power::{lambda_min, PowerConfig, PowerResult};
+use crate::power::{lambda_min_threaded, PowerConfig, PowerResult};
 use oca_graph::CsrGraph;
 
 /// Largest representable interaction strength; Definition 1 requires `c < 1`.
@@ -35,7 +35,18 @@ pub struct InteractionStrength {
 /// The Lanczos estimate is already pushed below the true `λ_min` by its
 /// residual, so `c` errs on the admissible side and needs no back-off.
 pub fn interaction_strength(graph: &CsrGraph, config: &PowerConfig) -> InteractionStrength {
-    let power = lambda_min(graph, config);
+    interaction_strength_threaded(graph, config, 1)
+}
+
+/// [`interaction_strength`] with the solve's mat-vecs split over
+/// `threads` workers ([`crate::lambda_min_threaded`]): the same `c`, to
+/// the bit, at any count.
+pub fn interaction_strength_threaded(
+    graph: &CsrGraph,
+    config: &PowerConfig,
+    threads: usize,
+) -> InteractionStrength {
+    let power = lambda_min_threaded(graph, config, threads);
     let lam = power.eigenvalue;
     let c = if lam >= -f64::EPSILON {
         DEFAULT_C

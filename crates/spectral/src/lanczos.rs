@@ -21,10 +21,17 @@
 //! once a spurious copy of the converged Ritz value forms, so tolerances
 //! much below `1e-8` run out the step budget.
 //!
+//! Each step's mat-vec is split into row blocks over the caller's worker
+//! count ([`crate::adj_matvec_threaded`]). Its result is bit-identical at
+//! any count, and the order-sensitive rest of the step (the `α_j` dot
+//! product, the residual-norm fold, the bisection) runs sequentially in
+//! index order, so the estimate, the step count and hence `c` do not
+//! depend on the thread count.
+//!
 //! [`crate::power`] holds the public entry points and the configuration
 //! and result types.
 
-use crate::matvec::{adj_matvec, dot, normalize};
+use crate::matvec::{adj_matvec_threaded, dot, normalize};
 use crate::power::{PowerConfig, PowerResult};
 use oca_graph::CsrGraph;
 use rand::rngs::StdRng;
@@ -44,8 +51,14 @@ fn random_unit_vector(n: usize, seed: u64) -> Vec<f64> {
 
 /// The Lanczos loop for the smallest eigenvalue of `sign·A`: `sign = 1`
 /// targets `λ_min`, `sign = −1` targets `λ_max`. The vectors are those of
-/// `A` either way; only the tridiagonal's diagonal changes sign.
-pub(crate) fn solve(graph: &CsrGraph, config: &PowerConfig, sign: f64) -> PowerResult {
+/// `A` either way; only the tridiagonal's diagonal changes sign. The
+/// mat-vec runs on `threads` workers; everything else is sequential.
+pub(crate) fn solve(
+    graph: &CsrGraph,
+    config: &PowerConfig,
+    sign: f64,
+    threads: usize,
+) -> PowerResult {
     let n = graph.node_count();
     if n == 0 || graph.edge_count() == 0 {
         return PowerResult {
@@ -65,7 +78,7 @@ pub(crate) fn solve(graph: &CsrGraph, config: &PowerConfig, sign: f64) -> PowerR
     // One step is the least that yields an estimate.
     let steps = config.max_iterations.max(1);
     for j in 1..=steps {
-        adj_matvec(graph, &v, &mut w);
+        adj_matvec_threaded(graph, &v, &mut w, threads);
         let a = dot(&w, &v);
         let mut norm2 = 0.0;
         for ((wi, &vi), &pi) in w.iter_mut().zip(&v).zip(&v_prev) {

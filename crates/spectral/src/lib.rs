@@ -11,6 +11,12 @@
 //! interaction strength. The configuration and result types keep the
 //! power method's names, [`PowerConfig`] and [`PowerResult`].
 //!
+//! The `_threaded` entry points ([`interaction_strength_threaded`],
+//! [`lambda_min_threaded`], [`lambda_max_threaded`],
+//! [`adj_matvec_threaded`]) split each mat-vec's rows over worker
+//! threads and return results bit-identical to the one-worker functions,
+//! which are the same loop at one worker.
+//!
 //! ```
 //! use oca_graph::from_edges;
 //! use oca_spectral::{interaction_strength, PowerConfig};
@@ -30,7 +36,11 @@ pub mod matvec;
 pub mod power;
 pub mod vectors;
 
-pub use interaction::{interaction_strength, InteractionStrength, DEFAULT_C, MAX_C};
-pub use matvec::{adj_matvec, dot, norm, normalize, rayleigh_quotient};
-pub use power::{lambda_max, lambda_min, PowerConfig, PowerResult};
+pub use interaction::{
+    interaction_strength, interaction_strength_threaded, InteractionStrength, DEFAULT_C, MAX_C,
+};
+pub use matvec::{adj_matvec, adj_matvec_threaded, dot, norm, normalize, rayleigh_quotient};
+pub use power::{
+    lambda_max, lambda_max_threaded, lambda_min, lambda_min_threaded, PowerConfig, PowerResult,
+};
 pub use vectors::{VectorError, VectorRepresentation};

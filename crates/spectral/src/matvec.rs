@@ -3,8 +3,21 @@
 //! The adjacency matrix is never materialized: `y = A·x` streams the CSR
 //! neighbor rows, which is what lets the paper's Section II machinery run on
 //! 10⁸-edge graphs "without explicitly constructing the vectors".
+//!
+//! [`adj_matvec_threaded`] splits the rows over worker threads. Each
+//! output entry is one row's sum, computed by the same code at any worker
+//! count, so the split product is bit-identical to [`adj_matvec`]. The
+//! reductions over whole vectors ([`dot`], [`norm`]) stay sequential folds
+//! in index order: splitting them would reorder their additions.
 
-use oca_graph::CsrGraph;
+use oca_graph::{CsrGraph, NodeId};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// The most rows one lease of a split mat-vec covers. On LFR-200k a block
+/// of this size is about 80k adjacency entries, so a lease costs one
+/// cursor `fetch_add` per ~0.2 ms of gathers.
+const BLOCK_ROWS: usize = 4096;
 
 /// Computes `out = A·x` where `A` is the adjacency matrix of `graph`.
 ///
@@ -14,10 +27,52 @@ use oca_graph::CsrGraph;
 /// # Panics
 /// Panics if `x` and `out` don't both have length `graph.node_count()`.
 pub fn adj_matvec(graph: &CsrGraph, x: &[f64], out: &mut [f64]) {
+    adj_matvec_threaded(graph, x, out, 1);
+}
+
+/// [`adj_matvec`] on `threads` workers, bit-identical to it at any count.
+///
+/// The caller's thread is worker 0 and `std::thread::scope` spawns the
+/// rest; at one worker (`threads` 0 counts as 1) no thread is spawned.
+/// Workers lease blocks of consecutive rows from one atomic cursor, so a
+/// worker slowed by a busy core simply takes fewer blocks. A block is at
+/// most 4096 rows, and smaller on graphs too small to give every worker
+/// about four.
+///
+/// # Panics
+/// Panics if `x` and `out` don't both have length `graph.node_count()`.
+pub fn adj_matvec_threaded(graph: &CsrGraph, x: &[f64], out: &mut [f64], threads: usize) {
     let n = graph.node_count();
     assert_eq!(x.len(), n, "input vector length mismatch");
     assert_eq!(out.len(), n, "output vector length mismatch");
-    for (o, row) in out.iter_mut().zip(graph.rows()) {
+    let threads = threads.max(1);
+    let block = (n / (threads * 4)).clamp(1, BLOCK_ROWS);
+    // The cursor hands each block to exactly one worker, so every lock is
+    // taken once and never contended; it only carries the `&mut` to the
+    // thread that leased it. The cursor publishes nothing but block
+    // numbers (`Relaxed`): the sums reach the caller through the locks
+    // and the scope's join.
+    let blocks: Vec<Mutex<&mut [f64]>> = out.chunks_mut(block).map(Mutex::new).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || loop {
+        let b = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = blocks.get(b) else { break };
+        let mut rows_out = slot.lock().expect("no worker panics holding a block");
+        let lo = b * block;
+        sum_rows(graph.row_block(lo..lo + rows_out.len()), x, &mut rows_out);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(blocks.len()) {
+            scope.spawn(work);
+        }
+        work();
+    });
+}
+
+/// `out[i] = Σ x[u]` over the `i`-th row of `rows`: the one row sum every
+/// mat-vec uses, at any worker count.
+fn sum_rows<'a>(rows: impl Iterator<Item = &'a [NodeId]>, x: &[f64], out: &mut [f64]) {
+    for (o, row) in out.iter_mut().zip(rows) {
         let mut acc = [0.0f64; 4];
         let mut quads = row.chunks_exact(4);
         for q in &mut quads {

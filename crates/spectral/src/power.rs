@@ -53,7 +53,7 @@ pub struct PowerResult {
 ///
 /// Returns 0 for graphs with no nodes or no edges.
 pub fn lambda_max(graph: &CsrGraph, config: &PowerConfig) -> PowerResult {
-    lanczos::solve(graph, config, -1.0)
+    lambda_max_threaded(graph, config, 1)
 }
 
 /// Estimates the most negative adjacency eigenvalue `λ_min` (a lower bound
@@ -61,7 +61,21 @@ pub fn lambda_max(graph: &CsrGraph, config: &PowerConfig) -> PowerResult {
 ///
 /// Returns 0 for graphs with no nodes or no edges.
 pub fn lambda_min(graph: &CsrGraph, config: &PowerConfig) -> PowerResult {
-    lanczos::solve(graph, config, 1.0)
+    lambda_min_threaded(graph, config, 1)
+}
+
+/// [`lambda_max`] with each mat-vec split over `threads` workers
+/// ([`crate::adj_matvec_threaded`]); the result is bit-identical to
+/// [`lambda_max`]'s at any count.
+pub fn lambda_max_threaded(graph: &CsrGraph, config: &PowerConfig, threads: usize) -> PowerResult {
+    lanczos::solve(graph, config, -1.0, threads)
+}
+
+/// [`lambda_min`] with each mat-vec split over `threads` workers
+/// ([`crate::adj_matvec_threaded`]); the result is bit-identical to
+/// [`lambda_min`]'s at any count.
+pub fn lambda_min_threaded(graph: &CsrGraph, config: &PowerConfig, threads: usize) -> PowerResult {
+    lanczos::solve(graph, config, 1.0, threads)
 }
 
 #[cfg(test)]

@@ -6,22 +6,46 @@
 //! is the difference between OCA's flat runtime curve (Fig. 6) and a
 //! quadratic blow-up; the ablation bench quantifies it.
 //!
-//! The layout is built for zero steady-state allocation and cache locality
-//! (DESIGN.md "Memory layout"): one packed 16-byte record per node holds
-//! the membership/touched flags, the internal degree, the member-list slot
-//! and the intrusive links of the bucket queues, so every hot-path access
-//! to a node is a single cache line; the best-addition and best-removal
-//! queues are intrusive doubly-linked bucket lists over those records
-//! (true O(1) insert/delete/degree-move, no stale entries, no per-ascent
-//! heap allocation); and the `√(s(s−1))` of every gain evaluation comes
-//! from a memoized [`SqrtTable`].
+//! The layout is built for zero steady-state allocation and few cache
+//! lines per neighbour update (DESIGN.md §2a):
+//!
+//! - One 4-byte word per node holds the membership/touched flags and the
+//!   internal degree, the only per-node data the neighbour loop reads. The
+//!   member-list slot lives in a separate array that only `remove` reads.
+//! - The best-addition and best-removal queues are lazy per-bucket LIFO
+//!   stacks. Each queue is one append-only arena of 8-byte entries, and a
+//!   head per degree indexes the top of that bucket's stack. Every
+//!   (re)bucketing pushes an entry, so a neighbour update is one word write
+//!   plus one sequential append. Entries whose node has since moved go
+//!   stale and the best-candidate queries pop them lazily: a top entry is
+//!   live iff the node's word still says that queue and that degree.
+//! - The top live entry of a bucket is the node most recently (re)bucketed
+//!   into it. Covers depend on this tie order: among equal internal
+//!   degrees, the last node to change state wins.
+//! - An arena is compacted in place when a move could take it past
+//!   `8 × touched + 65,536` entries, so its memory stays O(touched) and not
+//!   O(neighbour updates). [`CommunityState::reset`] clears the arenas but
+//!   keeps their capacity.
+//! - The `√(s(s−1))` of every gain evaluation comes from a memoized
+//!   [`SqrtTable`].
 
 use crate::fitness::SqrtTable;
 use crate::seed::splitmix64;
 use oca_graph::{Community, CsrGraph, NodeId};
 
-/// Sentinel for "no node" in the intrusive links and head arrays.
+/// Sentinel for "no entry" in the bucket heads and the `below` links.
 const NIL: u32 = u32::MAX;
+
+/// Arena entries allowed per touched node before a queue is compacted.
+const ARENA_PER_TOUCHED: usize = 8;
+
+/// Arena entries allowed on top of [`ARENA_PER_TOUCHED`], so that short
+/// ascents never compact. Unit tests use a small floor so that compaction
+/// fires in them.
+#[cfg(not(test))]
+const ARENA_FLOOR: usize = 65_536;
+#[cfg(test)]
+const ARENA_FLOOR: usize = 64;
 
 /// Domain-separation constants for the two 64-bit halves of the set
 /// fingerprint (arbitrary odd constants; see [`CommunityState::fingerprint`]).
@@ -70,78 +94,171 @@ const TOUCHED: u32 = 1 << 30;
 /// arithmetic can never carry into the flag bits.
 const DEG_MASK: u32 = TOUCHED - 1;
 
-/// Packed per-node record: flags + internal degree in one word, the
-/// intrusive queue links, and the member-list slot. 16 bytes, so the whole
-/// hot-path state of a node is one aligned quarter-cache-line.
-#[derive(Debug, Clone, Copy)]
-struct NodeRec {
-    /// Bit 31 = in set, bit 30 = touched, bits 0..30 = `deg_S(v)`.
-    word: u32,
-    /// Previous node in this node's bucket list, or [`NIL`].
-    prev: u32,
-    /// Next node in this node's bucket list, or [`NIL`].
-    next: u32,
-    /// Index in `members` while in the set (unused otherwise).
-    slot: u32,
+/// One entry of a queue arena: a node pushed onto a bucket's stack, and
+/// the arena index of the entry below it ([`NIL`] at the bottom).
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    node: u32,
+    below: u32,
 }
 
-impl NodeRec {
-    const EMPTY: NodeRec = NodeRec {
-        word: 0,
-        prev: NIL,
-        next: NIL,
-        slot: 0,
-    };
+/// One queue borrowed for the pushes of a move: bucket heads, arena and
+/// dirty list, with the arena's length in a field of this local view, so
+/// the neighbour loop keeps it in a register rather than storing it back
+/// around every write. The arena slice is the queue's high-water mark;
+/// [`CommunityState::make_room`] sizes it for the move's pushes.
+struct Pushes<'a> {
+    heads: &'a mut [u32],
+    arena: &'a mut [Entry],
+    dirty: &'a mut Vec<u32>,
+    len: usize,
 }
 
-/// Unlinks a node whose links `(prev, next)` the caller has already read
-/// from bucket `d`. Does not touch the node's own record: callers rewrite
-/// it wholesale right after (relink or retirement), so clearing the links
-/// here would be a wasted store.
-#[inline(always)]
-fn unlink_known(recs: &mut [NodeRec], heads: &mut [u32], prev: u32, next: u32, d: usize) {
-    if prev == NIL {
-        heads[d] = next;
-    } else {
-        recs[prev as usize].next = next;
-    }
-    if next != NIL {
-        recs[next as usize].prev = prev;
+impl Pushes<'_> {
+    /// Pushes `v` onto bucket `d`.
+    #[inline(always)]
+    fn push(&mut self, v: u32, d: usize) {
+        let below = self.heads[d];
+        if below == NIL {
+            self.dirty.push(d as u32);
+        }
+        self.heads[d] = self.len as u32;
+        self.arena[self.len] = Entry { node: v, below };
+        self.len += 1;
     }
 }
 
-/// Links `v` at the head of bucket `d`, returning the previous head so the
-/// caller can fold it into the single write of `v`'s record (`next`).
-#[inline(always)]
-fn link_at_head(
-    recs: &mut [NodeRec],
+/// The node of bucket `d`'s top live entry, popping the stale entries
+/// above it. An entry is live iff its node's word, masked to the flag and
+/// degree bits, equals `flags | d`: [`IN_SET`] for the removal queue, no
+/// flag for the addition queue. A node's older entries below its top-most
+/// one in the same bucket look live too, but popping stops at the top-most
+/// one, so they are reached only after it went stale, and then they are
+/// stale as well.
+#[inline]
+fn top_live(
     heads: &mut [u32],
-    dirty: &mut Vec<u32>,
-    v: u32,
+    arena: &[Entry],
+    words: &[u32],
+    flags: u32,
     d: usize,
-) -> u32 {
-    let head = heads[d];
-    if head == NIL {
-        dirty.push(d as u32);
-    } else {
-        recs[head as usize].prev = v;
+) -> Option<u32> {
+    let want = flags | d as u32;
+    loop {
+        let at = heads[d];
+        if at == NIL {
+            return None;
+        }
+        let entry = arena[at as usize];
+        if words[entry.node as usize] & (IN_SET | DEG_MASK) == want {
+            return Some(entry.node);
+        }
+        heads[d] = entry.below;
     }
-    heads[d] = v;
-    head
+}
+
+/// True if `v` is suppressed from the addition queue by the prune bitmap
+/// `prune`. O(1) bit test; `false` whenever pruning is off (empty bitmap).
+#[inline(always)]
+fn pruned_bit(prune: &[u64], v: u32) -> bool {
+    match prune.get((v >> 6) as usize) {
+        Some(word) => (word >> (v & 63)) & 1 != 0,
+        None => false,
+    }
+}
+
+/// Empties every bucket a queue used.
+fn clear_heads(heads: &mut [u32], dirty: &mut Vec<u32>) {
+    for d in dirty.drain(..) {
+        heads[d as usize] = NIL;
+    }
+}
+
+/// Scratch of arena compaction, kept across compactions so that they
+/// allocate nothing at steady state.
+#[derive(Debug, Default)]
+struct Compactor {
+    /// One bit per node, all clear between compactions.
+    seen: Vec<u64>,
+    /// The kept nodes, each bucket's top to bottom.
+    kept: Vec<u32>,
+    /// `(bucket, start in kept)` per bucket with a kept node.
+    spans: Vec<(u32, usize)>,
+}
+
+impl Compactor {
+    /// Rebuilds every dirty bucket of a queue from its live entries (see
+    /// [`top_live`] for `flags`), in order, and drops the rest. Each
+    /// bucket's stack is walked top to bottom, and `seen` drops the stale
+    /// look-alikes below a node's top-most entry. The kept nodes are pushed
+    /// back bottom first, so every bucket's order is unchanged and the
+    /// arena holds at most one entry per touched node. The dirty list comes
+    /// out free of duplicates.
+    fn run(&mut self, queue: Pushes<'_>, words: &[u32], flags: u32) -> usize {
+        let Compactor { seen, kept, spans } = self;
+        let Pushes {
+            heads,
+            arena,
+            dirty,
+            ..
+        } = queue;
+        kept.clear();
+        spans.clear();
+        for &d in dirty.iter() {
+            // Taking the head makes a second listing of `d` a no-op.
+            let mut at = std::mem::replace(&mut heads[d as usize], NIL);
+            let want = flags | d;
+            let start = kept.len();
+            while at != NIL {
+                let entry = arena[at as usize];
+                at = entry.below;
+                let (word, bit) = ((entry.node >> 6) as usize, 1u64 << (entry.node & 63));
+                if words[entry.node as usize] & (IN_SET | DEG_MASK) == want && seen[word] & bit == 0
+                {
+                    seen[word] |= bit;
+                    kept.push(entry.node);
+                }
+            }
+            if kept.len() > start {
+                spans.push((d, start));
+            }
+        }
+        for &v in kept.iter() {
+            seen[(v >> 6) as usize] &= !(1u64 << (v & 63));
+        }
+        dirty.clear();
+        let mut out = Pushes {
+            heads,
+            arena,
+            dirty,
+            len: 0,
+        };
+        let mut end = kept.len();
+        for &(d, start) in spans.iter().rev() {
+            for &v in kept[start..end].iter().rev() {
+                out.push(v, d as usize);
+            }
+            end = start;
+        }
+        out.len
+    }
 }
 
 /// Mutable state of one community search over a fixed graph.
 ///
-/// Buffers are `O(n + max_degree)` but reusable across seeds via
-/// [`CommunityState::reset`], which clears only the touched entries.
+/// Buffers are `O(n + max_degree)` plus arenas of `O(touched)` entries,
+/// reusable across seeds via [`CommunityState::reset`], which clears only
+/// the touched entries.
 #[derive(Debug)]
 pub struct CommunityState<'g> {
     graph: &'g CsrGraph,
     c: f64,
-    /// One packed record per node (flags, degree, links, slot).
-    recs: Vec<NodeRec>,
-    /// Nodes whose record may differ from [`NodeRec::EMPTY`] (for cheap
-    /// reset).
+    /// One word per node: bit 31 = in set, bit 30 = touched, bits 0..30 =
+    /// `deg_S(v)`.
+    words: Vec<u32>,
+    /// Each member's index in `members` (unused for non-members).
+    slots: Vec<u32>,
+    /// Nodes whose word may be non-zero (for cheap reset).
     touched: Vec<NodeId>,
     members: Vec<NodeId>,
     ein: usize,
@@ -150,30 +267,41 @@ pub struct CommunityState<'g> {
     fp_xor: u64,
     /// Additive (wrapping-sum) half of the fingerprint.
     fp_sum: u64,
-    /// Intrusive bucket heads for the boundary (best-addition) queue:
-    /// `add_heads[d]` starts the list of non-members with `deg_S = d ≥ 1`.
+    /// Bucket heads of the boundary (best-addition) queue: `add_heads[d]`
+    /// indexes the top of the stack of non-members with `deg_S = d ≥ 1`.
     add_heads: Vec<u32>,
+    /// The addition queue's entries, all buckets in push order. Only the
+    /// first `add_len` are in use; the rest is the high-water mark, kept
+    /// so that a move writes entries without growing the vector.
+    add_arena: Vec<Entry>,
+    add_len: usize,
     /// Largest possibly-non-empty bucket of `add_heads`; tightened
     /// incrementally by [`CommunityState::best_addition`], never by a
     /// full-range scan.
     add_max: usize,
-    /// Intrusive bucket heads for the member (best-removal) queue.
+    /// Bucket heads of the member (best-removal) queue.
     rem_heads: Vec<u32>,
+    /// The removal queue's entries, `rem_len` of them in use.
+    rem_arena: Vec<Entry>,
+    rem_len: usize,
     /// Smallest possibly-non-empty bucket of `rem_heads` (mirror of
     /// `add_max`).
     rem_min: usize,
-    /// Buckets of `add_heads` that may be non-[`NIL`] — pushed on the
+    /// Buckets of `add_heads` that may be non-[`NIL`] — pushed on every
     /// empty→non-empty transition, so [`CommunityState::reset`] clears
     /// only touched buckets instead of scanning up to the largest internal
-    /// degree the state has ever seen (O(max_degree) on hub graphs).
+    /// degree the state has ever seen (O(max_degree) on hub graphs). A
+    /// bucket that popping emptied and a push refilled is listed twice
+    /// until the next compaction.
     dirty_add: Vec<u32>,
     /// Same for `rem_heads`.
     dirty_rem: Vec<u32>,
+    compactor: Compactor,
     /// Bitmap of nodes excluded from the addition queue (covered hubs;
     /// see [`CommunityState::set_prune_snapshot`]). Empty = pruning off.
-    /// The packed records still track exact internal degrees for pruned
-    /// nodes — only their *candidacy* is suppressed — so `Ein` and every
-    /// gain evaluation stay exact.
+    /// The words still track exact internal degrees for pruned nodes —
+    /// only their *candidacy* is suppressed — so `Ein` and every gain
+    /// evaluation stay exact.
     prune: Vec<u64>,
     /// Memoized `√(s(s−1))`; grown when the member list grows, so gain
     /// evaluations never call `sqrt` at steady state.
@@ -186,6 +314,9 @@ pub struct CommunityState<'g> {
     /// the regression test asserts it stays proportional to work done.
     #[cfg(test)]
     last_reset_bucket_visits: usize,
+    /// Arena compactions since construction.
+    #[cfg(test)]
+    compactions: usize,
 }
 
 impl<'g> CommunityState<'g> {
@@ -200,7 +331,7 @@ impl<'g> CommunityState<'g> {
         let n = graph.node_count();
         // Internal degrees never exceed the graph's maximum degree, so the
         // head arrays are allocated once, here, at their final size — and
-        // the packed records can never overflow their degree bits.
+        // the packed words can never overflow their degree bits.
         let max_degree = graph.max_degree();
         assert!(
             max_degree < DEG_MASK as usize,
@@ -212,23 +343,35 @@ impl<'g> CommunityState<'g> {
         CommunityState {
             graph,
             c,
-            recs: vec![NodeRec::EMPTY; n],
+            words: vec![0; n],
+            slots: vec![0; n],
             touched: Vec::new(),
             members: Vec::new(),
             ein: 0,
             fp_xor: 0,
             fp_sum: 0,
             add_heads: vec![NIL; buckets],
+            add_arena: Vec::new(),
+            add_len: 0,
             add_max: 0,
             rem_heads: vec![NIL; buckets],
+            rem_arena: Vec::new(),
+            rem_len: 0,
             rem_min: usize::MAX,
             dirty_add: Vec::new(),
             dirty_rem: Vec::new(),
+            compactor: Compactor {
+                seen: vec![0; n.div_ceil(64)],
+                kept: Vec::new(),
+                spans: Vec::new(),
+            },
             prune: Vec::new(),
             sqrt,
             probes: 0,
             #[cfg(test)]
             last_reset_bucket_visits: 0,
+            #[cfg(test)]
+            compactions: 0,
         }
     }
 
@@ -255,13 +398,13 @@ impl<'g> CommunityState<'g> {
     /// Membership test.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        self.recs[v.index()].word & IN_SET != 0
+        self.words[v.index()] & IN_SET != 0
     }
 
     /// Internal degree of `v` with respect to the current set.
     #[inline]
     pub fn internal_degree(&self, v: NodeId) -> usize {
-        (self.recs[v.index()].word & DEG_MASK) as usize
+        (self.words[v.index()] & DEG_MASK) as usize
     }
 
     /// The current members (unsorted).
@@ -312,22 +455,13 @@ impl<'g> CommunityState<'g> {
     /// Total bucket-head inspections by [`CommunityState::best_addition`]
     /// and [`CommunityState::best_removal`] since construction.
     ///
-    /// With the intrusive queues this is O(moves + degree changes) over a
-    /// run: the bounds only walk buckets they then permanently tighten
-    /// past, so there is no repeated scanning of empty ranges — the drift
-    /// regression test counts these.
+    /// This is O(moves + degree changes) over a run: the bounds only walk
+    /// buckets they then permanently tighten past, so there is no repeated
+    /// scanning of empty ranges — the drift regression test counts these.
+    /// Popping a bucket's stale entries is not a probe; each pop undoes
+    /// one push.
     pub fn bucket_probes(&self) -> u64 {
         self.probes
-    }
-
-    /// True if `v` is suppressed from the addition queue by the prune
-    /// snapshot. O(1) bit test; `false` whenever pruning is off.
-    #[inline(always)]
-    fn pruned_bit(&self, v: u32) -> bool {
-        match self.prune.get((v >> 6) as usize) {
-            Some(word) => (word >> (v & 63)) & 1 != 0,
-            None => false,
-        }
     }
 
     /// Installs (or, with an empty slice, clears) the covered-hub bitmap:
@@ -336,119 +470,128 @@ impl<'g> CommunityState<'g> {
     /// ticket of a round — on any thread — sees the same snapshot and
     /// covers stay bit-identical across thread counts (DESIGN.md §2a).
     /// Takes effect from the next [`CommunityState::reset`]; must not be
-    /// called mid-ascent (already-linked candidates would keep their
-    /// queue entries).
+    /// called mid-ascent (entries already pushed would stay live).
     pub fn set_prune_snapshot(&mut self, words: &[u64]) {
         self.prune.clear();
         self.prune.extend_from_slice(words);
     }
 
+    /// The parts of the state a move writes, borrowed apart: the words,
+    /// the touched list, the prune bitmap and the two queues.
+    fn parts(&mut self) -> (&mut [u32], &mut Vec<NodeId>, &[u64], Pushes<'_>, Pushes<'_>) {
+        let add = Pushes {
+            heads: &mut self.add_heads,
+            arena: &mut self.add_arena,
+            dirty: &mut self.dirty_add,
+            len: self.add_len,
+        };
+        let rem = Pushes {
+            heads: &mut self.rem_heads,
+            arena: &mut self.rem_arena,
+            dirty: &mut self.dirty_rem,
+            len: self.rem_len,
+        };
+        (&mut self.words, &mut self.touched, &self.prune, add, rem)
+    }
+
+    /// Makes room for a move of up to `pushes` pushes per queue. A queue
+    /// whose arena would pass `min(8 × touched + ARENA_FLOOR, NIL)` entries
+    /// is compacted first; an arena shorter than the move needs is grown.
+    #[inline(always)]
+    fn make_room(&mut self, pushes: usize) {
+        let limit = (ARENA_PER_TOUCHED * self.touched.len() + ARENA_FLOOR).min(NIL as usize);
+        if self.add_len.max(self.rem_len) + pushes > limit {
+            self.compact(pushes, limit);
+        }
+        for (arena, len) in [
+            (&mut self.add_arena, self.add_len),
+            (&mut self.rem_arena, self.rem_len),
+        ] {
+            if arena.len() < len + pushes {
+                arena.resize(len + pushes, Entry::default());
+            }
+        }
+    }
+
+    /// Compacts each queue whose arena would pass `limit` with `pushes`
+    /// more entries. At most one entry per touched node survives, so only a
+    /// graph of billions of nodes could leave too few 32-bit indices.
+    #[cold]
+    fn compact(&mut self, pushes: usize, limit: usize) {
+        let mut compactor = std::mem::take(&mut self.compactor);
+        let (words, _, _, add, rem) = self.parts();
+        let (mut add_len, mut rem_len) = (add.len, rem.len);
+        if add_len + pushes > limit {
+            add_len = compactor.run(add, words, 0);
+        }
+        if rem_len + pushes > limit {
+            rem_len = compactor.run(rem, words, IN_SET);
+        }
+        (self.add_len, self.rem_len) = (add_len, rem_len);
+        self.compactor = compactor;
+        assert!(
+            self.add_len.max(self.rem_len) + pushes < NIL as usize,
+            "queue arena exceeds 32-bit indices"
+        );
+        #[cfg(test)]
+        {
+            self.compactions += 1;
+        }
+    }
+
     /// Adds `v` to the set. `O(deg v)`, allocation-free at steady state.
     ///
-    /// Each neighbor costs one read and one write of its packed record
-    /// plus the O(1) intrusive relink between adjacent buckets.
+    /// Each neighbor costs one read and one write of its word plus one
+    /// push onto the queue its new degree puts it in.
     ///
     /// # Panics
     /// Debug-panics if `v` is already a member.
     pub fn add(&mut self, v: NodeId) {
         debug_assert!(!self.contains(v));
-        let i = v.index();
-        let rec = self.recs[i];
-        let d = (rec.word & DEG_MASK) as usize;
-        self.ein += d;
-        self.fp_xor ^= fp_mix_xor(v.raw());
-        self.fp_sum = self.fp_sum.wrapping_add(fp_mix_sum(v.raw()));
-        if d > 0 && !self.pruned_bit(v.raw()) {
-            // Boundary nodes with positive internal degree sit in the
-            // addition queue (unless pruned); v leaves it as it joins S.
-            unlink_known(&mut self.recs, &mut self.add_heads, rec.prev, rec.next, d);
-        }
-        if rec.word & TOUCHED == 0 {
-            self.touched.push(v);
-        }
-        let slot = self.members.len() as u32;
-        self.members.push(v);
-        self.sqrt.ensure(self.members.len() + 1);
-        let head = link_at_head(
-            &mut self.recs,
-            &mut self.rem_heads,
-            &mut self.dirty_rem,
-            v.raw(),
-            d,
-        );
-        self.recs[i] = NodeRec {
-            word: rec.word | IN_SET | TOUCHED,
-            prev: NIL,
-            next: head,
-            slot,
-        };
-        if d < self.rem_min {
-            self.rem_min = d;
-        }
         // Copying the `&'g` graph reference out of `self` lets the
         // neighbor slice outlive the `&mut self` accesses below.
         let graph = self.graph;
-        for &u in graph.neighbors(v) {
+        let neighbors = graph.neighbors(v);
+        self.make_room(neighbors.len() + 1);
+        let i = v.index();
+        let word = self.words[i];
+        let d = (word & DEG_MASK) as usize;
+        self.ein += d;
+        self.fp_xor ^= fp_mix_xor(v.raw());
+        self.fp_sum = self.fp_sum.wrapping_add(fp_mix_sum(v.raw()));
+        if word & TOUCHED == 0 {
+            self.touched.push(v);
+        }
+        self.slots[i] = self.members.len() as u32;
+        self.members.push(v);
+        self.sqrt.ensure(self.members.len() + 1);
+        // v's addition-queue entry, if any, goes stale with the flag.
+        self.words[i] = word | IN_SET | TOUCHED;
+        self.rem_min = self.rem_min.min(d);
+        let mut add_max = self.add_max;
+        let (words, touched, prune, mut add, mut rem) = self.parts();
+        rem.push(v.raw(), d);
+        for &u in neighbors {
             let j = u.index();
-            let urec = self.recs[j];
-            let du = (urec.word & DEG_MASK) as usize;
-            if urec.word & TOUCHED == 0 {
-                self.touched.push(u);
+            let word = words[j];
+            if word & TOUCHED == 0 {
+                touched.push(u);
             }
-            if urec.word & IN_SET != 0 {
+            let up = (word | TOUCHED) + 1;
+            words[j] = up;
+            let du = (up & DEG_MASK) as usize;
+            if word & IN_SET != 0 {
                 // A member moving up one bucket cannot lower the minimum.
-                unlink_known(
-                    &mut self.recs,
-                    &mut self.rem_heads,
-                    urec.prev,
-                    urec.next,
-                    du,
-                );
-                let head = link_at_head(
-                    &mut self.recs,
-                    &mut self.rem_heads,
-                    &mut self.dirty_rem,
-                    u.raw(),
-                    du + 1,
-                );
-                self.recs[j] = NodeRec {
-                    word: (urec.word | TOUCHED) + 1,
-                    prev: NIL,
-                    next: head,
-                    slot: urec.slot,
-                };
-            } else if self.pruned_bit(u.raw()) {
+                rem.push(u.raw(), du);
+            } else if !pruned_bit(prune, u.raw()) {
                 // Pruned boundary nodes stay out of the queue; only their
                 // (exact) degree accounting advances.
-                self.recs[j].word = (urec.word | TOUCHED) + 1;
-            } else {
-                if du > 0 {
-                    unlink_known(
-                        &mut self.recs,
-                        &mut self.add_heads,
-                        urec.prev,
-                        urec.next,
-                        du,
-                    );
-                }
-                let head = link_at_head(
-                    &mut self.recs,
-                    &mut self.add_heads,
-                    &mut self.dirty_add,
-                    u.raw(),
-                    du + 1,
-                );
-                self.recs[j] = NodeRec {
-                    word: (urec.word | TOUCHED) + 1,
-                    prev: NIL,
-                    next: head,
-                    slot: urec.slot,
-                };
-                if du + 1 > self.add_max {
-                    self.add_max = du + 1;
-                }
+                add.push(u.raw(), du);
+                add_max = add_max.max(du);
             }
         }
+        (self.add_len, self.rem_len) = (add.len, rem.len);
+        self.add_max = add_max;
     }
 
     /// Removes `v` from the set. `O(deg v)` — the member list is
@@ -458,105 +601,53 @@ impl<'g> CommunityState<'g> {
     /// Debug-panics if `v` is not a member.
     pub fn remove(&mut self, v: NodeId) {
         debug_assert!(self.contains(v));
+        let graph = self.graph;
+        let neighbors = graph.neighbors(v);
+        self.make_room(neighbors.len() + 1);
         let i = v.index();
-        let rec = self.recs[i];
-        let d = (rec.word & DEG_MASK) as usize;
+        let word = self.words[i];
+        let d = (word & DEG_MASK) as usize;
         self.ein -= d;
         self.fp_xor ^= fp_mix_xor(v.raw());
         self.fp_sum = self.fp_sum.wrapping_sub(fp_mix_sum(v.raw()));
-        unlink_known(&mut self.recs, &mut self.rem_heads, rec.prev, rec.next, d);
-        let slot = rec.slot as usize;
+        let slot = self.slots[i] as usize;
         self.members.swap_remove(slot);
         if let Some(&moved) = self.members.get(slot) {
-            self.recs[moved.index()].slot = slot as u32;
+            self.slots[moved.index()] = slot as u32;
         }
-        let graph = self.graph;
-        for &u in graph.neighbors(v) {
+        // v's removal-queue entry goes stale with the flag.
+        self.words[i] = word & !IN_SET;
+        let mut rem_min = self.rem_min;
+        let (words, _, prune, mut add, mut rem) = self.parts();
+        for &u in neighbors {
             let j = u.index();
-            let urec = self.recs[j];
-            let du = (urec.word & DEG_MASK) as usize;
-            debug_assert!(du >= 1, "neighbor of a member must have deg_S >= 1");
-            if urec.word & IN_SET != 0 {
-                unlink_known(
-                    &mut self.recs,
-                    &mut self.rem_heads,
-                    urec.prev,
-                    urec.next,
-                    du,
-                );
-                let head = link_at_head(
-                    &mut self.recs,
-                    &mut self.rem_heads,
-                    &mut self.dirty_rem,
-                    u.raw(),
-                    du - 1,
-                );
-                self.recs[j] = NodeRec {
-                    word: urec.word - 1,
-                    prev: NIL,
-                    next: head,
-                    slot: urec.slot,
-                };
-                if du - 1 < self.rem_min {
-                    self.rem_min = du - 1;
-                }
-            } else if self.pruned_bit(u.raw()) {
-                self.recs[j].word = urec.word - 1;
-            } else {
+            let word = words[j];
+            debug_assert!(
+                word & DEG_MASK >= 1,
+                "neighbor of a member must have deg_S >= 1"
+            );
+            let down = word - 1;
+            words[j] = down;
+            let du = (down & DEG_MASK) as usize;
+            if word & IN_SET != 0 {
+                rem.push(u.raw(), du);
+                rem_min = rem_min.min(du);
+            } else if du > 0 && !pruned_bit(prune, u.raw()) {
                 // A boundary node moving down one bucket cannot raise the
                 // maximum; at degree 0 it leaves the queue entirely.
-                unlink_known(
-                    &mut self.recs,
-                    &mut self.add_heads,
-                    urec.prev,
-                    urec.next,
-                    du,
-                );
-                let head = if du > 1 {
-                    link_at_head(
-                        &mut self.recs,
-                        &mut self.add_heads,
-                        &mut self.dirty_add,
-                        u.raw(),
-                        du - 1,
-                    )
-                } else {
-                    NIL
-                };
-                self.recs[j] = NodeRec {
-                    word: urec.word - 1,
-                    prev: NIL,
-                    next: head,
-                    slot: urec.slot,
-                };
+                add.push(u.raw(), du);
             }
         }
         // v rejoins the boundary with its internal degree unchanged
         // (unless pruned).
-        if d > 0 && !self.pruned_bit(v.raw()) {
-            let head = link_at_head(
-                &mut self.recs,
-                &mut self.add_heads,
-                &mut self.dirty_add,
-                v.raw(),
-                d,
-            );
-            self.recs[i] = NodeRec {
-                word: rec.word & !IN_SET,
-                prev: NIL,
-                next: head,
-                slot: rec.slot,
-            };
-            if d > self.add_max {
-                self.add_max = d;
-            }
-        } else {
-            self.recs[i] = NodeRec {
-                word: rec.word & !IN_SET,
-                prev: NIL,
-                next: NIL,
-                slot: rec.slot,
-            };
+        let rejoins = d > 0 && !pruned_bit(prune, v.raw());
+        if rejoins {
+            add.push(v.raw(), d);
+        }
+        (self.add_len, self.rem_len) = (add.len, rem.len);
+        self.rem_min = rem_min;
+        if rejoins {
+            self.add_max = self.add_max.max(d);
         }
     }
 
@@ -566,55 +657,59 @@ impl<'g> CommunityState<'g> {
     /// neighborhood of the current and former members, not to `n`.
     pub fn boundary(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.touched.iter().copied().filter(|&v| {
-            let word = self.recs[v.index()].word;
+            let word = self.words[v.index()];
             word & IN_SET == 0 && word & DEG_MASK > 0
         })
     }
 
     /// The best addition candidate: the boundary node with the largest
-    /// internal degree.
+    /// internal degree, and among those the one most recently (re)bucketed.
     ///
     /// Correct because `L(s+1, ein+d)` is strictly increasing in `d` (the
     /// `Ein` coefficient `1 − (s−2)/√(s(s−1))` is positive for all `s`), so
     /// the node maximizing `deg_S(v)` also maximizes the fitness gain. The
-    /// intrusive bucket queue holds exactly the eligible boundary (pruned
-    /// nodes are suppressed), so this is a head lookup plus the
-    /// amortized-O(1) tightening of `add_max` (each empty bucket walked is
-    /// never walked again until an insert re-raises the bound). Runs stay
-    /// deterministic (LIFO order within a bucket).
+    /// addition queue's live entries are exactly the eligible boundary
+    /// (pruned nodes are never pushed), so this is a pop of stale entries
+    /// (each undoing one push) plus the amortized-O(1) tightening of
+    /// `add_max` (each empty bucket walked is never walked again until a
+    /// push re-raises the bound). Runs stay deterministic (LIFO order
+    /// within a bucket).
     pub fn best_addition(&mut self) -> Option<NodeId> {
         let mut b = self.add_max;
         self.probes += 1;
-        while b > 0 && self.add_heads[b] == NIL {
+        while b > 0 {
+            if let Some(v) = top_live(&mut self.add_heads, &self.add_arena, &self.words, 0, b) {
+                self.add_max = b;
+                return Some(NodeId(v));
+            }
             b -= 1;
             self.probes += 1;
         }
-        self.add_max = b;
-        if b == 0 {
-            None
-        } else {
-            Some(NodeId(self.add_heads[b]))
-        }
+        self.add_max = 0;
+        None
     }
 
     /// The best removal candidate: the member with the smallest internal
     /// degree (the gain of removing is decreasing in `deg_S(v)`; see
-    /// [`CommunityState::best_addition`] for the monotonicity argument).
-    /// Returns `None` for sets of size ≤ 1.
+    /// [`CommunityState::best_addition`] for the monotonicity argument and
+    /// the tie order). Returns `None` for sets of size ≤ 1.
     pub fn best_removal(&mut self) -> Option<NodeId> {
         if self.members.len() <= 1 {
             return None;
         }
-        // A member is always linked in the removal queue, so the ascent
-        // from `rem_min` terminates at a real candidate.
+        // Every member has a live entry in the removal queue, so the
+        // ascent from `rem_min` terminates at a real candidate.
         let mut b = self.rem_min;
         self.probes += 1;
-        while self.rem_heads[b] == NIL {
+        loop {
+            if let Some(v) = top_live(&mut self.rem_heads, &self.rem_arena, &self.words, IN_SET, b)
+            {
+                self.rem_min = b;
+                return Some(NodeId(v));
+            }
             b += 1;
             self.probes += 1;
         }
-        self.rem_min = b;
-        Some(NodeId(self.rem_heads[b]))
     }
 
     /// Snapshots the current set as a [`Community`].
@@ -622,14 +717,14 @@ impl<'g> CommunityState<'g> {
         Community::new(self.members.clone())
     }
 
-    /// Clears the set, zeroing only the touched records and the dirty
-    /// bucket heads, so the state can be reused for the next seed at a
-    /// cost proportional to the work done — not O(n), and not
-    /// O(max_degree) even after an earlier ascent through a high-degree
-    /// hub has raised the active bucket range.
+    /// Clears the set, zeroing only the touched words and the dirty bucket
+    /// heads and emptying the arenas (their capacity is kept), so the state
+    /// can be reused for the next seed at a cost proportional to the work
+    /// done — not O(n), and not O(max_degree) even after an earlier ascent
+    /// through a high-degree hub has raised the active bucket range.
     pub fn reset(&mut self) {
         for &v in &self.touched {
-            self.recs[v.index()] = NodeRec::EMPTY;
+            self.words[v.index()] = 0;
         }
         self.touched.clear();
         self.members.clear();
@@ -640,13 +735,10 @@ impl<'g> CommunityState<'g> {
         {
             self.last_reset_bucket_visits = self.dirty_add.len() + self.dirty_rem.len();
         }
-        for d in self.dirty_add.drain(..) {
-            self.add_heads[d as usize] = NIL;
-        }
+        clear_heads(&mut self.add_heads, &mut self.dirty_add);
+        clear_heads(&mut self.rem_heads, &mut self.dirty_rem);
+        (self.add_len, self.rem_len) = (0, 0);
         self.add_max = 0;
-        for d in self.dirty_rem.drain(..) {
-            self.rem_heads[d as usize] = NIL;
-        }
         self.rem_min = usize::MAX;
     }
 
@@ -669,15 +761,12 @@ impl<'g> CommunityState<'g> {
 mod tests {
     use super::*;
     use oca_graph::from_edges;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn karate_ish() -> oca_graph::CsrGraph {
         // Two triangles joined by one bridge: 0-1-2 and 3-4-5, bridge 2-3.
         from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    }
-
-    #[test]
-    fn node_record_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<NodeRec>(), 16);
     }
 
     #[test]
@@ -851,7 +940,7 @@ mod tests {
     /// Regression for the bound-drift bug: `max_bucket`/`min_bucket` used
     /// to tighten only on reset, so late in a long ascent every
     /// best-candidate query re-scanned the same emptied bucket range. The
-    /// intrusive queues tighten incrementally: total probes stay
+    /// bucket queues tighten incrementally: total probes stay
     /// proportional to moves + degree churn, not moves × bucket range.
     #[test]
     fn best_candidate_probes_stay_proportional_to_work() {
@@ -968,5 +1057,265 @@ mod tests {
         left.sort_unstable();
         assert_eq!(left, vec![2, 3, 5]);
         assert_eq!(st.internal_edges(), st.recompute_internal_edges());
+    }
+
+    /// Bucket `d`'s live nodes, top of the stack first: each node's
+    /// top-most live-looking entry, as compaction keeps them.
+    fn live_order(st: &CommunityState<'_>, removal: bool, d: usize) -> Vec<u32> {
+        let (heads, arena, flags) = if removal {
+            (&st.rem_heads, &st.rem_arena, IN_SET)
+        } else {
+            (&st.add_heads, &st.add_arena, 0)
+        };
+        let mut order = Vec::new();
+        let mut at = heads[d];
+        while at != NIL {
+            let entry = arena[at as usize];
+            at = entry.below;
+            let live = st.words[entry.node as usize] & (IN_SET | DEG_MASK) == flags | d as u32;
+            if live && !order.contains(&entry.node) {
+                order.push(entry.node);
+            }
+        }
+        order
+    }
+
+    /// A from-scratch model of the queues' tie order: the best addition is
+    /// the eligible boundary node of largest `deg_S`, the best removal the
+    /// member of smallest `deg_S`, ties going to the node whose state
+    /// changed last. `stamp` is bumped in the order the state pushes: the
+    /// added node before its neighbours, the removed node after them.
+    struct Oracle {
+        member: Vec<bool>,
+        deg: Vec<usize>,
+        stamp: Vec<u64>,
+        clock: u64,
+        pruned: Vec<bool>,
+    }
+
+    impl Oracle {
+        fn new(n: usize, pruned: Vec<bool>) -> Self {
+            Oracle {
+                member: vec![false; n],
+                deg: vec![0; n],
+                stamp: vec![0; n],
+                clock: 0,
+                pruned,
+            }
+        }
+
+        fn bump(&mut self, v: usize) {
+            self.clock += 1;
+            self.stamp[v] = self.clock;
+        }
+
+        fn apply(&mut self, g: &CsrGraph, v: NodeId, add: bool) {
+            let i = v.index();
+            if add {
+                self.member[i] = true;
+                self.bump(i);
+            } else {
+                self.member[i] = false;
+            }
+            for u in g.neighbors(v) {
+                let j = u.index();
+                if add {
+                    self.deg[j] += 1;
+                } else {
+                    self.deg[j] -= 1;
+                }
+                self.bump(j);
+            }
+            if !add {
+                self.bump(i);
+            }
+        }
+
+        fn best(&self, removal: bool) -> Option<NodeId> {
+            let n = self.member.len();
+            let pick = (0..n).filter(|&v| {
+                if removal {
+                    self.member[v]
+                } else {
+                    !self.member[v] && self.deg[v] > 0 && !self.pruned[v]
+                }
+            });
+            let best = if removal {
+                if self.member.iter().filter(|&&m| m).count() <= 1 {
+                    return None;
+                }
+                pick.min_by_key(|&v| (self.deg[v], std::cmp::Reverse(self.stamp[v])))
+            } else {
+                pick.max_by_key(|&v| (self.deg[v], self.stamp[v]))
+            };
+            best.map(|v| NodeId(v as u32))
+        }
+    }
+
+    /// A node that goes d → d+1 → d leaves a stale look-alike below its
+    /// new entry in bucket d; neither it nor the node's entry in d+1 is
+    /// ever returned once the node moves on.
+    #[test]
+    fn stale_duplicates_after_a_degree_round_trip() {
+        // x = 0 and y = 1 both hang off a = 2; only x also hangs off b = 3.
+        let g = from_edges(4, [(0, 2), (1, 2), (0, 3)]);
+        let mut st = CommunityState::new(&g, 0.8);
+        st.add(NodeId(2));
+        assert_eq!(live_order(&st, false, 1), vec![1, 0]);
+        assert_eq!(st.best_addition(), Some(NodeId(1)), "y re-bucketed last");
+        st.add(NodeId(3));
+        assert_eq!(st.best_addition(), Some(NodeId(0)), "x alone at degree 2");
+        st.remove(NodeId(3));
+        // x is back at degree 1, on top of y and of its own older entry.
+        assert_eq!(live_order(&st, false, 1), vec![0, 1]);
+        assert_eq!(st.add_len, 4, "x pushed three times, y once");
+        assert_eq!(st.best_addition(), Some(NodeId(0)));
+        st.add(NodeId(0));
+        // b joins the boundary through x; both of x's entries are stale.
+        assert_eq!(live_order(&st, false, 1), vec![3, 1]);
+        assert_eq!(st.best_addition(), Some(NodeId(3)));
+        st.add(NodeId(3));
+        assert_eq!(
+            st.best_addition(),
+            Some(NodeId(1)),
+            "x's look-alike is skipped"
+        );
+        st.add(NodeId(1));
+        assert_eq!(st.best_addition(), None);
+    }
+
+    /// A member that flips to the boundary and back at the same degree
+    /// leaves a look-alike in its removal bucket; its fresh entry decides
+    /// its place among the ties.
+    #[test]
+    fn stale_duplicates_after_a_membership_round_trip() {
+        // Triangle 0-1-2 plus a pendant 3 on 0.
+        let g = from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)]);
+        let mut st = CommunityState::new(&g, 0.8);
+        for v in [0, 1, 2] {
+            st.add(NodeId(v));
+        }
+        assert_eq!(live_order(&st, true, 2), vec![1, 0, 2]);
+        assert_eq!(st.best_removal(), Some(NodeId(1)));
+        st.remove(NodeId(1));
+        // 1 sits on the boundary at degree 2, the same degree it had.
+        assert_eq!(live_order(&st, false, 2), vec![1]);
+        assert_eq!(st.best_addition(), Some(NodeId(1)));
+        st.add(NodeId(1));
+        // Adding 1 pushes it first, then re-buckets 0 and 2 above it.
+        assert_eq!(live_order(&st, true, 2), vec![2, 0, 1]);
+        assert_eq!(st.best_removal(), Some(NodeId(2)));
+        st.remove(NodeId(2));
+        st.remove(NodeId(0));
+        assert_eq!(st.best_removal(), None, "a single member is never removed");
+        assert_eq!(
+            st.best_addition(),
+            Some(NodeId(0)),
+            "0 rejoined the boundary last"
+        );
+    }
+
+    /// Compaction drops stale entries and keeps every bucket's order, and
+    /// it fires (unit tests use a floor of 64) without changing any
+    /// best-candidate answer.
+    #[test]
+    fn compaction_keeps_every_bucket_order() {
+        let g = oca_gen::barabasi_albert(400, 4, &mut StdRng::seed_from_u64(11));
+        let mut st = CommunityState::new(&g, 0.8);
+        let mut oracle = Oracle::new(400, vec![false; 400]);
+        let mut rng = 0x5EED_u64;
+        let mut checked = 0;
+        for step in 0..3_000u64 {
+            rng = splitmix64(rng);
+            let v = NodeId((rng % 400) as u32);
+            let add = !st.contains(v);
+            if add {
+                st.add(v);
+            } else {
+                st.remove(v);
+            }
+            oracle.apply(&g, v, add);
+            assert_eq!(st.best_addition(), oracle.best(false), "step {step}");
+            assert_eq!(st.best_removal(), oracle.best(true), "step {step}");
+            if step % 997 == 0 {
+                let orders = |st: &CommunityState<'_>| -> Vec<Vec<u32>> {
+                    (0..st.add_heads.len())
+                        .flat_map(|d| [live_order(st, false, d), live_order(st, true, d)])
+                        .collect()
+                };
+                let before = orders(&st);
+                // A limit of 0 compacts both queues now.
+                st.compact(0, 0);
+                assert_eq!(orders(&st), before, "step {step}");
+                assert!(st.add_len + st.rem_len <= 2 * st.touched.len());
+                let mut dirty = st.dirty_add.clone();
+                dirty.sort_unstable();
+                dirty.dedup();
+                assert_eq!(dirty.len(), st.dirty_add.len(), "duplicates dropped");
+                checked += 1;
+            }
+        }
+        assert!(st.compactions > checked, "compaction also fired on its own");
+    }
+
+    /// However long the churn around a hub, each arena stays within
+    /// `8 × touched + ARENA_FLOOR` entries after every move.
+    #[test]
+    fn arena_stays_within_its_bound_through_hub_star_churn() {
+        let leaves = 3_000u32;
+        let g = from_edges(leaves as usize + 1, (1..=leaves).map(|leaf| (0, leaf)));
+        let mut st = CommunityState::new(&g, 0.8);
+        st.add(NodeId(0));
+        for _ in 0..10 {
+            for add in [true, false] {
+                for leaf in 1..=leaves {
+                    if add {
+                        st.add(NodeId(leaf));
+                    } else {
+                        st.remove(NodeId(leaf));
+                    }
+                    let bound = ARENA_PER_TOUCHED * st.touched.len() + ARENA_FLOOR;
+                    assert!(st.add_len <= bound && st.rem_len <= bound);
+                }
+            }
+        }
+        assert!(
+            st.compactions >= 2,
+            "the churn outgrew the bound repeatedly"
+        );
+        assert_eq!(st.best_removal(), None, "only the hub is left");
+        assert_eq!(
+            st.best_addition(),
+            Some(NodeId(leaves)),
+            "the last leaf removed"
+        );
+    }
+
+    /// Arena capacity is kept by reset and reached again by an identical
+    /// run, so a repeated ascent allocates nothing.
+    #[test]
+    fn arena_capacity_does_not_grow_on_a_repeated_ascent() {
+        let leaves = 2_000u32;
+        let g = from_edges(leaves as usize + 1, (1..=leaves).map(|leaf| (0, leaf)));
+        let mut st = CommunityState::new(&g, 0.8);
+        let run = |st: &mut CommunityState<'_>| {
+            st.reset();
+            st.add(NodeId(0));
+            for _ in 0..5 {
+                for leaf in 1..=leaves {
+                    st.add(NodeId(leaf));
+                }
+                for leaf in 1..=leaves {
+                    st.remove(NodeId(leaf));
+                }
+            }
+            let arenas = [&st.add_arena, &st.rem_arena];
+            (arenas.map(|a| (a.len(), a.capacity())), st.compactions)
+        };
+        let (sizes, first) = run(&mut st);
+        assert!(first > 0, "the run compacts");
+        let (again, second) = run(&mut st);
+        assert_eq!(again, sizes, "arena lengths and capacities");
+        assert_eq!(second, 2 * first, "the identical run compacts identically");
     }
 }

@@ -396,8 +396,9 @@ fn phase_build(p: &Params) -> Value {
     }
 }
 
-/// The full O(n+m) audit of the file the build phase wrote: payload
-/// checksum against the header, every CSR invariant, permutation check.
+/// The full audit of the file the build phase wrote: payload checksum
+/// against the header, every CSR invariant (sequential passes plus one
+/// probe per undirected edge), permutation check.
 /// Its RSS is dominated by paging the whole mapping through — that's why
 /// it is not the phase the builder's budget gate measures.
 fn phase_verify(p: &Params) -> Value {

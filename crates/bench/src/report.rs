@@ -3,8 +3,8 @@
 //! parser.
 //!
 //! Every report opens with `bench` (the binary), `mode` (`full` or
-//! `smoke`) and `meta` (`git_commit`, `host_threads`, `graph`); [`report`]
-//! puts them first. The writer keeps integers exact, writes non-finite
+//! `smoke`) and `meta` (`git_commit`, `host_threads`, `date`, `graph`);
+//! [`report`] puts them first. The writer keeps integers exact, writes non-finite
 //! floats as `null` and escapes strings with
 //! [`oca_serve::protocol::json_escape`]. The reader is a recursive-descent
 //! parser whose nesting-depth limit keeps any input from overflowing the
@@ -444,7 +444,8 @@ pub fn read(path: impl AsRef<Path>) -> std::io::Result<Value> {
 /// A bench report: `bench`, `mode` and `meta` first, then the entries of
 /// `fields` (an object) in order. `meta` holds the git commit the run
 /// came from (`"unknown"` outside a checkout), the host's available
-/// parallelism and `graph`, a free-form description of the input.
+/// parallelism, the UTC date of the run (`YYYY-MM-DD`) and `graph`, a
+/// free-form description of the input.
 ///
 /// # Panics
 /// Panics if `fields` is not an object.
@@ -461,13 +462,40 @@ pub fn report(bench: &str, smoke: bool, graph: &str, fields: Value) -> Value {
         .filter(|hash| !hash.is_empty() && hash.chars().all(|ch| ch.is_ascii_alphanumeric()))
         .unwrap_or_else(|| "unknown".to_string());
     let host_threads = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let meta = object! { "git_commit": commit, "host_threads": host_threads, "graph": graph };
+    let date = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or_else(|_| "unknown".to_string(), |d| utc_date(d.as_secs()));
+    let meta = object! {
+        "git_commit": commit,
+        "host_threads": host_threads,
+        "date": date,
+        "graph": graph,
+    };
     let mode = if smoke { "smoke" } else { "full" };
     let mut out = object! { "bench": bench, "mode": mode, "meta": meta };
     for (key, value) in entries {
         out.push(&key, value);
     }
     out
+}
+
+/// The UTC calendar date, `YYYY-MM-DD`, of `secs` seconds after the Unix
+/// epoch (the proleptic Gregorian calendar, by Hinnant's days-to-civil
+/// conversion).
+fn utc_date(secs: u64) -> String {
+    let days = secs / 86_400;
+    // Shift the epoch to 0000-03-01 so each 400-year era starts on a
+    // March 1st and the leap day falls at the end of a year.
+    let z = days + 719_468;
+    let era = z / 146_097;
+    let doe = z % 146_097;
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let day = doy - (153 * mp + 2) / 5 + 1;
+    let month = if mp < 10 { mp + 3 } else { mp - 9 };
+    let year = yoe + era * 400 + u64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
 }
 
 /// Where smoke-mode reports go: `target/bench-smoke/` under the workspace
@@ -559,12 +587,40 @@ mod tests {
         let meta = value.get("meta").unwrap();
         assert!(meta.get("git_commit").and_then(Value::as_str).is_some());
         assert!(meta.get("host_threads").and_then(Value::as_u64).is_some());
+        let date = meta.get("date").and_then(Value::as_str).unwrap();
+        assert!(is_date(date), "{date}");
         // Quotes in the description survive the round trip intact.
         let back = Value::parse(&value.to_string()).unwrap();
         assert_eq!(
             back.get("meta").and_then(|m| m.get("graph")),
             Some(&Value::from("lfr n=1000 \"quoted\""))
         );
+    }
+
+    /// True for a `YYYY-MM-DD` string.
+    fn is_date(text: &str) -> bool {
+        let bytes = text.as_bytes();
+        bytes.len() == 10
+            && bytes.iter().enumerate().all(|(i, &b)| match i {
+                4 | 7 => b == b'-',
+                _ => b.is_ascii_digit(),
+            })
+    }
+
+    #[test]
+    fn utc_date_converts_epoch_seconds_to_the_calendar_date() {
+        for (secs, date) in [
+            (0, "1970-01-01"),
+            (86_399, "1970-01-01"),
+            (86_400, "1970-01-02"),
+            (951_782_400, "2000-02-29"),
+            (951_868_800, "2000-03-01"),
+            (1_709_164_800, "2024-02-29"),
+            (1_735_689_599, "2024-12-31"),
+            (4_107_542_400, "2100-03-01"),
+        ] {
+            assert_eq!(utc_date(secs), date, "{secs}");
+        }
     }
 
     #[test]
@@ -675,6 +731,11 @@ mod tests {
                     meta.get("host_threads").and_then(Value::as_u64).is_some(),
                     "{name}"
                 );
+                // `date` joined `meta` later; reports recorded before it
+                // have none.
+                if let Some(date) = meta.get("date") {
+                    assert!(date.as_str().is_some_and(is_date), "{name}");
+                }
             }
         }
     }

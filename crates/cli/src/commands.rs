@@ -802,6 +802,16 @@ fn graph_build(cli: &Cli) -> Result<(), String> {
         "read {} edge lines; skipped {} self-loop(s) and {} duplicate edge(s); {} sorted run(s)",
         stats.edges_read, stats.self_loops, stats.duplicates, stats.ingest_runs
     );
+    let p = stats.phases;
+    println!(
+        "phases: ingest_ns={} merge_ns={} scatter_ns={} write_ns={} verify_ns={} total_ns={}",
+        p.ingest_ns,
+        p.merge_ns,
+        p.scatter_ns,
+        p.write_ns,
+        p.verify_ns,
+        p.total_ns()
+    );
     Ok(())
 }
 

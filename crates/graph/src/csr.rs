@@ -48,9 +48,9 @@ impl CsrGraph {
     /// for use by [`crate::builder::GraphBuilder`] and deserialization.
     ///
     /// Only the O(1) structural frame is asserted here (non-empty offsets,
-    /// `offsets[0] == 0`, last offset equal to the neighbor count). The
-    /// O(n + m) row checks — monotone offsets, sorted rows, symmetry —
-    /// live in [`CsrGraph::validate`], which callers assembling parts from
+    /// `offsets[0] == 0`, last offset equal to the neighbor count). The row
+    /// checks — monotone offsets, sorted rows, symmetry — live in
+    /// [`CsrGraph::validate`], which callers assembling parts from
     /// untrusted data should invoke explicitly; running it on every
     /// construction made large generated-graph tests pay a full validation
     /// sweep per build.
@@ -272,15 +272,24 @@ impl CsrGraph {
     }
 
     /// Checks all CSR invariants; returns a description of the first failure.
+    ///
+    /// One sequential pass over the rows plus one probe per undirected
+    /// edge, with one `u32` cursor per row. Rows are walked in ascending
+    /// `u`; each entry `v > u` claims the next unclaimed slot of row `v`,
+    /// which must lie inside that row and hold `u`. Because claimants
+    /// arrive in ascending order, on reaching row `u` its claims must
+    /// cover exactly its entries below `u`: together the two checks say
+    /// `v ∈ N(u)` iff `u ∈ N(v)` for every pair.
     pub fn validate(&self) -> Result<(), String> {
         let offsets = self.offsets.as_slice();
+        let neighbors = self.neighbors.as_slice();
         if offsets.is_empty() {
             return Err("offsets must have at least one entry".into());
         }
         if offsets[0] != 0 {
             return Err("offsets[0] must be 0".into());
         }
-        if *offsets.last().unwrap() as usize != self.neighbors.as_slice().len() {
+        if *offsets.last().unwrap() as usize != neighbors.len() {
             return Err("last offset must equal neighbor array length".into());
         }
         let n = self.node_count();
@@ -289,10 +298,12 @@ impl CsrGraph {
                 return Err("offsets must be non-decreasing".into());
             }
         }
-        for u in self.nodes() {
-            let row = self.neighbors(u);
-            for w in row.windows(2) {
-                if w[0] >= w[1] {
+        let mut cursor = offsets[..n].to_vec();
+        for (i, w) in offsets.windows(2).enumerate() {
+            let u = NodeId(i as u32);
+            let row = &neighbors[w[0] as usize..w[1] as usize];
+            for pair in row.windows(2) {
+                if pair[0] >= pair[1] {
                     return Err(format!("row of {u:?} not strictly sorted"));
                 }
             }
@@ -303,9 +314,18 @@ impl CsrGraph {
                 if v == u {
                     return Err(format!("self-loop at {u:?}"));
                 }
-                if self.neighbors(v).binary_search(&u).is_err() {
+            }
+            let below = row.partition_point(|&v| v < u);
+            let claimed = (cursor[i] - w[0]) as usize;
+            if claimed != below {
+                return Err(format!("edge {u:?}-{:?} not symmetric", row[claimed]));
+            }
+            for &v in &row[below..] {
+                let slot = &mut cursor[v.index()];
+                if *slot >= offsets[v.index() + 1] || neighbors[*slot as usize] != u {
                     return Err(format!("edge {u:?}-{v:?} not symmetric"));
                 }
+                *slot += 1;
             }
         }
         Ok(())
@@ -315,7 +335,8 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::GraphBuilder;
+    use crate::builder::{from_edges, GraphBuilder};
+    use crate::testing::XorShift;
 
     fn triangle_plus_pendant() -> CsrGraph {
         // 0-1, 1-2, 0-2 triangle; 3 pendant on 2; 4 isolated.
@@ -419,6 +440,165 @@ mod tests {
     fn validate_catches_self_loop() {
         let g = CsrGraph::from_parts(vec![0, 1], vec![NodeId(0)]);
         assert!(g.validate().is_err());
+    }
+
+    /// The binary-search checker `validate` replaced: for every directed
+    /// entry `u → v`, a search for `u` in row `v`. The reference verdict
+    /// for the differential test below.
+    fn validate_reference(g: &CsrGraph) -> Result<(), String> {
+        let offsets = g.offsets_slice();
+        if offsets.is_empty() {
+            return Err("offsets must have at least one entry".into());
+        }
+        if offsets[0] != 0 {
+            return Err("offsets[0] must be 0".into());
+        }
+        if *offsets.last().unwrap() as usize != g.neighbors_slice().len() {
+            return Err("last offset must equal neighbor array length".into());
+        }
+        let n = g.node_count();
+        for w in offsets.windows(2) {
+            if w[0] > w[1] {
+                return Err("offsets must be non-decreasing".into());
+            }
+        }
+        for u in g.nodes() {
+            let row = g.neighbors(u);
+            for w in row.windows(2) {
+                if w[0] >= w[1] {
+                    return Err(format!("row of {u:?} not strictly sorted"));
+                }
+            }
+            for &v in row {
+                if v.index() >= n {
+                    return Err(format!("neighbor {v:?} of {u:?} out of bounds"));
+                }
+                if v == u {
+                    return Err(format!("self-loop at {u:?}"));
+                }
+                if g.neighbors(v).binary_search(&u).is_err() {
+                    return Err(format!("edge {u:?}-{v:?} not symmetric"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A random simple graph with a hub joined to most nodes and a tail
+    /// of isolated nodes, as raw rows.
+    fn random_rows(rng: &mut XorShift) -> Vec<Vec<u32>> {
+        let linked = 1 + rng.below(40);
+        let n = linked + rng.below(4);
+        let hub = rng.below(linked) as u32;
+        let mut edges = Vec::new();
+        for v in 0..linked as u32 {
+            if rng.below(4) != 0 {
+                edges.push((hub, v));
+            }
+        }
+        for _ in 0..rng.below(3 * linked) {
+            edges.push((rng.below(linked) as u32, rng.below(linked) as u32));
+        }
+        let g = from_edges(n, edges);
+        g.nodes()
+            .map(|u| g.neighbors(u).iter().map(|v| v.raw()).collect())
+            .collect()
+    }
+
+    fn flatten(rows: &[Vec<u32>]) -> (Vec<u32>, Vec<NodeId>) {
+        let mut offsets = vec![0u32];
+        let mut neighbors = Vec::new();
+        for row in rows {
+            neighbors.extend(row.iter().map(|&v| NodeId(v)));
+            offsets.push(neighbors.len() as u32);
+        }
+        (offsets, neighbors)
+    }
+
+    /// Applies corruption `kind` where the graph has room for it; returns
+    /// false (and changes nothing) where it has none.
+    fn corrupt(rng: &mut XorShift, kind: usize, rows: &mut [Vec<u32>]) -> bool {
+        let n = rows.len();
+        let u = rng.below(n);
+        let row = &mut rows[u];
+        match kind {
+            // Drop one direction of an edge.
+            0 if !row.is_empty() => {
+                row.remove(rng.below(row.len()));
+            }
+            // An extra entry below the diagonal.
+            1 if u > 0 => {
+                let w = rng.below(u) as u32;
+                match row.binary_search(&w) {
+                    Ok(_) => return false,
+                    Err(at) => row.insert(at, w),
+                }
+            }
+            // Two entries of a row swapped.
+            2 if row.len() >= 2 => {
+                let i = rng.below(row.len() - 1);
+                let j = i + 1 + rng.below(row.len() - 1 - i);
+                row.swap(i, j);
+            }
+            // A duplicated entry.
+            3 if !row.is_empty() => {
+                let i = rng.below(row.len());
+                row.insert(i, row[i]);
+            }
+            // A self-loop.
+            4 => {
+                let at = row.partition_point(|&v| v < u as u32);
+                row.insert(at, u as u32);
+            }
+            // An out-of-bounds id.
+            5 => row.push((n + rng.below(3)) as u32),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Makes the offsets non-monotone at one interior node, if any row
+    /// boundary can move.
+    fn corrupt_offsets(rng: &mut XorShift, offsets: &mut [u32]) -> bool {
+        let n = offsets.len() - 1;
+        if n < 2 {
+            return false;
+        }
+        let i = 1 + rng.below(n - 1);
+        if offsets[i - 1] > 0 {
+            offsets[i] = offsets[i - 1] - 1;
+        } else if offsets[i + 1] < offsets[n] {
+            offsets[i] = offsets[i + 1] + 1;
+        } else {
+            return false;
+        }
+        true
+    }
+
+    #[test]
+    fn validate_agrees_with_the_binary_search_reference() {
+        let mut rng = XorShift::new(0x0c5a);
+        let mut verdicts = [0usize; 2];
+        for _ in 0..crate::testing::cases(2000) {
+            let mut rows = random_rows(&mut rng);
+            let mut changed = false;
+            for _ in 0..rng.below(3) {
+                let kind = rng.below(6);
+                changed |= corrupt(&mut rng, kind, &mut rows);
+            }
+            let (mut offsets, neighbors) = flatten(&rows);
+            if rng.below(8) == 0 {
+                changed |= corrupt_offsets(&mut rng, &mut offsets);
+            }
+            let g = CsrGraph::from_parts(offsets, neighbors);
+            let (got, want) = (g.validate(), validate_reference(&g));
+            assert_eq!(got.is_ok(), want.is_ok(), "{rows:?}: {got:?} vs {want:?}");
+            if !changed {
+                assert!(got.is_ok(), "{rows:?}: {got:?}");
+            }
+            verdicts[got.is_ok() as usize] += 1;
+        }
+        assert!(verdicts.iter().all(|&k| k > 0), "{verdicts:?}");
     }
 
     #[test]

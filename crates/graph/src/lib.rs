@@ -51,6 +51,8 @@ pub mod relabel;
 pub mod stats;
 mod storage;
 pub mod subgraph;
+#[cfg(test)]
+mod testing;
 pub mod traversal;
 pub mod union_find;
 
@@ -73,7 +75,8 @@ pub use node::NodeId;
 pub use ocg::{open_ocg_path, payload_checksum, read_ocg_info, verify_ocg_path, write_ocg_path};
 pub use ocg::{OcgGraph, OcgInfo};
 pub use ocg_build::{
-    build_ocg_from_edges, build_ocg_from_emitter, build_ocg_from_path, BuildOptions, BuildStats,
+    build_ocg_from_edges, build_ocg_from_emitter, build_ocg_from_path, BuildOptions, BuildPhases,
+    BuildStats,
 };
 pub use relabel::Relabeling;
 pub use stats::GraphStats;

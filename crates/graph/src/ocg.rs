@@ -25,15 +25,16 @@
 //!
 //! ## Cost model
 //!
-//! Writers run the full O(n + m) [`CsrGraph::validate`] sweep (or
-//! construct the arrays in a way that guarantees the invariants — see
+//! Writers run the full [`CsrGraph::validate`] sweep (or construct the
+//! arrays in a way that guarantees the invariants — see
 //! [`crate::ocg_build`]) and set the VALIDATED flag, so
 //! [`open_ocg_path`] only does O(1) structural checks: magic, version,
 //! section lengths against the file size, first/last offset. Checksums
 //! are *not* recomputed on open — that would force reading the whole
 //! file, defeating lazy mapping. [`verify_ocg_path`] is the explicit
-//! O(n + m) audit: it re-hashes the payload and re-runs every CSR
-//! invariant, for use after copying files between machines.
+//! audit: it re-hashes the payload in one sequential pass and re-runs
+//! every CSR invariant in another, plus one random probe per undirected
+//! edge, for use after copying files between machines.
 
 use crate::container::{check_preamble, ContainerError, Fnv1a};
 use crate::csr::CsrGraph;
@@ -275,7 +276,9 @@ fn graph_from_mapped(file: Arc<MappedFile>, header: RawHeader, geo: Sections) ->
 
 /// Fully audits a `.ocg` file: recomputes the payload checksum against the
 /// header and re-runs every CSR invariant (plus a permutation check on the
-/// id map). O(n + m). Returns the header metadata on success.
+/// id map). Sequential passes over the payload plus one random probe per
+/// undirected edge ([`CsrGraph::validate`]). Returns the header metadata
+/// on success.
 pub fn verify_ocg_path<P: AsRef<Path>>(path: P) -> Result<OcgInfo> {
     let path = path.as_ref();
     verify_ocg_inner(path).map_err(|e| e.with_path(path))
@@ -315,29 +318,41 @@ pub fn read_ocg_info<P: AsRef<Path>>(path: P) -> Result<OcgInfo> {
         .map_err(|e| e.with_path(path))
 }
 
+/// Feeds `words` to `block` as little-endian bytes, 4 KiB at a time, so
+/// a payload is hashed and written in large blocks rather than one call
+/// per word.
+fn for_each_word_block<E>(
+    mut words: impl Iterator<Item = u32>,
+    mut block: impl FnMut(&[u8]) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    let mut buf = [0u8; 4096];
+    let mut used = 0usize;
+    words.try_for_each(|word| {
+        buf[used..used + 4].copy_from_slice(&word.to_le_bytes());
+        used += 4;
+        if used == buf.len() {
+            used = 0;
+            block(&buf)?;
+        }
+        Ok(())
+    })?;
+    if used > 0 {
+        block(&buf[..used])?;
+    }
+    Ok(())
+}
+
 /// Packs `words` into little-endian bytes, updating `fnv` and writing to
-/// `w` through a reusable buffer (avoids one syscall-sized write per word).
+/// `w` through a reusable buffer.
 pub(crate) fn write_words<W: Write>(
     w: &mut W,
     fnv: &mut Fnv1a,
     words: impl Iterator<Item = u32>,
 ) -> std::io::Result<()> {
-    let mut buf = [0u8; 4096];
-    let mut used = 0usize;
-    for word in words {
-        buf[used..used + 4].copy_from_slice(&word.to_le_bytes());
-        used += 4;
-        if used == buf.len() {
-            fnv.update(&buf);
-            w.write_all(&buf)?;
-            used = 0;
-        }
-    }
-    if used > 0 {
-        fnv.update(&buf[..used]);
-        w.write_all(&buf[..used])?;
-    }
-    Ok(())
+    for_each_word_block(words, |bytes| {
+        fnv.update(bytes);
+        w.write_all(bytes)
+    })
 }
 
 pub(crate) fn encode_header(
@@ -360,48 +375,45 @@ pub(crate) fn encode_header(
     h
 }
 
+/// The payload words of a `.ocg` file for this graph (and id map): the
+/// offsets, the neighbors, then the `new_to_old` section if any.
+fn payload_words<'a>(
+    graph: &'a CsrGraph,
+    relabeling: Option<&'a Relabeling>,
+) -> impl Iterator<Item = u32> + 'a {
+    let new_to_old = relabeling
+        .into_iter()
+        .flat_map(|r| (0..r.len() as u32).map(move |i| r.to_original(NodeId(i)).raw()));
+    graph
+        .offsets_slice()
+        .iter()
+        .copied()
+        .chain(graph.neighbors_slice().iter().map(|v| v.raw()))
+        .chain(new_to_old)
+}
+
 /// The checksum [`write_ocg_path`] would record for this graph (and id
 /// map): FNV-1a over the serialized payload, computed without writing
 /// anything. Lets benchmarks compare an in-RAM build against an on-disk
 /// file without serializing the former.
 pub fn payload_checksum(graph: &CsrGraph, relabeling: Option<&Relabeling>) -> u64 {
     let mut fnv = Fnv1a::default();
-    let mut buf = [0u8; 4096];
-    let mut used = 0usize;
-    {
-        let mut feed = |fnv: &mut Fnv1a, word: u32| {
-            buf[used..used + 4].copy_from_slice(&word.to_le_bytes());
-            used += 4;
-            if used == buf.len() {
-                fnv.update(&buf);
-                used = 0;
-            }
-        };
-        for &o in graph.offsets_slice() {
-            feed(&mut fnv, o);
-        }
-        for &v in graph.neighbors_slice() {
-            feed(&mut fnv, v.raw());
-        }
-        if let Some(r) = relabeling {
-            for i in 0..r.len() as u32 {
-                feed(&mut fnv, r.to_original(NodeId(i)).raw());
-            }
-        }
-    }
-    if used > 0 {
-        fnv.update(&buf[..used]);
-    }
+    let Ok(()) = for_each_word_block(payload_words(graph, relabeling), |bytes| {
+        fnv.update(bytes);
+        Ok::<(), std::convert::Infallible>(())
+    });
     fnv.finish()
 }
 
 /// Writes an in-RAM graph as a `.ocg` file.
 ///
 /// Runs the full [`CsrGraph::validate`] sweep first (the format promises
-/// VALIDATED means exactly that), so this is O(n + m). `relabeling`, when
-/// given, is stored as the `new_to_old` section and must describe this
-/// graph (compact ids → original edge-list ids). `report` records the
-/// ingestion drop counts in the header.
+/// VALIDATED means exactly that): one pass over the rows plus one probe
+/// per undirected edge. Then the payload is hashed once, for the header,
+/// and written. `relabeling`, when given, is stored as the `new_to_old`
+/// section and must describe this graph (compact ids → original
+/// edge-list ids). `report` records the ingestion drop counts in the
+/// header.
 pub fn write_ocg_path<P: AsRef<Path>>(
     graph: &CsrGraph,
     relabeling: Option<&Relabeling>,
@@ -445,21 +457,12 @@ fn write_ocg_inner(
     );
     // Crash-safe replacement: a SIGKILL (or full disk) mid-write leaves
     // the previous file — if any — untouched; the new name only appears
-    // once its payload is complete and fsynced.
+    // once its payload is complete and fsynced. The header, written
+    // first, already holds the checksum, so the payload is not hashed
+    // again here.
     crate::atomic::atomic_write_path(path, |w| {
         w.write_all(&header)?;
-        let mut fnv = Fnv1a::default();
-        write_words(w, &mut fnv, graph.offsets_slice().iter().copied())?;
-        write_words(w, &mut fnv, graph.neighbors_slice().iter().map(|v| v.raw()))?;
-        if let Some(r) = relabeling {
-            write_words(
-                w,
-                &mut fnv,
-                (0..r.len() as u32).map(|i| r.to_original(NodeId(i)).raw()),
-            )?;
-        }
-        debug_assert_eq!(fnv.finish(), checksum);
-        Ok(())
+        for_each_word_block(payload_words(graph, relabeling), |bytes| w.write_all(bytes))
     })?;
     Ok(())
 }

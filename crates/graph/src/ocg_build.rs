@@ -41,6 +41,7 @@ use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Spill-file buffer size (per open run).
 const SPILL_BUF: usize = 1 << 18;
@@ -91,6 +92,48 @@ pub struct BuildStats {
     /// Sorted runs spilled during ingestion (1 means the input fit one
     /// chunk).
     pub ingest_runs: usize,
+    /// Wall time of each phase of the build.
+    pub phases: BuildPhases,
+}
+
+/// Wall time of each phase of a build, in nanoseconds. The phases run
+/// back to back, so they add up to the build's elapsed time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BuildPhases {
+    /// Reading and parsing the input, canonicalizing each edge, and
+    /// sorting and spilling the ingest runs.
+    pub ingest_ns: u64,
+    /// The k-way merge of the ingest runs into the deduplicated edge
+    /// spill and the degree array.
+    pub merge_ns: u64,
+    /// The degree-descending permutation, the offsets, and the directed,
+    /// relabeled pairs scattered into sorted runs.
+    pub scatter_ns: u64,
+    /// The final merge into the payload, the header, `fsync` and the
+    /// rename into place.
+    pub write_ns: u64,
+    /// The re-audit of the finished file (0 without `verify`).
+    pub verify_ns: u64,
+}
+
+impl BuildPhases {
+    /// The sum of the phases: the build's elapsed time.
+    pub fn total_ns(&self) -> u64 {
+        self.ingest_ns + self.merge_ns + self.scatter_ns + self.write_ns + self.verify_ns
+    }
+}
+
+/// A stopwatch read in laps: each [`Lap::ns`] returns the time since the
+/// previous one, so consecutive laps partition the elapsed time.
+struct Lap(Instant);
+
+impl Lap {
+    fn ns(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = now.duration_since(self.0).as_nanos() as u64;
+        self.0 = now;
+        ns
+    }
 }
 
 /// Spill directory that cleans up after itself.
@@ -314,6 +357,8 @@ fn build_inner<F>(ingest: F, output: &Path, options: &BuildOptions) -> Result<Bu
 where
     F: FnOnce(&mut dyn FnMut(u32, u32) -> Result<()>) -> Result<u64>,
 {
+    let mut lap = Lap(Instant::now());
+    let mut phases = BuildPhases::default();
     let chunk_cap = options.chunk_edges.max(1024);
     let mut tmp = TmpDir::new(
         options
@@ -356,6 +401,7 @@ where
         });
     }
     let n = node_count as usize;
+    phases.ingest_ns = lap.ns();
 
     // Phase 2: merge runs into the deduplicated spill + degree array.
     let merged_path = tmp.path.join("merged.bin");
@@ -387,6 +433,7 @@ where
         std::fs::remove_file(run).ok();
     }
     let directed = edge_count * 2;
+    phases.merge_ns = lap.ns();
 
     // Phase 3: the degree-descending permutation, matching
     // Relabeling::degree_descending key for key.
@@ -460,6 +507,7 @@ where
     }
     std::fs::remove_file(&merged_path).ok();
     drop(chunk);
+    phases.scatter_ns = lap.ns();
 
     // Phase 5: merge the directed runs straight into the .ocg payload.
     let mut flags = OCG_FLAG_VALIDATED;
@@ -533,10 +581,12 @@ where
     crate::atomic::commit_temp_path(&final_tmp, output)?;
     final_guard.0 = None;
     drop(tmp);
+    phases.write_ns = lap.ns();
 
     if options.verify {
         crate::ocg::verify_ocg_path(output)?;
     }
+    phases.verify_ns = lap.ns();
     Ok(BuildStats {
         nodes: n,
         edges: edge_count,
@@ -544,6 +594,7 @@ where
         self_loops,
         duplicates,
         ingest_runs,
+        phases,
     })
 }
 
@@ -698,7 +749,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(payload, "planted");
-        assert_eq!(emit_stats, iter_stats);
+        // Everything but the wall times.
+        let untimed = |stats| BuildStats {
+            phases: BuildPhases::default(),
+            ..stats
+        };
+        assert_eq!(untimed(emit_stats), untimed(iter_stats));
         let a = open_ocg_path(&from_iter).unwrap();
         let b = open_ocg_path(&from_emit).unwrap();
         assert_eq!(a.graph, b.graph);
@@ -733,6 +789,35 @@ mod tests {
         assert!(err.to_string().contains("emitter_err"), "{err}");
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir_all(&spill_dir).ok();
+    }
+
+    #[test]
+    fn phases_add_up_to_the_elapsed_time() {
+        let edges = messy_edges(20_000, 200_000, 3);
+        let path = tmp("phases.ocg");
+        let options = BuildOptions {
+            chunk_edges: 50_000,
+            ..BuildOptions::default()
+        };
+        let start = Instant::now();
+        let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
+        let elapsed = start.elapsed().as_nanos() as u64;
+        let p = stats.phases;
+        for (name, ns) in [
+            ("ingest", p.ingest_ns),
+            ("merge", p.merge_ns),
+            ("scatter", p.scatter_ns),
+            ("write", p.write_ns),
+            ("verify", p.verify_ns),
+        ] {
+            assert!(ns > 0, "{name} phase not timed: {p:?}");
+        }
+        let total = p.total_ns();
+        assert!(
+            total <= elapsed && total as f64 >= 0.95 * elapsed as f64,
+            "phases {p:?} sum to {total} ns of {elapsed} ns"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -118,24 +118,6 @@ impl LoadedGraph {
             .unwrap_or(0)
     }
 
-    /// Maps a compact node id to the input id space.
-    #[inline]
-    pub fn node_to_input(&self, v: oca_graph::NodeId) -> oca_graph::NodeId {
-        match &self.relabeling {
-            Some(r) => r.to_original(v),
-            None => v,
-        }
-    }
-
-    /// Maps an input node id to the compact space.
-    #[inline]
-    pub fn node_to_compact(&self, v: oca_graph::NodeId) -> oca_graph::NodeId {
-        match &self.relabeling {
-            Some(r) => r.to_compact(v),
-            None => v,
-        }
-    }
-
     /// Maps a cover produced on the compact graph back to input ids (the
     /// form that goes to disk or to the user).
     pub fn cover_to_input(&self, cover: &Cover) -> Cover {
@@ -196,7 +178,6 @@ mod tests {
         assert_eq!(loaded.self_loops(), 1);
         assert_eq!(loaded.duplicates(), 1);
         // Identity crossings.
-        assert_eq!(loaded.node_to_compact(NodeId(3)), NodeId(3));
         let cover = Cover::new(5, vec![Community::from_raw([0, 3])]);
         assert_eq!(loaded.cover_to_input(&cover), cover);
         assert_eq!(loaded.cover_to_compact(&cover), cover);
@@ -220,8 +201,10 @@ mod tests {
         assert_eq!(loaded.self_loops(), 1);
         assert_eq!(loaded.duplicates(), 1);
         // The hub (input id 3) has the highest degree, so it is compact 0.
-        assert_eq!(loaded.node_to_compact(NodeId(3)), NodeId(0));
-        assert_eq!(loaded.node_to_input(NodeId(0)), NodeId(3));
+        let hub = Cover::new(5, vec![Community::from_raw([3])]);
+        let hub_compact = Cover::new(5, vec![Community::from_raw([0])]);
+        assert_eq!(loaded.cover_to_compact(&hub), hub_compact);
+        assert_eq!(loaded.cover_to_input(&hub_compact), hub);
         // Round-trip a cover through both crossings.
         let input_cover = Cover::new(5, vec![Community::from_raw([1, 3])]);
         let compact = loaded.cover_to_compact(&input_cover);

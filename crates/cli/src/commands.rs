@@ -17,7 +17,6 @@ use oca_graph::{
     build_ocg_from_path, read_cover_path, read_ocg_info, verify_ocg_path, write_cover_path,
     BuildOptions, Cover, CsrGraph, GraphStats, IntegrityClass,
 };
-use oca_hierarchy::Summary;
 use oca_metrics::{average_f1, extended_modularity, overlapping_nmi, theta};
 use oca_serve::{load_cover_path, save_cover_path, RecomputeFn, ServeConfig, Server};
 use rand::rngs::StdRng;
@@ -87,7 +86,6 @@ pub fn run(cli: &Cli) -> Result<(), CmdError> {
         Some("detect") | Some("run") => detect(cli).map_err(CmdError::from),
         Some("eval") => eval(cli).map_err(CmdError::from),
         Some("stats") => stats(cli).map_err(CmdError::from),
-        Some("summarize") => summarize(cli).map_err(CmdError::from),
         Some("serve") => serve(cli).map_err(CmdError::from),
         Some("cover") => cover(cli),
         Some("graph") => graph_cmd(cli),
@@ -111,7 +109,8 @@ USAGE: oca <command> [--key value]...
 
 COMMANDS:
   generate   --family lfr|daisy|gnp|ba|rmat|wiki --output G.edges
-             [--nodes N] [--mu F] [--seed S] [--truth T.cover]
+             [--nodes N] [--seed S] [--truth T.cover]
+             [--mu F (lfr)] [--p F (gnp)] [--m N (ba)]
   detect     --input G.edges | --graph G.ocg
   (or: run)  [--algorithm NAME] [--output C.cover]
              [--seed S] [--progress] [--orphans]
@@ -119,15 +118,16 @@ COMMANDS:
              plus the algorithm's own options; see --list-algorithms
   eval       (--input G.edges | --graph G.ocg) --truth T.cover --found C.cover
   stats      --input G.edges | --graph G.ocg
-  summarize  (--input G.edges | --graph G.ocg) --cover C.cover
   serve      (--input G.edges | --graph G.ocg) [--addr HOST:PORT]
              [--workers N] [--seed S] [--cover C.bin] [--save-cover C.bin]
              [--recompute-secs F] [--recompute-checkpoint F.ockpt]
              [--algorithm NAME] [--fixed-c F]
              [--max-seconds F] [--deadline-ms N] [--max-pending N]
              [--idle-secs F] [--max-line-bytes N]
-  cover      save --input G.edges --cover C.cover --output C.bin [--fixed-c F]
-             load --input G.edges --binary C.bin [--output C.cover]
+  cover      save (--input G.edges | --graph G.ocg) --cover C.cover
+                  --output C.bin [--fixed-c F]
+             load (--input G.edges | --graph G.ocg) --binary C.bin
+                  [--output C.cover]
   graph      build --input G.edges[.gz] --output G.ocg [--chunk-edges N]
                    [--min-nodes N] [--tmp-dir D] [--no-relabel] [--no-verify]
              info --graph G.ocg
@@ -309,6 +309,17 @@ fn detect(cli: &Cli) -> Result<(), String> {
     let mut valid: Vec<&str> = DETECT_OPTIONS.to_vec();
     valid.extend(spec.option_keys());
     cli.ensure_known(&valid, &DETECT_FLAGS)?;
+    // `--checkpoint F [--resume]` is shorthand for the registry keys; a
+    // mix of the two spellings would let one silently override the other.
+    if cli.get_str("checkpoint").is_some()
+        && (cli.get_str("checkpoint-path").is_some() || cli.get_str("checkpoint-resume").is_some())
+    {
+        return Err(
+            "pass either --checkpoint F [--resume] or --checkpoint-path F \
+             [--checkpoint-resume fresh|strict|salvage], not both"
+                .to_string(),
+        );
+    }
 
     let loaded = load_graph(cli)?;
     let graph = &loaded.graph;
@@ -494,28 +505,6 @@ fn stats(cli: &Cli) -> Result<(), String> {
     println!("components   {}", comps.count());
     let cores = oca_graph::CoreDecomposition::compute(&graph);
     println!("degeneracy   {}", cores.degeneracy());
-    Ok(())
-}
-
-fn summarize(cli: &Cli) -> Result<(), String> {
-    cli.ensure_known(&["input", "graph", "cover"], &[])?;
-    let loaded = load_graph(cli)?;
-    let graph = &loaded.graph;
-    let cover_path = cli.require("cover")?;
-    let cover = read_cover_path(graph.node_count(), cover_path)
-        .map_err(|e| format!("reading {cover_path}: {e}"))?;
-    let cover = loaded.cover_to_compact(&cover);
-    let summary = Summary::build(graph, &cover);
-    println!("supernodes          {}", summary.len());
-    println!("superedges          {}", summary.superedge_count());
-    println!(
-        "compression ratio   {:.4}",
-        summary.compression_ratio(graph)
-    );
-    println!(
-        "reconstruction err  {:.4}",
-        summary.reconstruction_error(graph)
-    );
     Ok(())
 }
 
@@ -889,12 +878,6 @@ mod tests {
             c.display()
         )))
         .unwrap();
-        run(&cli(&format!(
-            "summarize --input {} --cover {}",
-            g.display(),
-            c.display()
-        )))
-        .unwrap();
         run(&cli(&format!("stats --input {}", g.display()))).unwrap();
     }
 
@@ -1126,12 +1109,6 @@ mod tests {
         )))
         .unwrap();
         run(&cli(&format!("stats --graph {}", ocg.display()))).unwrap();
-        run(&cli(&format!(
-            "summarize --graph {} --cover {}",
-            ocg.display(),
-            from_ocg.display()
-        )))
-        .unwrap();
         // Both sources at once is an error, as is neither.
         let err = run(&cli(&format!(
             "stats --input {} --graph {}",
@@ -1207,6 +1184,105 @@ mod tests {
         assert!(usage().contains("detect"));
     }
 
+    /// The lines of `usage()`'s command list that document `command`
+    /// (and `action`, for `cover` and `graph`). A block starts at a
+    /// command name in column 2, or at an action word in column 13 that
+    /// is followed by its options, and runs to the next such line.
+    fn usage_block(command: &str, action: Option<&str>) -> String {
+        let text = usage();
+        let list = text
+            .split("COMMANDS:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("usage has a COMMANDS list");
+        let word_at = |line: &str, col: usize| -> Option<String> {
+            let rest = line.get(col..)?;
+            rest.starts_with(|c: char| c.is_ascii_lowercase())
+                .then(|| rest.split(' ').next().unwrap_or("").to_string())
+        };
+        let (mut cmd, mut act) = (String::new(), None::<String>);
+        let mut block = String::new();
+        for line in list.lines() {
+            if let Some(name) = word_at(line, 2) {
+                cmd = name;
+                act = None;
+            }
+            if let Some(word) = word_at(line, 13) {
+                let after = &line[13 + word.len()..];
+                if after.starts_with(" --") || after.starts_with(" (") {
+                    act = Some(word);
+                }
+            }
+            if cmd == command && act.as_deref() == action {
+                block.push_str(line);
+                block.push('\n');
+            }
+        }
+        block
+    }
+
+    /// The keys an `ensure_known` error lists after `marker`.
+    fn listed_keys(message: &str, marker: &str) -> Vec<String> {
+        match message.split(marker).nth(1) {
+            Some(list) => list
+                .split(", ")
+                .map(|k| k.trim().trim_start_matches("--").to_string())
+                .collect(),
+            None => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_key_each_command_accepts() {
+        // `--key` as a whole token: not a prefix of a longer key.
+        let mentions = |block: &str, key: &str| {
+            let needle = format!("--{key}");
+            block.match_indices(&needle).any(|(at, _)| {
+                !block[at + needle.len()..]
+                    .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            })
+        };
+        let algorithm_keys = registry().get("oca").unwrap().option_keys();
+        let commands: [(&str, Option<&str>); 10] = [
+            ("generate", None),
+            ("detect", None),
+            ("eval", None),
+            ("stats", None),
+            ("serve", None),
+            ("cover", Some("save")),
+            ("cover", Some("load")),
+            ("graph", Some("build")),
+            ("graph", Some("info")),
+            ("graph", Some("verify")),
+        ];
+        for (command, action) in commands {
+            let invocation = format!("{command} {}", action.unwrap_or(""));
+            let block = usage_block(command, action);
+            assert!(!block.is_empty(), "no usage block for `{invocation}`");
+            let option_err = run(&cli(&format!("{invocation} --zz-unknown 1"))).unwrap_err();
+            let options = listed_keys(&option_err.message, "valid options: ");
+            assert!(!options.is_empty(), "{option_err}");
+            let flag_err = run(&cli(&format!("{invocation} --zz-unknown"))).unwrap_err();
+            assert!(flag_err.message.contains("flag"), "{flag_err}");
+            let flags = listed_keys(&flag_err.message, "valid flags: ");
+            for key in options.iter().chain(&flags) {
+                if command == "detect" && algorithm_keys.contains(&key.as_str()) {
+                    continue; // `--list-algorithms` documents these.
+                }
+                assert!(
+                    mentions(&block, key),
+                    "`{invocation}` accepts --{key}, but its usage block does not list it:\n{block}"
+                );
+            }
+        }
+        // `summarize` is gone: it is an unknown command like any other.
+        let err = run(&cli("summarize --input g.edges --cover c.cover")).unwrap_err();
+        assert!(
+            err.message.contains("unknown command \"summarize\""),
+            "{err}"
+        );
+    }
+
     #[test]
     fn detect_with_checkpoint_completes_and_spends_the_file() {
         let dir = tmpdir();
@@ -1249,6 +1325,55 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.message.contains("checkpoint"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_shorthand_and_registry_keys_do_not_mix() {
+        let dir = tmpdir();
+        let g = dir.join("g13.edges");
+        let bad = dir.join("bad13.ockpt");
+        run(&cli(&format!(
+            "generate --family lfr --nodes 150 --mu 0.2 --output {}",
+            g.display()
+        )))
+        .unwrap();
+        std::fs::write(&bad, b"not a checkpoint").unwrap();
+        // Either registry key next to `--checkpoint` is refused, naming
+        // both spellings, instead of being silently overridden.
+        for extra in [
+            "--resume --checkpoint-resume salvage".to_string(),
+            format!("--checkpoint-path {}", bad.display()),
+        ] {
+            let err = run(&cli(&format!(
+                "detect --input {} --checkpoint {} {extra}",
+                g.display(),
+                bad.display()
+            )))
+            .unwrap_err();
+            assert!(
+                err.message.contains("--checkpoint F")
+                    && err.message.contains("--checkpoint-path F")
+                    && err.message.contains("not both"),
+                "{err}"
+            );
+        }
+        // The registry spelling alone reaches `salvage`: the garbage file
+        // is discarded and the run starts fresh.
+        run(&cli(&format!(
+            "detect --input {} --checkpoint-path {} --checkpoint-resume salvage",
+            g.display(),
+            bad.display()
+        )))
+        .unwrap();
+        // The shorthand alone resumes strictly, so the garbage is an error.
+        std::fs::write(&bad, b"not a checkpoint").unwrap();
+        let err = run(&cli(&format!(
+            "detect --input {} --checkpoint {} --resume",
+            g.display(),
+            bad.display()
+        )))
+        .unwrap_err();
+        assert!(err.message.contains("magic"), "{err}");
     }
 
     #[test]

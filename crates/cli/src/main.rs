@@ -1,6 +1,7 @@
 //! The `oca` command-line tool: generate benchmark graphs, detect
 //! overlapping communities (OCA and baselines), evaluate against ground
-//! truth, and summarize. Run `oca help` for usage.
+//! truth, serve covers, and build and check `.ocg` graphs and binary
+//! covers. Run `oca help` for usage.
 
 mod args;
 mod commands;

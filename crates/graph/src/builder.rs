@@ -73,11 +73,6 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of raw (possibly duplicate) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`, growing the node count if needed.
     /// Self-loops are accepted here and dropped at build time.
     #[inline]
@@ -87,21 +82,6 @@ impl GraphBuilder {
             self.node_count = hi;
         }
         self.edges.push((u, v));
-    }
-
-    /// Adds `{u, v}` only if both endpoints are within the fixed node count.
-    pub fn try_add_edge(&mut self, u: u32, v: u32) -> Result<()> {
-        let n = self.node_count as u32;
-        for x in [u, v] {
-            if x >= n {
-                return Err(GraphError::NodeOutOfBounds {
-                    node: x,
-                    node_count: n,
-                });
-            }
-        }
-        self.edges.push((u, v));
-        Ok(())
     }
 
     /// Adds all edges from an iterator.
@@ -260,14 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn try_add_edge_bounds_check() {
-        let mut b = GraphBuilder::new(3);
-        assert!(b.try_add_edge(0, 2).is_ok());
-        let err = b.try_add_edge(0, 3).unwrap_err();
-        assert!(err.to_string().contains("out of bounds"));
-    }
-
-    #[test]
     fn try_new_rejects_oversized_graphs() {
         assert!(GraphBuilder::try_new(u32::MAX as usize).is_ok());
         let err = GraphBuilder::try_new(u32::MAX as usize + 1).unwrap_err();
@@ -287,7 +259,6 @@ mod tests {
     fn extend_edges_and_capacity() {
         let mut b = GraphBuilder::new(10).with_edge_capacity(3);
         b.extend_edges([(0, 1), (2, 3), (4, 5)]);
-        assert_eq!(b.raw_edge_count(), 3);
         let g = b.build();
         assert_eq!(g.edge_count(), 3);
     }

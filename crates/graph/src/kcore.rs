@@ -1,9 +1,8 @@
 //! k-core decomposition (Matula–Beck peeling).
 //!
 //! The core number of a node is the largest `k` such that the node survives
-//! in the maximal subgraph of minimum degree `k`. Dense-core seeding
-//! strategies and the summarization crate use it to rank nodes by how
-//! deeply they sit inside communities.
+//! in the maximal subgraph of minimum degree `k`. `oca stats` reports the
+//! largest core number as the graph's degeneracy.
 
 use crate::csr::CsrGraph;
 use crate::node::NodeId;

@@ -50,7 +50,6 @@ pub mod ocg_build;
 pub mod relabel;
 pub mod stats;
 mod storage;
-pub mod subgraph;
 #[cfg(test)]
 mod testing;
 pub mod traversal;
@@ -80,6 +79,5 @@ pub use ocg_build::{
 };
 pub use relabel::Relabeling;
 pub use stats::GraphStats;
-pub use subgraph::Subgraph;
 pub use traversal::ball;
 pub use union_find::UnionFind;

@@ -1154,7 +1154,7 @@ impl Server {
     }
 }
 
-/// Default cap on one response line read by [`Client::request`] — beyond
+/// Cap on one response line read by [`Client::request`] — beyond
 /// this the server is assumed broken (or hostile) and the read fails with
 /// a typed error instead of buffering without bound. `query` responses on
 /// giant communities are the largest legitimate lines; 64 MiB covers a
@@ -1167,7 +1167,6 @@ pub const CLIENT_RESPONSE_CAP: usize = 64 << 20;
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    response_cap: usize,
 }
 
 impl Client {
@@ -1179,19 +1178,12 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
-            response_cap: CLIENT_RESPONSE_CAP,
         })
-    }
-
-    /// Replaces the response-size cap (default [`CLIENT_RESPONSE_CAP`]).
-    pub fn with_response_cap(mut self, bytes: usize) -> Client {
-        self.response_cap = bytes.max(2);
-        self
     }
 
     /// Sends one request line and returns the (trimmed) JSON response
     /// line. Rejects requests containing a newline (they would smuggle a
-    /// second request) and responses exceeding the configured cap.
+    /// second request) and responses exceeding [`CLIENT_RESPONSE_CAP`].
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
         if line.contains('\n') {
             return Err(std::io::Error::new(
@@ -1204,7 +1196,7 @@ impl Client {
         self.writer.flush()?;
         let mut response = String::new();
         let n = (&mut self.reader)
-            .take(self.response_cap as u64)
+            .take(CLIENT_RESPONSE_CAP as u64)
             .read_line(&mut response)?;
         if n == 0 {
             return Err(std::io::Error::new(
@@ -1213,10 +1205,10 @@ impl Client {
             ));
         }
         if !response.ends_with('\n') {
-            return Err(if n >= self.response_cap {
+            return Err(if n >= CLIENT_RESPONSE_CAP {
                 std::io::Error::new(
                     ErrorKind::InvalidData,
-                    format!("response exceeded the {}-byte cap", self.response_cap),
+                    format!("response exceeded the {CLIENT_RESPONSE_CAP}-byte cap"),
                 )
             } else {
                 std::io::Error::new(ErrorKind::UnexpectedEof, "connection closed mid-response")

@@ -24,7 +24,6 @@ pub use oca_baselines as baselines;
 pub use oca_bench as bench;
 pub use oca_gen as gen;
 pub use oca_graph as graph;
-pub use oca_hierarchy as hierarchy;
 pub use oca_metrics as metrics;
 pub use oca_serve as serve;
 pub use oca_spectral as spectral;

@@ -742,30 +742,6 @@ proptest! {
         let want = global.cover.communities()[membership[query][0] as usize].members();
         prop_assert_eq!(got, want);
     }
-
-    #[test]
-    fn subgraph_preserves_adjacency(
-        edges in edge_list(20, 80),
-        members in prop::collection::btree_set(0u32..20, 0..12),
-    ) {
-        let g = from_edges(20, edges);
-        let members: Vec<NodeId> = members.into_iter().map(NodeId).collect();
-        let sub = oca_graph::Subgraph::induced(&g, &members);
-        for u in sub.graph.nodes() {
-            for &v in sub.graph.neighbors(u) {
-                prop_assert!(g.has_edge(sub.parent_id(u), sub.parent_id(v)));
-            }
-        }
-        // Edge count equals internal edges of the member set.
-        let mut flags = vec![false; 20];
-        for &v in &members {
-            flags[v.index()] = true;
-        }
-        prop_assert_eq!(
-            sub.graph.edge_count(),
-            g.internal_edges(&members, &flags)
-        );
-    }
 }
 
 /// Guards the hub-cover properties against a vacuous generator: covers

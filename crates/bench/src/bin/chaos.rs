@@ -21,11 +21,13 @@
 //! cargo run -p oca-bench --release --bin chaos -- --smoke # 5k CI gate
 //! ```
 
-use oca::{CStrategy, HaltingConfig, LocalConfig, OcaConfig, OcaDetector, SearchConfig};
-use oca_bench::report::{report, Value};
-use oca_bench::{object, Args, Table};
+use oca::{CStrategy, HaltingConfig, LocalConfig, OcaConfig, OcaDetector};
+use oca_bench::report::report;
+use oca_bench::{Args, CancelOnDrop, Table};
 use oca_gen::{lfr, LfrParams};
-use oca_graph::{from_edges, CancelToken, Community, CommunityDetector, Cover, DetectContext};
+use oca_graph::{
+    from_edges, json::Value, object, Community, CommunityDetector, Cover, DetectContext,
+};
 use oca_serve::{persist, Client, FaultPlan, FaultSpec, RecomputeFn, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,16 +38,6 @@ use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Cancels the server on scope unwind so a panicking client thread can
-/// never leave `std::thread::scope` waiting on the accept loop forever.
-struct CancelOnDrop(CancelToken);
-
-impl Drop for CancelOnDrop {
-    fn drop(&mut self) {
-        self.0.cancel();
-    }
-}
 
 /// What one well-formed client measured. Any response that is not exactly
 /// one parseable JSON line is `torn`; any I/O failure is `lost`.
@@ -402,11 +394,7 @@ fn main() {
         faults: faults.clone(),
         local: LocalConfig {
             c: CStrategy::Fixed(fixed_c),
-            search: SearchConfig {
-                budget_factor: 64.0,
-                ..Default::default()
-            },
-            ..Default::default()
+            ..ServeConfig::default().local
         },
     };
     let recompute: Box<RecomputeFn> = Box::new(move |graph, seed, cancel| {

@@ -3,8 +3,8 @@
 //! end-to-end single-thread detection, on LFR / BA / hub-stress BA /
 //! daisy graphs. Results go to `results/BENCH_hotpath.json`, or under
 //! `target/bench-smoke/` in smoke mode (fields documented in README.md),
-//! with ns/move, moves/s, a per-phase
-//! ascent/dedup/merge/orphan wall-clock breakdown, peak RSS, and
+//! with ns/move, moves/s, every end-to-end phase (`oca::PhaseNanos`) and
+//! the spectral solve's steps and convergence, peak RSS, and
 //! before/after deltas against a committed baseline snapshot; a ns/move
 //! regression beyond 25% of the baseline — or a dedup+merge phase blow-up
 //! beyond 1.5x + 10 ms — exits non-zero, so CI can gate on it.
@@ -37,12 +37,12 @@
 
 use oca::{
     initial_set, local_search, ticket_seed, CheckpointConfig, CommunityState, HaltingConfig, Oca,
-    OcaConfig, SearchConfig, SeedStrategy,
+    OcaConfig, PhaseNanos, SearchConfig, SeedStrategy,
 };
-use oca_bench::report::{report, Value};
-use oca_bench::{object, peak_rss_bytes, results_dir, Args, Table};
+use oca_bench::report::report;
+use oca_bench::{peak_rss_bytes, results_dir, Args, Table};
 use oca_gen::{barabasi_albert, daisy_tree, lfr, DaisyParams, LfrParams};
-use oca_graph::{Cover, CsrGraph, NodeId};
+use oca_graph::{json::Value, object, Cover, CsrGraph, NodeId};
 use oca_metrics::{omega_index, theta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,20 +57,19 @@ struct AscentStats {
     moves_per_sec: f64,
 }
 
-/// Measurements of one end-to-end single-thread detection, including the
-/// per-phase wall-clock breakdown (`OcaResult::phases`) so off-ascent
-/// regressions — dedup, merging, orphan assignment — are visible and
-/// gateable on their own, not just inside `end_to_end_secs`.
+/// Measurements of one end-to-end single-thread detection, including
+/// every phase of its wall clock (`OcaResult::phases`) so off-ascent
+/// regressions — spectral solve, dedup, merging, orphans — are visible
+/// and gateable on their own, not just inside `end_to_end_secs`.
 struct EndToEndStats {
     secs: f64,
     seeds_tried: usize,
     communities: usize,
     coverage: f64,
     halt: &'static str,
-    ascent_ns: u64,
-    dedup_ns: u64,
-    merge_ns: u64,
-    orphan_ns: u64,
+    phases: PhaseNanos,
+    spectral_iterations: usize,
+    spectral_converged: bool,
 }
 
 /// One benchmark case: a (family, n) pair with both measurements. The
@@ -201,10 +200,9 @@ fn bench_end_to_end(graph: &CsrGraph, seed: u64, search: SearchConfig) -> (EndTo
         communities: result.cover.len(),
         coverage: result.cover.coverage(),
         halt: result.halt_reason.map_or("none", |r| r.label()),
-        ascent_ns: result.phases.ascent_ns,
-        dedup_ns: result.phases.dedup_ns,
-        merge_ns: result.phases.merge_ns,
-        orphan_ns: result.phases.orphan_ns,
+        phases: result.phases,
+        spectral_iterations: result.spectral_iterations,
+        spectral_converged: result.spectral_converged,
     };
     (stats, result.cover)
 }
@@ -316,6 +314,7 @@ fn parse_baseline(report: &Value) -> Vec<BaselineCase> {
 
 fn case_report(case: &Case, baseline: Option<&BaselineCase>) -> Value {
     let e2e = &case.end_to_end;
+    let phases = &e2e.phases;
     let mut out = object! {
         "family": case.family,
         "nodes": case.nodes,
@@ -330,10 +329,15 @@ fn case_report(case: &Case, baseline: Option<&BaselineCase>) -> Value {
         "communities": e2e.communities,
         "coverage": e2e.coverage,
         "halt": e2e.halt,
-        "ascent_ns": e2e.ascent_ns,
-        "dedup_ns": e2e.dedup_ns,
-        "merge_ns": e2e.merge_ns,
-        "orphan_ns": e2e.orphan_ns,
+        "spectral_ns": phases.spectral_ns,
+        "setup_ns": phases.setup_ns,
+        "ascent_ns": phases.ascent_ns,
+        "dedup_ns": phases.dedup_ns,
+        "merge_ns": phases.merge_ns,
+        "orphan_ns": phases.orphan_ns,
+        "unattributed_ns": phases.unattributed_ns,
+        "spectral_iterations": e2e.spectral_iterations,
+        "spectral_converged": e2e.spectral_converged,
     };
     if let (Some(th), Some(om)) = (case.theta_vs_unbudgeted, case.omega_vs_unbudgeted) {
         out.push("theta_vs_unbudgeted", th);
@@ -510,8 +514,8 @@ fn main() {
         "vs before",
     ]);
     for case in &cases {
-        let off_ascent_ns =
-            case.end_to_end.dedup_ns + case.end_to_end.merge_ns + case.end_to_end.orphan_ns;
+        let phases = &case.end_to_end.phases;
+        let off_ascent_ns = phases.dedup_ns + phases.merge_ns + phases.orphan_ns;
         table.row([
             case.family.to_string(),
             case.nodes.to_string(),
@@ -581,7 +585,7 @@ fn main() {
                 );
                 regressed = true;
             }
-            let off_ascent = case.end_to_end.dedup_ns + case.end_to_end.merge_ns;
+            let off_ascent = case.end_to_end.phases.dedup_ns + case.end_to_end.phases.merge_ns;
             let before = b.dedup_ns + b.merge_ns;
             if before > 0 && off_ascent > before + before / 2 + 10_000_000 {
                 eprintln!(

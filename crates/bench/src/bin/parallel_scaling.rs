@@ -12,10 +12,10 @@
 //! ```
 
 use oca::{HaltingConfig, Oca, OcaConfig, OcaResult};
-use oca_bench::report::{report, Value};
-use oca_bench::{object, secs, Args, Table};
+use oca_bench::report::report;
+use oca_bench::{secs, Args, Table};
 use oca_gen::{lfr, planted_partition, LfrParams};
-use oca_graph::CsrGraph;
+use oca_graph::{json::Value, object, CsrGraph};
 
 struct Point {
     threads: usize,

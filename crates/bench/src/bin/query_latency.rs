@@ -15,27 +15,17 @@
 //! cargo run -p oca-bench --release --bin query_latency -- --smoke # 10k CI gate
 //! ```
 
-use oca::{CStrategy, HaltingConfig, LocalConfig, OcaConfig, OcaDetector, SearchConfig};
-use oca_bench::report::{report, Value};
-use oca_bench::{object, Args, Table};
+use oca::{CStrategy, HaltingConfig, LocalConfig, OcaConfig, OcaDetector};
+use oca_bench::report::report;
+use oca_bench::{Args, CancelOnDrop, Table};
 use oca_gen::{lfr, LfrParams};
-use oca_graph::{CancelToken, CommunityDetector, DetectContext};
+use oca_graph::{json::Value, object, CommunityDetector, DetectContext};
 use oca_serve::{Client, RecomputeFn, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Cancels the server on scope unwind, so a panicking client thread can
-/// never leave `std::thread::scope` waiting on the accept loop forever.
-struct CancelOnDrop(CancelToken);
-
-impl Drop for CancelOnDrop {
-    fn drop(&mut self) {
-        self.0.cancel();
-    }
-}
 
 /// What one client thread measured: exact per-request nanoseconds.
 #[derive(Default)]
@@ -109,14 +99,9 @@ fn main() {
         recompute_interval: Some(Duration::from_millis(recompute_ms)),
         max_duration: None,
         local: LocalConfig {
-            // Fixed c keeps startup graph-size-independent; the serving
-            // default budget so a hub query cannot stall a worker.
+            // Fixed c keeps startup graph-size-independent.
             c: CStrategy::Fixed(fixed_c),
-            search: SearchConfig {
-                budget_factor: 64.0,
-                ..Default::default()
-            },
-            ..Default::default()
+            ..ServeConfig::default().local
         },
         ..Default::default()
     };

@@ -24,10 +24,10 @@
 //! ```
 
 use oca::{checkpoint_summary, CheckpointConfig, Oca, OcaConfig, OcaResult};
-use oca_bench::report::{report, Value};
-use oca_bench::{object, Args, Table};
+use oca_bench::report::report;
+use oca_bench::{Args, Table};
 use oca_gen::{lfr, LfrParams};
-use oca_graph::CsrGraph;
+use oca_graph::{json::Value, object, CsrGraph};
 use oca_serve::persist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -31,12 +31,12 @@
 //! ```
 
 use oca::{HaltingConfig, Oca, OcaConfig};
-use oca_bench::report::{report, Value};
-use oca_bench::{object, peak_rss_bytes, results_dir, Args, Table};
+use oca_bench::report::report;
+use oca_bench::{peak_rss_bytes, results_dir, Args, Table};
 use oca_gen::{wiki_like_edges, WikiLikeParams};
 use oca_graph::{
-    build_ocg_from_emitter, open_ocg_path, read_cover_path, verify_ocg_path, write_cover_path,
-    BuildOptions, Cover, Fnv1a,
+    build_ocg_from_emitter, json::Value, object, open_ocg_path, read_cover_path, verify_ocg_path,
+    write_cover_path, BuildOptions, Cover, Fnv1a,
 };
 use std::path::PathBuf;
 use std::time::Instant;

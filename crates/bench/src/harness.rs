@@ -12,9 +12,9 @@
 
 use oca::merge_similar;
 use oca_api::{registry, CommunityDetector, DetectContext};
-use oca_graph::{Cover, CsrGraph};
+use oca_graph::{CancelToken, Cover, CsrGraph};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Registry names of the algorithms the paper's quality experiments
@@ -189,14 +189,37 @@ pub fn peak_rss_bytes() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
-/// The `results/` directory next to the workspace root (falls back to cwd).
+/// The `results/` directory of the workspace the process runs in: beside
+/// the nearest `Cargo.toml` with a `[workspace]` table at or above the
+/// current directory, else `./results`. It is found at run time, so a
+/// bench binary built in one checkout and run in another writes into the
+/// one it runs in.
 pub fn results_dir() -> PathBuf {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .map(|root| root.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
+    results_dir_from(&std::env::current_dir().unwrap_or_default())
+}
+
+/// [`results_dir`] for the current directory `start`.
+fn results_dir_from(start: &Path) -> PathBuf {
+    let has_workspace = |dir: &&Path| match std::fs::read_to_string(dir.join("Cargo.toml")) {
+        Ok(toml) => toml.lines().any(|line| line.trim() == "[workspace]"),
+        Err(_) => false,
+    };
+    start
+        .ancestors()
+        .find(has_workspace)
+        .unwrap_or(start)
+        .join("results")
+}
+
+/// Cancels a server when dropped, so a panicking client thread can never
+/// leave `std::thread::scope` waiting on the accept loop forever.
+#[derive(Debug)]
+pub struct CancelOnDrop(pub CancelToken);
+
+impl Drop for CancelOnDrop {
+    fn drop(&mut self) {
+        self.0.cancel();
+    }
 }
 
 /// Parses `--key value` style arguments with defaults, for the experiment
@@ -320,6 +343,28 @@ mod tests {
         let text = t.render();
         assert!(text.contains("long-header"));
         assert_eq!(text.lines().count(), 4);
+    }
+
+    #[test]
+    fn results_dir_is_found_above_the_start_directory() {
+        let root = std::env::temp_dir().join(format!("oca_results_dir_{}", std::process::id()));
+        let member = root.join("crates").join("member");
+        let start = member.join("src");
+        std::fs::create_dir_all(&start).unwrap();
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        // A member manifest that only inherits from the workspace is not
+        // a workspace root.
+        std::fs::write(
+            member.join("Cargo.toml"),
+            "[package]\nedition.workspace = true\n",
+        )
+        .unwrap();
+        assert_eq!(results_dir_from(&start), root.join("results"));
+        assert_eq!(results_dir_from(&root), root.join("results"));
+        // Without a workspace manifest above it, `start` itself holds it.
+        std::fs::remove_file(root.join("Cargo.toml")).unwrap();
+        assert_eq!(results_dir_from(&start), start.join("results"));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -17,5 +17,5 @@ pub mod report;
 
 pub use harness::{
     display_name, peak_rss_bytes, results_dir, run_algorithm, run_detector, secs,
-    shared_postprocess, Args, RunOutput, Table, QUALITY_ALGORITHMS,
+    shared_postprocess, Args, CancelOnDrop, RunOutput, Table, QUALITY_ALGORITHMS,
 };

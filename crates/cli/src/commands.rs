@@ -6,7 +6,7 @@
 //! are errors listing the valid options rather than silently ignored.
 
 use crate::args::Cli;
-use oca::{CStrategy, LocalConfig, LocalDetector, SearchConfig};
+use oca::{CStrategy, LocalDetector};
 use oca_api::{registry, DetectContext, DetectorOptions, GraphSource, LoadedGraph, Progress};
 use oca_gen::{
     barabasi_albert, daisy_tree, gnp, lfr, rmat, wiki_like, DaisyParams, LfrParams, RmatParams,
@@ -590,15 +590,7 @@ fn serve(cli: &Cli) -> Result<(), String> {
     let max_line_bytes: usize = cli.get("max-line-bytes", 64 * 1024)?;
     let algorithm = cli.get_str("algorithm").unwrap_or("oca").to_string();
 
-    let mut local = LocalConfig {
-        // The serving default: a scaled move budget so a hub query cannot
-        // stall a worker.
-        search: SearchConfig {
-            budget_factor: 64.0,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+    let mut local = ServeConfig::default().local;
     let fixed_c: Option<f64> = cli
         .get_str("fixed-c")
         .map(|c| {

@@ -43,6 +43,7 @@ pub mod epoch;
 pub mod error;
 pub mod gzip;
 pub mod io;
+pub mod json;
 pub mod kcore;
 pub mod node;
 pub mod ocg;

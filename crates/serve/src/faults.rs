@@ -13,7 +13,7 @@
 //! | site | injected failure | expected containment |
 //! |------|------------------|----------------------|
 //! | `panic_request` | `panic!` inside request dispatch | typed `internal` error response; connection survives; panic counted |
-//! | `stall_request` | sleep inside dispatch | request deadline fires → typed `deadline-exceeded` (partial result for `local`) |
+//! | `stall_request` | sleep inside dispatch | request deadline fires → partial `local`/`topk` result labelled `deadline-exceeded` |
 //! | `kill_worker` | panic unwinding the whole worker thread (between connections) | supervisor respawns the worker; pool size recovers |
 //! | `fail_recompute` / `panic_recompute` | background recompute errors or panics | last good epoch keeps serving; capped-backoff retry; `degraded` flag until recovery |
 //!

@@ -14,15 +14,18 @@
 //! shutdown         begin graceful shutdown (drains in-flight requests)
 //! ```
 //!
-//! Every response is exactly one JSON line with an `"ok"` discriminator.
-//! Malformed requests get a typed error object — never a dropped
-//! connection:
+//! Every response is exactly one JSON line with `"ok"` as its first key,
+//! built as a [`Value`] and written in the compact layout of
+//! [`oca_graph::json`]: no whitespace, integers exact, floats as the
+//! shortest text that reads back as the same `f64`. Malformed requests
+//! get a typed error object — never a dropped connection:
 //!
 //! ```text
 //! {"ok":false,"error":{"kind":"bad-request","message":"unknown command \"qeury\""}}
 //! ```
 
-use std::fmt::Write as _;
+use oca_graph::json::Value;
+use oca_graph::object;
 
 /// A parsed client request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +51,9 @@ pub enum Request {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolError {
     /// Stable error class: `bad-request`, `out-of-bounds`, `cancelled`,
-    /// `deadline-exceeded`, `overloaded`, `shutting-down`, `internal`.
+    /// `overloaded`, `shutting-down`, `internal`. A request past its
+    /// deadline is not an error: it answers `"ok":true` with a partial
+    /// result labelled `"why":"deadline-exceeded"`.
     pub kind: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -79,11 +84,11 @@ impl ProtocolError {
         }
     }
 
-    /// The per-request deadline expired before the operation finished.
-    pub fn deadline_exceeded(message: impl Into<String>) -> Self {
+    /// A `local` or `topk` request whose work shutdown interrupted.
+    pub fn cancelled() -> Self {
         ProtocolError {
-            kind: "deadline-exceeded",
-            message: message.into(),
+            kind: "cancelled",
+            message: "server is shutting down".to_string(),
         }
     }
 
@@ -104,13 +109,17 @@ impl ProtocolError {
         }
     }
 
-    /// The response line for this error.
+    /// The response for this error.
+    pub fn to_value(&self) -> Value {
+        let error = object! { "kind": self.kind, "message": self.message.as_str() };
+        object! { "ok": false, "error": error }
+    }
+
+    /// The response line for this error (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ok\":false,\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
-            self.kind,
-            json_escape(&self.message)
-        )
+        let mut line = String::new();
+        self.to_value().write_compact(&mut line);
+        line
     }
 }
 
@@ -182,37 +191,6 @@ impl Request {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Appends a JSON array of raw node ids to `out` (no trailing separator).
-pub fn push_id_array(out: &mut String, ids: impl IntoIterator<Item = u32>) {
-    out.push('[');
-    for (i, id) in ids.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{id}");
-    }
-    out.push(']');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,10 +234,7 @@ mod tests {
     #[test]
     fn robustness_error_kinds_are_stable() {
         assert_eq!(ProtocolError::overloaded().kind, "overloaded");
-        assert_eq!(
-            ProtocolError::deadline_exceeded("local 3 timed out").kind,
-            "deadline-exceeded"
-        );
+        assert_eq!(ProtocolError::cancelled().kind, "cancelled");
         assert_eq!(ProtocolError::shutting_down().kind, "shutting-down");
         assert_eq!(ProtocolError::internal("handler panicked").kind, "internal");
         assert!(ProtocolError::overloaded()
@@ -279,18 +254,16 @@ mod tests {
 
     #[test]
     fn escape_handles_control_characters() {
-        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(json_escape("tab\there"), "tab\\there");
-        assert_eq!(json_escape("plain"), "plain");
+        let json = ProtocolError::bad_request("a\u{1}b tab\there plain").to_json();
+        assert!(json.contains("\"a\\u0001b tab\\there plain\""), "{json}");
     }
 
+    /// Clients find member lists by the literal `"members":[`, so arrays
+    /// of ids stay compact on the wire.
     #[test]
     fn id_arrays_render_compactly() {
-        let mut s = String::new();
-        push_id_array(&mut s, [1, 2, 3]);
-        assert_eq!(s, "[1,2,3]");
-        let mut s = String::new();
-        push_id_array(&mut s, []);
-        assert_eq!(s, "[]");
+        let mut line = String::new();
+        object! { "members": vec![1u32, 2, 3], "none": Vec::<u32>::new() }.write_compact(&mut line);
+        assert_eq!(line, "{\"members\":[1,2,3],\"none\":[]}");
     }
 }

@@ -42,13 +42,14 @@
 //! robustness tests drive every path above.
 
 use crate::faults::FaultPlan;
-use crate::protocol::{push_id_array, ProtocolError, Request};
+use crate::protocol::{ProtocolError, Request};
 use crate::snapshot::SnapshotStore;
-use oca::{ticket_seed, CommunityState, LocalConfig, LocalDetector};
+use oca::{ticket_seed, CommunityState, LocalConfig, LocalDetector, SearchConfig};
+use oca_graph::json::Value;
 use oca_graph::{
-    CancelToken, Cover, CsrGraph, DetectContext, DetectError, EpochCounters, NodeId, Relabeling,
+    object, CancelToken, Cover, CsrGraph, DetectContext, DetectError, EpochCounters, NodeId,
+    Relabeling,
 };
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,7 +96,8 @@ pub struct ServeConfig {
     pub max_duration: Option<Duration>,
     /// Configuration of the `local` endpoint's detector. Its
     /// interaction-strength strategy is resolved once at server start —
-    /// `c` is a property of the (static) graph, not of any cover.
+    /// `c` is a property of the (static) graph, not of any cover. The
+    /// default sets `search.budget_factor` to 64, so hub queries stay cheap.
     pub local: LocalConfig,
     /// Accepted connections waiting for a free worker beyond this are
     /// rejected with a typed `overloaded` line instead of queueing
@@ -123,7 +125,13 @@ impl Default for ServeConfig {
             seed: 0x0CA,
             recompute_interval: None,
             max_duration: None,
-            local: LocalConfig::default(),
+            local: LocalConfig {
+                search: SearchConfig {
+                    budget_factor: 64.0,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
             max_pending: 128,
             max_line_bytes: 64 * 1024,
             request_deadline: None,
@@ -572,8 +580,9 @@ impl Server {
     fn reject(&self, mut stream: TcpStream, error: &ProtocolError, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_nodelay(true);
-        let _ = stream.write_all(error.to_json().as_bytes());
-        let _ = stream.write_all(b"\n");
+        let mut line = error.to_json();
+        line.push('\n');
+        let _ = stream.write_all(line.as_bytes());
     }
 
     /// The lifetime report so far.
@@ -653,6 +662,8 @@ impl Server {
         // the remainder so one huge line costs one error response, not an
         // unbounded buffer.
         let mut line: Vec<u8> = Vec::new();
+        // The response line, rendered into one reused buffer.
+        let mut out = String::new();
         let mut discarding = false;
         let mut last_activity = Instant::now();
         let max_line = self.config.max_line_bytes.max(1);
@@ -704,7 +715,7 @@ impl Server {
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
                 self.stats.oversized_lines.fetch_add(1, Ordering::Relaxed);
                 ProtocolError::bad_request(format!("request line exceeds {max_line} bytes"))
-                    .to_json()
+                    .to_value()
             } else if self.cancel.is_cancelled() {
                 // Drain semantics: whatever was in flight when shutdown
                 // began has been answered; requests arriving after it get
@@ -713,20 +724,22 @@ impl Server {
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
                 self.stats.shutdown_rejects.fetch_add(1, Ordering::Relaxed);
                 close_after = true;
-                ProtocolError::shutting_down().to_json()
+                ProtocolError::shutting_down().to_value()
             } else {
                 match std::str::from_utf8(&line) {
                     Ok(text) => self.respond_isolated(text.trim(), scratch),
                     Err(_) => {
                         self.stats.requests.fetch_add(1, Ordering::Relaxed);
                         self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        ProtocolError::bad_request("request was not valid UTF-8").to_json()
+                        ProtocolError::bad_request("request was not valid UTF-8").to_value()
                     }
                 }
             };
             line.clear();
-            writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
+            out.clear();
+            response.write_compact(&mut out);
+            out.push('\n');
+            writer.write_all(out.as_bytes())?;
             writer.flush()?;
             if close_after {
                 break;
@@ -739,7 +752,7 @@ impl Server {
     /// converted to a typed `internal` error and the worker's scratch is
     /// rebuilt (the unwind may have left it mid-mutation), so the
     /// connection — and the worker — keep serving.
-    fn respond_isolated<'g>(&'g self, line: &str, scratch: &mut WorkerScratch<'g>) -> String {
+    fn respond_isolated<'g>(&'g self, line: &str, scratch: &mut WorkerScratch<'g>) -> Value {
         match catch_unwind(AssertUnwindSafe(|| self.respond(line, scratch))) {
             Ok(response) => response,
             Err(payload) => {
@@ -751,19 +764,19 @@ impl Server {
                     "request handler panicked: {}",
                     panic_message(payload.as_ref())
                 ))
-                .to_json()
+                .to_value()
             }
         }
     }
 
-    /// Produces the JSON response line for one request line.
-    fn respond(&self, line: &str, scratch: &mut WorkerScratch<'_>) -> String {
+    /// Produces the JSON response for one request line.
+    fn respond(&self, line: &str, scratch: &mut WorkerScratch<'_>) -> Value {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let request = match Request::parse(line) {
             Ok(request) => request,
             Err(e) => {
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                return e.to_json();
+                return e.to_value();
             }
         };
         // Fail point: panic inside dispatch of a data request, exercising
@@ -797,19 +810,14 @@ impl Server {
             Request::Health => Ok(self.do_health()),
             Request::Shutdown => {
                 self.cancel.cancel();
-                Ok(format!(
-                    "{{\"ok\":true,\"op\":\"shutdown\",\"epoch\":{},\"draining\":true}}",
-                    self.store.epoch()
-                ))
+                let epoch = self.store.epoch();
+                Ok(object! { "ok": true, "op": "shutdown", "epoch": epoch, "draining": true })
             }
         };
-        match result {
-            Ok(json) => json,
-            Err(e) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                e.to_json()
-            }
-        }
+        result.unwrap_or_else(|e| {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            e.to_value()
+        })
     }
 
     fn check_node(&self, v: u32) -> Result<NodeId, ProtocolError> {
@@ -824,38 +832,35 @@ impl Server {
         }
     }
 
-    fn do_query(&self, v: u32) -> Result<String, ProtocolError> {
+    /// The ids of `members` in the id space clients speak.
+    fn member_ids(&self, members: &[NodeId]) -> Value {
+        let ids = members.iter().map(|&m| self.external_id(m));
+        Value::Array(ids.map(Value::from).collect())
+    }
+
+    fn do_query(&self, v: u32) -> Result<Value, ProtocolError> {
         let node = self.check_node(v)?;
         let snapshot = self.store.load();
         let ids = snapshot.index.communities_of(node);
-        let mut out = String::with_capacity(64 + ids.len() * 32);
-        let _ = write!(
-            out,
-            "{{\"ok\":true,\"op\":\"query\",\"epoch\":{},\"node\":{v},\"count\":{},\"communities\":[",
-            snapshot.epoch,
-            ids.len()
-        );
-        for (i, &ci) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let communities = ids.iter().map(|&ci| {
             let community = &snapshot.cover.communities()[ci as usize];
-            let _ = write!(
-                out,
-                "{{\"id\":{ci},\"size\":{},\"members\":",
-                community.len()
-            );
-            push_id_array(
-                &mut out,
-                community.members().iter().map(|&m| self.external_id(m)),
-            );
-            out.push('}');
-        }
-        out.push_str("]}");
-        Ok(out)
+            object! {
+                "id": ci,
+                "size": community.len(),
+                "members": self.member_ids(community.members()),
+            }
+        });
+        Ok(object! {
+            "ok": true,
+            "op": "query",
+            "epoch": snapshot.epoch,
+            "node": v,
+            "count": ids.len(),
+            "communities": Value::Array(communities.collect()),
+        })
     }
 
-    fn do_local(&self, v: u32, scratch: &mut WorkerScratch<'_>) -> Result<String, ProtocolError> {
+    fn do_local(&self, v: u32, scratch: &mut WorkerScratch<'_>) -> Result<Value, ProtocolError> {
         let node = self.check_node(v)?;
         let token = self.request_token();
         // Fail point: stall after the deadline clock started, so the
@@ -882,48 +887,32 @@ impl Server {
                         .first()
                         .map(|c| c.members())
                         .unwrap_or(&[]);
-                    let mut out = String::with_capacity(128 + members.len() * 8);
-                    let _ = write!(
-                    out,
-                    "{{\"ok\":true,\"op\":\"local\",\"epoch\":{},\"node\":{v},\"partial\":true,\
-                     \"why\":\"deadline-exceeded\",\"size\":{},\"members\":",
-                    self.store.epoch(),
-                    members.len()
-                );
-                    push_id_array(&mut out, members.iter().map(|&m| self.external_id(m)));
-                    out.push('}');
-                    return Ok(out);
-                }
-                Err(DetectError::Cancelled { .. }) => {
-                    return Err(ProtocolError {
-                        kind: "cancelled",
-                        message: "server is shutting down".to_string(),
+                    return Ok(object! {
+                        "ok": true,
+                        "op": "local",
+                        "epoch": self.store.epoch(),
+                        "node": v,
+                        "partial": true,
+                        "why": "deadline-exceeded",
+                        "size": members.len(),
+                        "members": self.member_ids(members),
                     });
                 }
+                Err(DetectError::Cancelled { .. }) => return Err(ProtocolError::cancelled()),
                 Err(other) => return Err(ProtocolError::internal(other.to_string())),
             };
-        let mut out = String::with_capacity(96 + found.community.len() * 8);
-        let _ = write!(
-            out,
-            "{{\"ok\":true,\"op\":\"local\",\"epoch\":{},\"node\":{v},\"size\":{},\
-             \"fitness\":{:.6},\"moves\":{},\"converged\":{},\"stop\":\"{}\",\"members\":",
-            self.store.epoch(),
-            found.community.len(),
-            found.fitness,
-            found.moves,
-            found.converged,
-            found.stop.label()
-        );
-        push_id_array(
-            &mut out,
-            found
-                .community
-                .members()
-                .iter()
-                .map(|&m| self.external_id(m)),
-        );
-        out.push('}');
-        Ok(out)
+        Ok(object! {
+            "ok": true,
+            "op": "local",
+            "epoch": self.store.epoch(),
+            "node": v,
+            "size": found.community.len(),
+            "fitness": found.fitness,
+            "moves": found.moves,
+            "converged": found.converged,
+            "stop": found.stop.label(),
+            "members": self.member_ids(found.community.members()),
+        })
     }
 
     fn do_topk(
@@ -931,7 +920,7 @@ impl Server {
         v: u32,
         k: usize,
         scratch: &mut WorkerScratch<'_>,
-    ) -> Result<String, ProtocolError> {
+    ) -> Result<Value, ProtocolError> {
         let node = self.check_node(v)?;
         let token = self.request_token();
         if let Some(stall) = self.config.faults.request_stall() {
@@ -953,120 +942,113 @@ impl Server {
                 self.stats.deadline_hits.fetch_add(1, Ordering::Relaxed);
                 true
             } else {
-                return Err(ProtocolError {
-                    kind: "cancelled",
-                    message: "server is shutting down".to_string(),
-                });
+                return Err(ProtocolError::cancelled());
             }
         } else {
             false
         };
-        let mut out = String::with_capacity(64 + top.len() * 32);
-        let _ = write!(
-            out,
-            "{{\"ok\":true,\"op\":\"topk\",\"epoch\":{},\"node\":{v},\"k\":{k},",
-            snapshot.epoch
-        );
+        let mut out = object! {
+            "ok": true,
+            "op": "topk",
+            "epoch": snapshot.epoch,
+            "node": v,
+            "k": k,
+        };
         if partial {
-            out.push_str("\"partial\":true,\"why\":\"deadline-exceeded\",");
+            out.push("partial", true);
+            out.push("why", "deadline-exceeded");
         }
-        out.push_str("\"results\":[");
-        for (i, &(ci, overlap)) in top.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let results = top.iter().map(|&(ci, overlap)| {
             let size = snapshot.cover.communities()[ci as usize].len();
-            let _ = write!(out, "{{\"id\":{ci},\"overlap\":{overlap},\"size\":{size}}}");
-        }
-        out.push_str("]}");
+            object! { "id": ci, "overlap": overlap, "size": size }
+        });
+        out.push("results", Value::Array(results.collect()));
         Ok(out)
     }
 
-    fn do_snapshot(&self) -> String {
+    fn do_snapshot(&self) -> Value {
         let snapshot = self.store.load();
-        format!(
-            "{{\"ok\":true,\"op\":\"snapshot\",\"epoch\":{},\"node_count\":{},\
-             \"communities\":{},\"memberships\":{},\"coverage\":{:.4},\"c\":{},\
-             \"index_bytes\":{}}}",
-            snapshot.epoch,
-            snapshot.node_count(),
-            snapshot.cover.len(),
-            snapshot.index.membership_count(),
-            snapshot.cover.coverage(),
-            snapshot.c,
-            snapshot.index.memory_bytes()
-        )
-    }
-
-    fn do_health(&self) -> String {
-        match self.degraded_reason() {
-            None => format!(
-                "{{\"ok\":true,\"op\":\"health\",\"epoch\":{},\"degraded\":false}}",
-                self.store.epoch()
-            ),
-            Some(reason) => format!(
-                "{{\"ok\":false,\"op\":\"health\",\"epoch\":{},\"degraded\":true,\"reason\":\"{}\"}}",
-                self.store.epoch(),
-                crate::protocol::json_escape(&reason)
-            ),
+        object! {
+            "ok": true,
+            "op": "snapshot",
+            "epoch": snapshot.epoch,
+            "node_count": snapshot.node_count(),
+            "communities": snapshot.cover.len(),
+            "memberships": snapshot.index.membership_count(),
+            "coverage": snapshot.cover.coverage(),
+            "c": snapshot.c,
+            "index_bytes": snapshot.index.memory_bytes(),
         }
     }
 
-    fn do_stats(&self) -> String {
+    fn do_health(&self) -> Value {
+        let epoch = self.store.epoch();
+        match self.degraded_reason() {
+            None => object! { "ok": true, "op": "health", "epoch": epoch, "degraded": false },
+            Some(reason) => object! {
+                "ok": false,
+                "op": "health",
+                "epoch": epoch,
+                "degraded": true,
+                "reason": reason,
+            },
+        }
+    }
+
+    fn do_stats(&self) -> Value {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let op = |s: &OpStats| {
-            format!(
-                "{{\"count\":{},\"p50_us\":{:.1},\"p99_us\":{:.1}}}",
-                s.count.load(Ordering::Relaxed),
-                s.hist.quantile_us(0.50),
-                s.hist.quantile_us(0.99)
-            )
+            object! {
+                "count": load(&s.count),
+                "p50_us": s.hist.quantile_us(0.50),
+                "p99_us": s.hist.quantile_us(0.99),
+            }
         };
+        let stats = &self.stats;
         // Poison is recovered, not propagated: requests run under
         // `catch_unwind`, and the guarded write is a single `String` store.
-        let last_error = self
-            .stats
+        let last_error = stats
             .last_recompute_error
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        format!(
-            "{{\"ok\":true,\"op\":\"stats\",\"epoch\":{},\"uptime_ms\":{},\
-             \"connections\":{},\"requests\":{},\"errors\":{},\"recomputes\":{},\
-             \"workers\":{{\"configured\":{},\"live\":{},\"panics\":{},\"respawns\":{}}},\
-             \"robustness\":{{\"overloaded_rejects\":{},\"oversized_lines\":{},\
-             \"idle_reaped\":{},\"deadline_hits\":{},\"shutdown_rejects\":{}}},\
-             \"recompute\":{{\"published\":{},\"failures\":{},\"consecutive_failures\":{},\
-             \"degraded\":{},\"last_recovery_ms\":{},\"last_error\":\"{}\",\
-             \"epoch_age_secs\":{:.3}}},\
-             \"latency\":{{\"query\":{},\"local\":{},\"topk\":{}}}}}",
-            self.store.epoch(),
-            self.started.elapsed().as_millis(),
-            self.stats.connections.load(Ordering::Relaxed),
-            self.stats.requests.load(Ordering::Relaxed),
-            self.stats.errors.load(Ordering::Relaxed),
-            self.stats.recomputes.load(Ordering::Relaxed),
-            self.config.workers,
-            self.stats.live_workers.load(Ordering::Relaxed),
-            self.stats.panics.load(Ordering::Relaxed),
-            self.stats.respawns.load(Ordering::Relaxed),
-            self.stats.overloaded_rejects.load(Ordering::Relaxed),
-            self.stats.oversized_lines.load(Ordering::Relaxed),
-            self.stats.idle_reaped.load(Ordering::Relaxed),
-            self.stats.deadline_hits.load(Ordering::Relaxed),
-            self.stats.shutdown_rejects.load(Ordering::Relaxed),
-            self.stats.recomputes.load(Ordering::Relaxed),
-            self.stats.recompute_failures.load(Ordering::Relaxed),
-            self.stats
-                .consecutive_recompute_failures
-                .load(Ordering::Relaxed),
-            self.degraded_reason().is_some(),
-            self.stats.last_recovery_ms.load(Ordering::Relaxed),
-            crate::protocol::json_escape(&last_error),
-            self.store.load().age_secs(),
-            op(&self.stats.query),
-            op(&self.stats.local),
-            op(&self.stats.topk)
-        )
+        object! {
+            "ok": true,
+            "op": "stats",
+            "epoch": self.store.epoch(),
+            "uptime_ms": self.started.elapsed().as_millis(),
+            "connections": load(&stats.connections),
+            "requests": load(&stats.requests),
+            "errors": load(&stats.errors),
+            "recomputes": load(&stats.recomputes),
+            "workers": object! {
+                "configured": self.config.workers,
+                "live": load(&stats.live_workers),
+                "panics": load(&stats.panics),
+                "respawns": load(&stats.respawns),
+            },
+            "robustness": object! {
+                "overloaded_rejects": load(&stats.overloaded_rejects),
+                "oversized_lines": load(&stats.oversized_lines),
+                "idle_reaped": load(&stats.idle_reaped),
+                "deadline_hits": load(&stats.deadline_hits),
+                "shutdown_rejects": load(&stats.shutdown_rejects),
+            },
+            "recompute": object! {
+                "published": load(&stats.recomputes),
+                "failures": load(&stats.recompute_failures),
+                "consecutive_failures": load(&stats.consecutive_recompute_failures),
+                "degraded": self.degraded_reason().is_some(),
+                "last_recovery_ms": load(&stats.last_recovery_ms),
+                "last_error": last_error,
+                "epoch_age_secs": self.store.load().age_secs(),
+            },
+            "latency": object! {
+                "query": op(&stats.query),
+                "local": op(&stats.local),
+                "topk": op(&stats.topk),
+            },
+        }
     }
 
     /// The background recompute: failures (including panics) never stop

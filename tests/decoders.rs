@@ -21,8 +21,9 @@
 //!
 //! The same flips, truncations and splices drive the byte parsers that
 //! sit in front of the formats and the serve protocol: the gzip decoder,
-//! the edge-list reader, `Request::parse` and the bench-report reader
-//! (`oca_bench::report`) over a committed report. The request parser and
+//! the edge-list reader, `Request::parse` and the one JSON reader
+//! (`oca_graph::json`, which reads bench reports and serve responses)
+//! over a committed report. The request parser and
 //! the report reader also take arbitrary strings, and the report reader
 //! every truncation of that report and 100k-deep `[`/`{` nesting.
 //!
@@ -32,8 +33,8 @@ use oca::{
     checkpoint_summary, config_checksum, graph_checksum, CheckpointConfig, CheckpointFaultSpec,
     CheckpointFaults, DriverCheckpoint, Oca, OcaConfig, ResumePolicy,
 };
-use oca_bench::report::{ParseErrorKind, Value};
 use oca_gen::{lfr, LfrParams};
+use oca_graph::json::{ParseErrorKind, Value};
 use oca_graph::{
     fnv1a, gzip::gunzip, open_ocg_path, read_edge_list, verify_ocg_path, write_ocg_path,
     BuildReport, Community, ContainerError, Cover, CsrGraph, DetectContext, DetectError,

@@ -9,13 +9,15 @@
 //! [`DetectorRegistry::register`] call, not a fan-out edit across call
 //! sites.
 //!
-//! Two construction paths per registered algorithm:
+//! Three construction paths per registered algorithm, all from
+//! string-keyed [`DetectorOptions`] (e.g. parsed CLI flags), with unknown
+//! keys rejected as typed [`DetectError::UnknownOption`]s:
 //!
-//! * [`DetectorSpec::build`] — from string-keyed [`DetectorOptions`]
-//!   (e.g. parsed CLI flags), with unknown keys rejected as typed
-//!   [`DetectError::UnknownOption`]s;
-//! * [`DetectorSpec::experiment`] — the experiment-grade preset of the
-//!   paper's evaluation protocol, scaled to a concrete graph.
+//! * [`DetectorSpec::build`] — the options over the library default;
+//! * [`DetectorSpec::build_tuned`] — the options over the tuned preset
+//!   for a concrete graph (for OCA, `oca::OcaConfig::tuned`);
+//! * [`DetectorSpec::experiment`] — the tuned preset with the spec's
+//!   protocol options, as the paper's evaluation protocol runs it.
 //!
 //! ```
 //! use oca_api::{registry, DetectContext, DetectorOptions};

@@ -2,9 +2,10 @@
 //!
 //! One [`DetectorSpec`] per algorithm variant: a stable name, a summary,
 //! the option keys its constructor accepts, a constructor from
-//! [`DetectorOptions`], and the experiment-grade preset used by the
-//! benchmark harness so every algorithm runs under the paper's protocol
-//! without per-algorithm dispatch at the call sites.
+//! [`DetectorOptions`] layered over the library default or over the tuned
+//! preset for a graph, and the protocol options the benchmark harness
+//! layers over the tuned preset so every algorithm runs under the paper's
+//! protocol without per-algorithm dispatch at the call sites.
 
 use crate::options::DetectorOptions;
 use oca::{
@@ -20,16 +21,22 @@ use oca_graph::{CommunityDetector, CsrGraph, DetectError};
 /// A boxed detector constructor result.
 pub type BoxedDetector = Box<dyn CommunityDetector>;
 
+/// A detector constructor: `opts` layered over the library default, or
+/// over the tuned preset for the graph when one is given.
+pub type BuildFn = fn(&DetectorOptions, Option<&CsrGraph>) -> Result<BoxedDetector, DetectError>;
+
+/// Option key/value pairs, as a static list.
+pub type OptionList = &'static [(&'static str, &'static str)];
+
 /// One registry entry: how to name, describe and construct a detector.
 #[derive(Debug, Clone)]
 pub struct DetectorSpec {
     name: &'static str,
     display_name: &'static str,
     summary: &'static str,
-    options: &'static [(&'static str, &'static str)],
-    build: fn(&DetectorOptions) -> Result<BoxedDetector, DetectError>,
-    tuned: fn(&CsrGraph) -> DetectorOptions,
-    experiment: fn(&CsrGraph) -> BoxedDetector,
+    options: OptionList,
+    build: BuildFn,
+    protocol: OptionList,
 }
 
 impl DetectorSpec {
@@ -37,17 +44,17 @@ impl DetectorSpec {
     ///
     /// `display_name` must match what the constructed detector reports
     /// via [`CommunityDetector::name`] and be unique across the registry.
-    /// `tuned` supplies graph-scaled default options for interactive use
-    /// (return an empty set when nothing needs scaling); `experiment` is
-    /// the preset of the paper's evaluation protocol.
+    /// `options` lists the accepted keys with help text; `build` layers
+    /// options over the library default, or over the tuned preset when
+    /// given a graph; `protocol` holds the options (keys from `options`)
+    /// the paper's evaluation protocol layers over the tuned preset.
     pub fn new(
         name: &'static str,
         display_name: &'static str,
         summary: &'static str,
-        options: &'static [(&'static str, &'static str)],
-        build: fn(&DetectorOptions) -> Result<BoxedDetector, DetectError>,
-        tuned: fn(&CsrGraph) -> DetectorOptions,
-        experiment: fn(&CsrGraph) -> BoxedDetector,
+        options: OptionList,
+        build: BuildFn,
+        protocol: OptionList,
     ) -> Self {
         DetectorSpec {
             name,
@@ -55,8 +62,7 @@ impl DetectorSpec {
             summary,
             options,
             build,
-            tuned,
-            experiment,
+            protocol,
         }
     }
 
@@ -78,7 +84,7 @@ impl DetectorSpec {
     }
 
     /// The option keys the constructor accepts, with help text.
-    pub fn options(&self) -> &'static [(&'static str, &'static str)] {
+    pub fn options(&self) -> OptionList {
         self.options
     }
 
@@ -106,30 +112,32 @@ impl DetectorSpec {
     /// set; malformed values surface as [`DetectError::InvalidOption`].
     pub fn build(&self, opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
         self.check_keys(opts)?;
-        (self.build)(opts)
+        (self.build)(opts, None)
     }
 
-    /// Like [`DetectorSpec::build`], but starts from the graph-scaled
-    /// tuned defaults (e.g. OCA's seed budget proportional to the node
-    /// count) and lets `opts` override them key by key — the right
-    /// constructor for interactive use on a concrete graph.
+    /// Like [`DetectorSpec::build`], but starts from the tuned preset for
+    /// `graph` (for OCA, [`OcaConfig::tuned`] on all host cores, capped at
+    /// 8) and lets `opts` override it key by key — the right constructor
+    /// for interactive use on a concrete graph.
     pub fn build_tuned(
         &self,
         graph: &CsrGraph,
         opts: &DetectorOptions,
     ) -> Result<BoxedDetector, DetectError> {
         self.check_keys(opts)?;
-        let mut merged = (self.tuned)(graph);
-        for (key, value) in opts.pairs() {
-            merged.set(key, value); // later values win over tuned defaults
-        }
-        (self.build)(&merged)
+        (self.build)(opts, Some(graph))
     }
 
-    /// Constructs the experiment-grade preset for `graph` — the settings
-    /// the paper's evaluation protocol uses, scaled to the graph size.
+    /// The detector of the paper's evaluation protocol for `graph`: the
+    /// tuned preset with this spec's protocol options layered over it.
+    ///
+    /// # Panics
+    /// Panics if the spec's protocol options are rejected, which is a
+    /// registration bug.
     pub fn experiment(&self, graph: &CsrGraph) -> BoxedDetector {
-        (self.experiment)(graph)
+        let protocol: DetectorOptions = self.protocol.iter().copied().collect();
+        self.build_tuned(graph, &protocol)
+            .unwrap_or_else(|e| panic!("{}: protocol options rejected: {e}", self.name))
     }
 }
 
@@ -260,8 +268,9 @@ pub fn registry() -> DetectorRegistry {
             ),
         ],
         build_oca,
-        tuned_oca,
-        experiment_oca,
+        // One thread, and no merge: the harness's shared postprocessing
+        // merges every algorithm's cover alike.
+        &[("threads", "1"), ("merge-threshold", "none")],
     ));
     reg.register(DetectorSpec::new(
         "lfk",
@@ -272,8 +281,7 @@ pub fn registry() -> DetectorRegistry {
             ("min-size", "discard natural communities smaller than this"),
         ],
         build_lfk,
-        no_tuning,
-        experiment_lfk,
+        &[("min-size", "2")],
     ));
     reg.register(DetectorSpec::new(
         "cfinder",
@@ -281,8 +289,7 @@ pub fn registry() -> DetectorRegistry {
         "k-clique percolation of Palla et al. (ref [12]) with the k = 3 triangle shortcut",
         CFINDER_OPTIONS,
         build_cfinder,
-        no_tuning,
-        experiment_cfinder,
+        &[],
     ));
     reg.register(DetectorSpec::new(
         "cfinder-faithful",
@@ -290,8 +297,7 @@ pub fn registry() -> DetectorRegistry {
         "CFinder via maximal-clique enumeration, the original tool's cost profile (Figs. 5-6)",
         CFINDER_OPTIONS,
         build_cfinder_faithful,
-        no_tuning,
-        experiment_cfinder_faithful,
+        &[],
     ));
     reg.register(DetectorSpec::new(
         "oca-local",
@@ -319,8 +325,7 @@ pub fn registry() -> DetectorRegistry {
             ),
         ],
         build_oca_local,
-        tuned_oca_local,
-        experiment_oca_local,
+        &[],
     ));
     reg.register(DetectorSpec::new(
         "lpa",
@@ -328,44 +333,9 @@ pub fn registry() -> DetectorRegistry {
         "label propagation of Raghavan et al., a fast non-overlapping yardstick",
         &[("max-sweeps", "maximum sweeps over all nodes")],
         build_lpa,
-        no_tuning,
-        experiment_lpa,
+        &[],
     ));
     reg
-}
-
-/// Tuned defaults for algorithms that need no graph-dependent scaling.
-fn no_tuning(_graph: &CsrGraph) -> DetectorOptions {
-    DetectorOptions::new()
-}
-
-/// OCA's interactive defaults scale the halting criteria to the graph
-/// (the library defaults target mid-sized graphs; a fixed 10k seed budget
-/// would silently truncate runs on large ones) and use the machine's
-/// cores: the ticket-ordered driver produces the same cover at any thread
-/// count, so parallelism is a safe default.
-fn tuned_oca(graph: &CsrGraph) -> DetectorOptions {
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get().min(8));
-    DetectorOptions::new()
-        .with("threads", &threads.to_string())
-        .with("max-seeds", &(4 * graph.node_count()).max(100).to_string())
-        .with("target-coverage", "0.99")
-        .with("stagnation", "200")
-        .with("stagnation-streak", "500")
-        .with("seeds-per-covered", "0.15")
-        .with("ascent-budget", "64")
-        .with("hub-prune-degree", &hub_prune_degree(graph).to_string())
-}
-
-/// The covered-hub pruning threshold of the tuned and experiment presets:
-/// `max(64, 8 × average degree)`. On LFR-style benches the maximum degree
-/// sits below this, so pruning never fires and fig2 quality is untouched;
-/// on scale-free graphs it singles out exactly the mega-hubs whose
-/// re-exploration dominates ascent time (DESIGN.md §2a).
-fn hub_prune_degree(graph: &CsrGraph) -> usize {
-    let n = graph.node_count().max(1);
-    let avg_degree = 2 * graph.edge_count() / n;
-    (8 * avg_degree).max(64)
 }
 
 const CFINDER_OPTIONS: &[(&str, &str)] = &[
@@ -373,8 +343,19 @@ const CFINDER_OPTIONS: &[(&str, &str)] = &[
     ("max-cliques", "cap on enumerated cliques, or 'none'"),
 ];
 
-fn build_oca(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
-    let defaults = OcaConfig::default();
+fn build_oca(
+    opts: &DetectorOptions,
+    graph: Option<&CsrGraph>,
+) -> Result<BoxedDetector, DetectError> {
+    // The tuned preset runs on the host's cores: the ticket-ordered driver
+    // writes the same cover at any thread count, so this only buys time.
+    let defaults = match graph {
+        Some(graph) => OcaConfig {
+            threads: std::thread::available_parallelism().map_or(1, |p| p.get().min(8)),
+            ..OcaConfig::tuned(graph)
+        },
+        None => OcaConfig::default(),
+    };
     let merge_threshold = match opts.get("merge-threshold") {
         None => defaults.merge_threshold,
         Some("none") => None,
@@ -432,34 +413,14 @@ fn build_oca(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
     Ok(Box::new(OcaDetector::new(config)?))
 }
 
-/// Experiment-grade OCA: seed budget scaled to the graph, merging left to
-/// the shared postprocessing step (the paper applies it to all algorithms).
-/// Like the tuned preset it runs with the scaled ascent budget and
-/// covered-hub pruning — on the fig2 protocol neither binds (LFR ascents
-/// converge well under the budget and no LFR node reaches the hub
-/// threshold), while hub graphs drop from hours to seconds.
-fn experiment_oca(graph: &CsrGraph) -> BoxedDetector {
-    let config = OcaConfig {
-        halting: HaltingConfig {
-            max_seeds: (4 * graph.node_count()).max(100),
-            target_coverage: 0.99,
-            stagnation_limit: 200,
-            stagnation_streak: 500,
-            seeds_per_covered: 0.15,
-        },
-        search: SearchConfig {
-            budget_factor: 64.0,
-            prune_hub_degree: hub_prune_degree(graph),
-            ..Default::default()
-        },
-        merge_threshold: None, // shared postprocessing applies it
-        ..Default::default()
+fn build_oca_local(
+    opts: &DetectorOptions,
+    graph: Option<&CsrGraph>,
+) -> Result<BoxedDetector, DetectError> {
+    let defaults = match graph {
+        Some(_) => LocalConfig::tuned(),
+        None => LocalConfig::default(),
     };
-    Box::new(OcaDetector::new(config).expect("experiment preset is valid"))
-}
-
-fn build_oca_local(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
-    let defaults = LocalConfig::default();
     let mut config = LocalConfig {
         query: opts.get_parsed::<u32>("seed-node")?.map(oca_graph::NodeId),
         seed_strategy: match opts.get("seed-strategy") {
@@ -487,24 +448,7 @@ fn build_oca_local(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError>
     Ok(Box::new(LocalDetector::new(config)?))
 }
 
-/// The tuned local preset mirrors the serving default: a scaled move
-/// budget so a hub query cannot stall a worker.
-fn tuned_oca_local(_graph: &CsrGraph) -> DetectorOptions {
-    DetectorOptions::new().with("ascent-budget", "64")
-}
-
-fn experiment_oca_local(_graph: &CsrGraph) -> BoxedDetector {
-    let config = LocalConfig {
-        search: SearchConfig {
-            budget_factor: 64.0,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    Box::new(LocalDetector::new(config).expect("experiment preset is valid"))
-}
-
-fn build_lfk(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
+fn build_lfk(opts: &DetectorOptions, _: Option<&CsrGraph>) -> Result<BoxedDetector, DetectError> {
     let defaults = LfkConfig::default();
     let config = LfkConfig {
         alpha: opts.get_or("alpha", defaults.alpha)?,
@@ -512,14 +456,6 @@ fn build_lfk(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
         ..defaults
     };
     Ok(Box::new(LfkDetector::new(config)?))
-}
-
-fn experiment_lfk(_graph: &CsrGraph) -> BoxedDetector {
-    let config = LfkConfig {
-        min_community_size: 2,
-        ..Default::default()
-    };
-    Box::new(LfkDetector::new(config).expect("experiment preset is valid"))
 }
 
 fn cfinder_config(opts: &DetectorOptions) -> Result<CFinderConfig, DetectError> {
@@ -536,35 +472,29 @@ fn cfinder_config(opts: &DetectorOptions) -> Result<CFinderConfig, DetectError> 
     })
 }
 
-fn build_cfinder(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
+fn build_cfinder(
+    opts: &DetectorOptions,
+    _: Option<&CsrGraph>,
+) -> Result<BoxedDetector, DetectError> {
     Ok(Box::new(CFinderDetector::new(cfinder_config(opts)?)?))
 }
 
-fn experiment_cfinder(_graph: &CsrGraph) -> BoxedDetector {
-    Box::new(CFinderDetector::default())
-}
-
-fn build_cfinder_faithful(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
+fn build_cfinder_faithful(
+    opts: &DetectorOptions,
+    _: Option<&CsrGraph>,
+) -> Result<BoxedDetector, DetectError> {
     Ok(Box::new(CFinderFaithfulDetector::new(cfinder_config(
         opts,
     )?)?))
 }
 
-fn experiment_cfinder_faithful(_graph: &CsrGraph) -> BoxedDetector {
-    Box::new(CFinderFaithfulDetector::default())
-}
-
-fn build_lpa(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
+fn build_lpa(opts: &DetectorOptions, _: Option<&CsrGraph>) -> Result<BoxedDetector, DetectError> {
     let defaults = LpaConfig::default();
     let config = LpaConfig {
         max_sweeps: opts.get_or("max-sweeps", defaults.max_sweeps)?,
         ..defaults
     };
     Ok(Box::new(LpaDetector::new(config)?))
-}
-
-fn experiment_lpa(_graph: &CsrGraph) -> BoxedDetector {
-    Box::new(LpaDetector::default())
 }
 
 #[cfg(test)]
@@ -828,25 +758,16 @@ mod tests {
         ));
     }
 
+    /// A protocol key the spec does not accept would only surface as a
+    /// panic inside a figure bench.
     #[test]
-    fn tuned_preset_enables_budget_and_hub_pruning() {
-        let g = toy();
-        let opts = tuned_oca(&g);
-        assert_eq!(opts.get("ascent-budget"), Some("64"));
-        // The toy graph's average degree is small, so the floor applies.
-        assert_eq!(opts.get("hub-prune-degree"), Some("64"));
-        assert_eq!(hub_prune_degree(&g), 64);
-        // A denser graph scales with its average degree: a 41-clique has
-        // average degree 40, so the threshold is 8 × 40 = 320.
-        let k = 41u32;
-        let mut edges = Vec::new();
-        for i in 0..k {
-            for j in (i + 1)..k {
-                edges.push((i, j));
+    fn protocol_keys_are_accepted_options() {
+        for spec in registry().iter() {
+            let keys = spec.option_keys();
+            for (key, _) in spec.protocol {
+                assert!(keys.contains(key), "{}: protocol key {key}", spec.name());
             }
         }
-        let dense = from_edges(k as usize, edges);
-        assert_eq!(hub_prune_degree(&dense), 320);
     }
 
     #[test]
@@ -932,8 +853,7 @@ mod tests {
             "override",
             &[],
             build_lpa,
-            no_tuning,
-            experiment_lpa,
+            &[],
         ));
         assert_eq!(reg.len(), before);
         assert_eq!(reg.get("lpa").unwrap().summary(), "override");

@@ -21,14 +21,12 @@
 //! cargo run -p oca-bench --release --bin chaos -- --smoke # 5k CI gate
 //! ```
 
-use oca::{CStrategy, HaltingConfig, LocalConfig, OcaConfig, OcaDetector};
+use oca::{CStrategy, LocalConfig};
 use oca_bench::report::report;
-use oca_bench::{Args, CancelOnDrop, Table};
+use oca_bench::{fixed_c_recompute, latency, quantile, Args, CancelOnDrop, LatencyUnit, Table};
 use oca_gen::{lfr, LfrParams};
-use oca_graph::{
-    from_edges, json::Value, object, Community, CommunityDetector, Cover, DetectContext,
-};
-use oca_serve::{persist, Client, FaultPlan, FaultSpec, RecomputeFn, ServeConfig, Server};
+use oca_graph::{from_edges, json::Value, object, Community, Cover};
+use oca_serve::{persist, Client, FaultPlan, FaultSpec, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read as _, Write as _};
@@ -52,24 +50,6 @@ struct ClientTally {
     query_ns: Vec<u64>,
     local_ns: Vec<u64>,
     topk_ns: Vec<u64>,
-}
-
-/// Exact `q`-quantile of a sorted sample, in milliseconds.
-fn quantile_ms(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1] as f64 / 1_000_000.0
-}
-
-/// Client-side `count`/`p50_ms`/`p99_ms` of one endpoint's sorted sample.
-fn latency(sorted: &[u64]) -> Value {
-    object! {
-        "count": sorted.len(),
-        "p50_ms": quantile_ms(sorted, 0.50),
-        "p99_ms": quantile_ms(sorted, 0.99),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -397,24 +377,7 @@ fn main() {
             ..ServeConfig::default().local
         },
     };
-    let recompute: Box<RecomputeFn> = Box::new(move |graph, seed, cancel| {
-        let config = OcaConfig {
-            halting: HaltingConfig {
-                max_seeds: 100,
-                ..Default::default()
-            },
-            rng_seed: seed,
-            threads: 1,
-            c: CStrategy::Fixed(fixed_c),
-            ..Default::default()
-        };
-        let detector = OcaDetector::new(config).map_err(|e| e.to_string())?;
-        let mut ctx = DetectContext::new(seed).with_cancel(cancel.clone());
-        detector
-            .detect(graph, &mut ctx)
-            .map(|d| d.cover)
-            .map_err(|e| e.to_string())
-    });
+    let recompute = fixed_c_recompute(fixed_c, 100);
 
     let server = Server::new(
         Arc::clone(&graph),
@@ -593,8 +556,8 @@ fn main() {
         table.row([
             name.to_string(),
             sorted.len().to_string(),
-            format!("{:.2}", quantile_ms(sorted, 0.50)),
-            format!("{:.2}", quantile_ms(sorted, 0.99)),
+            format!("{:.2}", quantile(sorted, 0.50, LatencyUnit::Millis)),
+            format!("{:.2}", quantile(sorted, 0.99, LatencyUnit::Millis)),
         ]);
     }
     print!("{}", table.render());
@@ -615,7 +578,7 @@ fn main() {
     );
     println!("server: {}", served.summary_line());
 
-    let query_p99 = quantile_ms(&query_ns, 0.99);
+    let query_p99 = quantile(&query_ns, 0.99, LatencyUnit::Millis);
     let faults_fired = counts.request_panics >= 1
         && counts.request_stalls >= 1
         && counts.worker_kills >= 1
@@ -667,9 +630,9 @@ fn main() {
             "hostile_connections": chaos_conns.load(Ordering::Relaxed),
             "overloaded_rejects_observed": overloaded_seen,
             "under_fault_latency": object! {
-                "query": latency(&query_ns),
-                "local": latency(&local_ns),
-                "topk": latency(&topk_ns),
+                "query": latency(&query_ns, LatencyUnit::Millis),
+                "local": latency(&local_ns, LatencyUnit::Millis),
+                "topk": latency(&topk_ns, LatencyUnit::Millis),
             },
             "server": object! {
                 "connections": served.connections,

@@ -7,7 +7,10 @@
 //! the spectral solve's steps and convergence, peak RSS, and
 //! before/after deltas against a committed baseline snapshot; a ns/move
 //! regression beyond 25% of the baseline — or a dedup+merge phase blow-up
-//! beyond 1.5x + 10 ms — exits non-zero, so CI can gate on it.
+//! beyond 1.5x + 10 ms — exits non-zero, so CI can gate on it. So does a
+//! case whose `unattributed_ns` exceeds 5% of its end-to-end wall time, or
+//! whose spectral solve fails to converge (unless the case is on the
+//! reported `spectral_known_failures` list).
 //!
 //! For the lfr family (up to 200k nodes) a second, checkpointed
 //! end-to-end leg records the driver's `ckpt_*` telemetry — rounds
@@ -15,8 +18,8 @@
 //! wall-clock — so the steady-state price of `detect --checkpoint` is
 //! visible next to the numbers it perturbs.
 //!
-//! The end-to-end leg runs with the tuned preset's ascent budget and
-//! covered-hub pruning pinned (DESIGN.md §2a). For ba-hub cases small
+//! The end-to-end leg runs the tuned preset (`oca::OcaConfig::tuned`,
+//! DESIGN.md §2a) single-threaded. For ba-hub cases small
 //! enough to afford it, an unbudgeted reference run scores the budgeted
 //! cover (`theta_vs_unbudgeted` / `omega_vs_unbudgeted`), and the hub
 //! gate holds both the wall-clock win (≤ 2x baseline + 1 s) and the
@@ -36,8 +39,8 @@
 //! with `--families ba --sizes 1000000`).
 
 use oca::{
-    initial_set, local_search, ticket_seed, CheckpointConfig, CommunityState, HaltingConfig, Oca,
-    OcaConfig, PhaseNanos, SearchConfig, SeedStrategy,
+    initial_set, local_search, ticket_seed, CheckpointConfig, CommunityState, Oca, OcaConfig,
+    PhaseNanos, SearchConfig, SeedStrategy,
 };
 use oca_bench::report::report;
 use oca_bench::{peak_rss_bytes, results_dir, Args, Table};
@@ -143,24 +146,13 @@ fn bench_ascents(graph: &CsrGraph, max_ascents: usize, seed: u64) -> AscentStats
     }
 }
 
-/// The hub-pruning threshold the registry's tuned preset derives from the
-/// graph: 8x the average degree, floored at 64. Pinned here (rather than
-/// calling through `oca-api`) for the same reason as the halting values
-/// below — the bench workload must stay comparable across preset retunes.
-fn hub_prune_degree(graph: &CsrGraph) -> usize {
-    let n = graph.node_count().max(1);
-    (8 * (2 * graph.edge_count() / n)).max(64)
-}
-
-/// The ascent budget / covered-hub pruning settings of the registry's
-/// tuned preset, pinned explicitly. This is the configuration whose
-/// end-to-end numbers the bench records and gates: the library default
-/// (budgets off) is the *reference* the quality deltas compare against.
-fn tuned_search(graph: &CsrGraph) -> SearchConfig {
-    SearchConfig {
-        budget_factor: 64.0,
-        prune_hub_degree: hub_prune_degree(graph),
-        ..SearchConfig::default()
+/// The end-to-end configuration the bench records and gates: the tuned
+/// preset every CLI and harness run uses, single-threaded and seeded with
+/// the bench's seed.
+fn tuned_config(graph: &CsrGraph, seed: u64) -> OcaConfig {
+    OcaConfig {
+        rng_seed: seed,
+        ..OcaConfig::tuned(graph)
     }
 }
 
@@ -168,32 +160,8 @@ fn tuned_search(graph: &CsrGraph) -> SearchConfig {
 /// dedup, halting, merge postprocessing) — the Fig. 5/6 measurement.
 /// Returns the cover alongside the timings so callers can score it
 /// against a reference run.
-fn e2e_config(n: usize, seed: u64, search: SearchConfig) -> OcaConfig {
-    OcaConfig {
-        search,
-        halting: HaltingConfig {
-            max_seeds: (4 * n).max(100),
-            target_coverage: 0.99,
-            stagnation_limit: 200,
-            // The duplicate-streak and seed-efficiency criteria: hub
-            // graphs whose ascents can only rediscover known communities —
-            // or trickle one or two covered nodes per dozens of full-cost
-            // ascents — stop here instead of burning the whole seed budget
-            // (DESIGN.md §4a). The values mirror the registry's tuned
-            // preset but are pinned explicitly: the bench's workload (and
-            // its committed baseline) must stay comparable across preset
-            // retunes.
-            stagnation_streak: 500,
-            seeds_per_covered: 0.15,
-        },
-        rng_seed: seed,
-        threads: 1,
-        ..Default::default()
-    }
-}
-
-fn bench_end_to_end(graph: &CsrGraph, seed: u64, search: SearchConfig) -> (EndToEndStats, Cover) {
-    let result = Oca::new(e2e_config(graph.node_count(), seed, search)).run(graph);
+fn bench_end_to_end(graph: &CsrGraph, config: OcaConfig) -> (EndToEndStats, Cover) {
+    let result = Oca::new(config).run(graph);
     let stats = EndToEndStats {
         secs: result.elapsed.as_secs_f64(),
         seeds_tried: result.seeds_tried,
@@ -216,7 +184,7 @@ const CKPT_LEG_MAX_NODES: usize = 200_000;
 /// (every round, to a scratch path the completed run then removes) and
 /// returns the driver's `ckpt_*` telemetry. The cover must be untouched:
 /// checkpointing is pure observation plus I/O.
-fn bench_checkpointed(graph: &CsrGraph, seed: u64, search: SearchConfig, plain: &Cover) -> CkptLeg {
+fn bench_checkpointed(graph: &CsrGraph, seed: u64, plain: &Cover) -> CkptLeg {
     let path = std::env::temp_dir().join(format!(
         "oca_hotpath_{}_{}.ockpt",
         std::process::id(),
@@ -224,7 +192,7 @@ fn bench_checkpointed(graph: &CsrGraph, seed: u64, search: SearchConfig, plain: 
     ));
     let result = Oca::new(OcaConfig {
         checkpoint: Some(CheckpointConfig::at(&path)),
-        ..e2e_config(graph.node_count(), seed, search)
+        ..tuned_config(graph, seed)
     })
     .run(graph);
     assert_eq!(
@@ -241,6 +209,17 @@ fn bench_checkpointed(graph: &CsrGraph, seed: u64, search: SearchConfig, plain: 
             / (result.elapsed.as_nanos() as f64).max(1.0),
     }
 }
+
+/// Largest share of a case's end-to-end wall time that may fall outside
+/// every named phase (`unattributed_ns`) before the gate fails: the phases
+/// must explain where a run's time goes.
+const MAX_UNATTRIBUTED_SHARE: f64 = 0.05;
+
+/// Cases (`family/nodes`) whose spectral solve is known to stop at its
+/// step budget unconverged: on the 1M-node LFR graph the λ_min solve runs
+/// all its steps (ROADMAP, the million-node λ_min item). The convergence
+/// gate lets these through, and the report lists them.
+const SPECTRAL_KNOWN_FAILURES: [&str; 1] = ["lfr/1000000"];
 
 /// Largest ba-hub size for which the unbudgeted reference run is cheap
 /// enough to repeat on every bench invocation. Above this the reference
@@ -452,14 +431,18 @@ fn main() {
             eprint!(" ascents");
             let ascent = bench_ascents(&graph, ascents, seed);
             eprint!(" e2e");
-            let (end_to_end, cover) = bench_end_to_end(&graph, seed, tuned_search(&graph));
+            let (end_to_end, cover) = bench_end_to_end(&graph, tuned_config(&graph, seed));
             // The quality check: rerun ba-hub with the budgets/pruning off
             // and score the budgeted cover against that reference. Only on
             // the hub family (the one the budgets reshape) and only where
             // the unbudgeted run is affordable.
             let (theta_vs, omega_vs) = if family == "ba-hub" && n <= QUALITY_REF_MAX_NODES {
                 eprint!(" ref");
-                let (_, reference) = bench_end_to_end(&graph, seed, SearchConfig::default());
+                let unbudgeted = OcaConfig {
+                    search: SearchConfig::default(),
+                    ..tuned_config(&graph, seed)
+                };
+                let (_, reference) = bench_end_to_end(&graph, unbudgeted);
                 (
                     Some(theta(&reference, &cover)),
                     Some(omega_index(&reference, &cover)),
@@ -472,12 +455,7 @@ fn main() {
             // ckpt_* telemetry rides along with the hot-path record.
             let ckpt = if family == "lfr" && n <= CKPT_LEG_MAX_NODES {
                 eprint!(" ckpt");
-                Some(bench_checkpointed(
-                    &graph,
-                    seed,
-                    tuned_search(&graph),
-                    &cover,
-                ))
+                Some(bench_checkpointed(&graph, seed, &cover))
             } else {
                 None
             };
@@ -533,7 +511,11 @@ fn main() {
     print!("{}", table.render());
     println!("peak RSS: {:.1} MiB", peak_rss as f64 / (1024.0 * 1024.0));
 
-    let mut fields = object! { "rng_seed": seed, "peak_rss_bytes": peak_rss };
+    let mut fields = object! {
+        "rng_seed": seed,
+        "peak_rss_bytes": peak_rss,
+        "spectral_known_failures": SPECTRAL_KNOWN_FAILURES.to_vec(),
+    };
     if baseline_rss > 0 {
         fields.push("before_peak_rss_bytes", baseline_rss);
         fields.push("peak_rss_ratio", peak_rss as f64 / baseline_rss as f64);
@@ -573,6 +555,29 @@ fn main() {
     // misconfigured snapshot, e.g. a full-mode baseline checked against a
     // smoke run) rather than silently gating nothing.
     let mut regressed = false;
+    // Attribution gate, no baseline needed: the named phases must account
+    // for all but a sliver of each run, and the spectral solve must
+    // converge unless the case is a listed known failure.
+    for case in &cases {
+        let label = format!("{}/{}", case.family, case.nodes);
+        let e2e = &case.end_to_end;
+        let share = e2e.phases.unattributed_ns as f64 / (e2e.secs * 1e9).max(1.0);
+        if share > MAX_UNATTRIBUTED_SHARE {
+            eprintln!(
+                "REGRESSION: {label} unattributed_ns is {:.2}% of end-to-end (> {:.0}%)",
+                100.0 * share,
+                100.0 * MAX_UNATTRIBUTED_SHARE,
+            );
+            regressed = true;
+        }
+        if !e2e.spectral_converged && !SPECTRAL_KNOWN_FAILURES.contains(&label.as_str()) {
+            eprintln!(
+                "REGRESSION: {label} spectral solve did not converge in {} steps",
+                e2e.spectral_iterations
+            );
+            regressed = true;
+        }
+    }
     let mut matched = 0usize;
     for case in &cases {
         if let Some(b) = find_baseline(case) {

@@ -15,12 +15,12 @@
 //! cargo run -p oca-bench --release --bin query_latency -- --smoke # 10k CI gate
 //! ```
 
-use oca::{CStrategy, HaltingConfig, LocalConfig, OcaConfig, OcaDetector};
+use oca::{CStrategy, LocalConfig};
 use oca_bench::report::report;
-use oca_bench::{Args, CancelOnDrop, Table};
+use oca_bench::{fixed_c_recompute, latency, quantile, Args, CancelOnDrop, LatencyUnit, Table};
 use oca_gen::{lfr, LfrParams};
-use oca_graph::{json::Value, object, CommunityDetector, DetectContext};
-use oca_serve::{Client, RecomputeFn, ServeConfig, Server};
+use oca_graph::{json::Value, object};
+use oca_serve::{Client, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
@@ -33,24 +33,6 @@ struct ClientSamples {
     query_ns: Vec<u64>,
     local_ns: Vec<u64>,
     errors: u64,
-}
-
-/// Exact `q`-quantile of a sorted sample, in microseconds.
-fn quantile_us(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1] as f64 / 1_000.0
-}
-
-/// Client-side `count`/`p50_us`/`p99_us` of one endpoint's sorted sample.
-fn latency(sorted: &[u64]) -> Value {
-    object! {
-        "count": sorted.len(),
-        "p50_us": quantile_us(sorted, 0.50),
-        "p99_us": quantile_us(sorted, 0.99),
-    }
 }
 
 #[allow(clippy::too_many_lines)]
@@ -105,28 +87,8 @@ fn main() {
         },
         ..Default::default()
     };
-    // The background refresh: a seed-capped OCA pass with the same fixed
-    // c as the serving config — c is a property of the static graph, so
-    // re-running the spectral solve every round would spend the whole
-    // window resolving what is already known.
-    let recompute: Box<RecomputeFn> = Box::new(move |graph, seed, cancel| {
-        let config = OcaConfig {
-            halting: HaltingConfig {
-                max_seeds: recompute_seeds,
-                ..Default::default()
-            },
-            rng_seed: seed,
-            threads: 1,
-            c: CStrategy::Fixed(fixed_c),
-            ..Default::default()
-        };
-        let detector = OcaDetector::new(config).map_err(|e| e.to_string())?;
-        let mut ctx = DetectContext::new(seed).with_cancel(cancel.clone());
-        detector
-            .detect(graph, &mut ctx)
-            .map(|d| d.cover)
-            .map_err(|e| e.to_string())
-    });
+    // The background refresh, with the serving config's fixed c.
+    let recompute = fixed_c_recompute(fixed_c, recompute_seeds);
 
     let server = Server::new(
         Arc::clone(&graph),
@@ -200,8 +162,8 @@ fn main() {
         table.row([
             name.to_string(),
             sorted.len().to_string(),
-            format!("{:.1}", quantile_us(sorted, 0.50)),
-            format!("{:.1}", quantile_us(sorted, 0.99)),
+            format!("{:.1}", quantile(sorted, 0.50, LatencyUnit::Micros)),
+            format!("{:.1}", quantile(sorted, 0.99, LatencyUnit::Micros)),
         ]);
     }
     print!("{}", table.render());
@@ -211,7 +173,7 @@ fn main() {
         served.recomputes, served.final_epoch
     );
 
-    let query_p99 = quantile_us(&query_ns, 0.99);
+    let query_p99 = quantile(&query_ns, 0.99, LatencyUnit::Micros);
     let pass = query_p99 <= 1_000.0 && errors == 0;
 
     let json = report(
@@ -233,8 +195,8 @@ fn main() {
             "recompute_seed_budget": recompute_seeds,
             "recomputes_published": served.recomputes,
             "final_epoch": served.final_epoch,
-            "client_query": latency(&query_ns),
-            "client_local": latency(&local_ns),
+            "client_query": latency(&query_ns, LatencyUnit::Micros),
+            "client_local": latency(&local_ns, LatencyUnit::Micros),
             "throughput_req_per_sec": throughput,
             "request_errors": errors,
             "server_requests": served.requests,

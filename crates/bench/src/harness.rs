@@ -6,13 +6,15 @@
 //! the paper's protocol ("as our postprocessing techniques also improve the
 //! quality of the other algorithms, we applied them to all the results").
 //! Dispatch is fully generic: the harness asks the [`oca_api`] registry
-//! for the experiment-grade preset of a named algorithm and drives it
+//! for the tuned preset of a named algorithm with its protocol options
+//! ([`oca_api::DetectorSpec::experiment`]) and drives it
 //! through `Box<dyn CommunityDetector>` — no per-algorithm `match`, so a
 //! newly registered backend is immediately comparable.
 
-use oca::merge_similar;
+use oca::{merge_similar, CStrategy, HaltingConfig, OcaConfig, OcaDetector};
 use oca_api::{registry, CommunityDetector, DetectContext};
-use oca_graph::{CancelToken, Cover, CsrGraph};
+use oca_graph::{json::Value, object, CancelToken, Cover, CsrGraph};
+use oca_serve::RecomputeFn;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -44,7 +46,7 @@ pub struct RunOutput {
 /// Drives one detector under the harness's uniform context.
 ///
 /// # Panics
-/// Panics if the detector fails; experiment presets are pre-validated and
+/// Panics if the detector fails; protocol detectors are pre-validated and
 /// the harness context is never cancelled, so a failure is a driver bug.
 pub fn run_detector(detector: &dyn CommunityDetector, graph: &CsrGraph, seed: u64) -> RunOutput {
     let mut ctx = DetectContext::new(seed);
@@ -62,7 +64,8 @@ pub fn run_detector(detector: &dyn CommunityDetector, graph: &CsrGraph, seed: u6
 }
 
 /// Runs the named algorithm (a registry key such as `"oca"` or
-/// `"cfinder-faithful"`) with its experiment-grade settings.
+/// `"cfinder-faithful"`) under the paper's protocol
+/// ([`oca_api::DetectorSpec::experiment`]).
 ///
 /// # Panics
 /// Panics on an unregistered name; the figure binaries pass compile-time
@@ -220,6 +223,73 @@ impl Drop for CancelOnDrop {
     fn drop(&mut self) {
         self.0.cancel();
     }
+}
+
+/// The background recompute of the serving benches: a single-thread OCA
+/// pass of at most `max_seeds` seeds with `c` fixed at `fixed_c`, the
+/// serving config's value. `c` is a property of the static graph, so
+/// re-running the spectral solve every round would spend the window
+/// resolving what is already known.
+pub fn fixed_c_recompute(fixed_c: f64, max_seeds: usize) -> Box<RecomputeFn> {
+    Box::new(move |graph, seed, cancel| {
+        let config = OcaConfig {
+            halting: HaltingConfig {
+                max_seeds,
+                ..Default::default()
+            },
+            rng_seed: seed,
+            threads: 1,
+            c: CStrategy::Fixed(fixed_c),
+            ..Default::default()
+        };
+        let detector = OcaDetector::new(config).map_err(|e| e.to_string())?;
+        let mut ctx = DetectContext::new(seed).with_cancel(cancel.clone());
+        detector
+            .detect(graph, &mut ctx)
+            .map(|d| d.cover)
+            .map_err(|e| e.to_string())
+    })
+}
+
+/// The unit a bench reports client-side latencies in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LatencyUnit {
+    /// Milliseconds, reported as `p50_ms` / `p99_ms`.
+    Millis,
+    /// Microseconds, reported as `p50_us` / `p99_us`.
+    Micros,
+}
+
+impl LatencyUnit {
+    fn nanos(self) -> f64 {
+        match self {
+            LatencyUnit::Millis => 1_000_000.0,
+            LatencyUnit::Micros => 1_000.0,
+        }
+    }
+}
+
+/// Exact nearest-rank `q`-quantile of a sorted nanosecond sample, in
+/// `unit`; 0 for an empty sample.
+pub fn quantile(sorted: &[u64], q: f64, unit: LatencyUnit) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1] as f64 / unit.nanos()
+}
+
+/// Client-side `count` and p50/p99 of one endpoint's sorted nanosecond
+/// sample, keyed by `unit` (`p50_ms`, or `p50_us`).
+pub fn latency(sorted: &[u64], unit: LatencyUnit) -> Value {
+    let (p50, p99) = match unit {
+        LatencyUnit::Millis => ("p50_ms", "p99_ms"),
+        LatencyUnit::Micros => ("p50_us", "p99_us"),
+    };
+    let mut out = object! { "count": sorted.len() };
+    out.push(p50, quantile(sorted, 0.50, unit));
+    out.push(p99, quantile(sorted, 0.99, unit));
+    out
 }
 
 /// Parses `--key value` style arguments with defaults, for the experiment

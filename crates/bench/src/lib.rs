@@ -16,6 +16,7 @@ pub mod harness;
 pub mod report;
 
 pub use harness::{
-    display_name, peak_rss_bytes, results_dir, run_algorithm, run_detector, secs,
-    shared_postprocess, Args, CancelOnDrop, RunOutput, Table, QUALITY_ALGORITHMS,
+    display_name, fixed_c_recompute, latency, peak_rss_bytes, quantile, results_dir, run_algorithm,
+    run_detector, secs, shared_postprocess, Args, CancelOnDrop, LatencyUnit, RunOutput, Table,
+    QUALITY_ALGORITHMS,
 };

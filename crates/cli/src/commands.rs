@@ -114,7 +114,7 @@ COMMANDS:
   detect     --input G.edges | --graph G.ocg
   (or: run)  [--algorithm NAME] [--output C.cover]
              [--seed S] [--progress] [--orphans]
-             [--checkpoint F.ockpt [--resume]] [--save-cover C.cover]
+             [--checkpoint F.ockpt [--resume]]
              plus the algorithm's own options; see --list-algorithms
   eval       (--input G.edges | --graph G.ocg) --truth T.cover --found C.cover
   stats      --input G.edges | --graph G.ocg
@@ -151,7 +151,7 @@ append per round); after a crash (or ^C) rerun the
 same command with `--resume` and the run continues where it stopped,
 producing the bit-identical cover an uninterrupted run would have. ^C and
 SIGTERM always stop at the next safe point and write the partial cover to
-`--save-cover` (if given) before exiting cleanly; the checkpoint (if
+`--output` (if given) before exiting cleanly; the checkpoint (if
 armed) holds the start of the interrupted round. `cover load` and `graph
 verify` exit 3 on a checksum mismatch, 4 on truncation and 5 on a version
 mismatch (1 for everything else), naming the class in the message.
@@ -287,14 +287,13 @@ fn generate(cli: &Cli) -> Result<(), String> {
 
 /// Options the `detect` subcommand owns itself; everything else must be
 /// declared by the selected algorithm's registry entry.
-const DETECT_OPTIONS: [&str; 7] = [
+const DETECT_OPTIONS: [&str; 6] = [
     "input",
     "graph",
     "algorithm",
     "output",
     "seed",
     "checkpoint",
-    "save-cover",
 ];
 const DETECT_FLAGS: [&str; 4] = ["list-algorithms", "orphans", "progress", "resume"];
 
@@ -412,7 +411,7 @@ fn detect(cli: &Cli) -> Result<(), String> {
                      starts over (pass --checkpoint <path> next time)"
                 ),
             }
-            if let Some(path) = cli.get_str("save-cover") {
+            if let Some(path) = cli.get_str("output") {
                 write_cover_path(&cover, path).map_err(|e| format!("writing {path}: {e}"))?;
                 println!("wrote partial cover to {path}");
             }
@@ -456,10 +455,6 @@ fn detect(cli: &Cli) -> Result<(), String> {
         }
     }
     if let Some(path) = cli.get_str("output") {
-        write_cover_path(&cover, path).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = cli.get_str("save-cover") {
         write_cover_path(&cover, path).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
     }
@@ -1287,7 +1282,7 @@ mod tests {
         )))
         .unwrap();
         run(&cli(&format!(
-            "detect --input {} --checkpoint {} --save-cover {}",
+            "detect --input {} --checkpoint {} --output {}",
             g.display(),
             ckpt.display(),
             saved.display()
@@ -1309,6 +1304,14 @@ mod tests {
         // --resume is meaningless without --checkpoint.
         let err = run(&cli(&format!("detect --input {} --resume", g.display()))).unwrap_err();
         assert!(err.message.contains("--checkpoint"), "{err}");
+        // The cover file has one option, --output; --save-cover is serve's.
+        let err = run(&cli(&format!(
+            "detect --input {} --save-cover {}",
+            g.display(),
+            saved.display()
+        )))
+        .unwrap_err();
+        assert!(err.message.contains("save-cover"), "{err}");
         // Algorithms without checkpoint support reject the key as typed.
         let err = run(&cli(&format!(
             "detect --input {} --algorithm lpa --checkpoint {}",

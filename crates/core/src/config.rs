@@ -2,9 +2,9 @@
 
 use crate::checkpoint::CheckpointConfig;
 use crate::halting::HaltingConfig;
-use crate::search::SearchConfig;
+use crate::search::{SearchConfig, TUNED_BUDGET_FACTOR};
 use crate::seed::SeedStrategy;
-use oca_graph::DetectError;
+use oca_graph::{CsrGraph, DetectError};
 use oca_spectral::PowerConfig;
 
 /// Where the interaction strength `c` comes from.
@@ -82,6 +82,37 @@ impl Default for OcaConfig {
 }
 
 impl OcaConfig {
+    /// The tuned preset for `graph`: what `oca detect`, the bench harness
+    /// and `hot_path` run. The paper fixes only `c` and the seeding rule and
+    /// leaves halting out of scope (Section IV), so its values are this
+    /// reproduction's choices: halting budgets scaled to the node count
+    /// (DESIGN.md §4a) and the hub-aware search, a scaled ascent budget
+    /// plus covered-hub pruning (§2a). Every other field, `threads`
+    /// included, keeps its [`Default`]; the default is the unbudgeted
+    /// reference the tuned cover is scored against.
+    pub fn tuned(graph: &CsrGraph) -> Self {
+        let n = graph.node_count();
+        let avg_degree = 2 * graph.edge_count() / n.max(1);
+        OcaConfig {
+            halting: HaltingConfig {
+                max_seeds: (4 * n).max(100),
+                target_coverage: 0.99,
+                stagnation_limit: 200,
+                stagnation_streak: 500,
+                seeds_per_covered: 0.15,
+            },
+            search: SearchConfig {
+                budget_factor: TUNED_BUDGET_FACTOR,
+                // On LFR-style graphs the maximum degree sits below this,
+                // so pruning never fires; on scale-free graphs it singles
+                // out the mega-hubs whose re-exploration dominates.
+                prune_hub_degree: (8 * avg_degree).max(64),
+                ..SearchConfig::default()
+            },
+            ..OcaConfig::default()
+        }
+    }
+
     /// Validates parameter ranges, reporting violations as typed errors
     /// (call before a long run).
     pub fn validate(&self) -> Result<(), DetectError> {
@@ -160,6 +191,67 @@ mod tests {
     #[test]
     fn default_is_valid() {
         OcaConfig::default().validate().unwrap();
+    }
+
+    /// The tuned preset's values, spelled out: a retune shows up here as
+    /// a test diff.
+    #[test]
+    fn tuned_preset_scales_halting_and_hub_search_to_the_graph() {
+        use oca_graph::from_edges;
+        // Two 5-cliques joined by one edge: average degree 4, so the
+        // hub-pruning floor applies.
+        let mut edges = Vec::new();
+        for base in [0u32, 5] {
+            for i in 0..5 {
+                for j in (i + 1)..5 {
+                    edges.push((base + i, base + j));
+                }
+            }
+        }
+        edges.push((4, 5));
+        let toy = from_edges(10, edges);
+        let cfg = OcaConfig::tuned(&toy);
+        cfg.validate().unwrap();
+        assert_eq!(
+            cfg.halting,
+            HaltingConfig {
+                max_seeds: 100,
+                target_coverage: 0.99,
+                stagnation_limit: 200,
+                stagnation_streak: 500,
+                seeds_per_covered: 0.15,
+            }
+        );
+        assert_eq!(
+            cfg.search,
+            SearchConfig {
+                budget_factor: 64.0,
+                prune_hub_degree: 64,
+                ..SearchConfig::default()
+            }
+        );
+        // Everything else is the library default, one thread included.
+        assert_eq!(
+            cfg,
+            OcaConfig {
+                halting: cfg.halting,
+                search: cfg.search,
+                ..OcaConfig::default()
+            }
+        );
+        assert_eq!(cfg.threads, 1);
+        // A 41-clique has average degree 40, so pruning starts at
+        // 8 × 40 = 320; the seed budget scales as 4n.
+        let k = 41u32;
+        let clique = from_edges(
+            k as usize,
+            (0..k).flat_map(|i| ((i + 1)..k).map(move |j| (i, j))),
+        );
+        let dense = OcaConfig::tuned(&clique);
+        assert_eq!(dense.search.prune_hub_degree, 320);
+        assert_eq!(dense.halting.max_seeds, 164);
+        let big = from_edges(1000, (0..999u32).map(|i| (i, i + 1)));
+        assert_eq!(OcaConfig::tuned(&big).halting.max_seeds, 4000);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! produce nothing new).
 
 /// Composite halting configuration; the run stops when *any* criterion fires.
+/// The [`Default`] targets mid-sized graphs with the newer criteria off;
+/// the tuned preset ([`crate::OcaConfig::tuned`]) scales the budgets to the
+/// graph and enables them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HaltingConfig {
     /// Hard upper bound on the number of seeds to try.
@@ -24,12 +27,13 @@ pub struct HaltingConfig {
     /// stagnation window, so the run can burn its whole seed budget on
     /// duplicates the dedup set rejects in O(1) but the ascent still pays
     /// for in full. `usize::MAX` (the default) disables the criterion,
-    /// so configs written before it existed behave unchanged; the
-    /// registry's tuned and experiment presets enable it at 500.
+    /// so configs written before it existed behave unchanged; the tuned
+    /// preset ([`crate::OcaConfig::tuned`]) enables it.
     pub stagnation_streak: usize,
     /// Seed-efficiency budget: stop once
     /// `seeds_tried ≥ 2 × stagnation_limit + seeds_per_covered × covered`.
-    /// `0.0` disables (the default); the registry presets use 0.15.
+    /// `0.0` disables (the default); the tuned preset
+    /// ([`crate::OcaConfig::tuned`]) enables it.
     ///
     /// Consecutive-failure windows cannot end a hub-dominated run: on a
     /// scale-free graph, coverage saturates but *trickles* — a novel

@@ -57,7 +57,7 @@ pub use postprocess::{assign_orphans, merge_similar};
 pub use runner::{run_default, Oca, OcaResult, PhaseNanos};
 pub use search::{
     ascend, ascend_cancellable, local_search, AscentOutcome, AscentStop, SearchConfig,
-    SearchOutcome, MIN_GAIN, MIN_MOVE_BUDGET,
+    SearchOutcome, MIN_GAIN, MIN_MOVE_BUDGET, TUNED_BUDGET_FACTOR,
 };
 pub use seed::{initial_set, ticket_seed, SeedStrategy};
 pub use state::CommunityState;

@@ -23,7 +23,9 @@
 //! partial community grown so far.
 
 use crate::config::CStrategy;
-use crate::search::{ascend_cancellable, AscentOutcome, AscentStop, SearchConfig};
+use crate::search::{
+    ascend_cancellable, AscentOutcome, AscentStop, SearchConfig, TUNED_BUDGET_FACTOR,
+};
 use crate::seed::{initial_set, splitmix64, ticket_seed, SeedStrategy};
 use crate::state::CommunityState;
 use oca_graph::{
@@ -44,8 +46,8 @@ pub struct LocalConfig {
     pub c: CStrategy,
     /// How the query node expands into the ascent's initial set.
     pub seed_strategy: SeedStrategy,
-    /// Ascent tunables. The registry's tuned preset enables the scaled
-    /// move budget so a hub query cannot stall a serving worker.
+    /// Ascent tunables. The tuned preset ([`LocalConfig::tuned`]) enables
+    /// the scaled move budget so a hub query cannot stall a serving worker.
     pub search: SearchConfig,
     /// Query node for the [`CommunityDetector`] entry point. `None` (the
     /// default) derives a node from the context seed — useful for
@@ -55,6 +57,19 @@ pub struct LocalConfig {
 }
 
 impl LocalConfig {
+    /// The tuned preset: the default with a [`TUNED_BUDGET_FACTOR`]× ascent
+    /// budget — what `oca serve`'s `local` endpoint and the registry's
+    /// tuned `oca-local` build run.
+    pub fn tuned() -> Self {
+        LocalConfig {
+            search: SearchConfig {
+                budget_factor: TUNED_BUDGET_FACTOR,
+                ..SearchConfig::default()
+            },
+            ..LocalConfig::default()
+        }
+    }
+
     /// Validates parameter ranges, reporting violations as typed errors.
     pub fn validate(&self) -> Result<(), DetectError> {
         let invalid = |message: String| DetectError::InvalidConfig {

@@ -17,6 +17,12 @@ use oca_graph::{CancelToken, Community, NodeId};
 /// spend this many moves, so tiny seeds can still grow a real community.
 pub const MIN_MOVE_BUDGET: usize = 32;
 
+/// The [`SearchConfig::budget_factor`] of the tuned presets
+/// ([`crate::OcaConfig::tuned`], [`crate::LocalConfig::tuned`]): large
+/// enough that community-structured ascents converge well inside it, small
+/// enough that a hub ascent cannot crawl a whole scale-free core.
+pub const TUNED_BUDGET_FACTOR: f64 = 64.0;
+
 /// Minimum gain for a move to count as an improvement. A small positive
 /// epsilon avoids chasing floating-point noise at the optimum.
 pub const MIN_GAIN: f64 = 1e-9;
@@ -56,7 +62,7 @@ pub struct SearchConfig {
     /// `max(MIN_MOVE_BUDGET, ceil(budget_factor × (|initial| + 1)))`
     /// moves, never more than [`SearchConfig::max_moves`]. `0.0` disables
     /// the budget (the library default, preserving pre-budget behavior);
-    /// the registry's tuned preset enables it. Scaling to the seed
+    /// the tuned preset sets [`TUNED_BUDGET_FACTOR`]. Scaling to the seed
     /// neighborhood means peripheral seeds stop crawling hub cores while
     /// dense seeds keep room to grow.
     pub budget_factor: f64,

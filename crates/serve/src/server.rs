@@ -44,7 +44,7 @@
 use crate::faults::FaultPlan;
 use crate::protocol::{ProtocolError, Request};
 use crate::snapshot::SnapshotStore;
-use oca::{ticket_seed, CommunityState, LocalConfig, LocalDetector, SearchConfig};
+use oca::{ticket_seed, CommunityState, LocalConfig, LocalDetector};
 use oca_graph::json::Value;
 use oca_graph::{
     object, CancelToken, Cover, CsrGraph, DetectContext, DetectError, EpochCounters, NodeId,
@@ -97,7 +97,8 @@ pub struct ServeConfig {
     /// Configuration of the `local` endpoint's detector. Its
     /// interaction-strength strategy is resolved once at server start —
     /// `c` is a property of the (static) graph, not of any cover. The
-    /// default sets `search.budget_factor` to 64, so hub queries stay cheap.
+    /// default is the tuned preset ([`LocalConfig::tuned`]), whose scaled
+    /// move budget keeps hub queries cheap.
     pub local: LocalConfig,
     /// Accepted connections waiting for a free worker beyond this are
     /// rejected with a typed `overloaded` line instead of queueing
@@ -125,13 +126,7 @@ impl Default for ServeConfig {
             seed: 0x0CA,
             recompute_interval: None,
             max_duration: None,
-            local: LocalConfig {
-                search: SearchConfig {
-                    budget_factor: 64.0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
+            local: LocalConfig::tuned(),
             max_pending: 128,
             max_line_bytes: 64 * 1024,
             request_deadline: None,

@@ -16,7 +16,7 @@ use oca_repro::prelude::*;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Builds every registered detector in its experiment-grade preset.
+/// Builds every registered detector as the paper's protocol runs it.
 fn all_detectors(graph: &CsrGraph) -> Vec<(&'static str, Box<dyn CommunityDetector>)> {
     registry()
         .iter()

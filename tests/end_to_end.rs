@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning all crates: generator → algorithm
 //! → metrics, checking the paper's headline claims at test-friendly scale.
 
-use oca::{HaltingConfig, Oca, OcaConfig, SearchConfig};
+use oca::{HaltingConfig, Oca, OcaConfig};
 use oca_baselines::{cfinder, lfk, CFinderConfig, LfkConfig};
 use oca_gen::{daisy_tree, lfr, planted_partition, DaisyParams, LfrParams};
 use oca_metrics::{average_f1, omega_index, overlapping_nmi, theta};
@@ -140,14 +140,8 @@ fn oca_finds_planted_overlap_in_overlapping_lfr() {
 fn budgeted_hub_search_matches_unbudgeted_quality_on_fig2() {
     let bench = lfr(&LfrParams::small(600, 0.25, 1234));
     let unbudgeted = Oca::new(quality_config(600)).run(&bench.graph);
-    let n = bench.graph.node_count().max(1);
     let budgeted = Oca::new(OcaConfig {
-        search: SearchConfig {
-            budget_factor: 64.0,
-            // The tuned preset's derivation: 8x average degree, floored.
-            prune_hub_degree: (8 * (2 * bench.graph.edge_count() / n)).max(64),
-            ..SearchConfig::default()
-        },
+        search: OcaConfig::tuned(&bench.graph).search,
         ..quality_config(600)
     })
     .run(&bench.graph);

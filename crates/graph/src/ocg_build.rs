@@ -3,30 +3,45 @@
 //! [`crate::builder::GraphBuilder`] materializes every raw edge in RAM,
 //! which caps ingestion around the machine's memory. This builder streams
 //! the edge list instead, keeping only one bounded chunk of edges plus
-//! O(n) per-node arrays resident:
+//! O(n) per-node arrays resident. It is one pipeline whose data lives in
+//! RAM when the whole graph fits one chunk and in sorted spill files
+//! otherwise:
 //!
 //! 1. **Normalize + run generation** — each edge is canonicalized to
 //!    `(min, max)` (self-loops counted and dropped), packed into a `u64`,
-//!    and buffered; full chunks are sorted, deduplicated (duplicates
-//!    counted) and spilled to disk as sorted runs of 8 bytes/edge.
+//!    and buffered; each chunk is sorted and deduplicated (duplicates
+//!    counted). Full chunks are spilled to disk as sorted runs of 8
+//!    bytes/edge. A last chunk that holds every edge stays in RAM when
+//!    its `2·m` directed pairs fit one chunk too (`2·m ≤ chunk_edges`);
+//!    otherwise it is spilled like the others.
 //! 2. **Merge** — a k-way merge of the runs yields the globally sorted,
 //!    deduplicated undirected edge set (cross-run duplicates counted
 //!    here), writing one merged spill file and accumulating per-node
-//!    degrees.
+//!    degrees. In RAM the sorted chunk already is that set, and only the
+//!    degrees are counted.
 //! 3. **Relabel** — the degree-descending permutation is computed from
 //!    the degree array exactly as [`crate::Relabeling::degree_descending`]
 //!    does (ties break by ascending original id), so the output is bit-exact
 //!    with the in-RAM [`crate::GraphBuilder::build_degree_ordered`] pipeline.
-//! 4. **Scatter + final merge** — the merged edges are re-read, mapped
-//!    through the permutation, emitted as both directed pairs, chunk-
-//!    sorted by `(src, dst)` into a second generation of runs, and merged
-//!    straight into the `.ocg` payload while the FNV-1a checksum
-//!    accumulates; the header is patched in afterwards.
+//! 4. **Scatter** — the merged edges are re-read, mapped through the
+//!    permutation, emitted as both directed pairs and chunk-sorted by
+//!    `(src, dst)` into a second generation of runs. In RAM both
+//!    orientations go straight to their rows of one neighbour array, and
+//!    each row is then sorted.
+//! 5. **Write** — the offsets, the rows (merged from the directed runs, or
+//!    the neighbour array as it stands) and the id map stream into the
+//!    `.ocg` payload while the FNV-1a checksum accumulates; the header is
+//!    patched in afterwards, and the file is fsynced and renamed into
+//!    place.
 //!
 //! Peak memory is `8 B × chunk_edges` for the chunk buffer plus ~`16 B ×
 //! node_count` for the degree/permutation arrays — independent of the
-//! edge count. Disk usage peaks around `24 B` per undirected edge
-//! (ingest runs + merged spill + directed runs) beyond the output file.
+//! edge count. In RAM the sorted keys take `8 B × m` and the neighbour
+//! array `8 B × m`, within the same bound. A build that fits one chunk
+//! writes no spill bytes; a larger one uses about `24 B` per undirected
+//! edge of disk (ingest runs + merged spill + directed runs) beyond the
+//! output file, in a private directory made at the first spill and
+//! removed when the build ends.
 //!
 //! The CSR invariants hold by construction (sorted unique rows, both
 //! directions emitted), and by default the writer still re-audits the
@@ -51,6 +66,8 @@ const SPILL_BUF: usize = 1 << 18;
 pub struct BuildOptions {
     /// Edges buffered in RAM per sorted run (8 bytes each). The chunk
     /// buffer — `8 B × chunk_edges` — dominates the builder's peak RSS.
+    /// A graph whose `2·m` directed pairs fit one chunk is built in RAM
+    /// with no spill files.
     pub chunk_edges: usize,
     /// Lower bound on the node count, for inputs whose trailing nodes are
     /// isolated (ids are otherwise inferred as `max_id + 1`).
@@ -60,7 +77,10 @@ pub struct BuildOptions {
     pub relabel: bool,
     /// Re-audit the finished file (checksum + full CSR invariant sweep).
     pub verify: bool,
-    /// Directory for spill files; defaults to `<output>.tmp`.
+    /// Where spill files go; defaults to `<output>.tmp`. The build makes
+    /// a private directory inside it at its first spill and removes only
+    /// that directory (and the location itself, if the build created it
+    /// and nothing else is in it).
     pub tmp_dir: Option<PathBuf>,
 }
 
@@ -89,9 +109,14 @@ pub struct BuildStats {
     pub self_loops: u64,
     /// Duplicate edges dropped.
     pub duplicates: u64,
-    /// Sorted runs spilled during ingestion (1 means the input fit one
-    /// chunk).
+    /// Sorted runs ingestion produced: 0 for an empty input, 1 when the
+    /// input fit one chunk, more when it did not. A lone run is kept in
+    /// RAM, not spilled, when its `2·m` directed pairs fit one chunk too;
+    /// `spill_bytes` tells the two apart.
     pub ingest_runs: usize,
+    /// Bytes written to spill files: the ingest runs, the merged edge
+    /// spill and the directed runs. 0 when the graph was built in RAM.
+    pub spill_bytes: u64,
     /// Wall time of each phase of the build.
     pub phases: BuildPhases,
 }
@@ -101,15 +126,19 @@ pub struct BuildStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildPhases {
     /// Reading and parsing the input, canonicalizing each edge, and
-    /// sorting and spilling the ingest runs.
+    /// sorting and deduplicating each chunk; spilling the ingest runs
+    /// when there is more than one chunk's worth.
     pub ingest_ns: u64,
     /// The k-way merge of the ingest runs into the deduplicated edge
-    /// spill and the degree array.
+    /// spill and the degree array; in RAM, only the degree count over the
+    /// sorted chunk.
     pub merge_ns: u64,
     /// The degree-descending permutation, the offsets, and the directed,
-    /// relabeled pairs scattered into sorted runs.
+    /// relabeled pairs scattered into sorted runs; in RAM, scattered into
+    /// the neighbour array, whose rows are then sorted.
     pub scatter_ns: u64,
-    /// The final merge into the payload, the header, `fsync` and the
+    /// The payload written (the rows merged from the directed runs, or
+    /// copied from the neighbour array), the header, `fsync` and the
     /// rename into place.
     pub write_ns: u64,
     /// The re-audit of the finished file (0 without `verify`).
@@ -136,81 +165,91 @@ impl Lap {
     }
 }
 
-/// Spill directory that cleans up after itself.
-struct TmpDir {
-    path: PathBuf,
-    counter: usize,
+/// The spill files of one build. They go in a private directory that is
+/// created inside `parent` at the first spill, so a build that never
+/// spills touches no directory, and concurrent builds sharing `parent`
+/// never share files. Dropping it removes the private directory, and
+/// `parent` too if the build created it and it is empty; nothing else
+/// under `parent` is touched.
+struct Spill {
+    parent: PathBuf,
+    dir: Option<PathBuf>,
+    made_parent: bool,
+    files: usize,
+    /// Bytes written to spill files so far.
+    bytes: u64,
 }
 
-impl TmpDir {
-    fn new(path: PathBuf) -> Result<TmpDir> {
-        std::fs::create_dir_all(&path)?;
-        TmpDir::try_lock(&path)?;
-        Ok(TmpDir { path, counter: 0 })
-    }
-
-    /// Refuses to share a spill directory with a concurrent build.
-    fn try_lock(path: &Path) -> Result<()> {
-        let lock = path.join("lock");
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&lock)
-        {
-            Ok(_) => Ok(()),
-            Err(e) if e.kind() == ErrorKind::AlreadyExists => Err(GraphError::InvalidFormat {
-                message: format!(
-                    "spill directory {} is already in use (stale `lock` file from a crashed \
-                     build? remove the directory to proceed)",
-                    path.display()
-                ),
-            }),
-            Err(e) => Err(e.into()),
+impl Spill {
+    fn new(parent: PathBuf) -> Spill {
+        Spill {
+            parent,
+            dir: None,
+            made_parent: false,
+            files: 0,
+            bytes: 0,
         }
     }
 
-    fn next_run(&mut self) -> PathBuf {
-        self.counter += 1;
-        self.path.join(format!("run{}.bin", self.counter))
+    /// A fresh path in the private directory, made on first use.
+    fn next_path(&mut self, name: &str) -> Result<PathBuf> {
+        if self.dir.is_none() {
+            self.made_parent = !self.parent.is_dir();
+            std::fs::create_dir_all(&self.parent)?;
+            let mut attempt = 0u32;
+            loop {
+                let dir = self
+                    .parent
+                    .join(format!("spill-{}-{attempt}", std::process::id()));
+                match std::fs::create_dir(&dir) {
+                    Ok(()) => break self.dir = Some(dir),
+                    Err(e) if e.kind() == ErrorKind::AlreadyExists => attempt += 1,
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+        self.files += 1;
+        Ok(self
+            .dir
+            .as_ref()
+            .expect("made above")
+            .join(format!("{name}{}.bin", self.files)))
+    }
+
+    /// Spills sorted keys as a run of little-endian `u64`s.
+    fn write_run(&mut self, keys: &[u64]) -> Result<PathBuf> {
+        let path = self.next_path("run")?;
+        let mut w = BufWriter::with_capacity(SPILL_BUF, File::create(&path)?);
+        let mut buf = [0u8; 4096];
+        for block in keys.chunks(buf.len() / 8) {
+            for (bytes, key) in buf.chunks_exact_mut(8).zip(block) {
+                bytes.copy_from_slice(&key.to_le_bytes());
+            }
+            w.write_all(&buf[..block.len() * 8])?;
+        }
+        w.flush()?;
+        self.bytes += 8 * keys.len() as u64;
+        Ok(path)
     }
 }
 
-impl Drop for TmpDir {
+impl Drop for Spill {
     fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.path).ok();
+        if let Some(dir) = &self.dir {
+            std::fs::remove_dir_all(dir).ok();
+            if self.made_parent {
+                std::fs::remove_dir(&self.parent).ok();
+            }
+        }
     }
 }
 
-/// Sorts a chunk, optionally dedups it (adding to `duplicates`), and
-/// spills it as a sorted run of little-endian `u64`s.
-fn spill_run(
-    tmp: &mut TmpDir,
-    chunk: &mut Vec<u64>,
-    dedup: bool,
-    duplicates: &mut u64,
-) -> Result<PathBuf> {
+/// Sorts a chunk and drops its repeated keys, adding them to `duplicates`.
+fn sort_dedup(chunk: &mut Vec<u64>, duplicates: &mut u64) {
     chunk.sort_unstable();
-    if dedup {
-        let before = chunk.len();
-        chunk.dedup();
-        *duplicates += (before - chunk.len()) as u64;
-    }
-    let path = tmp.next_run();
-    let mut w = BufWriter::with_capacity(SPILL_BUF, File::create(&path)?);
-    let mut buf = [0u8; 4096];
-    let mut used = 0usize;
-    for &key in chunk.iter() {
-        buf[used..used + 8].copy_from_slice(&key.to_le_bytes());
-        used += 8;
-        if used == buf.len() {
-            w.write_all(&buf)?;
-            used = 0;
-        }
-    }
-    w.write_all(&buf[..used])?;
-    w.flush()?;
-    chunk.clear();
-    Ok(path)
+    let before = chunk.len();
+    chunk.dedup();
+    *duplicates += (before - chunk.len()) as u64;
 }
 
 struct RunCursor {
@@ -254,6 +293,22 @@ fn merge_runs(paths: &[PathBuf], mut emit: impl FnMut(u64) -> Result<()>) -> Res
 #[inline]
 fn pack(hi: u32, lo: u32) -> u64 {
     (hi as u64) << 32 | lo as u64
+}
+
+/// Where the deduplicated undirected edges live after the merge phase.
+enum Edges {
+    /// Sorted keys in RAM: the input fit one chunk.
+    Ram(Vec<u64>),
+    /// The merged spill file.
+    Spilled(PathBuf),
+}
+
+/// Where the directed rows live after the scatter phase.
+enum Rows {
+    /// The CSR neighbour array, each row sorted.
+    Ram(Vec<u32>),
+    /// Directed runs sorted by `(src, dst)`, to be merged.
+    Spilled(Vec<PathBuf>),
 }
 
 /// Builds a `.ocg` file from an edge-list file (plain text or gzip,
@@ -360,14 +415,15 @@ where
     let mut lap = Lap(Instant::now());
     let mut phases = BuildPhases::default();
     let chunk_cap = options.chunk_edges.max(1024);
-    let mut tmp = TmpDir::new(
+    let mut spill = Spill::new(
         options
             .tmp_dir
             .clone()
             .unwrap_or_else(|| output.with_extension("ocg.tmp")),
-    )?;
+    );
 
-    // Phase 1: normalize, chunk-sort, spill.
+    // Phase 1: normalize, chunk-sort, spill all but a last chunk that
+    // holds the whole graph.
     let mut chunk: Vec<u64> = Vec::with_capacity(chunk_cap);
     let mut runs: Vec<PathBuf> = Vec::new();
     let mut self_loops = 0u64;
@@ -382,16 +438,21 @@ where
             max_id = Some(max_id.map_or(u.max(v), |m| m.max(u).max(v)));
             chunk.push(pack(u.min(v), u.max(v)));
             if chunk.len() == chunk_cap {
-                runs.push(spill_run(&mut tmp, &mut chunk, true, &mut duplicates)?);
+                sort_dedup(&mut chunk, &mut duplicates);
+                runs.push(spill.write_run(&chunk)?);
+                chunk.clear();
             }
             Ok(())
         };
         ingest(&mut sink)?
     };
-    if !chunk.is_empty() {
-        runs.push(spill_run(&mut tmp, &mut chunk, true, &mut duplicates)?);
+    sort_dedup(&mut chunk, &mut duplicates);
+    let ingest_runs = runs.len() + usize::from(!chunk.is_empty());
+    let in_ram = runs.is_empty() && chunk.len() <= chunk_cap / 2;
+    if !in_ram && !chunk.is_empty() {
+        runs.push(spill.write_run(&chunk)?);
+        chunk.clear();
     }
-    let ingest_runs = runs.len();
 
     let inferred = max_id.map_or(0u64, |m| m as u64 + 1);
     let node_count = inferred.max(options.min_nodes as u64);
@@ -403,11 +464,30 @@ where
     let n = node_count as usize;
     phases.ingest_ns = lap.ns();
 
-    // Phase 2: merge runs into the deduplicated spill + degree array.
-    let merged_path = tmp.path.join("merged.bin");
+    // Phase 2: the deduplicated edge set (merged into a spill file from
+    // the runs, or the RAM chunk as it stands) and the degree array.
     let mut degrees = vec![0u32; n];
     let mut edge_count = 0usize;
-    {
+    let mut count = |key: u64| -> Result<()> {
+        edge_count += 1;
+        if edge_count > (u32::MAX / 2) as usize {
+            return Err(GraphError::TooManyEdges {
+                requested: edge_count,
+            });
+        }
+        degrees[(key >> 32) as usize] += 1;
+        degrees[key as u32 as usize] += 1;
+        Ok(())
+    };
+    let edges = if in_ram {
+        let mut keys = std::mem::take(&mut chunk);
+        // Give back the chunk's unused capacity: the keys and the
+        // neighbour array then fit the chunk's budget between them.
+        keys.shrink_to_fit();
+        keys.iter().try_for_each(|&key| count(key))?;
+        Edges::Ram(keys)
+    } else {
+        let merged_path = spill.next_path("merged")?;
         let mut merged = BufWriter::with_capacity(SPILL_BUF, File::create(&merged_path)?);
         let mut last: Option<u64> = None;
         merge_runs(&runs, |key| {
@@ -416,22 +496,17 @@ where
                 return Ok(());
             }
             last = Some(key);
-            edge_count += 1;
-            if edge_count > (u32::MAX / 2) as usize {
-                return Err(GraphError::TooManyEdges {
-                    requested: edge_count,
-                });
-            }
-            degrees[(key >> 32) as usize] += 1;
-            degrees[key as u32 as usize] += 1;
+            count(key)?;
             merged.write_all(&key.to_le_bytes())?;
             Ok(())
         })?;
         merged.flush()?;
-    }
-    for run in runs.drain(..) {
-        std::fs::remove_file(run).ok();
-    }
+        spill.bytes += 8 * edge_count as u64;
+        for run in runs.drain(..) {
+            std::fs::remove_file(run).ok();
+        }
+        Edges::Spilled(merged_path)
+    };
     let directed = edge_count * 2;
     phases.merge_ns = lap.ns();
 
@@ -476,40 +551,64 @@ where
     drop(degrees);
     debug_assert_eq!(*offsets.last().unwrap() as usize, directed);
 
-    // Phase 4: scatter directed, relabeled pairs into a second generation
-    // of sorted runs.
-    let mut directed_runs: Vec<PathBuf> = Vec::new();
-    {
-        let mut reader = BufReader::with_capacity(SPILL_BUF, File::open(&merged_path)?);
-        let mut bytes = [0u8; 8];
-        loop {
-            match reader.read_exact(&mut bytes) {
-                Ok(()) => {}
-                Err(e) if e.kind() == ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e.into()),
+    // Phase 4: scatter directed, relabeled pairs into the neighbour array
+    // or into a second generation of sorted runs.
+    let relabel = |key: u64| {
+        let (a, b) = ((key >> 32) as u32, key as u32);
+        match &old_to_new {
+            Some(map) => (map[a as usize], map[b as usize]),
+            None => (a, b),
+        }
+    };
+    let rows = match edges {
+        Edges::Ram(keys) => {
+            let mut next: Vec<u32> = offsets[..n].to_vec();
+            let mut neighbors = vec![0u32; directed];
+            for &key in &keys {
+                let (a, b) = relabel(key);
+                neighbors[next[a as usize] as usize] = b;
+                next[a as usize] += 1;
+                neighbors[next[b as usize] as usize] = a;
+                next[b as usize] += 1;
             }
-            let key = u64::from_le_bytes(bytes);
-            let (a, b) = ((key >> 32) as u32, key as u32);
-            let (a, b) = match &old_to_new {
-                Some(map) => (map[a as usize], map[b as usize]),
-                None => (a, b),
-            };
-            for pair in [pack(a, b), pack(b, a)] {
-                chunk.push(pair);
-                if chunk.len() == chunk_cap {
-                    directed_runs.push(spill_run(&mut tmp, &mut chunk, false, &mut 0)?);
+            drop(keys);
+            for row in offsets.windows(2) {
+                neighbors[row[0] as usize..row[1] as usize].sort_unstable();
+            }
+            Rows::Ram(neighbors)
+        }
+        Edges::Spilled(merged_path) => {
+            let mut directed_runs: Vec<PathBuf> = Vec::new();
+            let mut reader = BufReader::with_capacity(SPILL_BUF, File::open(&merged_path)?);
+            let mut bytes = [0u8; 8];
+            loop {
+                match reader.read_exact(&mut bytes) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == ErrorKind::UnexpectedEof => break,
+                    Err(e) => return Err(e.into()),
+                }
+                let (a, b) = relabel(u64::from_le_bytes(bytes));
+                for pair in [pack(a, b), pack(b, a)] {
+                    chunk.push(pair);
+                    if chunk.len() == chunk_cap {
+                        chunk.sort_unstable();
+                        directed_runs.push(spill.write_run(&chunk)?);
+                        chunk.clear();
+                    }
                 }
             }
+            if !chunk.is_empty() {
+                chunk.sort_unstable();
+                directed_runs.push(spill.write_run(&chunk)?);
+            }
+            std::fs::remove_file(&merged_path).ok();
+            Rows::Spilled(directed_runs)
         }
-        if !chunk.is_empty() {
-            directed_runs.push(spill_run(&mut tmp, &mut chunk, false, &mut 0)?);
-        }
-    }
-    std::fs::remove_file(&merged_path).ok();
+    };
     drop(chunk);
     phases.scatter_ns = lap.ns();
 
-    // Phase 5: merge the directed runs straight into the .ocg payload.
+    // Phase 5: the offsets, the rows and the id map into the .ocg payload.
     let mut flags = OCG_FLAG_VALIDATED;
     if options.relabel {
         flags |= OCG_FLAG_RELABELED;
@@ -533,27 +632,30 @@ where
     let mut fnv = Fnv1a::default();
     write_words(&mut w, &mut fnv, offsets.iter().copied())?;
     drop(offsets);
-    {
-        let mut pack_buf = [0u8; 4096];
-        let mut used = 0usize;
-        let mut emitted = 0usize;
-        merge_runs(&directed_runs, |key| {
-            emitted += 1;
-            pack_buf[used..used + 4].copy_from_slice(&(key as u32).to_le_bytes());
-            used += 4;
-            if used == pack_buf.len() {
-                fnv.update(&pack_buf);
-                w.write_all(&pack_buf)?;
-                used = 0;
+    match rows {
+        Rows::Ram(neighbors) => write_words(&mut w, &mut fnv, neighbors.into_iter())?,
+        Rows::Spilled(directed_runs) => {
+            let mut pack_buf = [0u8; 4096];
+            let mut used = 0usize;
+            let mut emitted = 0usize;
+            merge_runs(&directed_runs, |key| {
+                emitted += 1;
+                pack_buf[used..used + 4].copy_from_slice(&(key as u32).to_le_bytes());
+                used += 4;
+                if used == pack_buf.len() {
+                    fnv.update(&pack_buf);
+                    w.write_all(&pack_buf)?;
+                    used = 0;
+                }
+                Ok(())
+            })?;
+            fnv.update(&pack_buf[..used]);
+            w.write_all(&pack_buf[..used])?;
+            if emitted != directed {
+                return Err(GraphError::InvalidFormat {
+                    message: format!("internal error: emitted {emitted} of {directed} entries"),
+                });
             }
-            Ok(())
-        })?;
-        fnv.update(&pack_buf[..used]);
-        w.write_all(&pack_buf[..used])?;
-        if emitted != directed {
-            return Err(GraphError::InvalidFormat {
-                message: format!("internal error: emitted {emitted} of {directed} entries"),
-            });
         }
     }
     if let Some(map) = &old_to_new {
@@ -580,7 +682,8 @@ where
     drop(file);
     crate::atomic::commit_temp_path(&final_tmp, output)?;
     final_guard.0 = None;
-    drop(tmp);
+    let spill_bytes = spill.bytes;
+    drop(spill);
     phases.write_ns = lap.ns();
 
     if options.verify {
@@ -594,6 +697,7 @@ where
         self_loops,
         duplicates,
         ingest_runs,
+        spill_bytes,
         phases,
     })
 }
@@ -628,24 +732,21 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn streamed_build_is_bit_exact_with_in_ram_builder() {
-        let edges = messy_edges(300, 4000, 42);
-        let path = tmp("bitexact.ocg");
-        // Tiny chunks force many runs through both merge generations.
+    /// Builds `edges` on `n` nodes and checks the file against the in-RAM
+    /// builder bit for bit: CSR, relabeling, checksum and drop counts.
+    fn build_bit_exact(edges: &[(u32, u32)], n: usize, chunk_edges: usize) -> BuildStats {
+        let path = tmp(&format!("bitexact_{n}_{}_{chunk_edges}.ocg", edges.len()));
         let options = BuildOptions {
-            chunk_edges: 0, // clamped to the 1024 minimum
-            min_nodes: 300,
+            chunk_edges,
+            min_nodes: n,
             ..BuildOptions::default()
         };
         let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
-        assert!(stats.ingest_runs > 1, "want a real multi-run merge");
 
-        let mut b = GraphBuilder::new(300);
+        let mut b = GraphBuilder::new(n);
         b.extend_edges(edges.iter().copied());
-        let (report_graph, report) = b.clone().try_build_report().unwrap();
+        let (_, report) = b.clone().try_build_report().unwrap();
         let (ram_graph, ram_relabeling) = b.build_degree_ordered();
-        drop(report_graph);
 
         let opened = open_ocg_path(&path).unwrap();
         assert_eq!(opened.graph, ram_graph, "CSR must match bit for bit");
@@ -653,12 +754,65 @@ mod tests {
         assert_eq!(stats.self_loops, report.self_loops);
         assert_eq!(stats.duplicates, report.duplicates);
         assert_eq!(stats.edges, ram_graph.edge_count());
-        assert_eq!(stats.edges_read, 4000);
+        assert_eq!(stats.edges_read, edges.len() as u64);
         assert_eq!(
             opened.info.checksum,
             crate::ocg::payload_checksum(&ram_graph, Some(&ram_relabeling))
         );
         std::fs::remove_file(&path).ok();
+        stats
+    }
+
+    #[test]
+    fn streamed_build_is_bit_exact_with_in_ram_builder() {
+        let edges = messy_edges(300, 4000, 42);
+        // Tiny chunks (0 is clamped to the 1024 minimum) force many runs
+        // through both merge generations.
+        let stats = build_bit_exact(&edges, 300, 0);
+        assert!(stats.ingest_runs > 1, "want a real multi-run merge");
+        assert!(stats.spill_bytes > 0);
+        // The default chunk holds it all: built in RAM, nothing spilled.
+        let stats = build_bit_exact(&edges, 300, BuildOptions::default().chunk_edges);
+        assert_eq!((stats.ingest_runs, stats.spill_bytes), (1, 0));
+    }
+
+    /// `m` distinct edges on `n` nodes, each then repeated (reversed) with
+    /// probability 1/4, plus `m / 8` self-loops.
+    fn distinct_edges_with_repeats(n: u32, m: usize, seed: u64) -> Vec<(u32, u32)> {
+        let mut rng = crate::testing::XorShift::new(seed);
+        let mut seen = std::collections::HashSet::new();
+        let mut edges = Vec::new();
+        while edges.len() < m {
+            let u = rng.below(n as usize) as u32;
+            let v = rng.below(n as usize) as u32;
+            if u != v && seen.insert((u.min(v), u.max(v))) {
+                edges.push((u, v));
+            }
+        }
+        let repeats: Vec<(u32, u32)> = edges
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 4 == 0)
+            .map(|(_, &(u, v))| (v, u))
+            .collect();
+        edges.extend(repeats);
+        edges.extend((0..(m / 8) as u32).map(|i| (i % n, i % n)));
+        edges
+    }
+
+    #[test]
+    fn one_chunk_boundary_is_bit_exact_on_both_sides() {
+        // 1024 is the chunk floor. At 2·m = 1024 every directed pair fits
+        // one chunk: built in RAM. One edge more and the lone ingest run
+        // is spilled, merged and scattered through directed runs.
+        let at = build_bit_exact(&distinct_edges_with_repeats(90, 512, 5), 90, 1024);
+        assert_eq!((at.edges, at.ingest_runs, at.spill_bytes), (512, 1, 0));
+        assert!(at.duplicates > 0 && at.self_loops > 0);
+        let over = build_bit_exact(&distinct_edges_with_repeats(90, 513, 5), 90, 1024);
+        assert_eq!((over.edges, over.ingest_runs), (513, 1));
+        // The ingest run, the merged spill and the directed runs.
+        assert_eq!(over.spill_bytes, 8 * 513 * 4);
+        assert!(over.duplicates > 0 && over.self_loops > 0);
     }
 
     #[test]
@@ -767,14 +921,14 @@ mod tests {
     #[test]
     fn emitter_build_surfaces_deferred_errors() {
         let path = tmp("emitter_err.ocg");
-        let spill_dir = path.with_extension("ocg.tmp");
-        // Yank the spill directory out from under the build mid-stream: the
-        // first chunk spill fails, the error is stashed, the remaining
-        // emits are ignored, and the failure surfaces when the producer
-        // returns — the emit closure itself never reports it.
+        // A spill location under a regular file cannot be made: the first
+        // chunk spill fails, the error is stashed, the remaining emits are
+        // ignored, and the failure surfaces when the producer returns —
+        // the emit closure itself never reports it.
+        let blocker = tmp("emitter_err.blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
         let err = build_ocg_from_emitter(
             |emit| {
-                std::fs::remove_dir_all(&spill_dir).unwrap();
                 for i in 0..4096u32 {
                     emit(i, i + 1);
                 }
@@ -782,41 +936,96 @@ mod tests {
             &path,
             &BuildOptions {
                 chunk_edges: 0, // clamped to the 1024 minimum → forces a spill
+                tmp_dir: Some(blocker.join("spill")),
                 ..BuildOptions::default()
             },
         )
         .unwrap_err();
         assert!(err.to_string().contains("emitter_err"), "{err}");
+        assert!(!path.exists());
+        std::fs::remove_file(&blocker).ok();
+    }
+
+    #[test]
+    fn tmp_dir_keeps_what_it_held() {
+        let dir = tmp("user_spill_dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let keep = dir.join("keep.txt");
+        std::fs::write(&keep, b"user data").unwrap();
+        let edges = messy_edges(200, 3000, 11);
+        let path = tmp("user_spill.ocg");
+        // The default chunk builds in RAM; 0 (clamped to 1024) spills runs.
+        for (chunk_edges, spills) in [(BuildOptions::default().chunk_edges, false), (0, true)] {
+            let options = BuildOptions {
+                chunk_edges,
+                tmp_dir: Some(dir.clone()),
+                ..BuildOptions::default()
+            };
+            let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
+            assert_eq!(stats.spill_bytes > 0, spills);
+            assert_eq!(std::fs::read(&keep).unwrap(), b"user data");
+            let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            assert_eq!(left.len(), 1, "only the user's file is left: {left:?}");
+        }
         std::fs::remove_file(&path).ok();
-        std::fs::remove_dir_all(&spill_dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn spill_location_is_made_only_to_spill() {
+        let path = tmp("lazy_spill.ocg");
+        let edges = messy_edges(200, 3000, 17);
+        // In RAM nothing is made, so a location that cannot be made is
+        // never noticed.
+        let blocker = tmp("lazy_spill.blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let options = BuildOptions {
+            tmp_dir: Some(blocker.join("spill")),
+            ..BuildOptions::default()
+        };
+        let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
+        assert_eq!(stats.spill_bytes, 0);
+        std::fs::remove_file(&blocker).ok();
+        // The default location is made to spill, and removed after.
+        let options = BuildOptions {
+            chunk_edges: 0,
+            ..BuildOptions::default()
+        };
+        let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
+        assert!(stats.spill_bytes > 0);
+        assert!(!path.with_extension("ocg.tmp").exists());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn phases_add_up_to_the_elapsed_time() {
         let edges = messy_edges(20_000, 200_000, 3);
         let path = tmp("phases.ocg");
-        let options = BuildOptions {
-            chunk_edges: 50_000,
-            ..BuildOptions::default()
-        };
-        let start = Instant::now();
-        let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
-        let elapsed = start.elapsed().as_nanos() as u64;
-        let p = stats.phases;
-        for (name, ns) in [
-            ("ingest", p.ingest_ns),
-            ("merge", p.merge_ns),
-            ("scatter", p.scatter_ns),
-            ("write", p.write_ns),
-            ("verify", p.verify_ns),
-        ] {
-            assert!(ns > 0, "{name} phase not timed: {p:?}");
+        // Spilled runs, then one chunk in RAM.
+        for chunk_edges in [50_000, BuildOptions::default().chunk_edges] {
+            let options = BuildOptions {
+                chunk_edges,
+                ..BuildOptions::default()
+            };
+            let start = Instant::now();
+            let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
+            let elapsed = start.elapsed().as_nanos() as u64;
+            let p = stats.phases;
+            for (name, ns) in [
+                ("ingest", p.ingest_ns),
+                ("merge", p.merge_ns),
+                ("scatter", p.scatter_ns),
+                ("write", p.write_ns),
+                ("verify", p.verify_ns),
+            ] {
+                assert!(ns > 0, "{name} phase not timed: {p:?}");
+            }
+            let total = p.total_ns();
+            assert!(
+                total <= elapsed && total as f64 >= 0.95 * elapsed as f64,
+                "phases {p:?} sum to {total} ns of {elapsed} ns"
+            );
         }
-        let total = p.total_ns();
-        assert!(
-            total <= elapsed && total as f64 >= 0.95 * elapsed as f64,
-            "phases {p:?} sum to {total} ns of {elapsed} ns"
-        );
         std::fs::remove_file(&path).ok();
     }
 

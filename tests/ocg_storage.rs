@@ -2,9 +2,10 @@
 //! source must be *indistinguishable* from the in-RAM path.
 //!
 //! * Round-trip (property-based): for arbitrary edge multisets, the
-//!   external-memory builder — forced through multi-run chunk merges —
-//!   produces byte-for-byte the CSR, relabeling permutation, and payload
-//!   checksum of `GraphBuilder::build_degree_ordered()`.
+//!   external-memory builder — in RAM when the graph fits one chunk,
+//!   through multi-run chunk merges when it does not — produces
+//!   byte-for-byte the CSR, relabeling permutation, and payload checksum
+//!   of `GraphBuilder::build_degree_ordered()`.
 //! * Detector conformance: every registered detector produces a
 //!   bit-identical cover on the mmap-backed graph and on the same graph
 //!   held in owned `Vec`s, for a fixed seed.
@@ -67,11 +68,13 @@ impl DegreeOrdered for CsrGraph {
 
 proptest! {
     /// The streamed external-memory build is bit-exact with the in-RAM
-    /// builder: same CSR, same permutation, same checksum — even when the
-    /// tiny chunk budget forces many spill runs and cross-run dedup.
+    /// builder: same CSR, same permutation, same checksum — on both of its
+    /// paths. Against the 1024-edge chunk floor, short lists are built in
+    /// RAM, and longer ones spill one or many ingest runs, cross-run
+    /// duplicates and directed runs.
     #[test]
     fn streamed_ocg_build_is_bit_exact(
-        edges in prop::collection::vec((0u32..120, 0u32..120), 0..400),
+        edges in prop::collection::vec((0u32..120, 0u32..120), 0..3000),
         case in 0u32..1_000_000,
     ) {
         let n = 120usize;
@@ -88,8 +91,9 @@ proptest! {
         let expect_relabel = Relabeling::degree_descending(&expect_graph);
         let expect_graph = expect_graph.relabeled(&expect_relabel);
 
-        // Streamed build with a floor-clamped chunk budget (1024 edges)
-        // so multi-run merging is exercised whenever len > 1024.
+        // Streamed build with a floor-clamped chunk budget (1024 edges):
+        // in RAM while the 2·m directed pairs fit one chunk, spilled
+        // otherwise, with multi-run merging from 1024 non-loop edges on.
         let stats = build_ocg_from_edges(
             edges.iter().copied(),
             &path,
@@ -111,6 +115,12 @@ proptest! {
         prop_assert_eq!(stats.self_loops, expect_report.self_loops);
         prop_assert_eq!(stats.duplicates, expect_report.duplicates);
         prop_assert_eq!(verify_ocg_path(&path).unwrap().checksum, ocg.info.checksum);
+        // Which path ran: one ingest run per chunk of non-loop edges, and
+        // spill files unless they made one chunk of at most 512 edges.
+        let chunked = edges.iter().filter(|(u, v)| u != v).count();
+        prop_assert_eq!(stats.ingest_runs, chunked.div_ceil(1024));
+        let in_ram = chunked < 1024 && 2 * expect_graph.edge_count() <= 1024;
+        prop_assert_eq!(stats.spill_bytes == 0, in_ram);
         std::fs::remove_file(&path).unwrap();
     }
 

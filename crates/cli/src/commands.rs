@@ -748,9 +748,11 @@ fn graph_cmd(cli: &Cli) -> Result<(), CmdError> {
 /// `graph build`: edge list (plain or gzip) in, validated `.ocg` out,
 /// through the bounded-memory external sort — the input never has to fit
 /// in RAM. A graph whose `2·m` directed pairs fit one chunk is built in
-/// RAM and spills nothing; its `phases:` line then times the in-RAM sort
-/// (ingest), the degree count (merge), the scatter into rows (scatter)
-/// and the payload write (write).
+/// RAM and spills nothing; its `phases:` line then times the parse and
+/// in-RAM sort (ingest), the degree count (merge), the scatter into rows
+/// (scatter) and the payload write (write). The build runs on the host's
+/// available parallelism, capped at 8 workers, which the stats line
+/// reports; the output bytes do not depend on it.
 fn graph_build(cli: &Cli) -> Result<(), String> {
     cli.ensure_known(
         &["input", "output", "chunk-edges", "min-nodes", "tmp-dir"],
@@ -779,8 +781,13 @@ fn graph_build(cli: &Cli) -> Result<(), String> {
     );
     println!(
         "read {} edge lines; skipped {} self-loop(s) and {} duplicate edge(s); {} sorted run(s), \
-         {} spill byte(s)",
-        stats.edges_read, stats.self_loops, stats.duplicates, stats.ingest_runs, stats.spill_bytes
+         {} spill byte(s), {} worker(s)",
+        stats.edges_read,
+        stats.self_loops,
+        stats.duplicates,
+        stats.ingest_runs,
+        stats.spill_bytes,
+        stats.workers
     );
     let p = stats.phases;
     println!(

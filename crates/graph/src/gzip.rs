@@ -571,9 +571,40 @@ pub fn gunzip(bytes: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// `plain` as one gzip member of stored (uncompressed) DEFLATE blocks: a
+/// gzip input for tests, which this crate has no compressor to make.
+#[cfg(test)]
+pub(crate) fn gzip_stored(plain: &[u8]) -> Vec<u8> {
+    let mut out = vec![0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff];
+    let mut blocks = plain.chunks(u16::MAX as usize).peekable();
+    if blocks.peek().is_none() {
+        out.extend_from_slice(&[1, 0, 0, 0xff, 0xff]);
+    }
+    while let Some(block) = blocks.next() {
+        let len = block.len() as u16;
+        out.push(u8::from(blocks.peek().is_none()));
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&(!len).to_le_bytes());
+        out.extend_from_slice(block);
+    }
+    let mut crc = Crc32::new();
+    plain.iter().for_each(|&b| crc.update(b));
+    out.extend_from_slice(&crc.finish().to_le_bytes());
+    out.extend_from_slice(&(plain.len() as u32).to_le_bytes());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stored_members_round_trip() {
+        for len in [0, 1, 65_535, 65_536, 200_000] {
+            let plain: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+            assert_eq!(gunzip(&gzip_stored(&plain)).unwrap(), plain, "{len} bytes");
+        }
+    }
 
     // Reference vectors generated with CPython's zlib (gzip.compress with
     // mtime=0); each is (compressed bytes, expected plaintext).

@@ -88,6 +88,88 @@ pub(crate) fn for_each_edge<R: BufRead>(
     Ok(scan.edges)
 }
 
+/// Hands `reader`'s bytes to `f` in blocks of whole lines, in file order:
+/// each block ends in `\n`, except a last line the input does not end,
+/// and holds at most `block_len` bytes unless one line is longer. A block
+/// is filled by as many reads as it takes, so a decoder that hands out a
+/// few KiB per read still yields full blocks. A read error is returned
+/// once the whole lines read before it have been handed over, as
+/// [`for_each_edge`] scans them before it reports the error.
+pub(crate) fn for_each_line_block(
+    mut reader: impl Read,
+    block_len: usize,
+    mut f: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut block = vec![0u8; block_len.max(1)];
+    let mut held = 0;
+    loop {
+        let (mut eof, mut failed) = (false, None);
+        while held < block.len() {
+            match reader.read(&mut block[held..]) {
+                Ok(0) => {
+                    eof = true;
+                    break;
+                }
+                Ok(read) => held += read,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        let lines = if eof {
+            held
+        } else {
+            block[..held]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |last| last + 1)
+        };
+        if lines > 0 {
+            f(&block[..lines])?;
+        }
+        if let Some(e) = failed {
+            return Err(e.into());
+        }
+        if eof {
+            return Ok(());
+        }
+        block.copy_within(lines..held, 0);
+        held -= lines;
+        if held == block.len() {
+            // One line fills the block: make room for the rest of it.
+            block.resize(2 * block.len(), 0);
+        }
+    }
+}
+
+/// Scans a block of whole lines (as [`for_each_line_block`] hands them
+/// out) by the rules of [`for_each_edge`], numbering its lines from 1.
+/// Returns the number of lines. An error's line number counts from the
+/// block's start; [`after_lines`] moves it past the lines before.
+pub(crate) fn scan_lines(bytes: &[u8], f: impl FnMut(u32, u32) -> Result<()>) -> Result<usize> {
+    let mut scan = Scan {
+        lineno: 0,
+        edges: 0,
+        f,
+    };
+    scan.lines(bytes)?;
+    Ok(scan.lineno)
+}
+
+/// `err` from a block scanned with [`scan_lines`], its line number moved
+/// past the `before` lines that came before the block.
+pub(crate) fn after_lines(err: GraphError, before: usize) -> GraphError {
+    match err {
+        GraphError::Parse { line, message } => GraphError::Parse {
+            line: line + before,
+            message,
+        },
+        other => other,
+    }
+}
+
 /// The scanner's state across buffer fills.
 struct Scan<F> {
     lineno: usize,
@@ -98,21 +180,31 @@ struct Scan<F> {
 impl<F: FnMut(u32, u32) -> Result<()>> Scan<F> {
     /// Feeds the whole lines in `bytes` (each ends in `\n`, except the
     /// input's last line) to the sink. An all-ASCII run of lines is
-    /// split into lines and fields without decoding characters; any
-    /// other run is taken line by line through [`scan_line`].
+    /// split into lines and fields without decoding characters, a plain
+    /// `u v` line in one pass by [`plain_edge`]; any other run is taken
+    /// line by line through [`scan_line`].
     fn lines(&mut self, bytes: &[u8]) -> Result<()> {
-        match std::str::from_utf8(bytes) {
-            Ok(text) if text.is_ascii() => {
-                for line in text.split_terminator('\n') {
-                    self.lineno += 1;
-                    self.edge(edge_of_fields(AsciiFields { line, at: 0 }, self.lineno)?)?;
+        if bytes.is_ascii() {
+            let mut at = 0;
+            while at < bytes.len() {
+                self.lineno += 1;
+                if let Some((u, v, next)) = plain_edge(bytes, at) {
+                    self.edge(Some((u, v)))?;
+                    at = next;
+                    continue;
                 }
+                let end = bytes[at..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |len| at + len);
+                let line = std::str::from_utf8(&bytes[at..end]).expect("ASCII is UTF-8");
+                self.edge(edge_of_fields(AsciiFields { line, at: 0 }, self.lineno)?)?;
+                at = end + 1;
             }
-            _ => {
-                for line in bytes.split_inclusive(|&b| b == b'\n') {
-                    self.lineno += 1;
-                    self.edge(scan_line(line, self.lineno)?)?;
-                }
+        } else {
+            for line in bytes.split_inclusive(|&b| b == b'\n') {
+                self.lineno += 1;
+                self.edge(scan_line(line, self.lineno)?)?;
             }
         }
         Ok(())
@@ -132,6 +224,54 @@ impl<F: FnMut(u32, u32) -> Result<()>> Scan<F> {
 #[inline]
 fn is_space(b: u8) -> bool {
     b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// The edge of the ASCII line that starts at `at` in `bytes`, and where
+/// the next line starts, when the line is plain: two fields of decimal
+/// digits whose values fit a `u32`, then whitespace or the end of the
+/// line. `None` for any other line — a comment, a blank line, a sign, an
+/// overflow, a field with another byte in it — which the field parser
+/// then takes, so the result is the same either way.
+#[inline]
+fn plain_edge(bytes: &[u8], mut at: usize) -> Option<(u32, u32, usize)> {
+    let blank = |b: u8| b != b'\n' && is_space(b);
+    while at < bytes.len() && blank(bytes[at]) {
+        at += 1;
+    }
+    let (u, end) = plain_id(bytes, at)?;
+    at = end;
+    if !bytes.get(at).is_some_and(|&b| blank(b)) {
+        return None;
+    }
+    while at < bytes.len() && blank(bytes[at]) {
+        at += 1;
+    }
+    let (v, end) = plain_id(bytes, at)?;
+    at = end;
+    if bytes.get(at).is_some_and(|&b| !is_space(b)) {
+        return None;
+    }
+    let next = bytes[at..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |len| at + len + 1);
+    Some((u, v, next))
+}
+
+/// The decimal digits at `at` as a `u32`, and where they end; `None` when
+/// there are none or their value overflows.
+#[inline]
+fn plain_id(bytes: &[u8], mut at: usize) -> Option<(u32, usize)> {
+    let start = at;
+    let mut value = 0u64;
+    while let Some(&b) = bytes.get(at).filter(|b| b.is_ascii_digit()) {
+        value = value * 10 + (b - b'0') as u64;
+        if value > u32::MAX as u64 {
+            return None;
+        }
+        at += 1;
+    }
+    (at > start).then_some((value as u32, at))
 }
 
 /// The fields of an ASCII line, as `split_whitespace` yields them but
@@ -277,14 +417,14 @@ pub fn write_edge_list_path<P: AsRef<Path>>(graph: &CsrGraph, path: P) -> Result
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::from_edges;
     use crate::testing::XorShift;
 
     /// The `read_line` parser the in-buffer scanner replaced: the
     /// reference for the differential tests below.
-    fn for_each_edge_oracle<R: BufRead>(
+    pub(crate) fn for_each_edge_oracle<R: BufRead>(
         mut reader: R,
         mut f: impl FnMut(u32, u32) -> Result<()>,
     ) -> Result<u64> {

@@ -48,6 +48,7 @@ pub mod kcore;
 pub mod node;
 pub mod ocg;
 pub mod ocg_build;
+mod par;
 pub mod relabel;
 pub mod stats;
 mod storage;

@@ -277,20 +277,41 @@ fn graph_from_mapped(file: Arc<MappedFile>, header: RawHeader, geo: Sections) ->
 /// Fully audits a `.ocg` file: recomputes the payload checksum against the
 /// header and re-runs every CSR invariant (plus a permutation check on the
 /// id map). Sequential passes over the payload plus one random probe per
-/// undirected edge ([`CsrGraph::validate`]). Returns the header metadata
-/// on success.
+/// undirected edge ([`CsrGraph::validate`]); on a multi-core host the
+/// checksum pass runs on a second thread beside the others. Returns the
+/// header metadata on success.
 pub fn verify_ocg_path<P: AsRef<Path>>(path: P) -> Result<OcgInfo> {
-    let path = path.as_ref();
-    verify_ocg_inner(path).map_err(|e| e.with_path(path))
+    verify_ocg_with(path.as_ref(), crate::par::default_workers() > 1)
 }
 
-fn verify_ocg_inner(path: &Path) -> Result<OcgInfo> {
+/// [`verify_ocg_path`], with the checksum pass on a thread of its own when
+/// `parallel`. Either way a file that fails more than one check reports
+/// the first of them in the order checksum, structure, CSR invariants
+/// (the first failing row), id map.
+pub(crate) fn verify_ocg_with(path: &Path, parallel: bool) -> Result<OcgInfo> {
+    verify_ocg_inner(path, parallel).map_err(|e| e.with_path(path))
+}
+
+fn verify_ocg_inner(path: &Path, parallel: bool) -> Result<OcgInfo> {
     let (file, header, geo) = open_mapped(path)?;
-    let mut fnv = Fnv1a::default();
-    fnv.update(&file.bytes()[OCG_HEADER_LEN..]);
-    if fnv.finish() != header.checksum {
+    let recorded = header.checksum;
+    let (audited, hashed) = crate::par::join(
+        parallel,
+        || audit(Arc::clone(&file), header, geo),
+        || {
+            let mut fnv = Fnv1a::default();
+            fnv.update(&file.bytes()[OCG_HEADER_LEN..]);
+            fnv.finish()
+        },
+    );
+    if hashed != recorded {
         return Err(GraphError::Container(ContainerError::ChecksumMismatch));
     }
+    audited
+}
+
+/// Every check of [`verify_ocg_path`] but the checksum.
+fn audit(file: Arc<MappedFile>, header: RawHeader, geo: Sections) -> Result<OcgInfo> {
     let (relabeled, relabel_start, n) = (geo.relabeled, geo.relabel_start, geo.n);
     let opened = graph_from_mapped(Arc::clone(&file), header, geo)?;
     opened
@@ -353,6 +374,26 @@ pub(crate) fn write_words<W: Write>(
         fnv.update(bytes);
         w.write_all(bytes)
     })
+}
+
+/// Writes `sections`, one after another, as little-endian words.
+pub(crate) fn write_word_sections<W: Write>(w: &mut W, sections: &[&[u32]]) -> std::io::Result<()> {
+    for section in sections {
+        for_each_word_block(section.iter().copied(), |bytes| w.write_all(bytes))?;
+    }
+    Ok(())
+}
+
+/// The FNV-1a of what [`write_word_sections`] writes for `sections`.
+pub(crate) fn checksum_word_sections(sections: &[&[u32]]) -> u64 {
+    let mut fnv = Fnv1a::default();
+    for section in sections {
+        let Ok(()) = for_each_word_block(section.iter().copied(), |bytes| {
+            fnv.update(bytes);
+            Ok::<(), std::convert::Infallible>(())
+        });
+    }
+    fnv.finish()
 }
 
 pub(crate) fn encode_header(
@@ -587,6 +628,46 @@ mod tests {
         assert!(open_ocg_path(&path).is_ok(), "open is O(1), trusts header");
         let err = verify_ocg_path(&path).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn parallel_audit_reports_what_a_sequential_one_does() {
+        let (g, r, report) = sample();
+        let path = tmp("audit_order.ocg");
+        write_ocg_path(&g, Some(&r), report, &path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let first_row = OCG_HEADER_LEN + 4 * (g.node_count() + 1);
+        let id_map = first_row + 4 * g.neighbors_slice().len();
+        let last_row = id_map - 4;
+        // Flips one bit at each offset; with `forge`, the header's checksum
+        // is made to match, so the later checks get their turn.
+        let audit = |flips: &[usize], forge: bool, parallel: bool| {
+            let mut bytes = clean.clone();
+            for &at in flips {
+                bytes[at] ^= 1;
+            }
+            if forge {
+                let sum = crate::container::fnv1a(&bytes[OCG_HEADER_LEN..]);
+                bytes[48..56].copy_from_slice(&sum.to_le_bytes());
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            verify_ocg_with(&path, parallel).unwrap_err().to_string()
+        };
+        for parallel in [false, true] {
+            let err = audit(&[first_row, id_map], false, parallel);
+            assert!(err.contains("checksum mismatch"), "{err}");
+            // Two bad rows: the first one is reported.
+            let first = audit(&[first_row], true, parallel);
+            assert!(first.contains("CSR invariant violated"), "{first}");
+            assert_eq!(audit(&[first_row, last_row], true, parallel), first);
+            // A bad row before a bad id map.
+            let last = audit(&[last_row], true, parallel);
+            assert_ne!(last, first);
+            assert_eq!(audit(&[last_row, id_map], true, parallel), last);
+            let err = audit(&[id_map], true, parallel);
+            assert!(err.contains("not a permutation"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

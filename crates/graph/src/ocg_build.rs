@@ -17,11 +17,11 @@
 //! 2. **Merge** — a k-way merge of the runs yields the globally sorted,
 //!    deduplicated undirected edge set (cross-run duplicates counted
 //!    here), writing one merged spill file and accumulating per-node
-//!    degrees. In RAM the sorted chunk already is that set, and only the
-//!    degrees are counted.
+//!    degrees. In RAM the deduplicated chunk already is that set, and only
+//!    the degrees are counted.
 //! 3. **Relabel** — the degree-descending permutation is computed from
-//!    the degree array exactly as [`crate::Relabeling::degree_descending`]
-//!    does (ties break by ascending original id), so the output is bit-exact
+//!    the degree array in the order [`crate::Relabeling::degree_descending`]
+//!    gives (ties break by ascending original id), so the output is bit-exact
 //!    with the in-RAM [`crate::GraphBuilder::build_degree_ordered`] pipeline.
 //! 4. **Scatter** — the merged edges are re-read, mapped through the
 //!    permutation, emitted as both directed pairs and chunk-sorted by
@@ -34,14 +34,45 @@
 //!    patched in afterwards, and the file is fsynced and renamed into
 //!    place.
 //!
+//! ## Workers
+//!
+//! A build runs on the host's available parallelism, capped at 8 workers,
+//! and writes the same bytes at any worker count:
+//! * **Ingest.** The path builder reads the input in 1 MiB blocks of whole
+//!   lines and cuts each block at newlines into one slice per worker. Each
+//!   worker parses its slice into its own region of the chunk's free room;
+//!   the regions are then closed up in file order, so every chunk holds
+//!   the same edges as a one-thread parse. A block only goes to the workers
+//!   when its edges are sure to fit the chunk; the lines that fill the
+//!   last of a chunk are parsed one at a time. A parse error is the one
+//!   of the earliest slice with an error, at its line in the file. gzip
+//!   input is decompressed on one thread; its parse is split.
+//! * **Sort.** Each chunk is sorted in place on the workers: the keys
+//!   below a sampled pivot are moved in front of the rest, and the two
+//!   sides are sorted side by side (recursively, one side per share of
+//!   the workers). The chunk ends sorted with no merge and no second
+//!   buffer; repeats are then dropped in one pass.
+//! * **Scatter.** In RAM each worker owns one range of new row ids: it
+//!   scans every edge, writes only the entries that fall in its range, and
+//!   sorts its own rows. Spilled chunks of directed pairs are sorted like
+//!   the ingest chunks.
+//! * **Write.** In RAM the payload is hashed on a second thread while the
+//!   main thread writes it.
+//! * **Verify.** The checksum pass runs on one thread while the CSR
+//!   invariants and the id map are checked on another.
+//!
+//! The degree count, the k-way merges of spill files and the spilled
+//! payload's write stay on one thread.
+//!
 //! Peak memory is `8 B × chunk_edges` for the chunk buffer plus ~`16 B ×
 //! node_count` for the degree/permutation arrays — independent of the
-//! edge count. In RAM the sorted keys take `8 B × m` and the neighbour
-//! array `8 B × m`, within the same bound. A build that fits one chunk
-//! writes no spill bytes; a larger one uses about `24 B` per undirected
-//! edge of disk (ingest runs + merged spill + directed runs) beyond the
-//! output file, in a private directory made at the first spill and
-//! removed when the build ends.
+//! edge count and of the worker count: the workers parse into the chunk's
+//! own room and sort it in place. In RAM the sorted keys take `8 B × m`
+//! and the neighbour array `8 B × m`, within the same bound. A build that
+//! fits one chunk writes no spill bytes; a larger one uses about `24 B`
+//! per undirected edge of disk (ingest runs + merged spill + directed
+//! runs) beyond the output file, in a private directory made at the first
+//! spill and removed when the build ends.
 //!
 //! The CSR invariants hold by construction (sorted unique rows, both
 //! directions emitted), and by default the writer still re-audits the
@@ -49,17 +80,31 @@
 
 use crate::container::Fnv1a;
 use crate::error::{GraphError, Result};
-use crate::io::{for_each_edge, open_edge_list_reader};
-use crate::ocg::{encode_header, write_words, OCG_FLAG_RELABELED, OCG_FLAG_VALIDATED};
+use crate::io::{after_lines, for_each_line_block, open_edge_list_reader, scan_lines};
+use crate::ocg::{
+    checksum_word_sections, encode_header, write_word_sections, write_words, OCG_FLAG_RELABELED,
+    OCG_FLAG_VALIDATED,
+};
+use crate::par::{default_workers, even_ranges, par_map, split_ranges_mut};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Spill-file buffer size (per open run).
 const SPILL_BUF: usize = 1 << 18;
+
+/// The path builder reads its input in blocks of whole lines of this size.
+const READ_BLOCK: usize = 1 << 20;
+
+/// Fewest bytes of lines worth a parse thread of their own.
+const MIN_SLICE_BYTES: usize = 512;
+
+/// Fewest keys (or rows) worth a sort or scatter thread of their own.
+const MIN_PART: usize = 256;
 
 /// Tuning knobs for the external-memory builder.
 #[derive(Debug, Clone)]
@@ -117,6 +162,9 @@ pub struct BuildStats {
     /// Bytes written to spill files: the ingest runs, the merged edge
     /// spill and the directed runs. 0 when the graph was built in RAM.
     pub spill_bytes: u64,
+    /// Worker threads the build ran on: the host's available parallelism,
+    /// capped at 8. The output does not depend on it.
+    pub workers: usize,
     /// Wall time of each phase of the build.
     pub phases: BuildPhases,
 }
@@ -131,7 +179,7 @@ pub struct BuildPhases {
     pub ingest_ns: u64,
     /// The k-way merge of the ingest runs into the deduplicated edge
     /// spill and the degree array; in RAM, only the degree count over the
-    /// sorted chunk.
+    /// deduplicated chunk.
     pub merge_ns: u64,
     /// The degree-descending permutation, the offsets, and the directed,
     /// relabeled pairs scattered into sorted runs; in RAM, scattered into
@@ -244,47 +292,156 @@ impl Drop for Spill {
     }
 }
 
-/// Sorts a chunk and drops its repeated keys, adding them to `duplicates`.
-fn sort_dedup(chunk: &mut Vec<u64>, duplicates: &mut u64) {
-    chunk.sort_unstable();
-    let before = chunk.len();
-    chunk.dedup();
-    *duplicates += (before - chunk.len()) as u64;
+/// How many parts of at least [`MIN_PART`] items each `len` items make,
+/// up to one per worker.
+fn parts_for(len: usize, workers: usize) -> usize {
+    workers.min(len.div_ceil(MIN_PART)).max(1)
 }
 
-struct RunCursor {
-    reader: BufReader<File>,
+/// Sorts `keys` on up to `workers` threads, in place: the keys below a
+/// pivot are moved in front of the rest, and the two sides are sorted side
+/// by side, each on its share of the workers. No merge and no second
+/// buffer. The pivot is the sample quantile that matches the shares.
+fn par_sort(keys: &mut [u64], workers: usize) {
+    if workers < 2 || keys.len() < 2 * MIN_PART {
+        keys.sort_unstable();
+        return;
+    }
+    const SAMPLES: usize = 64;
+    let mut samples: Vec<u64> = (0..SAMPLES)
+        .map(|i| keys[(2 * i + 1) * keys.len() / (2 * SAMPLES)])
+        .collect();
+    samples.sort_unstable();
+    let high_workers = workers / 2;
+    let pivot = samples[SAMPLES * (workers - high_workers) / workers];
+    let split = partition_below(keys, pivot);
+    if split == 0 {
+        // The pivot is the least key: no split to make.
+        keys.sort_unstable();
+        return;
+    }
+    let (low, high) = keys.split_at_mut(split);
+    crate::par::join(
+        true,
+        || par_sort(low, workers - high_workers),
+        || par_sort(high, high_workers),
+    );
 }
 
-impl RunCursor {
-    fn next_key(&mut self) -> Result<Option<u64>> {
-        let mut bytes = [0u8; 8];
-        match self.reader.read_exact(&mut bytes) {
-            Ok(()) => Ok(Some(u64::from_le_bytes(bytes))),
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(None),
-            Err(e) => Err(e.into()),
+/// Moves every key below `pivot` in front of the others; returns how many
+/// there are.
+fn partition_below(keys: &mut [u64], pivot: u64) -> usize {
+    let (mut low, mut high) = (0, keys.len());
+    loop {
+        while low < high && keys[low] < pivot {
+            low += 1;
         }
+        while low < high && keys[high - 1] >= pivot {
+            high -= 1;
+        }
+        if low == high {
+            return low;
+        }
+        keys.swap(low, high - 1);
     }
 }
 
-/// K-way merges sorted runs, emitting every key in global order
-/// (duplicates included — callers dedup where needed).
+/// Drops the repeats from the front of sorted `keys`, keeping one copy
+/// of each key in order, and returns how many keys are left.
+fn dedup_sorted(keys: &mut [u64]) -> usize {
+    let Some(first) = keys.windows(2).position(|pair| pair[0] == pair[1]) else {
+        return keys.len();
+    };
+    let mut kept = first + 1;
+    for i in first + 2..keys.len() {
+        if keys[i] != keys[kept - 1] {
+            keys[kept] = keys[i];
+            kept += 1;
+        }
+    }
+    kept
+}
+
+/// Reads a spilled run back, one block of keys at a time.
+struct RunReader {
+    file: File,
+    block: Box<[u8]>,
+    at: usize,
+    held: usize,
+}
+
+impl RunReader {
+    fn open(path: &Path) -> Result<RunReader> {
+        Ok(RunReader {
+            file: File::open(path)?,
+            block: vec![0u8; SPILL_BUF].into_boxed_slice(),
+            at: 0,
+            held: 0,
+        })
+    }
+
+    fn refill(&mut self) -> Result<()> {
+        self.at = 0;
+        self.held = 0;
+        while self.held < self.block.len() {
+            match self.file.read(&mut self.block[self.held..]) {
+                Ok(0) => break,
+                Ok(read) => self.held += read,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        if self.held % 8 != 0 {
+            return Err(GraphError::InvalidFormat {
+                message: "internal error: a spill run ends inside a key".into(),
+            });
+        }
+        Ok(())
+    }
+}
+
+impl Iterator for RunReader {
+    type Item = Result<u64>;
+
+    fn next(&mut self) -> Option<Result<u64>> {
+        if self.at == self.held {
+            if let Err(e) = self.refill() {
+                return Some(Err(e));
+            }
+            if self.held == 0 {
+                return None;
+            }
+        }
+        let bytes = self.block[self.at..self.at + 8]
+            .try_into()
+            .expect("8 bytes");
+        self.at += 8;
+        Some(Ok(u64::from_le_bytes(bytes)))
+    }
+}
+
+/// K-way merges the sorted run files at `paths`, emitting every key in
+/// global order (duplicates included — callers dedup where needed). The
+/// least head is replaced in place, one sift-down per key.
 fn merge_runs(paths: &[PathBuf], mut emit: impl FnMut(u64) -> Result<()>) -> Result<()> {
-    let mut cursors = Vec::with_capacity(paths.len());
-    let mut heap = BinaryHeap::with_capacity(paths.len());
-    for path in paths {
-        let mut cursor = RunCursor {
-            reader: BufReader::with_capacity(SPILL_BUF, File::open(path)?),
-        };
-        if let Some(key) = cursor.next_key()? {
-            heap.push(Reverse((key, cursors.len())));
+    let mut runs = paths
+        .iter()
+        .map(|path| RunReader::open(path))
+        .collect::<Result<Vec<_>>>()?;
+    let mut heap = BinaryHeap::with_capacity(runs.len());
+    for (i, run) in runs.iter_mut().enumerate() {
+        if let Some(key) = run.next().transpose()? {
+            heap.push(Reverse((key, i)));
         }
-        cursors.push(cursor);
     }
-    while let Some(Reverse((key, idx))) = heap.pop() {
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((key, i)) = *top;
         emit(key)?;
-        if let Some(next) = cursors[idx].next_key()? {
-            heap.push(Reverse((next, idx)));
+        match runs[i].next().transpose()? {
+            Some(next) => *top = Reverse((next, i)),
+            None => {
+                PeekMut::pop(top);
+            }
         }
     }
     Ok(())
@@ -295,12 +452,275 @@ fn pack(hi: u32, lo: u32) -> u64 {
     (hi as u64) << 32 | lo as u64
 }
 
-/// Where the deduplicated undirected edges live after the merge phase.
-enum Edges {
-    /// Sorted keys in RAM: the input fit one chunk.
+/// Run generation: the chunk being filled, the runs spilled so far and
+/// what ingestion has counted.
+struct Chunker<'a> {
+    /// The chunk is `keys[..filled]`; the rest is room for it to fill.
+    /// The buffer is allocated zeroed, so a page of it takes memory only
+    /// once a key is written there.
+    keys: Vec<u64>,
+    filled: usize,
+    cap: usize,
+    workers: usize,
+    spill: &'a mut Spill,
+    runs: Vec<PathBuf>,
+    edges_read: u64,
+    /// Lines of text parsed so far, to number a parse error.
+    lines: usize,
+    self_loops: u64,
+    duplicates: u64,
+    max_id: Option<u32>,
+}
+
+/// What one worker found in its slice of a block.
+struct SliceScan {
+    /// Keys written to the front of the worker's region.
+    stored: usize,
+    self_loops: u64,
+    max_id: Option<u32>,
+    /// Lines scanned, or the parse error that stopped the scan.
+    lines: Result<usize>,
+}
+
+/// Parses `slice` into `region`, which holds room for every edge it can
+/// have.
+fn scan_slice(slice: &[u8], region: &mut [u64]) -> SliceScan {
+    let (mut stored, mut self_loops, mut max_id) = (0, 0, None::<u32>);
+    let lines = scan_lines(slice, |u, v| {
+        if u == v {
+            self_loops += 1;
+        } else {
+            max_id = Some(max_id.map_or(u.max(v), |m| m.max(u).max(v)));
+            region[stored] = pack(u.min(v), u.max(v));
+            stored += 1;
+        }
+        Ok(())
+    });
+    SliceScan {
+        stored,
+        self_loops,
+        max_id,
+        lines,
+    }
+}
+
+/// `text`, whole lines, cut at newlines into `parts` slices of about equal
+/// length (some empty when lines are long).
+pub(crate) fn line_slices(text: &[u8], parts: usize) -> Vec<&[u8]> {
+    let mut slices = Vec::with_capacity(parts);
+    let mut start = 0;
+    for j in 1..parts {
+        let target = (j * text.len() / parts).max(start);
+        let end = text[target..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(text.len(), |at| target + at + 1);
+        slices.push(&text[start..end]);
+        start = end;
+    }
+    slices.push(&text[start..]);
+    slices
+}
+
+impl<'a> Chunker<'a> {
+    fn new(cap: usize, workers: usize, spill: &'a mut Spill) -> Chunker<'a> {
+        Chunker {
+            keys: vec![0; cap],
+            filled: 0,
+            cap,
+            workers,
+            spill,
+            runs: Vec::new(),
+            edges_read: 0,
+            lines: 0,
+            self_loops: 0,
+            duplicates: 0,
+            max_id: None,
+        }
+    }
+
+    /// Takes one raw edge.
+    fn push(&mut self, u: u32, v: u32) -> Result<()> {
+        self.edges_read += 1;
+        if u == v {
+            self.self_loops += 1;
+            return Ok(());
+        }
+        self.max_id = Some(self.max_id.map_or(u.max(v), |m| m.max(u).max(v)));
+        self.keys[self.filled] = pack(u.min(v), u.max(v));
+        self.filled += 1;
+        if self.filled == self.cap {
+            self.spill_chunk()?;
+        }
+        Ok(())
+    }
+
+    /// Takes a block of whole lines of edge-list text. The longest prefix
+    /// whose edges surely fit the chunk goes to the workers; when not even
+    /// one line does, one line is parsed on its own.
+    fn scan_text(&mut self, mut text: &[u8]) -> Result<()> {
+        while !text.is_empty() {
+            // "0 1\n" is the shortest edge line, so `L` bytes of lines hold
+            // at most `(L + 1) / 4` edges, and `w` slices of them at most
+            // `(L + w) / 4`.
+            let room = (self.cap - self.filled)
+                .saturating_mul(4)
+                .saturating_sub(self.workers);
+            let fits = if text.len() <= room {
+                text.len()
+            } else {
+                text[..room]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |last| last + 1)
+            };
+            let rest = if fits > 0 {
+                self.scan_parallel(&text[..fits])?;
+                &text[fits..]
+            } else {
+                let end = text
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(text.len(), |at| at + 1);
+                let before = self.lines;
+                let lines = scan_lines(&text[..end], |u, v| self.push(u, v))
+                    .map_err(|e| after_lines(e, before))?;
+                self.lines += lines;
+                &text[end..]
+            };
+            text = rest;
+        }
+        Ok(())
+    }
+
+    /// Parses lines whose edges fit the chunk, one slice per worker, each
+    /// into its own region of the chunk's room; then closes the regions
+    /// up in file order.
+    fn scan_parallel(&mut self, text: &[u8]) -> Result<()> {
+        let parts = self.workers.min(1 + text.len() / MIN_SLICE_BYTES);
+        let slices = line_slices(text, parts);
+        // Each slice's region past the chunk holds as many keys as its
+        // `L` bytes can have edges: `(L + 1) / 4`.
+        let mut reserved = 0;
+        let regions: Vec<Range<usize>> = slices
+            .iter()
+            .map(|slice| {
+                let start = reserved;
+                reserved += (slice.len() + 1) / 4;
+                start..reserved
+            })
+            .collect();
+        let base = self.filled;
+        let shares = split_ranges_mut(&mut self.keys[base..base + reserved], &regions);
+        let scans = par_map(
+            slices.into_iter().zip(shares).collect(),
+            |(slice, region)| scan_slice(slice, region),
+        );
+        for (scan, region) in scans.into_iter().zip(regions) {
+            let start = base + region.start;
+            self.keys
+                .copy_within(start..start + scan.stored, self.filled);
+            self.filled += scan.stored;
+            self.edges_read += scan.stored as u64 + scan.self_loops;
+            self.self_loops += scan.self_loops;
+            self.max_id = self.max_id.max(scan.max_id);
+            match scan.lines {
+                Ok(lines) => self.lines += lines,
+                Err(e) => {
+                    // The edges before the error fill the chunk no
+                    // further than a one-thread parse would have, and it
+                    // would have spilled a full chunk before going on.
+                    if self.filled == self.cap {
+                        self.spill_chunk()?;
+                    }
+                    return Err(after_lines(e, self.lines));
+                }
+            }
+        }
+        if self.filled == self.cap {
+            self.spill_chunk()?;
+        }
+        Ok(())
+    }
+
+    /// Sorts the chunk and drops its repeats, counting them as duplicates.
+    fn sort_dedup(&mut self) {
+        let keys = &mut self.keys[..self.filled];
+        par_sort(keys, self.workers);
+        let unique = dedup_sorted(keys);
+        self.duplicates += (self.filled - unique) as u64;
+        self.filled = unique;
+    }
+
+    fn spill_chunk(&mut self) -> Result<()> {
+        self.sort_dedup();
+        let run = self.spill.write_run(&self.keys[..self.filled])?;
+        self.runs.push(run);
+        self.filled = 0;
+        Ok(())
+    }
+
+    /// Ends ingestion with the last chunk: kept in RAM when it is the only
+    /// one and its `2·m` directed pairs fit a chunk, spilled otherwise.
+    fn finish(mut self) -> Result<Ingested> {
+        self.sort_dedup();
+        let ingest_runs = self.runs.len() + usize::from(self.filled > 0);
+        let in_ram = self.runs.is_empty() && self.filled <= self.cap / 2;
+        let mut keys = std::mem::take(&mut self.keys);
+        let edges = if in_ram {
+            keys.truncate(self.filled);
+            // Give back the chunk's unused capacity: the keys and the
+            // neighbour array then fit the chunk's budget between them.
+            keys.shrink_to_fit();
+            Keys::Ram(keys)
+        } else {
+            if self.filled > 0 {
+                let run = self.spill.write_run(&keys[..self.filled])?;
+                self.runs.push(run);
+            }
+            keys.clear();
+            Keys::Runs {
+                runs: self.runs,
+                chunk: keys,
+            }
+        };
+        Ok(Ingested {
+            edges,
+            ingest_runs,
+            edges_read: self.edges_read,
+            self_loops: self.self_loops,
+            duplicates: self.duplicates,
+            max_id: self.max_id,
+        })
+    }
+}
+
+/// The deduplicated undirected edges after ingestion.
+enum Keys {
+    /// Sorted, in RAM: the input fit one chunk.
     Ram(Vec<u64>),
-    /// The merged spill file.
-    Spilled(PathBuf),
+    /// Sorted runs to merge, and the chunk's buffer, empty, for the
+    /// directed runs.
+    Runs { runs: Vec<PathBuf>, chunk: Vec<u64> },
+}
+
+/// What ingestion hands on to the later phases.
+struct Ingested {
+    edges: Keys,
+    ingest_runs: usize,
+    edges_read: u64,
+    self_loops: u64,
+    duplicates: u64,
+    max_id: Option<u32>,
+}
+
+/// The deduplicated undirected edges after the merge phase.
+enum Edges {
+    /// Sorted, in RAM.
+    Ram(Vec<u64>),
+    /// The merged spill file, sorted, and the chunk's buffer, empty, for
+    /// the directed runs.
+    Spilled { merged: PathBuf, chunk: Vec<u64> },
 }
 
 /// Where the directed rows live after the scatter phase.
@@ -311,6 +731,100 @@ enum Rows {
     Spilled(Vec<PathBuf>),
 }
 
+/// The nodes in degree-descending order, ties by ascending id — the order
+/// [`crate::Relabeling::degree_descending`] sorts them into — by a
+/// counting sort on the degree.
+fn degree_order(degrees: &[u32]) -> Vec<u32> {
+    let max = degrees.iter().copied().max().unwrap_or(0) as usize;
+    // `next[d]`: where the next node of degree `d` goes.
+    let mut next = vec![0u32; max + 1];
+    for &d in degrees {
+        next[d as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in next.iter_mut().rev() {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut order = vec![0u32; degrees.len()];
+    for (v, &d) in degrees.iter().enumerate() {
+        order[next[d as usize] as usize] = v as u32;
+        next[d as usize] += 1;
+    }
+    order
+}
+
+/// The inverse of the permutation `perm`.
+fn invert(perm: &[u32]) -> Vec<u32> {
+    let mut inverse = vec![0u32; perm.len()];
+    for (i, &p) in perm.iter().enumerate() {
+        inverse[p as usize] = i as u32;
+    }
+    inverse
+}
+
+/// Rows `0..n` cut into `parts` ranges holding about equal numbers of
+/// entries.
+fn row_ranges(offsets: &[u32], parts: usize) -> Vec<Range<usize>> {
+    let n = offsets.len() - 1;
+    let total = offsets[n] as u64;
+    let mut start = 0;
+    (1..=parts)
+        .map(|j| {
+            let end = if j == parts {
+                n
+            } else {
+                let target = j as u64 * total / parts as u64;
+                offsets
+                    .partition_point(|&o| (o as u64) < target)
+                    .clamp(start, n)
+            };
+            let rows = start..end;
+            start = end;
+            rows
+        })
+        .collect()
+}
+
+/// The neighbour array of the edges `keys`: each worker owns one range of
+/// rows, scans every edge for the entries that fall in it, and sorts its
+/// rows.
+fn scatter_rows(keys: &[u64], offsets: &[u32], workers: usize) -> Vec<u32> {
+    let n = offsets.len() - 1;
+    let mut neighbors = vec![0u32; offsets[n] as usize];
+    let rows = row_ranges(offsets, parts_for(n, workers));
+    let entries: Vec<Range<usize>> = rows
+        .iter()
+        .map(|r| offsets[r.start] as usize..offsets[r.end] as usize)
+        .collect();
+    let shares = split_ranges_mut(&mut neighbors, &entries);
+    par_map(rows.into_iter().zip(shares).collect(), |(rows, share)| {
+        let row_offsets = &offsets[rows.start..=rows.end];
+        let base = row_offsets[0];
+        let mut next: Vec<u32> = row_offsets[..rows.len()]
+            .iter()
+            .map(|&o| o - base)
+            .collect();
+        let (first, span) = (rows.start as u32, rows.len() as u32);
+        for &key in keys {
+            let (a, b) = ((key >> 32) as u32, key as u32);
+            for (row, neighbor) in [(a, b), (b, a)] {
+                let at = row.wrapping_sub(first);
+                if at < span {
+                    let slot = &mut next[at as usize];
+                    share[*slot as usize] = neighbor;
+                    *slot += 1;
+                }
+            }
+        }
+        for row in row_offsets.windows(2) {
+            share[(row[0] - base) as usize..(row[1] - base) as usize].sort_unstable();
+        }
+    });
+    neighbors
+}
+
 /// Builds a `.ocg` file from an edge-list file (plain text or gzip,
 /// detected by magic bytes). Input-side errors carry the input path,
 /// everything else the output path.
@@ -319,15 +833,25 @@ pub fn build_ocg_from_path<P: AsRef<Path>, Q: AsRef<Path>>(
     output: Q,
     options: &BuildOptions,
 ) -> Result<BuildStats> {
-    let input = input.as_ref();
-    let output = output.as_ref();
+    build_ocg_from_path_on(input.as_ref(), output.as_ref(), options, default_workers())
+}
+
+/// [`build_ocg_from_path`] on `workers` worker threads.
+pub(crate) fn build_ocg_from_path_on(
+    input: &Path,
+    output: &Path,
+    options: &BuildOptions,
+    workers: usize,
+) -> Result<BuildStats> {
     build_ocg_with(
-        |sink| {
+        |chunker| {
             let reader = open_edge_list_reader(input).map_err(|e| e.with_path(input))?;
-            for_each_edge(reader, sink).map_err(|e| e.with_path(input))
+            for_each_line_block(reader, READ_BLOCK, |text| chunker.scan_text(text))
+                .map_err(|e| e.with_path(input))
         },
         output,
         options,
+        workers,
     )
 }
 
@@ -339,17 +863,21 @@ where
     I: IntoIterator<Item = (u32, u32)>,
     Q: AsRef<Path>,
 {
+    build_ocg_from_edges_on(edges, output.as_ref(), options, default_workers())
+}
+
+/// [`build_ocg_from_edges`] on `workers` worker threads.
+pub(crate) fn build_ocg_from_edges_on(
+    edges: impl IntoIterator<Item = (u32, u32)>,
+    output: &Path,
+    options: &BuildOptions,
+    workers: usize,
+) -> Result<BuildStats> {
     build_ocg_with(
-        |sink| {
-            let mut read = 0u64;
-            for (u, v) in edges {
-                read += 1;
-                sink(u, v)?;
-            }
-            Ok(read)
-        },
-        output.as_ref(),
+        |chunker| edges.into_iter().try_for_each(|(u, v)| chunker.push(u, v)),
+        output,
         options,
+        workers,
     )
 }
 
@@ -378,39 +906,44 @@ where
     let mut deferred: Option<GraphError> = None;
     let mut payload: Option<T> = None;
     let stats = build_ocg_with(
-        |sink| {
-            let mut read = 0u64;
+        |chunker| {
             payload = Some(produce(&mut |u, v| {
                 if deferred.is_none() {
-                    read += 1;
-                    if let Err(e) = sink(u, v) {
+                    if let Err(e) = chunker.push(u, v) {
                         deferred = Some(e);
                     }
                 }
             }));
-            match deferred.take() {
-                Some(e) => Err(e),
-                None => Ok(read),
-            }
+            deferred.take().map_or(Ok(()), Err)
         },
         output.as_ref(),
         options,
+        default_workers(),
     )?;
     Ok((stats, payload.expect("produce ran to completion")))
 }
 
-/// Core pipeline; `ingest` drives edges into the sink and returns how
-/// many it produced.
-fn build_ocg_with<F>(ingest: F, output: &Path, options: &BuildOptions) -> Result<BuildStats>
+/// Core pipeline; `ingest` drives the edges into the chunker.
+fn build_ocg_with<F>(
+    ingest: F,
+    output: &Path,
+    options: &BuildOptions,
+    workers: usize,
+) -> Result<BuildStats>
 where
-    F: FnOnce(&mut dyn FnMut(u32, u32) -> Result<()>) -> Result<u64>,
+    F: FnOnce(&mut Chunker) -> Result<()>,
 {
-    build_inner(ingest, output, options).map_err(|e| e.with_path(output))
+    build_inner(ingest, output, options, workers.max(1)).map_err(|e| e.with_path(output))
 }
 
-fn build_inner<F>(ingest: F, output: &Path, options: &BuildOptions) -> Result<BuildStats>
+fn build_inner<F>(
+    ingest: F,
+    output: &Path,
+    options: &BuildOptions,
+    workers: usize,
+) -> Result<BuildStats>
 where
-    F: FnOnce(&mut dyn FnMut(u32, u32) -> Result<()>) -> Result<u64>,
+    F: FnOnce(&mut Chunker) -> Result<()>,
 {
     let mut lap = Lap(Instant::now());
     let mut phases = BuildPhases::default();
@@ -422,39 +955,13 @@ where
             .unwrap_or_else(|| output.with_extension("ocg.tmp")),
     );
 
-    // Phase 1: normalize, chunk-sort, spill all but a last chunk that
-    // holds the whole graph.
-    let mut chunk: Vec<u64> = Vec::with_capacity(chunk_cap);
-    let mut runs: Vec<PathBuf> = Vec::new();
-    let mut self_loops = 0u64;
-    let mut duplicates = 0u64;
-    let mut max_id: Option<u32> = None;
-    let edges_read = {
-        let mut sink = |u: u32, v: u32| -> Result<()> {
-            if u == v {
-                self_loops += 1;
-                return Ok(());
-            }
-            max_id = Some(max_id.map_or(u.max(v), |m| m.max(u).max(v)));
-            chunk.push(pack(u.min(v), u.max(v)));
-            if chunk.len() == chunk_cap {
-                sort_dedup(&mut chunk, &mut duplicates);
-                runs.push(spill.write_run(&chunk)?);
-                chunk.clear();
-            }
-            Ok(())
-        };
-        ingest(&mut sink)?
-    };
-    sort_dedup(&mut chunk, &mut duplicates);
-    let ingest_runs = runs.len() + usize::from(!chunk.is_empty());
-    let in_ram = runs.is_empty() && chunk.len() <= chunk_cap / 2;
-    if !in_ram && !chunk.is_empty() {
-        runs.push(spill.write_run(&chunk)?);
-        chunk.clear();
-    }
-
-    let inferred = max_id.map_or(0u64, |m| m as u64 + 1);
+    // Phase 1: parse, normalize, chunk-sort, spill all but a last chunk
+    // that holds the whole graph.
+    let mut chunker = Chunker::new(chunk_cap, workers, &mut spill);
+    ingest(&mut chunker)?;
+    let ingested = chunker.finish()?;
+    let mut duplicates = ingested.duplicates;
+    let inferred = ingested.max_id.map_or(0u64, |m| m as u64 + 1);
     let node_count = inferred.max(options.min_nodes as u64);
     if node_count > u32::MAX as u64 {
         return Err(GraphError::TooManyNodes {
@@ -466,90 +973,76 @@ where
 
     // Phase 2: the deduplicated edge set (merged into a spill file from
     // the runs, or the RAM chunk as it stands) and the degree array.
-    let mut degrees = vec![0u32; n];
-    let mut edge_count = 0usize;
-    let mut count = |key: u64| -> Result<()> {
-        edge_count += 1;
-        if edge_count > (u32::MAX / 2) as usize {
-            return Err(GraphError::TooManyEdges {
-                requested: edge_count,
-            });
-        }
-        degrees[(key >> 32) as usize] += 1;
-        degrees[key as u32 as usize] += 1;
-        Ok(())
+    const MAX_EDGES: usize = (u32::MAX / 2) as usize;
+    let too_many = || GraphError::TooManyEdges {
+        requested: MAX_EDGES + 1,
     };
-    let edges = if in_ram {
-        let mut keys = std::mem::take(&mut chunk);
-        // Give back the chunk's unused capacity: the keys and the
-        // neighbour array then fit the chunk's budget between them.
-        keys.shrink_to_fit();
-        keys.iter().try_for_each(|&key| count(key))?;
-        Edges::Ram(keys)
-    } else {
-        let merged_path = spill.next_path("merged")?;
-        let mut merged = BufWriter::with_capacity(SPILL_BUF, File::create(&merged_path)?);
-        let mut last: Option<u64> = None;
-        merge_runs(&runs, |key| {
-            if last == Some(key) {
-                duplicates += 1;
-                return Ok(());
+    let (edges, degrees, edge_count) = match ingested.edges {
+        Keys::Ram(keys) => {
+            if keys.len() > MAX_EDGES {
+                return Err(too_many());
             }
-            last = Some(key);
-            count(key)?;
-            merged.write_all(&key.to_le_bytes())?;
-            Ok(())
-        })?;
-        merged.flush()?;
-        spill.bytes += 8 * edge_count as u64;
-        for run in runs.drain(..) {
-            std::fs::remove_file(run).ok();
+            let mut degrees = vec![0u32; n];
+            for &key in &keys {
+                degrees[(key >> 32) as usize] += 1;
+                degrees[key as u32 as usize] += 1;
+            }
+            let edge_count = keys.len();
+            (Edges::Ram(keys), degrees, edge_count)
         }
-        Edges::Spilled(merged_path)
+        Keys::Runs { runs, chunk } => {
+            let mut degrees = vec![0u32; n];
+            let mut edge_count = 0usize;
+            let merged_path = spill.next_path("merged")?;
+            let mut merged = BufWriter::with_capacity(SPILL_BUF, File::create(&merged_path)?);
+            let mut last: Option<u64> = None;
+            merge_runs(&runs, |key| {
+                if last == Some(key) {
+                    duplicates += 1;
+                    return Ok(());
+                }
+                last = Some(key);
+                edge_count += 1;
+                if edge_count > MAX_EDGES {
+                    return Err(too_many());
+                }
+                degrees[(key >> 32) as usize] += 1;
+                degrees[key as u32 as usize] += 1;
+                merged.write_all(&key.to_le_bytes())?;
+                Ok(())
+            })?;
+            merged.flush()?;
+            spill.bytes += 8 * edge_count as u64;
+            for run in runs {
+                std::fs::remove_file(run).ok();
+            }
+            let merged = Edges::Spilled {
+                merged: merged_path,
+                chunk,
+            };
+            (merged, degrees, edge_count)
+        }
     };
     let directed = edge_count * 2;
     phases.merge_ns = lap.ns();
 
-    // Phase 3: the degree-descending permutation, matching
-    // Relabeling::degree_descending key for key.
-    let old_to_new: Option<Vec<u32>> = options.relabel.then(|| {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&v| (Reverse(degrees[v as usize]), v));
-        let mut inverse = vec![0u32; n];
-        for (new, &old) in order.iter().enumerate() {
-            inverse[old as usize] = new as u32;
-        }
-        // `order` is new→old; stash it in place of degrees' role below by
-        // returning the inverse and recomputing order from it when the
-        // id-map section is written.
-        inverse
-    });
+    // Phase 3: the degree-descending permutation, the offsets of the
+    // relabeled rows, and the permutation's inverse (old → new) for the
+    // scatter.
+    let order: Option<Vec<u32>> = options.relabel.then(|| degree_order(&degrees));
     let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
     offsets.push(0);
-    match &old_to_new {
-        Some(map) => {
-            // Permuted degrees: degree of new id i is the degree of the
-            // original node mapped to i.
-            let mut new_degrees = vec![0u32; n];
-            for (old, &new) in map.iter().enumerate() {
-                new_degrees[new as usize] = degrees[old];
-            }
-            let mut total = 0u32;
-            for &d in &new_degrees {
-                total += d;
-                offsets.push(total);
-            }
-        }
-        None => {
-            let mut total = 0u32;
-            for &d in &degrees {
-                total += d;
-                offsets.push(total);
-            }
-        }
+    let mut total = 0u32;
+    for row in 0..n {
+        total += match &order {
+            Some(order) => degrees[order[row] as usize],
+            None => degrees[row],
+        };
+        offsets.push(total);
     }
     drop(degrees);
     debug_assert_eq!(*offsets.last().unwrap() as usize, directed);
+    let old_to_new = order.map(|order| invert(&order));
 
     // Phase 4: scatter directed, relabeled pairs into the neighbour array
     // or into a second generation of sorted runs.
@@ -561,51 +1054,46 @@ where
         }
     };
     let rows = match edges {
-        Edges::Ram(keys) => {
-            let mut next: Vec<u32> = offsets[..n].to_vec();
-            let mut neighbors = vec![0u32; directed];
-            for &key in &keys {
-                let (a, b) = relabel(key);
-                neighbors[next[a as usize] as usize] = b;
-                next[a as usize] += 1;
-                neighbors[next[b as usize] as usize] = a;
-                next[b as usize] += 1;
+        Edges::Ram(mut keys) => {
+            if old_to_new.is_some() {
+                let ranges = even_ranges(keys.len(), parts_for(keys.len(), workers));
+                par_map(split_ranges_mut(&mut keys, &ranges), |part| {
+                    for key in part {
+                        let (a, b) = relabel(*key);
+                        *key = pack(a, b);
+                    }
+                });
             }
+            let neighbors = scatter_rows(&keys, &offsets, workers);
             drop(keys);
-            for row in offsets.windows(2) {
-                neighbors[row[0] as usize..row[1] as usize].sort_unstable();
-            }
             Rows::Ram(neighbors)
         }
-        Edges::Spilled(merged_path) => {
+        Edges::Spilled { merged, mut chunk } => {
             let mut directed_runs: Vec<PathBuf> = Vec::new();
-            let mut reader = BufReader::with_capacity(SPILL_BUF, File::open(&merged_path)?);
-            let mut bytes = [0u8; 8];
-            loop {
-                match reader.read_exact(&mut bytes) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == ErrorKind::UnexpectedEof => break,
-                    Err(e) => return Err(e.into()),
-                }
-                let (a, b) = relabel(u64::from_le_bytes(bytes));
+            let mut spill_chunk = |chunk: &mut Vec<u64>| -> Result<()> {
+                par_sort(chunk, workers);
+                directed_runs.push(spill.write_run(chunk)?);
+                chunk.clear();
+                Ok(())
+            };
+            for key in RunReader::open(&merged)? {
+                let (a, b) = relabel(key?);
                 for pair in [pack(a, b), pack(b, a)] {
                     chunk.push(pair);
                     if chunk.len() == chunk_cap {
-                        chunk.sort_unstable();
-                        directed_runs.push(spill.write_run(&chunk)?);
-                        chunk.clear();
+                        spill_chunk(&mut chunk)?;
                     }
                 }
             }
             if !chunk.is_empty() {
-                chunk.sort_unstable();
-                directed_runs.push(spill.write_run(&chunk)?);
+                spill_chunk(&mut chunk)?;
             }
-            std::fs::remove_file(&merged_path).ok();
+            std::fs::remove_file(&merged).ok();
             Rows::Spilled(directed_runs)
         }
     };
-    drop(chunk);
+    // The id-map section stores new → old.
+    let new_to_old = old_to_new.map(|map| invert(&map));
     phases.scatter_ns = lap.ns();
 
     // Phase 5: the offsets, the rows and the id map into the .ocg payload.
@@ -629,12 +1117,22 @@ where
     let mut final_guard = RemoveOnDrop(Some(final_tmp.clone()));
     let mut w = BufWriter::with_capacity(SPILL_BUF, File::create(&final_tmp)?);
     w.write_all(&[0u8; crate::ocg::OCG_HEADER_LEN])?;
-    let mut fnv = Fnv1a::default();
-    write_words(&mut w, &mut fnv, offsets.iter().copied())?;
-    drop(offsets);
-    match rows {
-        Rows::Ram(neighbors) => write_words(&mut w, &mut fnv, neighbors.into_iter())?,
+    let id_map = new_to_old.as_deref().unwrap_or(&[]);
+    let checksum = match rows {
+        Rows::Ram(neighbors) => {
+            // The checksum on a second thread while this one writes.
+            let sections = [&offsets[..], &neighbors[..], id_map];
+            let (written, checksum) = crate::par::join(
+                workers > 1,
+                || write_word_sections(&mut w, &sections),
+                || checksum_word_sections(&sections),
+            );
+            written?;
+            checksum
+        }
         Rows::Spilled(directed_runs) => {
+            let mut fnv = Fnv1a::default();
+            write_words(&mut w, &mut fnv, offsets.iter().copied())?;
             let mut pack_buf = [0u8; 4096];
             let mut used = 0usize;
             let mut emitted = 0usize;
@@ -656,25 +1154,21 @@ where
                     message: format!("internal error: emitted {emitted} of {directed} entries"),
                 });
             }
+            write_words(&mut w, &mut fnv, id_map.iter().copied())?;
+            fnv.finish()
         }
-    }
-    if let Some(map) = &old_to_new {
-        // The id-map section stores new→old; invert the inverse.
-        let mut new_to_old = vec![0u32; n];
-        for (old, &new) in map.iter().enumerate() {
-            new_to_old[new as usize] = old as u32;
-        }
-        write_words(&mut w, &mut fnv, new_to_old.into_iter())?;
-    }
+    };
+    drop(offsets);
+    drop(new_to_old);
     w.flush()?;
     let mut file = w.into_inner().map_err(|e| e.into_error())?;
     let header = encode_header(
         flags,
         node_count,
         directed as u64,
-        self_loops,
+        ingested.self_loops,
         duplicates,
-        fnv.finish(),
+        checksum,
     );
     file.seek(SeekFrom::Start(0))?;
     file.write_all(&header)?;
@@ -687,17 +1181,18 @@ where
     phases.write_ns = lap.ns();
 
     if options.verify {
-        crate::ocg::verify_ocg_path(output)?;
+        crate::ocg::verify_ocg_with(output, workers > 1)?;
     }
     phases.verify_ns = lap.ns();
     Ok(BuildStats {
         nodes: n,
         edges: edge_count,
-        edges_read,
-        self_loops,
+        edges_read: ingested.edges_read,
+        self_loops: ingested.self_loops,
         duplicates,
-        ingest_runs,
+        ingest_runs: ingested.ingest_runs,
         spill_bytes,
+        workers,
         phases,
     })
 }
@@ -1001,15 +1496,20 @@ mod tests {
     fn phases_add_up_to_the_elapsed_time() {
         let edges = messy_edges(20_000, 200_000, 3);
         let path = tmp("phases.ocg");
-        // Spilled runs, then one chunk in RAM.
-        for chunk_edges in [50_000, BuildOptions::default().chunk_edges] {
+        // Spilled runs, then one chunk in RAM, on one worker and on three.
+        for (chunk_edges, workers) in [50_000, BuildOptions::default().chunk_edges]
+            .into_iter()
+            .flat_map(|chunk| [(chunk, 1), (chunk, 3)])
+        {
             let options = BuildOptions {
                 chunk_edges,
                 ..BuildOptions::default()
             };
             let start = Instant::now();
-            let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
+            let stats =
+                build_ocg_from_edges_on(edges.iter().copied(), &path, &options, workers).unwrap();
             let elapsed = start.elapsed().as_nanos() as u64;
+            assert_eq!(stats.workers, workers);
             let p = stats.phases;
             for (name, ns) in [
                 ("ingest", p.ingest_ns),
@@ -1027,6 +1527,213 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn parallel_sort_and_dedup_match_one_thread() {
+        let mut rng = crate::testing::XorShift::new(7);
+        let random: Vec<u64> = (0..5000).map(|_| rng.next_u64()).collect();
+        let repeats: Vec<u64> = (0..5000).map(|_| rng.below(40) as u64).collect();
+        let sorted: Vec<u64> = (0..5000).collect();
+        let reversed: Vec<u64> = (0..5000).rev().collect();
+        let least_repeated: Vec<u64> = (0..5000).map(|i| if i % 5 == 0 { i } else { 0 }).collect();
+        for keys in [
+            random,
+            repeats,
+            sorted,
+            reversed,
+            least_repeated,
+            vec![9; 5000],
+            vec![],
+        ] {
+            let mut want = keys.clone();
+            want.sort_unstable();
+            want.dedup();
+            for workers in [1, 2, 3, 8] {
+                let mut got = keys.clone();
+                par_sort(&mut got, workers);
+                let kept = dedup_sorted(&mut got);
+                assert_eq!(&got[..kept], &want[..], "{workers} workers");
+            }
+        }
+    }
+
+    /// A messy edge list of `lines` lines on `n` nodes: comments, blank and
+    /// whitespace-only lines, CRLF endings, tabs, extra fields, self-loops
+    /// and duplicates; the last line ends in a newline only when
+    /// `trailing_newline`.
+    fn messy_text(lines: usize, n: usize, seed: u64, trailing_newline: bool) -> Vec<u8> {
+        let mut rng = crate::testing::XorShift::new(seed);
+        let mut text = Vec::new();
+        for i in 0..lines {
+            match rng.below(40) {
+                0 => text.extend_from_slice(b"# a comment line"),
+                1 => text.extend_from_slice(b"% 1 2"),
+                2 => {}
+                3 => text.extend_from_slice(b" \t "),
+                k => {
+                    let u = rng.below(n);
+                    let v = if k < 6 { u } else { rng.below(n) };
+                    let sep = [" ", "\t", "  "][rng.below(3)].as_bytes();
+                    text.extend_from_slice(format!("{u}").as_bytes());
+                    text.extend_from_slice(sep);
+                    text.extend_from_slice(format!("{v}").as_bytes());
+                    if k == 6 {
+                        text.extend_from_slice(b" 0.5");
+                    }
+                }
+            }
+            if i + 1 < lines || trailing_newline {
+                let eol: &[u8] = if rng.below(4) == 0 { b"\r\n" } else { b"\n" };
+                text.extend_from_slice(eol);
+            }
+        }
+        text
+    }
+
+    /// Everything but the wall times and the worker count.
+    fn unthreaded(stats: BuildStats) -> BuildStats {
+        BuildStats {
+            workers: 0,
+            phases: BuildPhases::default(),
+            ..stats
+        }
+    }
+
+    #[test]
+    fn output_is_the_same_at_every_worker_count() {
+        for case in 0..crate::testing::cases(2) as u64 {
+            let text = messy_text(6000, 1500, case, case % 2 == 0);
+            let plain = tmp(&format!("workers_{case}.edges"));
+            let gzip = tmp(&format!("workers_{case}.edges.gz"));
+            std::fs::write(&plain, &text).unwrap();
+            std::fs::write(&gzip, crate::gzip::gzip_stored(&text)).unwrap();
+            // The in-RAM reader's view of the same input: the reference.
+            let (graph, report) = crate::io::read_edge_list_report_path(&plain).unwrap();
+            let relabeling = crate::Relabeling::degree_descending(&graph);
+            let checksum =
+                crate::ocg::payload_checksum(&graph.relabeled(&relabeling), Some(&relabeling));
+            let output = tmp(&format!("workers_{case}.ocg"));
+            // The default chunk builds in RAM; the 1024 floor spills runs.
+            for (chunk_edges, spills) in [(BuildOptions::default().chunk_edges, false), (0, true)] {
+                let options = BuildOptions {
+                    chunk_edges,
+                    ..BuildOptions::default()
+                };
+                let mut first: Option<(Vec<u8>, BuildStats)> = None;
+                for input in [&plain, &gzip] {
+                    for workers in [1, 2, 3, 8] {
+                        let stats =
+                            build_ocg_from_path_on(input, &output, &options, workers).unwrap();
+                        let bytes = std::fs::read(&output).unwrap();
+                        assert_eq!(stats.workers, workers);
+                        assert_eq!(stats.spill_bytes > 0, spills, "{stats:?}");
+                        match &first {
+                            None => {
+                                let info = open_ocg_path(&output).unwrap().info;
+                                assert_eq!(info.checksum, checksum);
+                                assert_eq!(
+                                    (stats.edges_read, stats.self_loops, stats.duplicates),
+                                    (report.edges_read, report.self_loops, report.duplicates)
+                                );
+                                first = Some((bytes, stats));
+                            }
+                            Some((want, want_stats)) => {
+                                let at =
+                                    format!("{input:?} at {workers} workers, chunk {chunk_edges}");
+                                assert!(bytes == *want, "{at}: other bytes");
+                                assert_eq!(unthreaded(stats), unthreaded(*want_stats), "{at}");
+                            }
+                        }
+                    }
+                }
+            }
+            for p in [plain, gzip, output] {
+                std::fs::remove_file(p).ok();
+            }
+        }
+    }
+
+    /// The error (or success) of a split parse of `bytes`, against the
+    /// `read_line` parser's.
+    fn assert_parse_outcome_like_the_oracle(bytes: &[u8], workers: usize, chunk_edges: usize) {
+        let input = tmp(&format!("split_{workers}.edges"));
+        let output = tmp(&format!("split_{workers}.ocg"));
+        std::fs::write(&input, bytes).unwrap();
+        let options = BuildOptions {
+            chunk_edges,
+            ..BuildOptions::default()
+        };
+        let got = build_ocg_from_path_on(&input, &output, &options, workers)
+            .map(|_| ())
+            .map_err(|e| e.to_string());
+        let want = crate::io::tests::for_each_edge_oracle(bytes, |_, _| Ok(()))
+            .map(|_| ())
+            .map_err(|e| e.with_path(&input).to_string());
+        assert_eq!(
+            got,
+            want,
+            "{workers} workers, chunk {chunk_edges}: {:?}",
+            bytes.escape_ascii().to_string()
+        );
+        std::fs::remove_file(&input).ok();
+        std::fs::remove_file(&output).ok();
+    }
+
+    #[test]
+    fn split_parse_errors_match_the_oracle_around_every_split_point() {
+        const WINDOW: usize = 12;
+        for case in 0..crate::testing::cases(1) as u64 {
+            let text = messy_text(700, 5000, 100 + case, true);
+            for workers in [2, 3, 8] {
+                let parts = workers.min(1 + text.len() / MIN_SLICE_BYTES);
+                let slices = line_slices(&text, parts);
+                assert_eq!(slices.len(), workers, "text too short to use every worker");
+                let mut cut = 0;
+                for slice in &slices[..workers - 1] {
+                    cut += slice.len();
+                    // One byte made an `x` at every offset around the cut:
+                    // a bad id on the line before, on the line after, or
+                    // two lines joined into one bad line.
+                    for at in cut - WINDOW..cut + WINDOW {
+                        let mut bad = text.clone();
+                        bad[at] = b'x';
+                        assert_parse_outcome_like_the_oracle(&bad, workers, 1 << 20);
+                    }
+                }
+            }
+            // Bad lines in the second and third slices: the second's is
+            // reported, at its line number.
+            let slices = line_slices(&text, 3);
+            let edge_line_in = |start: usize| {
+                let mut at = start;
+                while !(text[at - 1] == b'\n' && text[at].is_ascii_digit()) {
+                    at += 1;
+                }
+                at
+            };
+            let second = edge_line_in(slices[0].len() + 1);
+            let third = edge_line_in(slices[0].len() + slices[1].len() + 1);
+            let mut bad = text.clone();
+            bad[second] = b'x';
+            bad[third] = b'x';
+            assert_parse_outcome_like_the_oracle(&bad, 3, 1 << 20);
+            let input = tmp("two_bad.edges");
+            std::fs::write(&input, &bad).unwrap();
+            let err =
+                build_ocg_from_path_on(&input, &tmp("two_bad.ocg"), &BuildOptions::default(), 3)
+                    .unwrap_err();
+            let line = 1 + bad[..second].iter().filter(|&&b| b == b'\n').count();
+            assert!(err.to_string().contains(&format!("line {line}:")), "{err}");
+            std::fs::remove_file(&input).ok();
+            // Near chunk boundaries the lines that fill a chunk are parsed
+            // one at a time, between parallel prefixes.
+            for at in (0..text.len()).step_by(97) {
+                let mut bad = text.clone();
+                bad[at] = b'x';
+                assert_parse_outcome_like_the_oracle(&bad, 3, 0);
+            }
+        }
     }
 
     #[test]

@@ -351,7 +351,7 @@ fn build_oca(
     // writes the same cover at any thread count, so this only buys time.
     let defaults = match graph {
         Some(graph) => OcaConfig {
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get().min(8)),
+            threads: oca_graph::default_workers(),
             ..OcaConfig::tuned(graph)
         },
         None => OcaConfig::default(),

@@ -7,7 +7,8 @@
 //! The path-based readers transparently decompress gzip input (detected by
 //! magic bytes, so the extension does not matter) and annotate every error
 //! with the offending file path. For graphs too large to build in RAM, the
-//! same parser feeds the external-memory builder in [`crate::ocg_build`].
+//! same block reader and line scanner feed the external-memory builder in
+//! [`crate::ocg_build`], which parses each block's lines on its workers.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
@@ -27,15 +28,17 @@ pub struct IngestReport {
     pub duplicates: u64,
 }
 
+/// Edge-list text is read in blocks of whole lines of this size.
+pub(crate) const READ_BLOCK: usize = 1 << 20;
+
 /// Streams every `(u, v)` pair of an edge list to `f`, in file order.
-/// Returns the number of edge lines parsed. Shared by the in-RAM readers
-/// below and the external-memory `.ocg` builder.
+/// Returns the number of edge lines parsed. `reader` is read in blocks of
+/// whole lines of about `block_len` bytes ([`for_each_line_block`]), each
+/// scanned in place.
 ///
-/// The lines are scanned in place in the reader's buffer; only a line
-/// that straddles two fills is copied. The result is exactly that of
-/// reading each line with `read_line` and splitting it with
-/// `trim`/`split_whitespace`: the same edges, or the same error with the
-/// same line number and message.
+/// The result is exactly that of reading each line with `read_line` and
+/// splitting it with `trim`/`split_whitespace`: the same edges, or the
+/// same error with the same line number and message.
 /// * A line is split on the bytes `char::is_whitespace` accepts: space,
 ///   `\t`, `\n`, `\x0B`, `\x0C` and `\r`. (`u8::is_ascii_whitespace`
 ///   omits `\x0B`.) A line whose first field starts with `#` or `%` is a
@@ -46,8 +49,9 @@ pub struct IngestReport {
 /// * A line with a non-ASCII byte must be UTF-8 (an `InvalidData` error
 ///   otherwise, the one `read_line` raises) and is then split on every
 ///   Unicode whitespace character, as `split_whitespace` does.
-pub(crate) fn for_each_edge<R: BufRead>(
-    mut reader: R,
+pub(crate) fn for_each_edge(
+    reader: impl Read,
+    block_len: usize,
     f: impl FnMut(u32, u32) -> Result<()>,
 ) -> Result<u64> {
     let mut scan = Scan {
@@ -55,36 +59,7 @@ pub(crate) fn for_each_edge<R: BufRead>(
         edges: 0,
         f,
     };
-    let mut straddle = Vec::new();
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        if buf.is_empty() {
-            break;
-        }
-        let mut start = 0;
-        if !straddle.is_empty() {
-            if let Some(len) = buf.iter().position(|&b| b == b'\n') {
-                straddle.extend_from_slice(&buf[..=len]);
-                scan.lines(&straddle)?;
-                straddle.clear();
-                start = len + 1;
-            }
-        }
-        if let Some(len) = buf[start..].iter().rposition(|&b| b == b'\n') {
-            scan.lines(&buf[start..=start + len])?;
-            start += len + 1;
-        }
-        straddle.extend_from_slice(&buf[start..]);
-        let filled = buf.len();
-        reader.consume(filled);
-    }
-    if !straddle.is_empty() {
-        scan.lines(&straddle)?;
-    }
+    for_each_line_block(reader, block_len, |lines| scan.lines(lines))?;
     Ok(scan.edges)
 }
 
@@ -93,8 +68,8 @@ pub(crate) fn for_each_edge<R: BufRead>(
 /// and holds at most `block_len` bytes unless one line is longer. A block
 /// is filled by as many reads as it takes, so a decoder that hands out a
 /// few KiB per read still yields full blocks. A read error is returned
-/// once the whole lines read before it have been handed over, as
-/// [`for_each_edge`] scans them before it reports the error.
+/// once the whole lines read before it have been handed over, as a
+/// `read_line` loop handles them before it meets the error.
 pub(crate) fn for_each_line_block(
     mut reader: impl Read,
     block_len: usize,
@@ -170,7 +145,7 @@ pub(crate) fn after_lines(err: GraphError, before: usize) -> GraphError {
     }
 }
 
-/// The scanner's state across buffer fills.
+/// The scanner's state across blocks.
 struct Scan<F> {
     lineno: usize,
     edges: u64,
@@ -338,12 +313,12 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph> {
 /// Reads an edge list from any reader, also reporting how many edge lines
 /// were parsed and how many self-loops/duplicates were dropped.
 pub fn read_edge_list_report<R: Read>(reader: R) -> Result<(CsrGraph, IngestReport)> {
-    build_from_lines(BufReader::new(reader))
+    build_from_lines(reader)
 }
 
-fn build_from_lines(reader: impl BufRead) -> Result<(CsrGraph, IngestReport)> {
+fn build_from_lines(reader: impl Read) -> Result<(CsrGraph, IngestReport)> {
     let mut b = GraphBuilder::new_growable();
-    let edges_read = for_each_edge(reader, |u, v| {
+    let edges_read = for_each_edge(reader, READ_BLOCK, |u, v| {
         b.add_edge(u, v);
         Ok(())
     })?;
@@ -358,23 +333,20 @@ fn build_from_lines(reader: impl BufRead) -> Result<(CsrGraph, IngestReport)> {
     ))
 }
 
-/// Read-buffer size for edge-list files: the scanner takes its lines in
-/// place from buffers of this size.
+/// Read-buffer size for an edge-list file under the gzip decoder, and
+/// for sniffing its magic bytes.
 const READ_BUF: usize = 1 << 16;
 
 /// Opens `path` for edge-list reading, transparently decompressing gzip
 /// input (detected by the `1f 8b` magic bytes, not the file extension).
-pub(crate) fn open_edge_list_reader(path: &Path) -> Result<Box<dyn BufRead>> {
+pub(crate) fn open_edge_list_reader(path: &Path) -> Result<Box<dyn Read>> {
     let mut reader = BufReader::with_capacity(READ_BUF, std::fs::File::open(path)?);
     let is_gzip = {
         let head = reader.fill_buf()?;
         head.len() >= 2 && head[0] == 0x1f && head[1] == 0x8b
     };
     Ok(if is_gzip {
-        Box::new(BufReader::with_capacity(
-            READ_BUF,
-            crate::gzip::GzDecoder::new(reader),
-        ))
+        Box::new(crate::gzip::GzDecoder::new(reader))
     } else {
         Box::new(reader)
     })
@@ -452,36 +424,61 @@ pub(crate) mod tests {
 
     type Outcome = (Vec<(u32, u32)>, std::result::Result<u64, String>);
 
-    /// The edges one parser hands its sink, and its result.
-    fn scan_with<R: BufRead>(reference: bool, reader: R) -> Outcome {
+    /// A reader over `bytes` that hands out at most `step` bytes per read
+    /// and, when `fail`, raises an I/O error once they are all read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        fail: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.bytes.is_empty() && self.fail {
+                return Err(std::io::Error::other("the disk went away"));
+            }
+            let len = buf.len().min(self.step).min(self.bytes.len());
+            buf[..len].copy_from_slice(&self.bytes[..len]);
+            self.bytes = &self.bytes[len..];
+            Ok(len)
+        }
+    }
+
+    /// The edges a parser hands its sink, and its result: the oracle's
+    /// when `block_len` is `None`, else the scanner's at that block size.
+    fn scan_with(reader: impl Read, block_len: Option<usize>) -> Outcome {
         let mut edges = Vec::new();
         let sink = |u, v| {
             edges.push((u, v));
             Ok(())
         };
-        let result = if reference {
-            for_each_edge_oracle(reader, sink)
-        } else {
-            for_each_edge(reader, sink)
+        let result = match block_len {
+            None => for_each_edge_oracle(BufReader::new(reader), sink),
+            Some(block_len) => for_each_edge(reader, block_len, sink),
         };
         (edges, result.map_err(|e| e.to_string()))
     }
 
-    /// Both parsers over `bytes` through a buffer of `capacity` bytes
-    /// must yield the same edges and the same result or error.
-    fn assert_same_outcome(bytes: &[u8], capacity: usize) -> Outcome {
-        let got = scan_with(false, BufReader::with_capacity(capacity, bytes));
-        let want = scan_with(true, BufReader::with_capacity(capacity, bytes));
-        assert_eq!(
-            got,
-            want,
-            "{:?} at capacity {capacity}",
-            bytes.escape_ascii().to_string()
-        );
-        got
+    /// The scanner over `bytes` in blocks of `block_len` bytes must yield
+    /// the oracle's edges and result or error, whether the reader hands
+    /// out one byte per read or all it can, and whether it ends in an
+    /// I/O error (when `fail`) or not.
+    fn assert_same_outcome(bytes: &[u8], block_len: usize, fail: bool) -> Outcome {
+        let reader = |step| Trickle { bytes, step, fail };
+        let want = scan_with(reader(usize::MAX), None);
+        for step in [1, usize::MAX] {
+            assert_eq!(
+                scan_with(reader(step), Some(block_len)),
+                want,
+                "{:?} in blocks of {block_len}, {step} bytes per read",
+                bytes.escape_ascii().to_string()
+            );
+        }
+        want
     }
 
-    const CAPACITIES: [usize; 6] = [1, 2, 3, 5, 16, 8192];
+    /// Block sizes from shorter than every line to longer than every input.
+    const BLOCK_LENS: [usize; 6] = [1, 2, 3, 5, 16, 8192];
 
     #[test]
     fn scanner_matches_the_read_line_oracle_on_edge_cases() {
@@ -508,14 +505,15 @@ pub(crate) mod tests {
             b"\n",
             b"0 1\n\x1c2 3\n",
         ];
-        let mut outcomes = Vec::new();
+        let (mut outcomes, mut failed) = (Vec::new(), Vec::new());
         for bytes in cases {
-            for capacity in CAPACITIES {
-                outcomes.push(assert_same_outcome(bytes, capacity));
+            for block_len in BLOCK_LENS {
+                outcomes.push(assert_same_outcome(bytes, block_len, false));
             }
+            failed.push(assert_same_outcome(bytes, 2, true));
         }
         // Spot checks that the cases reach what they are named for.
-        let first = |case: usize| &outcomes[case * CAPACITIES.len()];
+        let first = |case: usize| &outcomes[case * BLOCK_LENS.len()];
         assert_eq!(first(1), &(vec![(0, 1), (1, 2)], Ok(2)));
         assert_eq!(first(2), &(vec![(0, 1), (2, 3)], Ok(2)));
         assert_eq!(first(3), &(vec![(0, 1), (2, 3), (4, 5)], Ok(3)));
@@ -523,6 +521,15 @@ pub(crate) mod tests {
         assert!(first(8).1.as_ref().unwrap_err().contains("line 1"));
         assert!(first(9).1.as_ref().unwrap_err().contains("valid UTF-8"));
         assert_eq!(first(14), &(vec![(1, 2), (3, 4)], Ok(2)));
+        // A read error comes after the whole lines before it; a line it
+        // cuts short is not parsed.
+        assert_eq!(failed[0].0, vec![(0, 1), (1, 2)]);
+        assert_eq!(failed[14].0, vec![(1, 2)]);
+        assert!(failed[14]
+            .1
+            .as_ref()
+            .unwrap_err()
+            .contains("the disk went away"));
     }
 
     #[test]
@@ -570,8 +577,9 @@ pub(crate) mod tests {
                 };
                 bytes.extend_from_slice(token);
             }
-            let capacity = 1 + rng.below(12);
-            errors += assert_same_outcome(&bytes, capacity).1.is_err() as usize;
+            let block_len = 1 + rng.below(12);
+            let fail = rng.below(4) == 0;
+            errors += assert_same_outcome(&bytes, block_len, fail).1.is_err() as usize;
         }
         assert!(errors > 0, "no case reached an error");
     }
@@ -581,13 +589,10 @@ pub(crate) mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/edges.gz");
         let gz = std::fs::read(path).unwrap();
         let plain = crate::gzip::gunzip(&gz).unwrap();
-        for capacity in CAPACITIES {
-            let got = scan_with(
-                false,
-                BufReader::with_capacity(capacity, crate::gzip::GzDecoder::new(&gz[..])),
-            );
+        for block_len in BLOCK_LENS {
+            let got = scan_with(crate::gzip::GzDecoder::new(&gz[..]), Some(block_len));
             assert!(got.0.len() > 1 && got.1.is_ok(), "{got:?}");
-            assert_eq!(got, assert_same_outcome(&plain, capacity));
+            assert_eq!(got, assert_same_outcome(&plain, block_len, false));
         }
     }
 

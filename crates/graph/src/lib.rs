@@ -79,6 +79,7 @@ pub use ocg_build::{
     build_ocg_from_edges, build_ocg_from_emitter, build_ocg_from_path, BuildOptions, BuildPhases,
     BuildStats,
 };
+pub use par::default_workers;
 pub use relabel::Relabeling;
 pub use stats::GraphStats;
 pub use traversal::ball;

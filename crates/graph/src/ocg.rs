@@ -277,26 +277,20 @@ fn graph_from_mapped(file: Arc<MappedFile>, header: RawHeader, geo: Sections) ->
 /// Fully audits a `.ocg` file: recomputes the payload checksum against the
 /// header and re-runs every CSR invariant (plus a permutation check on the
 /// id map). Sequential passes over the payload plus one random probe per
-/// undirected edge ([`CsrGraph::validate`]); on a multi-core host the
-/// checksum pass runs on a second thread beside the others. Returns the
-/// header metadata on success.
+/// undirected edge ([`CsrGraph::validate`]); the checksum pass runs on a
+/// thread of its own beside the others. A file that fails more than one
+/// check reports the first of them in the order checksum, structure, CSR
+/// invariants (the first failing row), id map. Returns the header metadata
+/// on success.
 pub fn verify_ocg_path<P: AsRef<Path>>(path: P) -> Result<OcgInfo> {
-    verify_ocg_with(path.as_ref(), crate::par::default_workers() > 1)
+    let path = path.as_ref();
+    verify_ocg_inner(path).map_err(|e| e.with_path(path))
 }
 
-/// [`verify_ocg_path`], with the checksum pass on a thread of its own when
-/// `parallel`. Either way a file that fails more than one check reports
-/// the first of them in the order checksum, structure, CSR invariants
-/// (the first failing row), id map.
-pub(crate) fn verify_ocg_with(path: &Path, parallel: bool) -> Result<OcgInfo> {
-    verify_ocg_inner(path, parallel).map_err(|e| e.with_path(path))
-}
-
-fn verify_ocg_inner(path: &Path, parallel: bool) -> Result<OcgInfo> {
+fn verify_ocg_inner(path: &Path) -> Result<OcgInfo> {
     let (file, header, geo) = open_mapped(path)?;
     let recorded = header.checksum;
     let (audited, hashed) = crate::par::join(
-        parallel,
         || audit(Arc::clone(&file), header, geo),
         || {
             let mut fnv = Fnv1a::default();
@@ -632,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_audit_reports_what_a_sequential_one_does() {
+    fn audit_reports_the_first_failing_check() {
         let (g, r, report) = sample();
         let path = tmp("audit_order.ocg");
         write_ocg_path(&g, Some(&r), report, &path).unwrap();
@@ -642,7 +636,7 @@ mod tests {
         let last_row = id_map - 4;
         // Flips one bit at each offset; with `forge`, the header's checksum
         // is made to match, so the later checks get their turn.
-        let audit = |flips: &[usize], forge: bool, parallel: bool| {
+        let audit = |flips: &[usize], forge: bool| {
             let mut bytes = clean.clone();
             for &at in flips {
                 bytes[at] ^= 1;
@@ -652,22 +646,20 @@ mod tests {
                 bytes[48..56].copy_from_slice(&sum.to_le_bytes());
             }
             std::fs::write(&path, &bytes).unwrap();
-            verify_ocg_with(&path, parallel).unwrap_err().to_string()
+            verify_ocg_path(&path).unwrap_err().to_string()
         };
-        for parallel in [false, true] {
-            let err = audit(&[first_row, id_map], false, parallel);
-            assert!(err.contains("checksum mismatch"), "{err}");
-            // Two bad rows: the first one is reported.
-            let first = audit(&[first_row], true, parallel);
-            assert!(first.contains("CSR invariant violated"), "{first}");
-            assert_eq!(audit(&[first_row, last_row], true, parallel), first);
-            // A bad row before a bad id map.
-            let last = audit(&[last_row], true, parallel);
-            assert_ne!(last, first);
-            assert_eq!(audit(&[last_row, id_map], true, parallel), last);
-            let err = audit(&[id_map], true, parallel);
-            assert!(err.contains("not a permutation"), "{err}");
-        }
+        let err = audit(&[first_row, id_map], false);
+        assert!(err.contains("checksum mismatch"), "{err}");
+        // Two bad rows: the first one is reported.
+        let first = audit(&[first_row], true);
+        assert!(first.contains("CSR invariant violated"), "{first}");
+        assert_eq!(audit(&[first_row, last_row], true), first);
+        // A bad row before a bad id map.
+        let last = audit(&[last_row], true);
+        assert_ne!(last, first);
+        assert_eq!(audit(&[last_row, id_map], true), last);
+        let err = audit(&[id_map], true);
+        assert!(err.contains("not a permutation"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -56,10 +56,12 @@
 //!   scans every edge, writes only the entries that fall in its range, and
 //!   sorts its own rows. Spilled chunks of directed pairs are sorted like
 //!   the ingest chunks.
-//! * **Write.** In RAM the payload is hashed on a second thread while the
-//!   main thread writes it.
-//! * **Verify.** The checksum pass runs on one thread while the CSR
-//!   invariants and the id map are checked on another.
+//! * **Write.** In RAM the payload is hashed on a thread of its own while
+//!   the calling thread writes it.
+//! * **Verify.** The checksum pass runs on a thread of its own while the
+//!   CSR invariants and the id map are checked on the calling thread.
+//!
+//! The two checksum threads run at every worker count, one worker too.
 //!
 //! The degree count, the k-way merges of spill files and the spilled
 //! payload's write stay on one thread.
@@ -80,7 +82,7 @@
 
 use crate::container::Fnv1a;
 use crate::error::{GraphError, Result};
-use crate::io::{after_lines, for_each_line_block, open_edge_list_reader, scan_lines};
+use crate::io::{after_lines, for_each_line_block, open_edge_list_reader, scan_lines, READ_BLOCK};
 use crate::ocg::{
     checksum_word_sections, encode_header, write_word_sections, write_words, OCG_FLAG_RELABELED,
     OCG_FLAG_VALIDATED,
@@ -96,9 +98,6 @@ use std::time::Instant;
 
 /// Spill-file buffer size (per open run).
 const SPILL_BUF: usize = 1 << 18;
-
-/// The path builder reads its input in blocks of whole lines of this size.
-const READ_BLOCK: usize = 1 << 20;
 
 /// Fewest bytes of lines worth a parse thread of their own.
 const MIN_SLICE_BYTES: usize = 512;
@@ -322,7 +321,6 @@ fn par_sort(keys: &mut [u64], workers: usize) {
     }
     let (low, high) = keys.split_at_mut(split);
     crate::par::join(
-        true,
         || par_sort(low, workers - high_workers),
         || par_sort(high, high_workers),
     );
@@ -833,20 +831,28 @@ pub fn build_ocg_from_path<P: AsRef<Path>, Q: AsRef<Path>>(
     output: Q,
     options: &BuildOptions,
 ) -> Result<BuildStats> {
-    build_ocg_from_path_on(input.as_ref(), output.as_ref(), options, default_workers())
+    build_ocg_from_path_on(
+        input.as_ref(),
+        output.as_ref(),
+        options,
+        default_workers(),
+        READ_BLOCK,
+    )
 }
 
-/// [`build_ocg_from_path`] on `workers` worker threads.
+/// [`build_ocg_from_path`] on `workers` worker threads, reading the input
+/// in blocks of whole lines of about `block_len` bytes.
 pub(crate) fn build_ocg_from_path_on(
     input: &Path,
     output: &Path,
     options: &BuildOptions,
     workers: usize,
+    block_len: usize,
 ) -> Result<BuildStats> {
     build_ocg_with(
         |chunker| {
             let reader = open_edge_list_reader(input).map_err(|e| e.with_path(input))?;
-            for_each_line_block(reader, READ_BLOCK, |text| chunker.scan_text(text))
+            for_each_line_block(reader, block_len, |text| chunker.scan_text(text))
                 .map_err(|e| e.with_path(input))
         },
         output,
@@ -1123,7 +1129,6 @@ where
             // The checksum on a second thread while this one writes.
             let sections = [&offsets[..], &neighbors[..], id_map];
             let (written, checksum) = crate::par::join(
-                workers > 1,
                 || write_word_sections(&mut w, &sections),
                 || checksum_word_sections(&sections),
             );
@@ -1181,7 +1186,7 @@ where
     phases.write_ns = lap.ns();
 
     if options.verify {
-        crate::ocg::verify_ocg_with(output, workers > 1)?;
+        crate::ocg::verify_ocg_path(output)?;
     }
     phases.verify_ns = lap.ns();
     Ok(BuildStats {
@@ -1621,29 +1626,39 @@ mod tests {
                     ..BuildOptions::default()
                 };
                 let mut first: Option<(Vec<u8>, BuildStats)> = None;
-                for input in [&plain, &gzip] {
-                    for workers in [1, 2, 3, 8] {
-                        let stats =
-                            build_ocg_from_path_on(input, &output, &options, workers).unwrap();
-                        let bytes = std::fs::read(&output).unwrap();
-                        assert_eq!(stats.workers, workers);
-                        assert_eq!(stats.spill_bytes > 0, spills, "{stats:?}");
-                        match &first {
-                            None => {
-                                let info = open_ocg_path(&output).unwrap().info;
-                                assert_eq!(info.checksum, checksum);
-                                assert_eq!(
-                                    (stats.edges_read, stats.self_loops, stats.duplicates),
-                                    (report.edges_read, report.self_loops, report.duplicates)
-                                );
-                                first = Some((bytes, stats));
-                            }
-                            Some((want, want_stats)) => {
-                                let at =
-                                    format!("{input:?} at {workers} workers, chunk {chunk_edges}");
-                                assert!(bytes == *want, "{at}: other bytes");
-                                assert_eq!(unthreaded(stats), unthreaded(*want_stats), "{at}");
-                            }
+                // Whole-input blocks, blocks cut across lines, and blocks
+                // shorter than a line.
+                let runs = [&plain, &gzip].into_iter().flat_map(|input| {
+                    [READ_BLOCK, 4096, 5]
+                        .into_iter()
+                        .flat_map(move |block_len| {
+                            [1, 2, 3, 8].map(|workers| (input, block_len, workers))
+                        })
+                });
+                for (input, block_len, workers) in runs {
+                    let stats =
+                        build_ocg_from_path_on(input, &output, &options, workers, block_len)
+                            .unwrap();
+                    let bytes = std::fs::read(&output).unwrap();
+                    assert_eq!(stats.workers, workers);
+                    assert_eq!(stats.spill_bytes > 0, spills, "{stats:?}");
+                    match &first {
+                        None => {
+                            let info = open_ocg_path(&output).unwrap().info;
+                            assert_eq!(info.checksum, checksum);
+                            assert_eq!(
+                                (stats.edges_read, stats.self_loops, stats.duplicates),
+                                (report.edges_read, report.self_loops, report.duplicates)
+                            );
+                            first = Some((bytes, stats));
+                        }
+                        Some((want, want_stats)) => {
+                            let at = format!(
+                                "{input:?} at {workers} workers, chunk {chunk_edges}, \
+                                 block {block_len}"
+                            );
+                            assert!(bytes == *want, "{at}: other bytes");
+                            assert_eq!(unthreaded(stats), unthreaded(*want_stats), "{at}");
                         }
                     }
                 }
@@ -1656,7 +1671,12 @@ mod tests {
 
     /// The error (or success) of a split parse of `bytes`, against the
     /// `read_line` parser's.
-    fn assert_parse_outcome_like_the_oracle(bytes: &[u8], workers: usize, chunk_edges: usize) {
+    fn assert_parse_outcome_like_the_oracle(
+        bytes: &[u8],
+        workers: usize,
+        chunk_edges: usize,
+        block_len: usize,
+    ) {
         let input = tmp(&format!("split_{workers}.edges"));
         let output = tmp(&format!("split_{workers}.ocg"));
         std::fs::write(&input, bytes).unwrap();
@@ -1664,7 +1684,7 @@ mod tests {
             chunk_edges,
             ..BuildOptions::default()
         };
-        let got = build_ocg_from_path_on(&input, &output, &options, workers)
+        let got = build_ocg_from_path_on(&input, &output, &options, workers, block_len)
             .map(|_| ())
             .map_err(|e| e.to_string());
         let want = crate::io::tests::for_each_edge_oracle(bytes, |_, _| Ok(()))
@@ -1673,7 +1693,7 @@ mod tests {
         assert_eq!(
             got,
             want,
-            "{workers} workers, chunk {chunk_edges}: {:?}",
+            "{workers} workers, chunk {chunk_edges}, block {block_len}: {:?}",
             bytes.escape_ascii().to_string()
         );
         std::fs::remove_file(&input).ok();
@@ -1698,7 +1718,7 @@ mod tests {
                     for at in cut - WINDOW..cut + WINDOW {
                         let mut bad = text.clone();
                         bad[at] = b'x';
-                        assert_parse_outcome_like_the_oracle(&bad, workers, 1 << 20);
+                        assert_parse_outcome_like_the_oracle(&bad, workers, 1 << 20, READ_BLOCK);
                     }
                 }
             }
@@ -1717,21 +1737,28 @@ mod tests {
             let mut bad = text.clone();
             bad[second] = b'x';
             bad[third] = b'x';
-            assert_parse_outcome_like_the_oracle(&bad, 3, 1 << 20);
+            assert_parse_outcome_like_the_oracle(&bad, 3, 1 << 20, READ_BLOCK);
             let input = tmp("two_bad.edges");
             std::fs::write(&input, &bad).unwrap();
-            let err =
-                build_ocg_from_path_on(&input, &tmp("two_bad.ocg"), &BuildOptions::default(), 3)
-                    .unwrap_err();
+            let err = build_ocg_from_path_on(
+                &input,
+                &tmp("two_bad.ocg"),
+                &BuildOptions::default(),
+                3,
+                READ_BLOCK,
+            )
+            .unwrap_err();
             let line = 1 + bad[..second].iter().filter(|&&b| b == b'\n').count();
             assert!(err.to_string().contains(&format!("line {line}:")), "{err}");
             std::fs::remove_file(&input).ok();
             // Near chunk boundaries the lines that fill a chunk are parsed
-            // one at a time, between parallel prefixes.
+            // one at a time, between parallel prefixes; across blocks the
+            // line numbers carry on from the block before.
             for at in (0..text.len()).step_by(97) {
                 let mut bad = text.clone();
                 bad[at] = b'x';
-                assert_parse_outcome_like_the_oracle(&bad, 3, 0);
+                assert_parse_outcome_like_the_oracle(&bad, 3, 0, READ_BLOCK);
+                assert_parse_outcome_like_the_oracle(&bad, 3, 1 << 20, 1000);
             }
         }
     }

@@ -4,13 +4,10 @@
 //! calling thread, and joins them all before it returns; nothing outlives
 //! the call, so the items may borrow disjoint parts of one buffer.
 
-/// The most workers a build or an audit runs on, as for the tuned detect
-/// preset.
-pub(crate) const MAX_WORKERS: usize = 8;
-
-/// The host's available parallelism, capped at [`MAX_WORKERS`].
-pub(crate) fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_WORKERS))
+/// The host's available parallelism, capped at 8: the worker count of a
+/// `.ocg` build and the thread count of the tuned detect preset.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
 /// `f` of each item, in item order. The first item runs on this thread,
@@ -37,17 +34,12 @@ pub(crate) fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync
     })
 }
 
-/// Runs `a` and `b` and returns both results: `b` on a thread of its own
-/// beside `a` when `parallel`, after `a` on this thread otherwise.
+/// Runs `a` on this thread and `b` on a thread of its own beside it, and
+/// returns both results.
 pub(crate) fn join<A: Send, B: Send>(
-    parallel: bool,
     a: impl FnOnce() -> A + Send,
     b: impl FnOnce() -> B + Send,
 ) -> (A, B) {
-    if !parallel {
-        let a = a();
-        return (a, b());
-    }
     std::thread::scope(|s| {
         let other = s.spawn(b);
         let a = a();
@@ -102,7 +94,6 @@ mod tests {
         assert_eq!(data, (0..10).map(|x| 2 * x).collect::<Vec<_>>());
         assert_eq!(even_ranges(2, 4), vec![0..0, 0..1, 1..1, 1..2]);
         assert!(par_map(Vec::<u8>::new(), |x| x).is_empty());
-        assert_eq!(join(true, || 1, || 2), (1, 2));
-        assert_eq!(join(false, || 1, || 2), (1, 2));
+        assert_eq!(join(|| 1, || 2), (1, 2));
     }
 }

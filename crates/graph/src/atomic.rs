@@ -27,12 +27,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Distinguishes temp files of concurrent writers in one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// The temp path used for an atomic write of `path`: same directory,
-/// process- and call-unique suffix. For writers whose access pattern does
-/// not fit [`atomic_write_path`]'s sequential closure (e.g. the external
-/// `.ocg` builder seeks back to patch its header), write and fsync this
-/// path yourself, then [`commit_temp_path`] it.
-pub(crate) fn temp_path_for(path: &Path) -> PathBuf {
+/// Write buffer: large enough that a multi-megabyte `.ocg` payload goes
+/// out in few system calls.
+const WRITE_BUF: usize = 1 << 18;
+
+/// The temp path [`atomic_write_path`] writes before the rename: same
+/// directory (rename is only atomic within a filesystem), a hidden name
+/// with a process- and call-unique suffix.
+fn temp_path_for(path: &Path) -> PathBuf {
     let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
     let file = path.file_name().map(|f| f.to_string_lossy().into_owned());
     let name = format!(
@@ -45,35 +47,29 @@ pub(crate) fn temp_path_for(path: &Path) -> PathBuf {
 
 /// Atomically replaces the file at `path` with whatever `write` produces.
 ///
-/// `write` receives a buffered writer over the temp file; when it returns
-/// `Ok`, the data is flushed, fsynced, and renamed over `path` (see the
+/// `write` receives a buffered writer over the temp file, and may seek it
+/// (the `.ocg` writer patches its header last); when it returns `Ok`, the
+/// data is flushed, fsynced, and renamed over `path` (see the
 /// [module docs](self) for the crash-safety argument). On any error the
 /// temp file is removed and `path` is left exactly as it was.
-pub fn atomic_write_path<F>(path: &Path, write: F) -> std::io::Result<()>
+pub fn atomic_write_path<F, E>(path: &Path, write: F) -> Result<(), E>
 where
-    F: FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+    F: FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+    E: From<std::io::Error>,
 {
     let tmp = temp_path_for(path);
-    let result = File::create(&tmp).and_then(|file| {
-        let mut writer = BufWriter::new(file);
-        write(&mut writer)
-            .and_then(|()| writer.flush())
-            .and_then(|()| writer.get_ref().sync_all())
-    });
-    if let Err(e) = result {
+    let result = (|| {
+        let mut writer = BufWriter::with_capacity(WRITE_BUF, File::create(&tmp)?);
+        write(&mut writer)?;
+        writer.flush()?;
+        writer.get_ref().sync_all()?;
+        drop(writer);
+        std::fs::rename(&tmp, path)?;
+        Ok(())
+    })();
+    if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    commit_temp_path(&tmp, path)
-}
-
-/// Atomically moves an already-written, already-fsynced temp file (from
-/// [`temp_path_for`]) over `path`, fsyncing the directory afterwards. On
-/// error the temp file is removed and `path` is untouched.
-pub(crate) fn commit_temp_path(tmp: &Path, path: &Path) -> std::io::Result<()> {
-    if let Err(e) = std::fs::rename(tmp, path) {
-        let _ = std::fs::remove_file(tmp);
-        return Err(e);
+        return result;
     }
     sync_parent_dir(path);
     Ok(())

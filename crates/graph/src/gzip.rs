@@ -6,14 +6,15 @@
 //! dynamic-Huffman blocks, the 32 KiB LZ77 window, multi-member streams,
 //! and CRC32/ISIZE trailer verification.
 //!
-//! [`GzDecoder`] implements [`Read`] and decompresses incrementally — a
-//! bounded window plus a small output buffer — so piping a multi-gigabyte
-//! `.txt.gz` edge list into the external-memory `.ocg` builder keeps its
-//! bounded-memory guarantee. Throughput is secondary (a simple canonical
-//! Huffman bit-by-bit decoder, no multi-bit lookup tables); ingestion cost
-//! is dominated by integer parsing and the sort passes downstream.
+//! [`GzDecoder`] implements [`Read`] and decompresses incrementally into
+//! one bounded buffer — the 32 KiB window back-references reach into, then
+//! the bytes not yet read, which `read` copies out in slices — so piping a
+//! multi-gigabyte `.txt.gz` edge list into the external-memory `.ocg`
+//! builder keeps its bounded-memory guarantee. Throughput is secondary (a
+//! simple canonical Huffman bit-by-bit decoder, no multi-bit lookup
+//! tables): decoding, on one thread, costs several times the parse of the
+//! text it yields.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, Error, ErrorKind, Read, Result};
 
 const WINDOW: usize = 32 * 1024;
@@ -87,6 +88,16 @@ impl<R: BufRead> Bits<R> {
         }
     }
 
+    /// The next byte of the underlying reader.
+    fn next_byte(&mut self) -> Result<u8> {
+        let mut byte = [0u8; 1];
+        match self.inner.read_exact(&mut byte) {
+            Ok(()) => Ok(byte[0]),
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => Err(truncated()),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Pulls one byte from the underlying reader (the bit buffer must be
     /// empty or aligned; used for headers, trailers and stored blocks).
     fn read_byte(&mut self) -> Result<u8> {
@@ -97,12 +108,7 @@ impl<R: BufRead> Bits<R> {
             self.count -= 8;
             return Ok(b);
         }
-        let mut byte = [0u8; 1];
-        match self.inner.read_exact(&mut byte) {
-            Ok(()) => Ok(byte[0]),
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => Err(truncated()),
-            Err(e) => Err(e),
-        }
+        self.next_byte()
     }
 
     /// True when the underlying stream (and bit buffer) is exhausted.
@@ -112,13 +118,7 @@ impl<R: BufRead> Bits<R> {
 
     fn read_bit(&mut self) -> Result<u32> {
         if self.count == 0 {
-            let mut byte = [0u8; 1];
-            match self.inner.read_exact(&mut byte) {
-                Ok(()) => {}
-                Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Err(truncated()),
-                Err(e) => return Err(e),
-            }
-            self.buf = byte[0] as u32;
+            self.buf = self.next_byte()? as u32;
             self.count = 8;
         }
         let bit = self.buf & 1;
@@ -277,6 +277,42 @@ enum State {
     Done,
 }
 
+/// Decoded bytes: the history LZ77 back-references reach into, and past
+/// `unread` the bytes not yet handed to the reader.
+#[derive(Debug)]
+struct History {
+    bytes: Vec<u8>,
+    unread: usize,
+    /// Total bytes emitted in the current member (mod 2³² for ISIZE).
+    emitted: u64,
+    crc: Crc32,
+}
+
+impl History {
+    fn pending(&self) -> usize {
+        self.bytes.len() - self.unread
+    }
+
+    fn push(&mut self, byte: u8) {
+        self.bytes.push(byte);
+        self.emitted += 1;
+        self.crc.update(byte);
+    }
+
+    /// Repeats the `length` bytes that start `distance` back (a copy may
+    /// overlap what it writes).
+    fn copy(&mut self, distance: usize, length: usize) -> Result<()> {
+        if distance as u64 > self.emitted.min(WINDOW as u64) {
+            return Err(bad("back-reference before start of output"));
+        }
+        let from = self.bytes.len() - distance;
+        for at in from..from + length {
+            self.push(self.bytes[at]);
+        }
+        Ok(())
+    }
+}
+
 /// Streaming gzip decompressor over any buffered reader.
 ///
 /// Handles everything the format allows in the wild: stored and both
@@ -290,14 +326,8 @@ pub struct GzDecoder<R: BufRead> {
     state: State,
     /// Set once the final block of the current member is being processed.
     final_block: bool,
-    /// Ring buffer of the last 32 KiB of output (LZ77 back-references).
-    window: Box<[u8; WINDOW]>,
-    /// Total bytes emitted in the current member (mod 2³² for ISIZE).
-    emitted: u64,
-    crc: Crc32,
+    out: History,
     members: u32,
-    /// Decoded bytes not yet handed to the caller.
-    out: VecDeque<u8>,
 }
 
 impl<R: BufRead> GzDecoder<R> {
@@ -307,27 +337,16 @@ impl<R: BufRead> GzDecoder<R> {
             bits: Bits::new(inner),
             state: State::MemberHeader,
             final_block: false,
-            window: Box::new([0u8; WINDOW]),
-            emitted: 0,
-            crc: Crc32::new(),
+            out: History {
+                // Room for a window of history, a window not yet dropped,
+                // and one decode's output (overshot by at most one match).
+                bytes: Vec::with_capacity(2 * WINDOW + OUT_TARGET + 258),
+                unread: 0,
+                emitted: 0,
+                crc: Crc32::new(),
+            },
             members: 0,
-            out: VecDeque::new(),
         }
-    }
-
-    fn emit(&mut self, byte: u8) {
-        self.window[(self.emitted % WINDOW as u64) as usize] = byte;
-        self.emitted += 1;
-        self.crc.update(byte);
-        self.out.push_back(byte);
-    }
-
-    fn back_ref(&self, distance: usize) -> Result<u8> {
-        if distance as u64 > self.emitted.min(WINDOW as u64) {
-            return Err(bad("back-reference before start of output"));
-        }
-        let idx = (self.emitted + WINDOW as u64 - distance as u64) % WINDOW as u64;
-        Ok(self.window[idx as usize])
     }
 
     fn read_member_header(&mut self) -> Result<()> {
@@ -364,8 +383,8 @@ impl<R: BufRead> GzDecoder<R> {
             self.bits.read_byte()?; // FHCRC
             self.bits.read_byte()?;
         }
-        self.crc = Crc32::new();
-        self.emitted = 0;
+        self.out.crc = Crc32::new();
+        self.out.emitted = 0;
         self.final_block = false;
         Ok(())
     }
@@ -406,39 +425,19 @@ impl<R: BufRead> GzDecoder<R> {
         let mut lengths = vec![0u8; hlit + hdist];
         let mut i = 0;
         while i < lengths.len() {
-            match clen_tree.decode(&mut self.bits)? {
-                sym @ 0..=15 => {
-                    lengths[i] = sym as u8;
-                    i += 1;
-                }
-                16 => {
-                    if i == 0 {
-                        return Err(bad("repeat with no previous code length"));
-                    }
-                    let prev = lengths[i - 1];
-                    let reps = 3 + self.bits.read_bits(2)? as usize;
-                    if i + reps > lengths.len() {
-                        return Err(bad("code length repeat overflows"));
-                    }
-                    lengths[i..i + reps].fill(prev);
-                    i += reps;
-                }
-                17 => {
-                    let reps = 3 + self.bits.read_bits(3)? as usize;
-                    if i + reps > lengths.len() {
-                        return Err(bad("code length repeat overflows"));
-                    }
-                    i += reps;
-                }
-                18 => {
-                    let reps = 11 + self.bits.read_bits(7)? as usize;
-                    if i + reps > lengths.len() {
-                        return Err(bad("code length repeat overflows"));
-                    }
-                    i += reps;
-                }
+            let (length, reps) = match clen_tree.decode(&mut self.bits)? {
+                sym @ 0..=15 => (sym as u8, 1),
+                16 if i == 0 => return Err(bad("repeat with no previous code length")),
+                16 => (lengths[i - 1], 3 + self.bits.read_bits(2)? as usize),
+                17 => (0, 3 + self.bits.read_bits(3)? as usize),
+                18 => (0, 11 + self.bits.read_bits(7)? as usize),
                 _ => return Err(bad("invalid code length symbol")),
+            };
+            if i + reps > lengths.len() {
+                return Err(bad("code length repeat overflows"));
             }
+            lengths[i..i + reps].fill(length);
+            i += reps;
         }
         let lit = Huffman::build(&lengths[..hlit])?;
         let dist = Huffman::build(&lengths[hlit..])?;
@@ -453,20 +452,27 @@ impl<R: BufRead> GzDecoder<R> {
         }
         let crc = u32::from_le_bytes(trailer[..4].try_into().unwrap());
         let isize = u32::from_le_bytes(trailer[4..].try_into().unwrap());
-        if crc != self.crc.finish() {
+        if crc != self.out.crc.finish() {
             return Err(bad("CRC32 mismatch"));
         }
-        if isize != self.emitted as u32 {
+        if isize != self.out.emitted as u32 {
             return Err(bad("uncompressed length (ISIZE) mismatch"));
         }
         self.members += 1;
         Ok(())
     }
 
-    /// Runs the state machine until `out` holds at least `OUT_TARGET`
-    /// bytes, the member needs a state change, or the stream ends.
+    /// Runs the state machine until at least `OUT_TARGET` bytes are
+    /// unread, the member needs a state change, or the stream ends.
     fn decode_some(&mut self) -> Result<()> {
-        while self.out.len() < OUT_TARGET {
+        // Keep a window of the history the reader has read, once there is
+        // another window's worth before it.
+        let drop = self.out.unread.saturating_sub(WINDOW);
+        if drop >= WINDOW {
+            self.out.bytes.drain(..drop);
+            self.out.unread -= drop;
+        }
+        while self.out.pending() < OUT_TARGET {
             match &self.state {
                 State::Done => return Ok(()),
                 State::MemberHeader => {
@@ -482,9 +488,9 @@ impl<R: BufRead> GzDecoder<R> {
                 }
                 State::Stored { remaining } => {
                     let mut remaining = *remaining;
-                    while remaining > 0 && self.out.len() < OUT_TARGET {
+                    while remaining > 0 && self.out.pending() < OUT_TARGET {
                         let byte = self.bits.read_byte()?;
-                        self.emit(byte);
+                        self.out.push(byte);
                         remaining -= 1;
                     }
                     self.state = if remaining > 0 {
@@ -496,20 +502,15 @@ impl<R: BufRead> GzDecoder<R> {
                     };
                 }
                 State::Huffman { lit, dist } => {
-                    // The trees move out of `state` for the symbol loop so
-                    // `self` stays borrowable; they move back unless the
-                    // block ends.
-                    let (lit, dist) = (lit.clone(), dist.clone());
                     let mut block_done = false;
-                    while self.out.len() < OUT_TARGET {
-                        let sym = lit.decode(&mut self.bits)?;
-                        match sym {
-                            0..=255 => self.emit(sym as u8),
+                    while self.out.pending() < OUT_TARGET {
+                        match lit.decode(&mut self.bits)? {
+                            sym @ 0..=255 => self.out.push(sym as u8),
                             256 => {
                                 block_done = true;
                                 break;
                             }
-                            257..=285 => {
+                            sym @ 257..=285 => {
                                 let idx = sym as usize - 257;
                                 let length = LENGTH_BASE[idx] as usize
                                     + self.bits.read_bits(LENGTH_EXTRA[idx] as u32)? as usize;
@@ -519,10 +520,7 @@ impl<R: BufRead> GzDecoder<R> {
                                 }
                                 let distance = DIST_BASE[dsym] as usize
                                     + self.bits.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
-                                for _ in 0..length {
-                                    let byte = self.back_ref(distance)?;
-                                    self.emit(byte);
-                                }
+                                self.out.copy(distance, length)?;
                             }
                             _ => return Err(bad("invalid literal/length symbol")),
                         }
@@ -533,8 +531,6 @@ impl<R: BufRead> GzDecoder<R> {
                         } else {
                             State::BlockHeader
                         };
-                    } else {
-                        self.state = State::Huffman { lit, dist };
                     }
                 }
                 State::Trailer => {
@@ -552,13 +548,13 @@ impl<R: BufRead> Read for GzDecoder<R> {
         if buf.is_empty() {
             return Ok(0);
         }
-        if self.out.is_empty() {
+        if self.out.pending() == 0 {
             self.decode_some()?;
         }
-        let n = buf.len().min(self.out.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = self.out.pop_front().expect("counted above");
-        }
+        let out = &mut self.out;
+        let n = buf.len().min(out.pending());
+        buf[..n].copy_from_slice(&out.bytes[out.unread..out.unread + n]);
+        out.unread += n;
         Ok(n)
     }
 }

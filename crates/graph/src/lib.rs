@@ -73,7 +73,7 @@ pub use io::{
 };
 pub use kcore::CoreDecomposition;
 pub use node::NodeId;
-pub use ocg::{open_ocg_path, payload_checksum, read_ocg_info, verify_ocg_path, write_ocg_path};
+pub use ocg::{open_ocg_path, read_ocg_info, verify_ocg_path, write_ocg_path};
 pub use ocg::{OcgGraph, OcgInfo};
 pub use ocg_build::{
     build_ocg_from_edges, build_ocg_from_emitter, build_ocg_from_path, BuildOptions, BuildPhases,

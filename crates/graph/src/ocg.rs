@@ -39,10 +39,10 @@
 use crate::container::{check_preamble, ContainerError, Fnv1a};
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
-use crate::node::NodeId;
 use crate::relabel::Relabeling;
 use crate::storage::{MappedFile, NodeSlab, U32Slab};
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -109,13 +109,30 @@ fn invalid(message: impl Into<String>) -> GraphError {
     }
 }
 
-struct RawHeader {
-    flags: u32,
-    node_count: u64,
-    directed_len: u64,
-    self_loops: u64,
-    duplicates: u64,
-    checksum: u64,
+/// The fields of a `.ocg` header after the magic and the version.
+pub(crate) struct Header {
+    pub(crate) flags: u32,
+    pub(crate) node_count: u64,
+    pub(crate) directed_len: u64,
+    pub(crate) self_loops: u64,
+    pub(crate) duplicates: u64,
+    /// FNV-1a of the payload; [`write_ocg`] fills it in.
+    pub(crate) checksum: u64,
+}
+
+impl Header {
+    fn encode(&self) -> [u8; OCG_HEADER_LEN] {
+        let mut h = [0u8; OCG_HEADER_LEN];
+        h[..8].copy_from_slice(&OCG_MAGIC);
+        h[8..12].copy_from_slice(&OCG_VERSION.to_le_bytes());
+        h[12..16].copy_from_slice(&self.flags.to_le_bytes());
+        h[16..24].copy_from_slice(&self.node_count.to_le_bytes());
+        h[24..32].copy_from_slice(&self.directed_len.to_le_bytes());
+        h[32..40].copy_from_slice(&self.self_loops.to_le_bytes());
+        h[40..48].copy_from_slice(&self.duplicates.to_le_bytes());
+        h[48..56].copy_from_slice(&self.checksum.to_le_bytes());
+        h
+    }
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -126,9 +143,9 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-fn parse_header(bytes: &[u8]) -> Result<RawHeader> {
+fn parse_header(bytes: &[u8]) -> Result<Header> {
     check_preamble(bytes, OCG_MAGIC, OCG_VERSION, OCG_HEADER_LEN).map_err(GraphError::Container)?;
-    Ok(RawHeader {
+    Ok(Header {
         flags: read_u32(bytes, 12),
         node_count: read_u64(bytes, 16),
         directed_len: read_u64(bytes, 24),
@@ -150,7 +167,7 @@ struct Sections {
     relabeled: bool,
 }
 
-fn sections(h: &RawHeader) -> Result<Sections> {
+fn sections(h: &Header) -> Result<Sections> {
     if h.node_count > u32::MAX as u64 {
         return Err(invalid(format!(
             "node count {} exceeds the u32 id space",
@@ -184,7 +201,7 @@ fn sections(h: &RawHeader) -> Result<Sections> {
     })
 }
 
-fn open_mapped(path: &Path) -> Result<(Arc<MappedFile>, RawHeader, Sections)> {
+fn open_mapped(path: &Path) -> Result<(Arc<MappedFile>, Header, Sections)> {
     if cfg!(target_endian = "big") {
         return Err(invalid(
             ".ocg files are little-endian and cannot be mapped on a big-endian target",
@@ -226,7 +243,7 @@ fn open_ocg_inner(path: &Path) -> Result<OcgGraph> {
 /// that need both the raw bytes and the graph (the verifier) map the file
 /// once instead of twice — a second mapping would double the resident-set
 /// accounting of every touched page.
-fn graph_from_mapped(file: Arc<MappedFile>, header: RawHeader, geo: Sections) -> Result<OcgGraph> {
+fn graph_from_mapped(file: Arc<MappedFile>, header: Header, geo: Sections) -> Result<OcgGraph> {
     if header.flags & OCG_FLAG_VALIDATED == 0 {
         return Err(invalid(
             "file is not marked validated; rebuild it with a current writer",
@@ -305,7 +322,7 @@ fn verify_ocg_inner(path: &Path) -> Result<OcgInfo> {
 }
 
 /// Every check of [`verify_ocg_path`] but the checksum.
-fn audit(file: Arc<MappedFile>, header: RawHeader, geo: Sections) -> Result<OcgInfo> {
+fn audit(file: Arc<MappedFile>, header: Header, geo: Sections) -> Result<OcgInfo> {
     let (relabeled, relabel_start, n) = (geo.relabeled, geo.relabel_start, geo.n);
     let opened = graph_from_mapped(Arc::clone(&file), header, geo)?;
     opened
@@ -336,119 +353,79 @@ pub fn read_ocg_info<P: AsRef<Path>>(path: P) -> Result<OcgInfo> {
 /// Feeds `words` to `block` as little-endian bytes, 4 KiB at a time, so
 /// a payload is hashed and written in large blocks rather than one call
 /// per word.
-fn for_each_word_block<E>(
-    mut words: impl Iterator<Item = u32>,
+fn for_each_word_block<T: Copy + Into<u32>, E>(
+    words: &[T],
     mut block: impl FnMut(&[u8]) -> std::result::Result<(), E>,
 ) -> std::result::Result<(), E> {
     let mut buf = [0u8; 4096];
-    let mut used = 0usize;
-    words.try_for_each(|word| {
-        buf[used..used + 4].copy_from_slice(&word.to_le_bytes());
-        used += 4;
-        if used == buf.len() {
-            used = 0;
-            block(&buf)?;
+    for part in words.chunks(buf.len() / 4) {
+        for (bytes, &word) in buf.chunks_exact_mut(4).zip(part) {
+            bytes.copy_from_slice(&word.into().to_le_bytes());
         }
+        block(&buf[..4 * part.len()])?;
+    }
+    Ok(())
+}
+
+/// The payload of a `.ocg` file that [`write_ocg`] is writing: words
+/// appended in file order and hashed into the header's checksum.
+pub(crate) struct Payload<'a> {
+    out: &'a mut BufWriter<File>,
+    fnv: Fnv1a,
+}
+
+impl Payload<'_> {
+    /// Appends `words` as little-endian `u32`s, written on this thread
+    /// while a second thread hashes them.
+    pub(crate) fn words<T: Copy + Into<u32> + Sync>(&mut self, words: &[T]) -> std::io::Result<()> {
+        let (out, mut fnv) = (&mut *self.out, self.fnv);
+        let (written, hashed) = crate::par::join(
+            || for_each_word_block(words, |bytes| out.write_all(bytes)),
+            || {
+                let Ok(()) = for_each_word_block(words, |bytes| {
+                    fnv.update(bytes);
+                    Ok::<(), std::convert::Infallible>(())
+                });
+                fnv
+            },
+        );
+        self.fnv = hashed;
+        written
+    }
+}
+
+/// Writes a `.ocg` file at `path` through [`crate::atomic_write_path`]:
+/// a zeroed header, the payload `write` appends, then the header with the
+/// payload's checksum patched in. A crash or an error mid-write leaves the
+/// previous file at `path`, if any, untouched.
+pub(crate) fn write_ocg<E: From<std::io::Error>>(
+    path: &Path,
+    mut header: Header,
+    write: impl FnOnce(&mut Payload) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    crate::atomic::atomic_write_path(path, |out| {
+        out.write_all(&[0; OCG_HEADER_LEN])?;
+        let mut payload = Payload {
+            out: &mut *out,
+            fnv: Fnv1a::default(),
+        };
+        write(&mut payload)?;
+        header.checksum = payload.fnv.finish();
+        out.seek(SeekFrom::Start(0))?;
+        out.write_all(&header.encode())?;
         Ok(())
-    })?;
-    if used > 0 {
-        block(&buf[..used])?;
-    }
-    Ok(())
-}
-
-/// Packs `words` into little-endian bytes, updating `fnv` and writing to
-/// `w` through a reusable buffer.
-pub(crate) fn write_words<W: Write>(
-    w: &mut W,
-    fnv: &mut Fnv1a,
-    words: impl Iterator<Item = u32>,
-) -> std::io::Result<()> {
-    for_each_word_block(words, |bytes| {
-        fnv.update(bytes);
-        w.write_all(bytes)
     })
-}
-
-/// Writes `sections`, one after another, as little-endian words.
-pub(crate) fn write_word_sections<W: Write>(w: &mut W, sections: &[&[u32]]) -> std::io::Result<()> {
-    for section in sections {
-        for_each_word_block(section.iter().copied(), |bytes| w.write_all(bytes))?;
-    }
-    Ok(())
-}
-
-/// The FNV-1a of what [`write_word_sections`] writes for `sections`.
-pub(crate) fn checksum_word_sections(sections: &[&[u32]]) -> u64 {
-    let mut fnv = Fnv1a::default();
-    for section in sections {
-        let Ok(()) = for_each_word_block(section.iter().copied(), |bytes| {
-            fnv.update(bytes);
-            Ok::<(), std::convert::Infallible>(())
-        });
-    }
-    fnv.finish()
-}
-
-pub(crate) fn encode_header(
-    flags: u32,
-    node_count: u64,
-    directed_len: u64,
-    self_loops: u64,
-    duplicates: u64,
-    checksum: u64,
-) -> [u8; OCG_HEADER_LEN] {
-    let mut h = [0u8; OCG_HEADER_LEN];
-    h[..8].copy_from_slice(&OCG_MAGIC);
-    h[8..12].copy_from_slice(&OCG_VERSION.to_le_bytes());
-    h[12..16].copy_from_slice(&flags.to_le_bytes());
-    h[16..24].copy_from_slice(&node_count.to_le_bytes());
-    h[24..32].copy_from_slice(&directed_len.to_le_bytes());
-    h[32..40].copy_from_slice(&self_loops.to_le_bytes());
-    h[40..48].copy_from_slice(&duplicates.to_le_bytes());
-    h[48..56].copy_from_slice(&checksum.to_le_bytes());
-    h
-}
-
-/// The payload words of a `.ocg` file for this graph (and id map): the
-/// offsets, the neighbors, then the `new_to_old` section if any.
-fn payload_words<'a>(
-    graph: &'a CsrGraph,
-    relabeling: Option<&'a Relabeling>,
-) -> impl Iterator<Item = u32> + 'a {
-    let new_to_old = relabeling
-        .into_iter()
-        .flat_map(|r| (0..r.len() as u32).map(move |i| r.to_original(NodeId(i)).raw()));
-    graph
-        .offsets_slice()
-        .iter()
-        .copied()
-        .chain(graph.neighbors_slice().iter().map(|v| v.raw()))
-        .chain(new_to_old)
-}
-
-/// The checksum [`write_ocg_path`] would record for this graph (and id
-/// map): FNV-1a over the serialized payload, computed without writing
-/// anything. Lets benchmarks compare an in-RAM build against an on-disk
-/// file without serializing the former.
-pub fn payload_checksum(graph: &CsrGraph, relabeling: Option<&Relabeling>) -> u64 {
-    let mut fnv = Fnv1a::default();
-    let Ok(()) = for_each_word_block(payload_words(graph, relabeling), |bytes| {
-        fnv.update(bytes);
-        Ok::<(), std::convert::Infallible>(())
-    });
-    fnv.finish()
 }
 
 /// Writes an in-RAM graph as a `.ocg` file.
 ///
 /// Runs the full [`CsrGraph::validate`] sweep first (the format promises
 /// VALIDATED means exactly that): one pass over the rows plus one probe
-/// per undirected edge. Then the payload is hashed once, for the header,
-/// and written. `relabeling`, when given, is stored as the `new_to_old`
-/// section and must describe this graph (compact ids → original
-/// edge-list ids). `report` records the ingestion drop counts in the
-/// header.
+/// per undirected edge. Then the payload is written while a second thread
+/// hashes it, and the header is patched in last. `relabeling`, when
+/// given, is stored as the `new_to_old` section and must describe this
+/// graph (compact ids → original edge-list ids). `report` records the
+/// ingestion drop counts in the header.
 pub fn write_ocg_path<P: AsRef<Path>>(
     graph: &CsrGraph,
     relabeling: Option<&Relabeling>,
@@ -481,23 +458,21 @@ fn write_ocg_inner(
     if relabeling.is_some() {
         flags |= OCG_FLAG_RELABELED;
     }
-    let checksum = payload_checksum(graph, relabeling);
-    let header = encode_header(
+    let header = Header {
         flags,
-        graph.node_count() as u64,
-        graph.neighbors_slice().len() as u64,
-        report.self_loops,
-        report.duplicates,
-        checksum,
-    );
-    // Crash-safe replacement: a SIGKILL (or full disk) mid-write leaves
-    // the previous file — if any — untouched; the new name only appears
-    // once its payload is complete and fsynced. The header, written
-    // first, already holds the checksum, so the payload is not hashed
-    // again here.
-    crate::atomic::atomic_write_path(path, |w| {
-        w.write_all(&header)?;
-        for_each_word_block(payload_words(graph, relabeling), |bytes| w.write_all(bytes))
+        node_count: graph.node_count() as u64,
+        directed_len: graph.neighbors_slice().len() as u64,
+        self_loops: report.self_loops,
+        duplicates: report.duplicates,
+        checksum: 0,
+    };
+    write_ocg(path, header, |payload| {
+        payload.words(graph.offsets_slice())?;
+        payload.words(graph.neighbors_slice())?;
+        match relabeling {
+            Some(r) => payload.words(r.new_to_old()),
+            None => Ok(()),
+        }
     })?;
     Ok(())
 }
@@ -664,13 +639,21 @@ mod tests {
     }
 
     #[test]
-    fn payload_checksum_matches_written_file() {
+    fn header_checksum_is_the_fnv1a_of_the_payload() {
         let (g, r, report) = sample();
         let path = tmp("checksum.ocg");
-        write_ocg_path(&g, Some(&r), report, &path).unwrap();
-        let info = read_ocg_info(&path).unwrap();
-        assert_eq!(info.checksum, payload_checksum(&g, Some(&r)));
-        assert_ne!(info.checksum, payload_checksum(&g, None));
+        let mut sums = Vec::new();
+        for relabeling in [Some(&r), None] {
+            write_ocg_path(&g, relabeling, report, &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let info = read_ocg_info(&path).unwrap();
+            assert_eq!(
+                info.checksum,
+                crate::container::fnv1a(&bytes[OCG_HEADER_LEN..])
+            );
+            sums.push(info.checksum);
+        }
+        assert_ne!(sums[0], sums[1]);
         std::fs::remove_file(&path).ok();
     }
 }

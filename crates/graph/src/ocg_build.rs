@@ -29,10 +29,10 @@
 //!    orientations go straight to their rows of one neighbour array, and
 //!    each row is then sorted.
 //! 5. **Write** — the offsets, the rows (merged from the directed runs, or
-//!    the neighbour array as it stands) and the id map stream into the
-//!    `.ocg` payload while the FNV-1a checksum accumulates; the header is
-//!    patched in afterwards, and the file is fsynced and renamed into
-//!    place.
+//!    the neighbour array as it stands) and the id map go through the one
+//!    `.ocg` writer ([`crate::ocg::write_ocg_path`] uses it too): it
+//!    hashes the payload as it writes it, patches the header in
+//!    afterwards, and fsyncs and renames the file into place.
 //!
 //! ## Workers
 //!
@@ -41,12 +41,12 @@
 //! * **Ingest.** The path builder reads the input in 1 MiB blocks of whole
 //!   lines and cuts each block at newlines into one slice per worker. Each
 //!   worker parses its slice into its own region of the chunk's free room;
-//!   the regions are then closed up in file order, so every chunk holds
-//!   the same edges as a one-thread parse. A block only goes to the workers
-//!   when its edges are sure to fit the chunk; the lines that fill the
-//!   last of a chunk are parsed one at a time. A parse error is the one
-//!   of the earliest slice with an error, at its line in the file. gzip
-//!   input is decompressed on one thread; its parse is split.
+//!   the regions are then closed up in file order, every full chunk is
+//!   spilled and the overflow moved to the front, so every run holds the
+//!   same edges as a one-thread parse. This is the one parse path for
+//!   text. A parse error is the one of the earliest slice with an error,
+//!   at its line in the file, raised once the edges before it are taken.
+//!   gzip input is decompressed on one thread; its parse is split.
 //! * **Sort.** Each chunk is sorted in place on the workers: the keys
 //!   below a sampled pivot are moved in front of the rest, and the two
 //!   sides are sorted side by side (recursively, one side per share of
@@ -56,42 +56,42 @@
 //!   scans every edge, writes only the entries that fall in its range, and
 //!   sorts its own rows. Spilled chunks of directed pairs are sorted like
 //!   the ingest chunks.
-//! * **Write.** In RAM the payload is hashed on a thread of its own while
+//! * **Write.** Each block of the payload — an in-RAM section, or 64 Ki
+//!   rows as they leave the merge — is hashed on a thread of its own while
 //!   the calling thread writes it.
 //! * **Verify.** The checksum pass runs on a thread of its own while the
 //!   CSR invariants and the id map are checked on the calling thread.
 //!
 //! The two checksum threads run at every worker count, one worker too.
 //!
-//! The degree count, the k-way merges of spill files and the spilled
-//! payload's write stay on one thread.
+//! The degree count and the k-way merges of spill files stay on one
+//! thread.
 //!
-//! Peak memory is `8 B × chunk_edges` for the chunk buffer plus ~`16 B ×
-//! node_count` for the degree/permutation arrays — independent of the
-//! edge count and of the worker count: the workers parse into the chunk's
-//! own room and sort it in place. In RAM the sorted keys take `8 B × m`
-//! and the neighbour array `8 B × m`, within the same bound. A build that
-//! fits one chunk writes no spill bytes; a larger one uses about `24 B`
-//! per undirected edge of disk (ingest runs + merged spill + directed
-//! runs) beyond the output file, in a private directory made at the first
-//! spill and removed when the build ends.
+//! Peak memory is `8 B × chunk_edges` for the chunk buffer, the room one
+//! block of text can fill past it (`(L + 1) / 4` keys for `L` bytes of
+//! lines: 2 MiB for a 1 MiB block, which grows only to hold a longer
+//! line), and ~`16 B × node_count` for the degree/permutation arrays —
+//! independent of the edge count and of the worker count: the workers
+//! parse into the buffer's own room and sort the chunk in place. In RAM
+//! the sorted keys take `8 B × m` and the neighbour array `8 B × m`,
+//! within the same bound. A build that fits one chunk writes no spill
+//! bytes; a larger one uses about `24 B` per undirected edge of disk
+//! (ingest runs + merged spill + directed runs) beyond the output file, in
+//! a private directory made at the first spill and removed when the build
+//! ends.
 //!
 //! The CSR invariants hold by construction (sorted unique rows, both
 //! directions emitted), and by default the writer still re-audits the
 //! finished file with [`crate::ocg::verify_ocg_path`] before returning.
 
-use crate::container::Fnv1a;
 use crate::error::{GraphError, Result};
 use crate::io::{after_lines, for_each_line_block, open_edge_list_reader, scan_lines, READ_BLOCK};
-use crate::ocg::{
-    checksum_word_sections, encode_header, write_word_sections, write_words, OCG_FLAG_RELABELED,
-    OCG_FLAG_VALIDATED,
-};
+use crate::ocg::{write_ocg, Header, OCG_FLAG_RELABELED, OCG_FLAG_VALIDATED};
 use crate::par::{default_workers, even_ranges, par_map, split_ranges_mut};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fs::File;
-use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -109,7 +109,8 @@ const MIN_PART: usize = 256;
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
     /// Edges buffered in RAM per sorted run (8 bytes each). The chunk
-    /// buffer — `8 B × chunk_edges` — dominates the builder's peak RSS.
+    /// buffer — `8 B × chunk_edges`, plus the room one block of text can
+    /// fill past it — dominates the builder's peak RSS.
     /// A graph whose `2·m` directed pairs fit one chunk is built in RAM
     /// with no spill files.
     pub chunk_edges: usize,
@@ -121,7 +122,8 @@ pub struct BuildOptions {
     pub relabel: bool,
     /// Re-audit the finished file (checksum + full CSR invariant sweep).
     pub verify: bool,
-    /// Where spill files go; defaults to `<output>.tmp`. The build makes
+    /// Where spill files go; defaults to `<output>.tmp` (the output's
+    /// path with `.tmp` appended). The build makes
     /// a private directory inside it at its first spill and removes only
     /// that directory (and the location itself, if the build created it
     /// and nothing else is in it).
@@ -454,8 +456,10 @@ fn pack(hi: u32, lo: u32) -> u64 {
 /// what ingestion has counted.
 struct Chunker<'a> {
     /// The chunk is `keys[..filled]`; the rest is room for it to fill.
-    /// The buffer is allocated zeroed, so a page of it takes memory only
-    /// once a key is written there.
+    /// A block of text may fill it past `cap` (the buffer grows to hold
+    /// the block's room); the whole chunks are spilled after the block.
+    /// The buffer is allocated zeroed, so a page of its first `cap` keys
+    /// takes memory only once a key is written there.
     keys: Vec<u64>,
     filled: usize,
     cap: usize,
@@ -548,57 +552,21 @@ impl<'a> Chunker<'a> {
         self.keys[self.filled] = pack(u.min(v), u.max(v));
         self.filled += 1;
         if self.filled == self.cap {
-            self.spill_chunk()?;
+            self.spill_full_chunks()?;
         }
         Ok(())
     }
 
-    /// Takes a block of whole lines of edge-list text. The longest prefix
-    /// whose edges surely fit the chunk goes to the workers; when not even
-    /// one line does, one line is parsed on its own.
-    fn scan_text(&mut self, mut text: &[u8]) -> Result<()> {
-        while !text.is_empty() {
-            // "0 1\n" is the shortest edge line, so `L` bytes of lines hold
-            // at most `(L + 1) / 4` edges, and `w` slices of them at most
-            // `(L + w) / 4`.
-            let room = (self.cap - self.filled)
-                .saturating_mul(4)
-                .saturating_sub(self.workers);
-            let fits = if text.len() <= room {
-                text.len()
-            } else {
-                text[..room]
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map_or(0, |last| last + 1)
-            };
-            let rest = if fits > 0 {
-                self.scan_parallel(&text[..fits])?;
-                &text[fits..]
-            } else {
-                let end = text
-                    .iter()
-                    .position(|&b| b == b'\n')
-                    .map_or(text.len(), |at| at + 1);
-                let before = self.lines;
-                let lines = scan_lines(&text[..end], |u, v| self.push(u, v))
-                    .map_err(|e| after_lines(e, before))?;
-                self.lines += lines;
-                &text[end..]
-            };
-            text = rest;
-        }
-        Ok(())
-    }
-
-    /// Parses lines whose edges fit the chunk, one slice per worker, each
-    /// into its own region of the chunk's room; then closes the regions
-    /// up in file order.
-    fn scan_parallel(&mut self, text: &[u8]) -> Result<()> {
+    /// Takes a block of whole lines of edge-list text, cut into one slice
+    /// per worker. Each worker parses its slice into its own region of the
+    /// room past the chunk's fill; the regions are then closed up in file
+    /// order, and every full chunk is spilled. A parse error is raised
+    /// after the edges before it are taken, as a one-thread parse would.
+    fn scan_text(&mut self, text: &[u8]) -> Result<()> {
         let parts = self.workers.min(1 + text.len() / MIN_SLICE_BYTES);
         let slices = line_slices(text, parts);
-        // Each slice's region past the chunk holds as many keys as its
-        // `L` bytes can have edges: `(L + 1) / 4`.
+        // "0 1\n" is the shortest edge line, so a slice of `L` bytes has at
+        // most `(L + 1) / 4` edges: its region holds that many keys.
         let mut reserved = 0;
         let regions: Vec<Range<usize>> = slices
             .iter()
@@ -609,11 +577,16 @@ impl<'a> Chunker<'a> {
             })
             .collect();
         let base = self.filled;
+        if self.keys.len() < base + reserved {
+            self.keys.reserve_exact(base + reserved - self.keys.len());
+            self.keys.resize(base + reserved, 0);
+        }
         let shares = split_ranges_mut(&mut self.keys[base..base + reserved], &regions);
         let scans = par_map(
             slices.into_iter().zip(shares).collect(),
             |(slice, region)| scan_slice(slice, region),
         );
+        let mut failed = None;
         for (scan, region) in scans.into_iter().zip(regions) {
             let start = base + region.start;
             self.keys
@@ -625,43 +598,46 @@ impl<'a> Chunker<'a> {
             match scan.lines {
                 Ok(lines) => self.lines += lines,
                 Err(e) => {
-                    // The edges before the error fill the chunk no
-                    // further than a one-thread parse would have, and it
-                    // would have spilled a full chunk before going on.
-                    if self.filled == self.cap {
-                        self.spill_chunk()?;
-                    }
-                    return Err(after_lines(e, self.lines));
+                    failed = Some(after_lines(e, self.lines));
+                    break;
                 }
             }
         }
-        if self.filled == self.cap {
-            self.spill_chunk()?;
-        }
-        Ok(())
+        self.spill_full_chunks()?;
+        failed.map_or(Ok(()), Err)
     }
 
-    /// Sorts the chunk and drops its repeats, counting them as duplicates.
-    fn sort_dedup(&mut self) {
-        let keys = &mut self.keys[..self.filled];
+    /// Sorts `keys[range]` and drops its repeats, counting them as
+    /// duplicates; returns how many keys are left at `range.start`.
+    fn sort_dedup(&mut self, range: Range<usize>) -> usize {
+        let keys = &mut self.keys[range];
         par_sort(keys, self.workers);
         let unique = dedup_sorted(keys);
-        self.duplicates += (self.filled - unique) as u64;
-        self.filled = unique;
+        self.duplicates += (keys.len() - unique) as u64;
+        unique
     }
 
-    fn spill_chunk(&mut self) -> Result<()> {
-        self.sort_dedup();
-        let run = self.spill.write_run(&self.keys[..self.filled])?;
-        self.runs.push(run);
-        self.filled = 0;
+    /// Spills each whole chunk of the filled keys, in order, as a sorted
+    /// run, and moves what is left to the front.
+    fn spill_full_chunks(&mut self) -> Result<()> {
+        let mut start = 0;
+        while self.filled - start >= self.cap {
+            let unique = self.sort_dedup(start..start + self.cap);
+            let run = self.spill.write_run(&self.keys[start..start + unique])?;
+            self.runs.push(run);
+            start += self.cap;
+        }
+        if start > 0 {
+            self.keys.copy_within(start..self.filled, 0);
+            self.filled -= start;
+        }
         Ok(())
     }
 
     /// Ends ingestion with the last chunk: kept in RAM when it is the only
     /// one and its `2·m` directed pairs fit a chunk, spilled otherwise.
     fn finish(mut self) -> Result<Ingested> {
-        self.sort_dedup();
+        self.filled = self.sort_dedup(0..self.filled);
         let ingest_runs = self.runs.len() + usize::from(self.filled > 0);
         let in_ram = self.runs.is_empty() && self.filled <= self.cap / 2;
         let mut keys = std::mem::take(&mut self.keys);
@@ -954,12 +930,11 @@ where
     let mut lap = Lap(Instant::now());
     let mut phases = BuildPhases::default();
     let chunk_cap = options.chunk_edges.max(1024);
-    let mut spill = Spill::new(
-        options
-            .tmp_dir
-            .clone()
-            .unwrap_or_else(|| output.with_extension("ocg.tmp")),
-    );
+    let mut spill = Spill::new(options.tmp_dir.clone().unwrap_or_else(|| {
+        let mut dir = output.as_os_str().to_owned();
+        dir.push(".tmp");
+        dir.into()
+    }));
 
     // Phase 1: parse, normalize, chunk-sort, spill all but a last chunk
     // that holds the whole graph.
@@ -1107,80 +1082,48 @@ where
     if options.relabel {
         flags |= OCG_FLAG_RELABELED;
     }
-    // Stream into a same-directory temp file and rename only once the
-    // header is patched and the payload fsynced: a crash mid-build leaves
-    // a previous .ocg at `output` (if any) complete and untouched.
-    let final_tmp = crate::atomic::temp_path_for(output);
-    // Any error between here and the commit removes the temp file.
-    struct RemoveOnDrop(Option<std::path::PathBuf>);
-    impl Drop for RemoveOnDrop {
-        fn drop(&mut self) {
-            if let Some(p) = self.0.take() {
-                let _ = std::fs::remove_file(p);
-            }
-        }
-    }
-    let mut final_guard = RemoveOnDrop(Some(final_tmp.clone()));
-    let mut w = BufWriter::with_capacity(SPILL_BUF, File::create(&final_tmp)?);
-    w.write_all(&[0u8; crate::ocg::OCG_HEADER_LEN])?;
-    let id_map = new_to_old.as_deref().unwrap_or(&[]);
-    let checksum = match rows {
-        Rows::Ram(neighbors) => {
-            // The checksum on a second thread while this one writes.
-            let sections = [&offsets[..], &neighbors[..], id_map];
-            let (written, checksum) = crate::par::join(
-                || write_word_sections(&mut w, &sections),
-                || checksum_word_sections(&sections),
-            );
-            written?;
-            checksum
-        }
-        Rows::Spilled(directed_runs) => {
-            let mut fnv = Fnv1a::default();
-            write_words(&mut w, &mut fnv, offsets.iter().copied())?;
-            let mut pack_buf = [0u8; 4096];
-            let mut used = 0usize;
-            let mut emitted = 0usize;
-            merge_runs(&directed_runs, |key| {
-                emitted += 1;
-                pack_buf[used..used + 4].copy_from_slice(&(key as u32).to_le_bytes());
-                used += 4;
-                if used == pack_buf.len() {
-                    fnv.update(&pack_buf);
-                    w.write_all(&pack_buf)?;
-                    used = 0;
-                }
-                Ok(())
-            })?;
-            fnv.update(&pack_buf[..used]);
-            w.write_all(&pack_buf[..used])?;
-            if emitted != directed {
-                return Err(GraphError::InvalidFormat {
-                    message: format!("internal error: emitted {emitted} of {directed} entries"),
-                });
-            }
-            write_words(&mut w, &mut fnv, id_map.iter().copied())?;
-            fnv.finish()
-        }
-    };
-    drop(offsets);
-    drop(new_to_old);
-    w.flush()?;
-    let mut file = w.into_inner().map_err(|e| e.into_error())?;
-    let header = encode_header(
+    let header = Header {
         flags,
         node_count,
-        directed as u64,
-        ingested.self_loops,
+        directed_len: directed as u64,
+        self_loops: ingested.self_loops,
         duplicates,
-        checksum,
-    );
-    file.seek(SeekFrom::Start(0))?;
-    file.write_all(&header)?;
-    file.sync_all()?;
-    drop(file);
-    crate::atomic::commit_temp_path(&final_tmp, output)?;
-    final_guard.0 = None;
+        checksum: 0,
+    };
+    write_ocg(output, header, |payload| -> Result<()> {
+        payload.words(&offsets)?;
+        match rows {
+            Rows::Ram(neighbors) => payload.words(&neighbors)?,
+            Rows::Spilled(directed_runs) => {
+                // The rows leave the merge a block at a time.
+                const BLOCK: usize = SPILL_BUF / 4;
+                let mut block: Vec<u32> = Vec::with_capacity(BLOCK);
+                let mut emitted = 0usize;
+                merge_runs(&directed_runs, |key| {
+                    block.push(key as u32);
+                    if block.len() == BLOCK {
+                        payload.words(&block)?;
+                        emitted += block.len();
+                        block.clear();
+                    }
+                    Ok(())
+                })?;
+                payload.words(&block)?;
+                emitted += block.len();
+                if emitted != directed {
+                    return Err(GraphError::InvalidFormat {
+                        message: format!("internal error: emitted {emitted} of {directed} entries"),
+                    });
+                }
+            }
+        }
+        if let Some(map) = &new_to_old {
+            payload.words(map)?;
+        }
+        Ok(())
+    })?;
+    drop(offsets);
+    drop(new_to_old);
     let spill_bytes = spill.bytes;
     drop(spill);
     phases.write_ns = lap.ns();
@@ -1206,7 +1149,7 @@ where
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::ocg::open_ocg_path;
+    use crate::ocg::{open_ocg_path, write_ocg_path};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("oca_ocg_build_{}", std::process::id()));
@@ -1232,8 +1175,9 @@ mod tests {
             .collect()
     }
 
-    /// Builds `edges` on `n` nodes and checks the file against the in-RAM
-    /// builder bit for bit: CSR, relabeling, checksum and drop counts.
+    /// Builds `edges` on `n` nodes and checks the file, byte for byte,
+    /// against `write_ocg_path` of the in-RAM builder's degree-ordered
+    /// graph and drop counts.
     fn build_bit_exact(edges: &[(u32, u32)], n: usize, chunk_edges: usize) -> BuildStats {
         let path = tmp(&format!("bitexact_{n}_{}_{chunk_edges}.ocg", edges.len()));
         let options = BuildOptions {
@@ -1247,19 +1191,16 @@ mod tests {
         b.extend_edges(edges.iter().copied());
         let (_, report) = b.clone().try_build_report().unwrap();
         let (ram_graph, ram_relabeling) = b.build_degree_ordered();
+        let reference = path.with_extension("ref.ocg");
+        write_ocg_path(&ram_graph, Some(&ram_relabeling), report, &reference).unwrap();
 
-        let opened = open_ocg_path(&path).unwrap();
-        assert_eq!(opened.graph, ram_graph, "CSR must match bit for bit");
-        assert_eq!(opened.relabeling().unwrap(), ram_relabeling);
+        assert!(std::fs::read(&path).unwrap() == std::fs::read(&reference).unwrap());
         assert_eq!(stats.self_loops, report.self_loops);
         assert_eq!(stats.duplicates, report.duplicates);
         assert_eq!(stats.edges, ram_graph.edge_count());
         assert_eq!(stats.edges_read, edges.len() as u64);
-        assert_eq!(
-            opened.info.checksum,
-            crate::ocg::payload_checksum(&ram_graph, Some(&ram_relabeling))
-        );
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&reference).ok();
         stats
     }
 
@@ -1328,12 +1269,14 @@ mod tests {
 
         let mut b = GraphBuilder::new(64);
         b.extend_edges(edges.iter().copied());
-        let ram = b.build();
+        let (ram, report) = b.try_build_report().unwrap();
+        let reference = tmp("plainexact.ref.ocg");
+        write_ocg_path(&ram, None, report, &reference).unwrap();
 
-        let opened = open_ocg_path(&path).unwrap();
-        assert_eq!(opened.graph, ram);
-        assert!(opened.relabeling().is_none());
+        assert!(std::fs::read(&path).unwrap() == std::fs::read(&reference).unwrap());
+        assert!(open_ocg_path(&path).unwrap().relabeling().is_none());
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&reference).ok();
     }
 
     #[test]
@@ -1473,27 +1416,27 @@ mod tests {
 
     #[test]
     fn spill_location_is_made_only_to_spill() {
-        let path = tmp("lazy_spill.ocg");
+        // The default location is `<output>.tmp`, for an output that does
+        // not end in `.ocg` too.
+        let path = tmp("lazy_spill.bin");
+        let location = tmp("lazy_spill.bin.tmp");
         let edges = messy_edges(200, 3000, 17);
-        // In RAM nothing is made, so a location that cannot be made is
-        // never noticed.
-        let blocker = tmp("lazy_spill.blocker");
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let options = BuildOptions {
-            tmp_dir: Some(blocker.join("spill")),
-            ..BuildOptions::default()
-        };
-        let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
+        // A file where the location would be made: in RAM nothing is
+        // made, so it is never noticed, and a build that spills fails.
+        std::fs::write(&location, b"not a directory").unwrap();
+        let stats =
+            build_ocg_from_edges(edges.iter().copied(), &path, &BuildOptions::default()).unwrap();
         assert_eq!(stats.spill_bytes, 0);
-        std::fs::remove_file(&blocker).ok();
-        // The default location is made to spill, and removed after.
-        let options = BuildOptions {
+        let spilling = BuildOptions {
             chunk_edges: 0,
             ..BuildOptions::default()
         };
-        let stats = build_ocg_from_edges(edges.iter().copied(), &path, &options).unwrap();
+        build_ocg_from_edges(edges.iter().copied(), &path, &spilling).unwrap_err();
+        std::fs::remove_file(&location).unwrap();
+        // The location is made to spill, and removed after.
+        let stats = build_ocg_from_edges(edges.iter().copied(), &path, &spilling).unwrap();
         assert!(stats.spill_bytes > 0);
-        assert!(!path.with_extension("ocg.tmp").exists());
+        assert!(!location.exists());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1616,8 +1559,14 @@ mod tests {
             // The in-RAM reader's view of the same input: the reference.
             let (graph, report) = crate::io::read_edge_list_report_path(&plain).unwrap();
             let relabeling = crate::Relabeling::degree_descending(&graph);
-            let checksum =
-                crate::ocg::payload_checksum(&graph.relabeled(&relabeling), Some(&relabeling));
+            let reference_path = tmp(&format!("workers_{case}.ref.ocg"));
+            let drops = crate::builder::BuildReport {
+                self_loops: report.self_loops,
+                duplicates: report.duplicates,
+            };
+            let graph = graph.relabeled(&relabeling);
+            write_ocg_path(&graph, Some(&relabeling), drops, &reference_path).unwrap();
+            let reference = std::fs::read(&reference_path).unwrap();
             let output = tmp(&format!("workers_{case}.ocg"));
             // The default chunk builds in RAM; the 1024 floor spills runs.
             for (chunk_edges, spills) in [(BuildOptions::default().chunk_edges, false), (0, true)] {
@@ -1644,8 +1593,7 @@ mod tests {
                     assert_eq!(stats.spill_bytes > 0, spills, "{stats:?}");
                     match &first {
                         None => {
-                            let info = open_ocg_path(&output).unwrap().info;
-                            assert_eq!(info.checksum, checksum);
+                            assert!(bytes == reference, "not the in-RAM reader's bytes");
                             assert_eq!(
                                 (stats.edges_read, stats.self_loops, stats.duplicates),
                                 (report.edges_read, report.self_loops, report.duplicates)
@@ -1663,7 +1611,7 @@ mod tests {
                     }
                 }
             }
-            for p in [plain, gzip, output] {
+            for p in [plain, gzip, output, reference_path] {
                 std::fs::remove_file(p).ok();
             }
         }
@@ -1751,9 +1699,9 @@ mod tests {
             let line = 1 + bad[..second].iter().filter(|&&b| b == b'\n').count();
             assert!(err.to_string().contains(&format!("line {line}:")), "{err}");
             std::fs::remove_file(&input).ok();
-            // Near chunk boundaries the lines that fill a chunk are parsed
-            // one at a time, between parallel prefixes; across blocks the
-            // line numbers carry on from the block before.
+            // At the chunk floor one block's edges fill several chunks, each
+            // spilled before the error is raised; across blocks the line
+            // numbers carry on from the block before.
             for at in (0..text.len()).step_by(97) {
                 let mut bad = text.clone();
                 bad[at] = b'x';

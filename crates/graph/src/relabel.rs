@@ -65,6 +65,11 @@ impl Relabeling {
         Relabeling::from_new_to_old(order)
     }
 
+    /// The original id of each relabeled node, in relabeled order.
+    pub(crate) fn new_to_old(&self) -> &[NodeId] {
+        &self.new_to_old
+    }
+
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
         self.new_to_old.len()

@@ -36,14 +36,15 @@ use oca::{
 use oca_gen::{lfr, LfrParams};
 use oca_graph::json::{ParseErrorKind, Value};
 use oca_graph::{
-    fnv1a, gzip::gunzip, open_ocg_path, read_edge_list, verify_ocg_path, write_ocg_path,
-    BuildReport, Community, ContainerError, Cover, CsrGraph, DetectContext, DetectError,
-    IntegrityClass, Relabeling,
+    fnv1a, gzip::gunzip, gzip::GzDecoder, open_ocg_path, read_edge_list, verify_ocg_path,
+    write_ocg_path, BuildReport, Community, ContainerError, Cover, CsrGraph, DetectContext,
+    DetectError, IntegrityClass, Relabeling,
 };
 use oca_serve::{load_cover_path, save_cover_path, Request};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -491,6 +492,60 @@ fn byte_parser_fixtures_are_valid() {
     }
     let report = Value::parse(REPORT).unwrap();
     assert_eq!(report.get("bench").and_then(Value::as_str), Some("chaos"));
+}
+
+/// [`long_backrefs_plaintext`] compressed by GNU gzip 1.12 (57,551 bytes):
+///
+/// ```text
+/// awk 'BEGIN { x = 1; for (i = 0; i < 19000; i++) {
+///   if (i >= 2700 && i % 8 < 5) line[i] = line[i - 2700];
+///   else { x = (x * 75 + 74) % 65537; u = x; x = (x * 75 + 74) % 65537; line[i] = u " " x }
+///   print line[i] } }' | gzip -9 -n > tests/data/long_backrefs.edges.gz
+/// ```
+const LONG_BACKREFS: &[u8] = include_bytes!("data/long_backrefs.edges.gz");
+
+/// An edge list of 221,636 bytes in which five lines of every eight
+/// repeat the line 2700 lines (about 32 KB) back, so its back-references
+/// reach across the decoder's 16 KiB output step to the edge of the 32 KiB
+/// window.
+fn long_backrefs_plaintext() -> Vec<u8> {
+    let mut x = 1u32;
+    let mut next = || {
+        x = (x * 75 + 74) % 65537;
+        x
+    };
+    let mut lines: Vec<String> = Vec::new();
+    for i in 0..19_000 {
+        let line = if i >= 2700 && i % 8 < 5 {
+            lines[i - 2700].clone()
+        } else {
+            let u = next();
+            format!("{u} {}", next())
+        };
+        lines.push(line);
+    }
+    lines
+        .iter()
+        .flat_map(|line| [line, "\n"])
+        .collect::<String>()
+        .into_bytes()
+}
+
+#[test]
+fn gzip_long_back_references_decode_at_every_read_size() {
+    let plain = long_backrefs_plaintext();
+    assert_eq!(plain.len(), 221_636);
+    for read_len in [1, 7, 1 << 16] {
+        let mut decoder = GzDecoder::new(LONG_BACKREFS);
+        let (mut out, mut buf) = (Vec::new(), vec![0u8; read_len]);
+        loop {
+            match decoder.read(&mut buf).unwrap() {
+                0 => break,
+                n => out.extend_from_slice(&buf[..n]),
+            }
+        }
+        assert!(out == plain, "{read_len}-byte reads decode other bytes");
+    }
 }
 
 /// Loads `bytes` as a sealed `format` file, bound to the fixtures.

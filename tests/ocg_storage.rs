@@ -3,9 +3,9 @@
 //!
 //! * Round-trip (property-based): for arbitrary edge multisets, the
 //!   external-memory builder — in RAM when the graph fits one chunk,
-//!   through multi-run chunk merges when it does not — produces
-//!   byte-for-byte the CSR, relabeling permutation, and payload checksum
-//!   of `GraphBuilder::build_degree_ordered()`.
+//!   through multi-run chunk merges when it does not — writes the same
+//!   file, byte for byte, as `write_ocg_path` of
+//!   `GraphBuilder::build_degree_ordered()`.
 //! * Detector conformance: every registered detector produces a
 //!   bit-identical cover on the mmap-backed graph and on the same graph
 //!   held in owned `Vec`s, for a fixed seed.
@@ -17,9 +17,9 @@
 use oca_repro::api::{registry, DetectorOptions, GraphSource};
 use oca_repro::gen::{lfr, LfrParams};
 use oca_repro::graph::{
-    build_ocg_from_edges, build_ocg_from_path, open_ocg_path, payload_checksum,
-    read_edge_list_path, read_edge_list_report_path, verify_ocg_path, write_edge_list_path,
-    write_ocg_path, BuildOptions, GraphBuilder, Relabeling,
+    build_ocg_from_edges, build_ocg_from_path, open_ocg_path, read_edge_list_path,
+    read_edge_list_report_path, verify_ocg_path, write_edge_list_path, write_ocg_path,
+    BuildOptions, GraphBuilder, Relabeling,
 };
 use oca_repro::prelude::*;
 use proptest::prelude::*;
@@ -68,7 +68,7 @@ impl DegreeOrdered for CsrGraph {
 
 proptest! {
     /// The streamed external-memory build is bit-exact with the in-RAM
-    /// builder: same CSR, same permutation, same checksum — on both of its
+    /// builder: the same file bytes as `write_ocg_path` — on both of its
     /// paths. Against the 1024-edge chunk floor, short lists are built in
     /// RAM, and longer ones spill one or many ingest runs, cross-run
     /// duplicates and directed runs.
@@ -80,47 +80,47 @@ proptest! {
         let n = 120usize;
         let path = tmp(&format!("prop_{case}.ocg"));
 
-        // In-RAM reference: counting builder + degree-descending relabel.
-        let (expect_graph, expect_report) = {
-            let mut b = GraphBuilder::new(n);
-            for &(u, v) in &edges {
-                b.add_edge(u, v);
-            }
-            b.try_build_report().unwrap()
-        };
-        let expect_relabel = Relabeling::degree_descending(&expect_graph);
-        let expect_graph = expect_graph.relabeled(&expect_relabel);
+        // In-RAM reference: the degree-ordered build and its drop counts,
+        // written by `write_ocg_path`.
+        let mut b = GraphBuilder::new(n);
+        for &(u, v) in &edges {
+            b.add_edge(u, v);
+        }
+        let (_, expect_report) = b.clone().try_build_report().unwrap();
+        let (expect_graph, expect_relabel) = b.build_degree_ordered();
+        let reference = tmp(&format!("prop_{case}.ref.ocg"));
+        write_ocg_path(&expect_graph, Some(&expect_relabel), expect_report, &reference).unwrap();
+        let expect_bytes = std::fs::read(&reference).unwrap();
+        std::fs::remove_file(&reference).unwrap();
 
-        // Streamed build with a floor-clamped chunk budget (1024 edges):
+        // Streamed builds with a floor-clamped chunk budget (1024 edges):
         // in RAM while the 2·m directed pairs fit one chunk, spilled
-        // otherwise, with multi-run merging from 1024 non-loop edges on.
-        let stats = build_ocg_from_edges(
-            edges.iter().copied(),
-            &path,
-            &BuildOptions {
-                chunk_edges: 0,
-                min_nodes: n,
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
-        let ocg = open_ocg_path(&path).unwrap();
-
-        prop_assert_eq!(&ocg.graph, &expect_graph);
-        prop_assert_eq!(ocg.relabeling().unwrap(), expect_relabel.clone());
-        prop_assert_eq!(
-            ocg.info.checksum,
-            payload_checksum(&expect_graph, Some(&expect_relabel))
-        );
-        prop_assert_eq!(stats.self_loops, expect_report.self_loops);
-        prop_assert_eq!(stats.duplicates, expect_report.duplicates);
-        prop_assert_eq!(verify_ocg_path(&path).unwrap().checksum, ocg.info.checksum);
-        // Which path ran: one ingest run per chunk of non-loop edges, and
-        // spill files unless they made one chunk of at most 512 edges.
-        let chunked = edges.iter().filter(|(u, v)| u != v).count();
-        prop_assert_eq!(stats.ingest_runs, chunked.div_ceil(1024));
-        let in_ram = chunked < 1024 && 2 * expect_graph.edge_count() <= 1024;
-        prop_assert_eq!(stats.spill_bytes == 0, in_ram);
+        // otherwise, with multi-run merging from 1024 non-loop edges on;
+        // and with the default chunk, always in RAM.
+        for chunk_edges in [0, BuildOptions::default().chunk_edges] {
+            let stats = build_ocg_from_edges(
+                edges.iter().copied(),
+                &path,
+                &BuildOptions {
+                    chunk_edges,
+                    min_nodes: n,
+                    ..BuildOptions::default()
+                },
+            )
+            .unwrap();
+            prop_assert!(std::fs::read(&path).unwrap() == expect_bytes, "chunk {}", chunk_edges);
+            prop_assert_eq!(stats.self_loops, expect_report.self_loops);
+            prop_assert_eq!(stats.duplicates, expect_report.duplicates);
+            prop_assert_eq!(verify_ocg_path(&path).unwrap().node_count, n);
+            // Which path ran: one ingest run per chunk of non-loop edges,
+            // and spill files unless they made one chunk of at most half
+            // its size.
+            let chunk = chunk_edges.max(1024);
+            let chunked = edges.iter().filter(|(u, v)| u != v).count();
+            prop_assert_eq!(stats.ingest_runs, chunked.div_ceil(chunk));
+            let in_ram = chunked < chunk && 2 * expect_graph.edge_count() <= chunk;
+            prop_assert_eq!(stats.spill_bytes == 0, in_ram);
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

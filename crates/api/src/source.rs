@@ -1,12 +1,12 @@
 //! Graph sources: one type answering "where does the graph come from".
 //!
 //! Front ends (the CLI, the serve warm path, the benches) accept either a
-//! text edge list (optionally gzip-compressed) that is ingested into RAM,
-//! or a prebuilt `.ocg` on-disk graph that is memory-mapped in O(1). A
-//! [`GraphSource`] names the choice; [`GraphSource::load`] produces a
-//! [`LoadedGraph`] carrying the graph plus everything a driver needs to
-//! speak the *input* id space: the relabeling recorded at build time (if
-//! any) and the ingestion report (self-loops / duplicates skipped).
+//! plain-text edge list that is ingested into RAM, or a prebuilt `.ocg`
+//! on-disk graph that is memory-mapped in O(1). A [`GraphSource`] names
+//! the choice; [`GraphSource::load`] produces a [`LoadedGraph`] carrying
+//! the graph plus everything a driver needs to speak the *input* id
+//! space: the relabeling recorded at build time (if any) and the
+//! ingestion report (self-loops / duplicates skipped).
 //!
 //! The id-space contract: detectors always run on the loaded graph's
 //! compact ids; covers read from or written to disk are always in input
@@ -15,7 +15,7 @@
 //! the identity when the source carried no relabeling.
 
 use oca_graph::{
-    open_ocg_path, read_edge_list_report_path, Cover, CsrGraph, GraphError, IngestReport, OcgInfo,
+    open_ocg_path, read_edge_list_path, Cover, CsrGraph, GraphError, IngestReport, OcgInfo,
     Relabeling,
 };
 use std::path::{Path, PathBuf};
@@ -23,8 +23,8 @@ use std::path::{Path, PathBuf};
 /// Where a graph comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphSource {
-    /// A whitespace-separated edge-list file (gzip autodetected),
-    /// ingested into an in-RAM CSR at load time.
+    /// A whitespace-separated edge-list file (plain text; gzip bytes are
+    /// refused), ingested into an in-RAM CSR at load time.
     EdgeList(PathBuf),
     /// A prebuilt `.ocg` graph, memory-mapped read-only in O(1).
     Ocg(PathBuf),
@@ -57,7 +57,7 @@ impl GraphSource {
     pub fn load(&self) -> Result<LoadedGraph, GraphError> {
         match self {
             GraphSource::EdgeList(path) => {
-                let (graph, ingest) = read_edge_list_report_path(path)?;
+                let (graph, ingest) = read_edge_list_path(path)?;
                 Ok(LoadedGraph {
                     graph,
                     relabeling: None,
@@ -162,7 +162,7 @@ mod tests {
             GraphSource::EdgeList(_)
         ));
         assert!(matches!(
-            GraphSource::from_path("graph.edges.gz"),
+            GraphSource::from_path("graph.txt"),
             GraphSource::EdgeList(_)
         ));
         assert_eq!(GraphSource::from_path("g.ocg").path(), Path::new("g.ocg"));

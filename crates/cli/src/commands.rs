@@ -128,7 +128,7 @@ COMMANDS:
                   --output C.bin [--fixed-c F]
              load (--input G.edges | --graph G.ocg) --binary C.bin
                   [--output C.cover]
-  graph      build --input G.edges[.gz] --output G.ocg [--chunk-edges N]
+  graph      build --input G.edges --output G.ocg [--chunk-edges N]
                    [--min-nodes N] [--tmp-dir D] [--no-relabel] [--no-verify]
              info --graph G.ocg
              verify --graph G.ocg
@@ -137,10 +137,11 @@ COMMANDS:
 `detect --list-algorithms` lists every registered algorithm with its
 options.
 
-Graphs come from a text edge list (`--input`, gzip autodetected; skipped
-self-loops and duplicates are reported) or from a prebuilt `.ocg` file
-(`--graph`), which is memory-mapped in O(1) instead of parsed. `graph
-build` produces `.ocg` from an edge list through a bounded-memory external
+Graphs come from a plain-text edge list (`--input`; skipped self-loops and
+duplicates are reported) or from a prebuilt `.ocg` file (`--graph`), which
+is memory-mapped in O(1) instead of parsed. A compressed edge list is
+piped in: `zcat G.edges.gz | oca graph build --input /dev/stdin --output
+G.ocg`. `graph build` produces `.ocg` from an edge list through a bounded-memory external
 sort (`--chunk-edges` caps the RAM), applying the cache-friendly
 degree-descending relabeling by default; covers on disk always use the
 input's own node ids.
@@ -184,7 +185,7 @@ fn algorithm_listing() -> String {
     out
 }
 
-/// Resolves `--input` (edge list, gzip autodetected) or `--graph`
+/// Resolves `--input` (plain-text edge list) or `--graph`
 /// (prebuilt `.ocg`, memory-mapped) into a loaded graph. Edge-list
 /// ingestion notes on stderr how many self-loops and duplicate edges
 /// were skipped, so silently cleaned input is visible.
@@ -745,7 +746,7 @@ fn graph_cmd(cli: &Cli) -> Result<(), CmdError> {
     }
 }
 
-/// `graph build`: edge list (plain or gzip) in, validated `.ocg` out,
+/// `graph build`: plain-text edge list in, validated `.ocg` out,
 /// through the bounded-memory external sort — the input never has to fit
 /// in RAM. A graph whose `2·m` directed pairs fit one chunk is built in
 /// RAM and spills nothing; its `phases:` line then times the parse and

@@ -4,16 +4,18 @@
 //! lines are comments. This covers SNAP-style and Pajek-ish exports, which is
 //! how graphs like the paper's Wikipedia snapshot are normally distributed.
 //!
-//! The path-based readers transparently decompress gzip input (detected by
-//! magic bytes, so the extension does not matter) and annotate every error
-//! with the offending file path. For graphs too large to build in RAM, the
-//! same block reader and line scanner feed the external-memory builder in
-//! [`crate::ocg_build`], which parses each block's lines on its workers.
+//! The path reader annotates every error with the offending file path.
+//! Input must be plain text: gzip-compressed bytes are refused with a
+//! message saying how to decompress them first (`zcat F | oca graph build
+//! --input /dev/stdin …`, since a path reader reads a pipe like a file).
+//! For graphs too large to build in RAM, the same block reader and line
+//! scanner feed the external-memory builder in [`crate::ocg_build`], which
+//! parses each block's lines on its workers.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::Path;
 
 /// What edge-list ingestion saw: how many edge lines were parsed and how
@@ -49,6 +51,10 @@ pub(crate) const READ_BLOCK: usize = 1 << 20;
 /// * A line with a non-ASCII byte must be UTF-8 (an `InvalidData` error
 ///   otherwise, the one `read_line` raises) and is then split on every
 ///   Unicode whitespace character, as `split_whitespace` does.
+///
+/// The one exception: input that starts with the gzip magic bytes `1f 8b`
+/// is refused by [`for_each_line_block`] with its own message, where
+/// `read_line` raises its UTF-8 error (`8b` cannot follow `1f` in UTF-8).
 pub(crate) fn for_each_edge(
     reader: impl Read,
     block_len: usize,
@@ -66,17 +72,19 @@ pub(crate) fn for_each_edge(
 /// Hands `reader`'s bytes to `f` in blocks of whole lines, in file order:
 /// each block ends in `\n`, except a last line the input does not end,
 /// and holds at most `block_len` bytes unless one line is longer. A block
-/// is filled by as many reads as it takes, so a decoder that hands out a
-/// few KiB per read still yields full blocks. A read error is returned
-/// once the whole lines read before it have been handed over, as a
-/// `read_line` loop handles them before it meets the error.
+/// is filled by as many reads as it takes, so a pipe that hands out a few
+/// KiB per read still yields full blocks. A read error is returned once
+/// the whole lines read before it have been handed over, as a `read_line`
+/// loop handles them before it meets the error. Input that starts with
+/// the gzip magic bytes is refused before any of it is handed over
+/// ([`gzip_refusal`]); it is not decoded.
 pub(crate) fn for_each_line_block(
     mut reader: impl Read,
     block_len: usize,
     mut f: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<()> {
     let mut block = vec![0u8; block_len.max(1)];
-    let mut held = 0;
+    let (mut held, mut first) = (0, true);
     loop {
         let (mut eof, mut failed) = (false, None);
         while held < block.len() {
@@ -102,6 +110,11 @@ pub(crate) fn for_each_line_block(
                 .map_or(0, |last| last + 1)
         };
         if lines > 0 {
+            // `1f 8b` holds no newline, so a first block that has any
+            // whole line holds both bytes if the input starts with them.
+            if std::mem::take(&mut first) && block[..lines].starts_with(&GZIP_MAGIC) {
+                return Err(gzip_refusal());
+            }
             f(&block[..lines])?;
         }
         if let Some(e) = failed {
@@ -116,6 +129,20 @@ pub(crate) fn for_each_line_block(
             // One line fills the block: make room for the rest of it.
             block.resize(2 * block.len(), 0);
         }
+    }
+}
+
+/// The first two bytes of every gzip stream.
+const GZIP_MAGIC: [u8; 2] = [0x1f, 0x8b];
+
+/// The error for gzip-compressed input, which is not read: on line 1,
+/// saying how to decompress it first.
+fn gzip_refusal() -> GraphError {
+    GraphError::Parse {
+        line: 1,
+        message: "gzip-compressed input is not read; decompress it first, e.g. \
+                  `zcat F | oca graph build --input /dev/stdin --output G.ocg`"
+            .into(),
     }
 }
 
@@ -305,18 +332,9 @@ fn parse_field(field: Option<&str>, line: usize) -> Result<u32> {
     })
 }
 
-/// Reads an edge list from any reader.
-pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph> {
-    read_edge_list_report(reader).map(|(g, _)| g)
-}
-
 /// Reads an edge list from any reader, also reporting how many edge lines
 /// were parsed and how many self-loops/duplicates were dropped.
-pub fn read_edge_list_report<R: Read>(reader: R) -> Result<(CsrGraph, IngestReport)> {
-    build_from_lines(reader)
-}
-
-fn build_from_lines(reader: impl Read) -> Result<(CsrGraph, IngestReport)> {
+pub fn read_edge_list<R: Read>(reader: R) -> Result<(CsrGraph, IngestReport)> {
     let mut b = GraphBuilder::new_growable();
     let edges_read = for_each_edge(reader, READ_BLOCK, |u, v| {
         b.add_edge(u, v);
@@ -333,37 +351,13 @@ fn build_from_lines(reader: impl Read) -> Result<(CsrGraph, IngestReport)> {
     ))
 }
 
-/// Read-buffer size for an edge-list file under the gzip decoder, and
-/// for sniffing its magic bytes.
-const READ_BUF: usize = 1 << 16;
-
-/// Opens `path` for edge-list reading, transparently decompressing gzip
-/// input (detected by the `1f 8b` magic bytes, not the file extension).
-pub(crate) fn open_edge_list_reader(path: &Path) -> Result<Box<dyn Read>> {
-    let mut reader = BufReader::with_capacity(READ_BUF, std::fs::File::open(path)?);
-    let is_gzip = {
-        let head = reader.fill_buf()?;
-        head.len() >= 2 && head[0] == 0x1f && head[1] == 0x8b
-    };
-    Ok(if is_gzip {
-        Box::new(crate::gzip::GzDecoder::new(reader))
-    } else {
-        Box::new(reader)
-    })
-}
-
-/// Reads an edge list from a file path (gzip detected automatically).
-/// Errors are annotated with `path`.
-pub fn read_edge_list_path<P: AsRef<Path>>(path: P) -> Result<CsrGraph> {
-    read_edge_list_report_path(path).map(|(g, _)| g)
-}
-
-/// Reads an edge list with an [`IngestReport`] from a file path (gzip
-/// detected automatically). Errors are annotated with `path`.
-pub fn read_edge_list_report_path<P: AsRef<Path>>(path: P) -> Result<(CsrGraph, IngestReport)> {
+/// [`read_edge_list`] of a file path (a named pipe such as `/dev/stdin`
+/// too). Errors are annotated with `path`.
+pub fn read_edge_list_path<P: AsRef<Path>>(path: P) -> Result<(CsrGraph, IngestReport)> {
     let path = path.as_ref();
-    open_edge_list_reader(path)
-        .and_then(build_from_lines)
+    std::fs::File::open(path)
+        .map_err(GraphError::from)
+        .and_then(read_edge_list)
         .map_err(|e| e.with_path(path))
 }
 
@@ -393,6 +387,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::builder::from_edges;
     use crate::testing::XorShift;
+    use std::io::{BufRead, BufReader};
 
     /// The `read_line` parser the in-buffer scanner replaced: the
     /// reference for the differential tests below.
@@ -504,6 +499,7 @@ pub(crate) mod tests {
             b"",
             b"\n",
             b"0 1\n\x1c2 3\n",
+            b"\n\x1f\x8b 1\n",
         ];
         let (mut outcomes, mut failed) = (Vec::new(), Vec::new());
         for bytes in cases {
@@ -530,6 +526,24 @@ pub(crate) mod tests {
             .as_ref()
             .unwrap_err()
             .contains("the disk went away"));
+
+        // The one exception to the oracle: input that starts with the gzip
+        // magic bytes is refused with its own message, where `read_line`
+        // meets invalid UTF-8. (The last case above has them on line 2,
+        // which the oracle's rules take.)
+        let refused: Outcome = (Vec::new(), Err(gzip_refusal().to_string()));
+        let header = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03\n0 1\n";
+        for (bytes, fail) in [(&b"\x1f\x8b"[..], false), (header, false), (header, true)] {
+            let reader = |step| Trickle { bytes, step, fail };
+            let oracle = scan_with(reader(usize::MAX), None).1.unwrap_err();
+            assert!(oracle.contains("valid UTF-8"), "{oracle}");
+            for block_len in BLOCK_LENS {
+                for step in [1, usize::MAX] {
+                    assert_eq!(scan_with(reader(step), Some(block_len)), refused);
+                }
+            }
+        }
+        assert!(refused.1.unwrap_err().contains("zcat"));
     }
 
     #[test]
@@ -585,21 +599,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn scanner_matches_the_read_line_oracle_on_the_gzip_fixture() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/edges.gz");
-        let gz = std::fs::read(path).unwrap();
-        let plain = crate::gzip::gunzip(&gz).unwrap();
-        for block_len in BLOCK_LENS {
-            let got = scan_with(crate::gzip::GzDecoder::new(&gz[..]), Some(block_len));
-            assert!(got.0.len() > 1 && got.1.is_ok(), "{got:?}");
-            assert_eq!(got, assert_same_outcome(&plain, block_len, false));
-        }
-    }
-
-    #[test]
     fn parses_basic_edge_list() {
         let text = "0 1\n1 2\n2 0\n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
+        let g = read_edge_list(text.as_bytes()).unwrap().0;
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
     }
@@ -607,14 +609,14 @@ pub(crate) mod tests {
     #[test]
     fn skips_comments_and_blank_lines() {
         let text = "# header\n% pajek style\n\n0 1\n\n# trailing\n1 2\n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
+        let g = read_edge_list(text.as_bytes()).unwrap().0;
         assert_eq!(g.edge_count(), 2);
     }
 
     #[test]
     fn handles_tabs_and_extra_whitespace() {
         let text = "0\t1\n  1   2  \n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
+        let g = read_edge_list(text.as_bytes()).unwrap().0;
         assert_eq!(g.edge_count(), 2);
     }
 
@@ -630,7 +632,7 @@ pub(crate) mod tests {
     #[test]
     fn ingest_report_counts_drops() {
         let text = "# six raw lines\n0 1\n1 0\n0 1\n2 2\n1 2\n3 3\n";
-        let (g, report) = read_edge_list_report(text.as_bytes()).unwrap();
+        let (g, report) = read_edge_list(text.as_bytes()).unwrap();
         assert_eq!(g.edge_count(), 2);
         assert_eq!(report.edges_read, 6);
         assert_eq!(report.self_loops, 2);
@@ -639,11 +641,11 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_and_comment_only_inputs_build_empty_graphs() {
-        let (g, report) = read_edge_list_report("".as_bytes()).unwrap();
+        let (g, report) = read_edge_list("".as_bytes()).unwrap();
         assert_eq!(g.node_count(), 0);
         assert_eq!(report, IngestReport::default());
 
-        let (g, report) = read_edge_list_report("# nothing\n% here\n\n".as_bytes()).unwrap();
+        let (g, report) = read_edge_list("# nothing\n% here\n\n".as_bytes()).unwrap();
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(report.edges_read, 0);
@@ -687,7 +689,7 @@ pub(crate) mod tests {
         let g = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]);
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_edge_list(buf.as_slice()).unwrap();
+        let g2 = read_edge_list(buf.as_slice()).unwrap().0;
         assert_eq!(g, g2);
     }
 
@@ -698,7 +700,7 @@ pub(crate) mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.edges");
         write_edge_list_path(&g, &path).unwrap();
-        let g2 = read_edge_list_path(&path).unwrap();
+        let g2 = read_edge_list_path(&path).unwrap().0;
         assert_eq!(g, g2);
         std::fs::remove_file(path).ok();
     }

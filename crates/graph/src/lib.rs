@@ -41,7 +41,6 @@ pub mod csr;
 pub mod detect;
 pub mod epoch;
 pub mod error;
-pub mod gzip;
 pub mod io;
 pub mod json;
 pub mod kcore;
@@ -68,8 +67,7 @@ pub use detect::{CancelToken, CommunityDetector, DetectContext, DetectError, Det
 pub use epoch::EpochCounters;
 pub use error::{GraphError, Result};
 pub use io::{
-    read_edge_list, read_edge_list_path, read_edge_list_report, read_edge_list_report_path,
-    write_edge_list, write_edge_list_path, IngestReport,
+    read_edge_list, read_edge_list_path, write_edge_list, write_edge_list_path, IngestReport,
 };
 pub use kcore::CoreDecomposition;
 pub use node::NodeId;

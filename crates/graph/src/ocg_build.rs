@@ -46,7 +46,6 @@
 //!   same edges as a one-thread parse. This is the one parse path for
 //!   text. A parse error is the one of the earliest slice with an error,
 //!   at its line in the file, raised once the edges before it are taken.
-//!   gzip input is decompressed on one thread; its parse is split.
 //! * **Sort.** Each chunk is sorted in place on the workers: the keys
 //!   below a sampled pivot are moved in front of the rest, and the two
 //!   sides are sorted side by side (recursively, one side per share of
@@ -85,7 +84,7 @@
 //! finished file with [`crate::ocg::verify_ocg_path`] before returning.
 
 use crate::error::{GraphError, Result};
-use crate::io::{after_lines, for_each_line_block, open_edge_list_reader, scan_lines, READ_BLOCK};
+use crate::io::{after_lines, for_each_line_block, scan_lines, READ_BLOCK};
 use crate::ocg::{write_ocg, Header, OCG_FLAG_RELABELED, OCG_FLAG_VALIDATED};
 use crate::par::{default_workers, even_ranges, par_map, split_ranges_mut};
 use std::cmp::Reverse;
@@ -799,9 +798,10 @@ fn scatter_rows(keys: &[u64], offsets: &[u32], workers: usize) -> Vec<u32> {
     neighbors
 }
 
-/// Builds a `.ocg` file from an edge-list file (plain text or gzip,
-/// detected by magic bytes). Input-side errors carry the input path,
-/// everything else the output path.
+/// Builds a `.ocg` file from a plain-text edge-list file, or a named pipe
+/// such as `/dev/stdin` (gzip-compressed input is refused: pipe it through
+/// `zcat` instead). Input-side errors carry the input path, everything
+/// else the output path.
 pub fn build_ocg_from_path<P: AsRef<Path>, Q: AsRef<Path>>(
     input: P,
     output: Q,
@@ -827,8 +827,11 @@ pub(crate) fn build_ocg_from_path_on(
 ) -> Result<BuildStats> {
     build_ocg_with(
         |chunker| {
-            let reader = open_edge_list_reader(input).map_err(|e| e.with_path(input))?;
-            for_each_line_block(reader, block_len, |text| chunker.scan_text(text))
+            File::open(input)
+                .map_err(GraphError::from)
+                .and_then(|reader| {
+                    for_each_line_block(reader, block_len, |text| chunker.scan_text(text))
+                })
                 .map_err(|e| e.with_path(input))
         },
         output,
@@ -1553,11 +1556,9 @@ mod tests {
         for case in 0..crate::testing::cases(2) as u64 {
             let text = messy_text(6000, 1500, case, case % 2 == 0);
             let plain = tmp(&format!("workers_{case}.edges"));
-            let gzip = tmp(&format!("workers_{case}.edges.gz"));
             std::fs::write(&plain, &text).unwrap();
-            std::fs::write(&gzip, crate::gzip::gzip_stored(&text)).unwrap();
             // The in-RAM reader's view of the same input: the reference.
-            let (graph, report) = crate::io::read_edge_list_report_path(&plain).unwrap();
+            let (graph, report) = crate::io::read_edge_list_path(&plain).unwrap();
             let relabeling = crate::Relabeling::degree_descending(&graph);
             let reference_path = tmp(&format!("workers_{case}.ref.ocg"));
             let drops = crate::builder::BuildReport {
@@ -1577,16 +1578,12 @@ mod tests {
                 let mut first: Option<(Vec<u8>, BuildStats)> = None;
                 // Whole-input blocks, blocks cut across lines, and blocks
                 // shorter than a line.
-                let runs = [&plain, &gzip].into_iter().flat_map(|input| {
-                    [READ_BLOCK, 4096, 5]
-                        .into_iter()
-                        .flat_map(move |block_len| {
-                            [1, 2, 3, 8].map(|workers| (input, block_len, workers))
-                        })
-                });
-                for (input, block_len, workers) in runs {
+                let runs = [READ_BLOCK, 4096, 5]
+                    .into_iter()
+                    .flat_map(|block_len| [1, 2, 3, 8].map(|workers| (block_len, workers)));
+                for (block_len, workers) in runs {
                     let stats =
-                        build_ocg_from_path_on(input, &output, &options, workers, block_len)
+                        build_ocg_from_path_on(&plain, &output, &options, workers, block_len)
                             .unwrap();
                     let bytes = std::fs::read(&output).unwrap();
                     assert_eq!(stats.workers, workers);
@@ -1602,8 +1599,7 @@ mod tests {
                         }
                         Some((want, want_stats)) => {
                             let at = format!(
-                                "{input:?} at {workers} workers, chunk {chunk_edges}, \
-                                 block {block_len}"
+                                "{workers} workers, chunk {chunk_edges}, block {block_len}"
                             );
                             assert!(bytes == *want, "{at}: other bytes");
                             assert_eq!(unthreaded(stats), unthreaded(*want_stats), "{at}");
@@ -1611,7 +1607,7 @@ mod tests {
                     }
                 }
             }
-            for p in [plain, gzip, output, reference_path] {
+            for p in [plain, output, reference_path] {
                 std::fs::remove_file(p).ok();
             }
         }

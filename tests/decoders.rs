@@ -20,11 +20,10 @@
 //! without anything being sized by that count.
 //!
 //! The same flips, truncations and splices drive the byte parsers that
-//! sit in front of the formats and the serve protocol: the gzip decoder,
-//! the edge-list reader, `Request::parse` and the one JSON reader
-//! (`oca_graph::json`, which reads bench reports and serve responses)
-//! over a committed report. The request parser and
-//! the report reader also take arbitrary strings, and the report reader
+//! sit in front of the formats and the serve protocol: the edge-list
+//! reader, `Request::parse` and the one JSON reader (`oca_graph::json`,
+//! which reads bench reports and serve responses) over a committed
+//! report. The request parser and the report reader also take arbitrary strings, and the report reader
 //! every truncation of that report and 100k-deep `[`/`{` nesting.
 //!
 //! `PROPTEST_CASES` scales the properties (CI runs them at 5000 cases).
@@ -36,15 +35,13 @@ use oca::{
 use oca_gen::{lfr, LfrParams};
 use oca_graph::json::{ParseErrorKind, Value};
 use oca_graph::{
-    fnv1a, gzip::gunzip, gzip::GzDecoder, open_ocg_path, read_edge_list, verify_ocg_path,
-    write_ocg_path, BuildReport, Community, ContainerError, Cover, CsrGraph, DetectContext,
-    DetectError, IntegrityClass, Relabeling,
+    fnv1a, open_ocg_path, read_edge_list, verify_ocg_path, write_ocg_path, BuildReport, Community,
+    ContainerError, Cover, CsrGraph, DetectContext, DetectError, IntegrityClass, Relabeling,
 };
 use oca_serve::{load_cover_path, save_cover_path, Request};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -303,14 +300,9 @@ proptest! {
     }
 }
 
-/// A gzip stream of three members — a dynamic-Huffman block behind a
-/// header with a file name, a stored block and a fixed-Huffman block —
-/// that decodes to [`gzip_plaintext`]. Made with CPython's `gzip` module
-/// (`mtime=0`).
-const GZIP: &[u8] = include_bytes!("data/edges.gz");
-
-/// What [`GZIP`] decodes to: an edge list, the edge-list reader's fixture.
-fn gzip_plaintext() -> Vec<u8> {
+/// The edge-list reader's fixture: 200 edge lines, a comment line and
+/// five more edge lines.
+fn edge_list_text() -> Vec<u8> {
     let mut text: String = (0..200u32)
         .map(|i| format!("{i} {}\n", i * 7 % 97))
         .collect();
@@ -334,25 +326,18 @@ const REPORT: &str = include_str!("../results/BENCH_chaos.json");
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Parser {
-    Gzip,
     EdgeList,
     Request,
     Report,
 }
 
-const PARSERS: [Parser; 4] = [
-    Parser::Gzip,
-    Parser::EdgeList,
-    Parser::Request,
-    Parser::Report,
-];
+const PARSERS: [Parser; 3] = [Parser::EdgeList, Parser::Request, Parser::Report];
 
 /// The valid input a case of `parser` mutates; `pick` chooses the request
 /// line.
 fn parser_input(parser: Parser, pick: usize) -> Vec<u8> {
     match parser {
-        Parser::Gzip => GZIP.to_vec(),
-        Parser::EdgeList => gzip_plaintext(),
+        Parser::EdgeList => edge_list_text(),
         Parser::Request => REQUESTS[pick % REQUESTS.len()].as_bytes().to_vec(),
         Parser::Report => REPORT.as_bytes().to_vec(),
     }
@@ -363,9 +348,6 @@ fn parser_input(parser: Parser, pick: usize) -> Vec<u8> {
 /// the bytes lossily decoded.
 fn parse(parser: Parser, bytes: &[u8]) {
     match parser {
-        Parser::Gzip => {
-            let _ = gunzip(bytes);
-        }
         Parser::EdgeList => {
             let _ = read_edge_list(bytes);
         }
@@ -424,9 +406,9 @@ proptest! {
     #[test]
     fn byte_parsers_return_typed_errors_on_arbitrary_damage(
         raw in 0u64..u64::MAX,
-        parser in 0usize..4,
+        parser in 0..PARSERS.len(),
         kind in 0u8..3,
-        donor in 0usize..4,
+        donor in 0..PARSERS.len(),
     ) {
         let parser = PARSERS[parser];
         let mut rng = StdRng::seed_from_u64(raw);
@@ -483,69 +465,13 @@ fn report_reader_survives_every_truncation_and_deep_nesting() {
 #[test]
 fn byte_parser_fixtures_are_valid() {
     // Guards the properties against vacuous fixtures.
-    let plain = gzip_plaintext();
-    assert_eq!(gunzip(GZIP).unwrap(), plain);
-    let graph = read_edge_list(plain.as_slice()).unwrap();
+    let (graph, _) = read_edge_list(edge_list_text().as_slice()).unwrap();
     assert_eq!(graph.node_count(), 200);
     for line in REQUESTS {
         assert!(Request::parse(line).is_ok(), "{line}");
     }
     let report = Value::parse(REPORT).unwrap();
     assert_eq!(report.get("bench").and_then(Value::as_str), Some("chaos"));
-}
-
-/// [`long_backrefs_plaintext`] compressed by GNU gzip 1.12 (57,551 bytes):
-///
-/// ```text
-/// awk 'BEGIN { x = 1; for (i = 0; i < 19000; i++) {
-///   if (i >= 2700 && i % 8 < 5) line[i] = line[i - 2700];
-///   else { x = (x * 75 + 74) % 65537; u = x; x = (x * 75 + 74) % 65537; line[i] = u " " x }
-///   print line[i] } }' | gzip -9 -n > tests/data/long_backrefs.edges.gz
-/// ```
-const LONG_BACKREFS: &[u8] = include_bytes!("data/long_backrefs.edges.gz");
-
-/// An edge list of 221,636 bytes in which five lines of every eight
-/// repeat the line 2700 lines (about 32 KB) back, so its back-references
-/// reach across the decoder's 16 KiB output step to the edge of the 32 KiB
-/// window.
-fn long_backrefs_plaintext() -> Vec<u8> {
-    let mut x = 1u32;
-    let mut next = || {
-        x = (x * 75 + 74) % 65537;
-        x
-    };
-    let mut lines: Vec<String> = Vec::new();
-    for i in 0..19_000 {
-        let line = if i >= 2700 && i % 8 < 5 {
-            lines[i - 2700].clone()
-        } else {
-            let u = next();
-            format!("{u} {}", next())
-        };
-        lines.push(line);
-    }
-    lines
-        .iter()
-        .flat_map(|line| [line, "\n"])
-        .collect::<String>()
-        .into_bytes()
-}
-
-#[test]
-fn gzip_long_back_references_decode_at_every_read_size() {
-    let plain = long_backrefs_plaintext();
-    assert_eq!(plain.len(), 221_636);
-    for read_len in [1, 7, 1 << 16] {
-        let mut decoder = GzDecoder::new(LONG_BACKREFS);
-        let (mut out, mut buf) = (Vec::new(), vec![0u8; read_len]);
-        loop {
-            match decoder.read(&mut buf).unwrap() {
-                0 => break,
-                n => out.extend_from_slice(&buf[..n]),
-            }
-        }
-        assert!(out == plain, "{read_len}-byte reads decode other bytes");
-    }
 }
 
 /// Loads `bytes` as a sealed `format` file, bound to the fixtures.

@@ -11,15 +11,14 @@
 //!   held in owned `Vec`s, for a fixed seed.
 //! * Threads determinism: detectors exposing a `threads` option stay
 //!   bit-identical across thread counts when the graph is mmap-backed.
-//! * Ingestion: gzip autodetection parses a compressed edge list to the
-//!   same graph as the plain text, and I/O errors carry the file path.
+//! * Ingestion: I/O errors carry the file path, and gzip-compressed input
+//!   is refused by both edge-list readers with how to decompress it.
 
 use oca_repro::api::{registry, DetectorOptions, GraphSource};
 use oca_repro::gen::{lfr, LfrParams};
 use oca_repro::graph::{
-    build_ocg_from_edges, build_ocg_from_path, open_ocg_path, read_edge_list_path,
-    read_edge_list_report_path, verify_ocg_path, write_edge_list_path, write_ocg_path,
-    BuildOptions, GraphBuilder, Relabeling,
+    build_ocg_from_edges, build_ocg_from_path, open_ocg_path, read_edge_list_path, verify_ocg_path,
+    write_edge_list_path, write_ocg_path, BuildOptions, GraphBuilder, Relabeling,
 };
 use oca_repro::prelude::*;
 use proptest::prelude::*;
@@ -210,45 +209,6 @@ fn thread_count_is_invisible_on_mmap_graphs() {
     assert!(checked >= 1, "OCA must be covered by this contract");
 }
 
-/// A gzip-compressed edge list parses to the same graph as its plain
-/// text, via magic-byte autodetection (the fixture was produced by
-/// `gzip.compress` at level 9 with a zeroed mtime).
-#[test]
-fn gzip_edge_lists_parse_like_plain_text() {
-    const PLAIN: &str = "# gzip fixture: 3-community toy graph\n\
-                         0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n3 5\n5 6\n6 7\n7 8\n6 8\n";
-    const GZ: [u8; 92] = [
-        0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x03, 0x0d, 0xc5, 0x4b, 0x0a, 0x80,
-        0x20, 0x00, 0x05, 0xc0, 0xfd, 0x3b, 0xc5, 0x83, 0xd6, 0x41, 0xfe, 0xa5, 0xdb, 0x44, 0x94,
-        0xb9, 0x30, 0x45, 0x14, 0xaa, 0xd3, 0xe7, 0x6c, 0x66, 0x62, 0xf8, 0x62, 0xe1, 0x19, 0x9f,
-        0xd6, 0xeb, 0xb1, 0x52, 0xcd, 0x7b, 0x4e, 0xa9, 0xdf, 0xb1, 0xbd, 0x6c, 0xf9, 0x65, 0xa8,
-        0x5b, 0xb9, 0xb0, 0x50, 0x40, 0x50, 0x8e, 0x25, 0x24, 0x15, 0x14, 0x35, 0x34, 0xcd, 0xd8,
-        0xc0, 0xd0, 0xc2, 0xd2, 0xc1, 0xd1, 0x8f, 0x3d, 0x7e, 0x71, 0xcd, 0xfc, 0x1c, 0x52, 0x00,
-        0x00, 0x00,
-    ];
-    let plain_path = tmp("fixture.edges");
-    let gz_path = tmp("fixture.edges.gz");
-    std::fs::write(&plain_path, PLAIN).unwrap();
-    std::fs::write(&gz_path, GZ).unwrap();
-    let plain = read_edge_list_path(&plain_path).unwrap();
-    let (gz, report) = read_edge_list_report_path(&gz_path).unwrap();
-    assert_eq!(plain, gz);
-    assert_eq!(report.edges_read, 11);
-    // And the compressed form builds the same `.ocg` as the plain one.
-    let ocg_a = tmp("fixture_a.ocg");
-    let ocg_b = tmp("fixture_b.ocg");
-    let opts = BuildOptions::default();
-    build_ocg_from_path(&plain_path, &ocg_a, &opts).unwrap();
-    build_ocg_from_path(&gz_path, &ocg_b, &opts).unwrap();
-    let a = open_ocg_path(&ocg_a).unwrap();
-    let b = open_ocg_path(&ocg_b).unwrap();
-    assert_eq!(a.graph, b.graph);
-    assert_eq!(a.info.checksum, b.info.checksum);
-    for p in [&plain_path, &gz_path, &ocg_a, &ocg_b] {
-        std::fs::remove_file(p).unwrap();
-    }
-}
-
 /// I/O failures name the offending file, end to end.
 #[test]
 fn edge_list_errors_carry_the_path() {
@@ -267,6 +227,23 @@ fn edge_list_errors_carry_the_path() {
         err.contains("definitely_missing.edges"),
         "path missing from builder error: {err}"
     );
+    // gzip bytes are refused, not decoded, by both readers, with the
+    // path and how to decompress them; the build writes nothing.
+    let gz = tmp("compressed.edges.gz");
+    std::fs::write(&gz, b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03\n").unwrap();
+    let errs = [
+        read_edge_list_path(&gz).unwrap_err().to_string(),
+        build_ocg_from_path(&gz, &out, &BuildOptions::default())
+            .unwrap_err()
+            .to_string(),
+    ];
+    for err in errs {
+        assert!(err.contains("compressed.edges.gz"), "{err}");
+        assert!(err.contains("gzip-compressed input is not read"), "{err}");
+        assert!(err.contains("zcat"), "{err}");
+    }
+    assert!(!out.exists());
+    std::fs::remove_file(gz).unwrap();
 }
 
 /// The serve layer answers in input ids when given a relabeled mmap
